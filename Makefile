@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-proxy bench-proxy-read-mostly bench-proxy-shadow bench-proxy-traced bench-proxy-smoke bench-proxy-shadow-smoke bench-proxy-traced-smoke report examples clean
+.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-proxy bench-proxy-read-mostly bench-proxy-shadow bench-proxy-traced bench-proxy-smoke bench-proxy-shadow-smoke bench-proxy-traced-smoke bench-ab report examples clean
 
 # Workload scale for the replay benchmark harness; 0.3 is large enough
 # for stable ns/request numbers, small enough to finish in seconds.
@@ -149,6 +149,16 @@ bench-proxy-smoke:
 	$(GO) run ./cmd/loadgen -check /tmp/BENCH_proxy_smoke.json
 	@rm -f /tmp/BENCH_proxy_smoke.json
 	$(GO) run ./cmd/loadgen -check BENCH_proxy.json
+
+# A/B the end-to-end benchmark (BENCHMARK.json) between a parent revision
+# and the working tree: interleaved pairs on alternating order, per-metric
+# medians and quartiles, win counts, and the parent-IQR test a claimed
+# gain has to pass. About 40 s per pair.
+PARENT   ?= HEAD~1
+WORKLOAD ?= proxy-large
+PAIRS    ?= 10
+bench-ab:
+	$(GO) run ./internal/tools/benchab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Full-scale paper-vs-measured numbers (the EXPERIMENTS.md data).
 report:

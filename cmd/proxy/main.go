@@ -165,7 +165,7 @@ func buildApp(o options) (*app, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad parent URL: %w", err)
 		}
-		a.srv.Transport = &http.Transport{Proxy: http.ProxyURL(pu)}
+		a.srv.Transport = proxy.UpstreamTransport(pu)
 		log.Printf("chaining to parent proxy %s", pu)
 	}
 

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -295,6 +298,69 @@ func TestBuildAppWithoutAdmin(t *testing.T) {
 	}
 	if a.srv.Metrics != nil {
 		t.Fatal("proxy metrics attached without -admin")
+	}
+}
+
+// TestParentTransportKeepsIdleConnections pins the -parent transport's
+// idle pool: after a burst of concurrent misses, the next burst reuses
+// the connections the first one opened. With net/http's default of two
+// idle connections per host, all but two would be dialed again.
+func TestParentTransportKeepsIdleConnections(t *testing.T) {
+	const burst = 8
+	var dialed atomic.Int64
+	arrived := make(chan struct{}, burst)
+	release := make(chan struct{})
+	parent := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-release // hold every request of a burst until all are in flight
+		fmt.Fprint(w, "from the parent")
+	}))
+	parent.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	parent.Start()
+	defer parent.Close()
+
+	a, err := buildApp(options{capacity: 1 << 20, polSpec: "SIZE", freshFor: time.Minute, parent: parent.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	traffic := httptest.NewServer(a.mux)
+	defer traffic.Close()
+
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				req, _ := http.NewRequest(http.MethodGet, traffic.URL+"/", nil)
+				req.Host = fmt.Sprintf("round%d.doc%d.example", round, i)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}(i)
+		}
+		for i := 0; i < burst; i++ {
+			<-arrived
+		}
+		for i := 0; i < burst; i++ {
+			release <- struct{}{}
+		}
+		wg.Wait()
+		// A connection is handed back to the idle pool by the transport's
+		// own goroutine, just after the body's last byte; allow two to
+		// have missed the second burst (the default pool would miss six).
+		if got := dialed.Load(); got < burst || got > burst+2 {
+			t.Fatalf("after round %d the proxy has dialed its parent %d times, want %d", round, got, burst)
+		}
 	}
 }
 

@@ -287,18 +287,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
+	// Subscribe before the headers go out: the client takes the flushed
+	// headers as "subscribed", so nothing published after it has them
+	// may be missed.
 	var sub <-chan any // nil channel: select case blocks forever
 	if s.opts.Events != nil {
 		ch, cancel := s.opts.Events.Subscribe(64)
 		defer cancel()
 		sub = ch
 	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+
 	var tick <-chan time.Time
 	if s.opts.Snapshot != nil {
 		interval := s.opts.SnapshotInterval
@@ -319,7 +322,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-s.done:
-			return
+			// Deliver what was published before the shutdown.
+			for {
+				select {
+				case v := <-sub:
+					if !writeSSE(w, fl, v) {
+						return
+					}
+				default:
+					return
+				}
+			}
 		case v := <-sub:
 			if !writeSSE(w, fl, v) {
 				return

@@ -282,6 +282,41 @@ func TestServerEventsPush(t *testing.T) {
 	}
 }
 
+// TestServerEventsNoLostFrames pins both ends of a subscription: it
+// exists by the time the client has the response headers, so a publish
+// right after GET returns is not lost, and frames published before
+// Close are still delivered by the closing server.
+func TestServerEventsNoLostFrames(t *testing.T) {
+	b := NewBroadcaster()
+	s := NewServer(ServerOptions{Events: b})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	resp, err := http.Get("http://" + addr.String() + "/events")
+	if err != nil {
+		t.Fatalf("GET /events: %v", err)
+	}
+	defer resp.Body.Close()
+	if n := b.Subscribers(); n != 1 {
+		t.Fatalf("%d subscribers once the headers arrived, want 1", n)
+	}
+	const published = 32 // inside the subscription's 64-frame buffer
+	for i := 0; i < published; i++ {
+		b.Publish(map[string]int{"seq": i})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the stream to its end: %v", err)
+	}
+	if got := strings.Count(string(body), "data: "); got != published {
+		t.Fatalf("%d frames delivered, want %d", got, published)
+	}
+}
+
 func TestServerEventsPoll(t *testing.T) {
 	calls := 0
 	s := NewServer(ServerOptions{

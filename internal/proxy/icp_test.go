@@ -2,8 +2,10 @@ package proxy
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -234,5 +236,54 @@ func TestSiblingMissFallsThrough(t *testing.T) {
 	}
 	if b.Stats().SiblingHits != 0 {
 		t.Fatal("phantom sibling hit recorded")
+	}
+}
+
+// TestSiblingFetchesReuseConnection pins the per-sibling transport: two
+// misses served through the same sibling travel over one connection
+// instead of dialing (and leaking an idle pool) per fetch.
+func TestSiblingFetchesReuseConnection(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "document ", r.URL.Path)
+	}))
+	defer origin.Close()
+
+	aStore := NewStore(1<<20, nil)
+	var dialed atomic.Int64
+	aTS := httptest.NewUnstartedServer(New(aStore))
+	aTS.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	aTS.Start()
+	defer aTS.Close()
+	aICP, err := NewICPResponder(aStore, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aICP.Close()
+
+	b := New(NewStore(1<<20, nil))
+	b.Siblings = []Sibling{{ICPAddr: aICP.Addr(), Proxy: aTS.URL}}
+	b.ICP.Timeout = 500 * time.Millisecond
+	bTS := httptest.NewServer(b)
+	defer bTS.Close()
+
+	targets := []string{origin.URL + "/one.html", origin.URL + "/two.html"}
+	for _, target := range targets {
+		proxyGet(t, aTS.URL, target, nil) // warm sibling A
+	}
+	before := dialed.Load()
+	for _, target := range targets {
+		if _, body := proxyGet(t, bTS.URL, target, nil); !strings.HasPrefix(body, "document ") {
+			t.Fatalf("body %q", body)
+		}
+	}
+	if b.Stats().SiblingHits != 2 {
+		t.Fatalf("B stats %+v, want two sibling hits", b.Stats())
+	}
+	if got := dialed.Load() - before; got != 1 {
+		t.Fatalf("B opened %d connections to its sibling for two fetches, want 1", got)
 	}
 }

@@ -14,6 +14,10 @@ import (
 // ShardedStore — and every consumer takes the interface so the two are
 // interchangeable drop-ins (cmd/proxy selects with -shards).
 //
+// The miss path decides what to buffer before it reads a body, so the
+// contract includes the admission question (Admits) beside the
+// admission itself (Put); the two must give the same verdict on size.
+//
 // The determinism knobs (SetSeed, SetClock, SetHooks) are part of the
 // interface because livebench's sim-vs-live byte-equivalence check
 // needs them on whichever implementation it drives; call them before
@@ -28,6 +32,11 @@ type ObjectStore interface {
 	// Put stores obj under url, evicting victims as needed; it reports
 	// whether the object was admitted.
 	Put(url string, obj *Object) bool
+	// Admits reports whether an object of size bytes under url would pass
+	// Put's size test (the quota of the store, or of url's shard). The
+	// miss path asks before it reads a body, so one that Put would
+	// reject is never buffered; the answer and Put's must agree.
+	Admits(url string, size int64) bool
 	// Refresh re-stamps url's stored-at time after a 304 revalidation.
 	Refresh(url string)
 	// Remove drops url.

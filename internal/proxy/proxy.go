@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +39,9 @@ type Server struct {
 	// freshness window plus Last-Modified revalidation matches CERN
 	// httpd behaviour.
 	FreshFor time.Duration
-	// MaxObjectBytes bounds what the proxy will buffer and cache.
+	// MaxObjectBytes bounds what the proxy will cache, and with it the
+	// memory one miss can hold. A larger body is relayed to the client
+	// whole through a fixed copy buffer and not kept.
 	MaxObjectBytes int64
 	// Transport performs origin fetches; configure http.Transport with
 	// Proxy to chain to a parent cache. Defaults to
@@ -69,6 +72,9 @@ type Server struct {
 	// traced is the store's optional tracing extension, type-asserted
 	// once here so the serving path never repeats the assertion.
 	traced TracedStore
+
+	// siblingTransports maps a sibling's proxy URL to its transport.
+	siblingTransports sync.Map
 
 	stats struct {
 		requests, hits, revalidated, misses atomic.Int64
@@ -115,6 +121,34 @@ func (s *Server) transport() http.RoundTripper {
 		return s.Transport
 	}
 	return http.DefaultTransport
+}
+
+// UpstreamTransport returns a transport that sends every request through
+// the cache at proxyURL — a parent or a sibling. All of its connections
+// go to that one host, so the idle pool is sized for a proxy's
+// concurrent misses instead of net/http's default of two, past which
+// every further miss would dial anew.
+func UpstreamTransport(proxyURL *url.URL) *http.Transport {
+	return &http.Transport{
+		Proxy:               http.ProxyURL(proxyURL),
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+	}
+}
+
+// siblingTransport returns the transport for fetches through the sibling
+// whose HTTP listener is proxyURL, built on first use and then reused so
+// sibling fetches keep their connections; nil when the URL does not parse.
+func (s *Server) siblingTransport(proxyURL string) http.RoundTripper {
+	if tr, ok := s.siblingTransports.Load(proxyURL); ok {
+		return tr.(http.RoundTripper)
+	}
+	u, err := url.Parse(proxyURL)
+	if err != nil {
+		return nil
+	}
+	tr, _ := s.siblingTransports.LoadOrStore(proxyURL, UpstreamTransport(u))
+	return tr.(http.RoundTripper)
 }
 
 // Cacheable reports whether a request/URL is cacheable under the
@@ -178,12 +212,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Accept origin-form requests too (reverse-proxy style) by
 		// reconstructing the absolute URL from the Host header.
 		if r.Host == "" {
-			s.stats.errors.Add(1)
-			if m := s.Metrics; m != nil {
-				m.Errors.Inc()
-			}
 			rt.EndSpan(parse)
-			rt.MarkError()
+			s.noteError(rt)
 			rt.SetOutcome("ERROR", http.StatusBadRequest, 0)
 			http.Error(w, "proxy: request URL is not absolute", http.StatusBadRequest)
 			return
@@ -275,7 +305,8 @@ func (s *Server) revalidate(key string, obj *Object, target *url.URL) bool {
 }
 
 // fetchAndServe fetches target from the origin (or parent proxy),
-// serves it, and caches it when eligible.
+// streams it to the client as it arrives, and caches it when eligible
+// (DESIGN.md §13).
 func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *url.URL, key string, rt *obs.ReqTrace) {
 	s.stats.misses.Add(1)
 	if m := s.Metrics; m != nil {
@@ -296,8 +327,8 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	// fetch through the sibling's HTTP listener.
 	tr := s.transport()
 	if sib := s.ICP.QuerySiblings(s.Siblings, key); sib != nil {
-		if sibURL, err := url.Parse(sib.Proxy); err == nil {
-			tr = &http.Transport{Proxy: http.ProxyURL(sibURL)}
+		if st := s.siblingTransport(sib.Proxy); st != nil {
+			tr = st
 			s.stats.siblingHits.Add(1)
 			if m := s.Metrics; m != nil {
 				m.SiblingHits.Inc()
@@ -320,60 +351,156 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 		rt.SetOutcome("MISS", resp.StatusCode, n)
 		return
 	}
-	bodySpan := rt.BeginSpan(obs.PhaseBody)
-	body, err := io.ReadAll(io.LimitReader(resp.Body, s.MaxObjectBytes+1))
-	rt.EndSpanArg(bodySpan, int64(len(body)))
-	if err != nil {
-		s.countError(w, rt, fmt.Sprintf("proxy: reading origin body: %v", err))
-		return
-	}
-	if m := s.Metrics; m != nil {
-		m.OriginBytes.Add(int64(len(body)))
-	}
 	contentType, lastMod := headerSubset(resp.Header)
-	obj := &Object{
-		Body:         body,
-		ContentType:  contentType,
-		LastModified: lastMod,
-		StoredAt:     time.Now(),
+	length := resp.ContentLength // -1: chunked or EOF-delimited origin
+	fits := length <= s.MaxObjectBytes && (length < 0 || s.store.Admits(key, length))
+	setEntityHeaders(w.Header(), contentType, lastMod, length, "MISS")
+	serve := rt.BeginSpan(obs.PhaseServe)
+	w.WriteHeader(http.StatusOK)
+	bodySpan := rt.BeginSpan(obs.PhaseBody)
+	var body []byte // what Put will get; nil when the object is not kept
+	var sent int64
+	var rerr, werr error
+	switch {
+	case !fits:
+		_, sent, rerr, werr = relayBody(w, resp.Body, -1)
+	case length < 0:
+		body, sent, rerr, werr = relayBody(w, resp.Body, s.MaxObjectBytes)
+	default:
+		body = make([]byte, length)
+		sent, rerr, werr = teeBody(w, resp.Body, body)
 	}
-	if int64(len(body)) <= s.MaxObjectBytes {
+	rt.EndSpanArg(bodySpan, sent)
+	rt.EndSpan(serve)
+	s.stats.bytesServed.Add(sent)
+	if m := s.Metrics; m != nil {
+		m.OriginBytes.Add(sent)
+		m.BytesServed.Add(sent)
+	}
+	if rerr != nil || werr != nil {
+		// Too late for a 502: drop the connection, so the client reads a
+		// cut transfer and not a complete document. Nothing is cached.
+		if rerr != nil {
+			s.noteError(rt)
+		}
+		rt.SetOutcome("ERROR", http.StatusOK, sent)
+		panic(http.ErrAbortHandler)
+	}
+	rt.SetOutcome("MISS", http.StatusOK, sent)
+	if body != nil {
 		admit := rt.BeginSpan(obs.PhaseAdmit)
-		stored := s.storePut(key, obj, rt)
+		obj := &Object{Body: body, ContentType: contentType, LastModified: lastMod, StoredAt: time.Now()}
 		arg := int64(0)
-		if stored {
+		if s.storePut(key, obj, rt) {
 			arg = 1
 		}
 		rt.EndSpanArg(admit, arg)
 	}
-	s.serveObject(w, obj, "MISS", rt)
 	if f := s.Shadow; f != nil {
-		f.Observe(key, int64(len(body)), false)
+		f.Observe(key, sent, false)
 	}
 }
 
-// countError records an error outcome and answers 502.
-func (s *Server) countError(w http.ResponseWriter, rt *obs.ReqTrace, msg string) {
+// teeBody reads an origin body of declared, admissible length straight
+// into body, its final buffer, handing each chunk to the client as it
+// arrives. It returns the bytes the client took and the origin-side or
+// client-side error that stopped the transfer.
+func teeBody(w io.Writer, src io.Reader, body []byte) (sent int64, rerr, werr error) {
+	for sent < int64(len(body)) {
+		m, err := src.Read(body[sent:])
+		k, cerr := w.Write(body[sent : sent+int64(m)])
+		sent += int64(k)
+		if cerr != nil {
+			return sent, nil, cerr
+		}
+		if err == io.EOF && sent < int64(len(body)) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return sent, err, nil
+		}
+	}
+	return sent, nil, nil
+}
+
+// relayBufPool holds the copy buffers of relayBody, so a miss that is
+// not kept costs one pooled buffer however large its body.
+var relayBufPool = sync.Pool{New: func() any {
+	b := make([]byte, relayBufSize)
+	return &b
+}}
+
+const relayBufSize = 64 << 10
+
+// relayBody copies an origin body to the client through a pooled buffer.
+// With keepMax >= 0 (a body of unknown length) it also accumulates the
+// body, up to keepMax bytes; a longer one is relayed on without being
+// kept. The returned body is nil when nothing was kept.
+func relayBody(w io.Writer, src io.Reader, keepMax int64) (body []byte, sent int64, rerr, werr error) {
+	bp := relayBufPool.Get().(*[]byte)
+	defer relayBufPool.Put(bp)
+	if keepMax >= 0 {
+		body = []byte{}
+	}
+	for {
+		m, err := src.Read(*bp)
+		chunk := (*bp)[:m]
+		if body != nil {
+			if int64(len(body)+m) > keepMax {
+				body = nil
+			} else {
+				body = append(body, chunk...)
+			}
+		}
+		k, cerr := w.Write(chunk)
+		sent += int64(k)
+		if cerr != nil {
+			return nil, sent, nil, cerr
+		}
+		if err == io.EOF {
+			return body, sent, nil, nil
+		}
+		if err != nil {
+			return nil, sent, err, nil
+		}
+	}
+}
+
+// noteError counts one failed request and flags its trace.
+func (s *Server) noteError(rt *obs.ReqTrace) {
 	s.stats.errors.Add(1)
 	if m := s.Metrics; m != nil {
 		m.Errors.Inc()
 	}
 	rt.MarkError()
+}
+
+// countError records an error outcome and answers 502.
+func (s *Server) countError(w http.ResponseWriter, rt *obs.ReqTrace, msg string) {
+	s.noteError(rt)
 	rt.SetOutcome("ERROR", http.StatusBadGateway, 0)
 	http.Error(w, msg, http.StatusBadGateway)
 }
 
+// setEntityHeaders sets the response headers of a document served from
+// the cache or streamed from the origin; a negative length (unknown
+// until the origin's body ends) sets no Content-Length.
+func setEntityHeaders(h http.Header, contentType string, lastMod time.Time, length int64, verdict string) {
+	if contentType != "" {
+		h.Set("Content-Type", contentType)
+	}
+	if !lastMod.IsZero() {
+		h.Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
+	}
+	if length >= 0 {
+		h.Set("Content-Length", fmt.Sprint(length))
+	}
+	h.Set("X-Cache", verdict)
+}
+
 // serveObject writes a cached object to the client.
 func (s *Server) serveObject(w http.ResponseWriter, obj *Object, verdict string, rt *obs.ReqTrace) {
-	h := w.Header()
-	if obj.ContentType != "" {
-		h.Set("Content-Type", obj.ContentType)
-	}
-	if !obj.LastModified.IsZero() {
-		h.Set("Last-Modified", obj.LastModified.UTC().Format(http.TimeFormat))
-	}
-	h.Set("Content-Length", fmt.Sprint(len(obj.Body)))
-	h.Set("X-Cache", verdict)
+	setEntityHeaders(w.Header(), obj.ContentType, obj.LastModified, int64(len(obj.Body)), verdict)
 	serve := rt.BeginSpan(obs.PhaseServe)
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(obj.Body)

@@ -17,8 +17,8 @@ package proxy
 //     is credited precisely the bytes its donor debited. The debit
 //     lands before the credit (never the other way round — a credit-
 //     first order would let the summed quotas exceed capacity and admit
-//     extra bytes), so a Stats() snapshot racing a transfer can read
-//     the sum up to one step low, never high.
+//     extra bytes). Stats() takes its snapshot between passes, so it
+//     always reads the exact sum.
 //   - A donor's quota never drops below its bytes in use, its largest
 //     resident entry, or the configured floor. The donor re-checks
 //     under its own lock at debit time (Store.donateQuota), so the

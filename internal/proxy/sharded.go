@@ -151,6 +151,9 @@ func (s *ShardedStore) Peek(url string) (*Object, bool) { return s.shard(url).Pe
 // quota as needed.
 func (s *ShardedStore) Put(url string, obj *Object) bool { return s.shard(url).Put(url, obj) }
 
+// Admits reports whether url's shard has the quota for size bytes.
+func (s *ShardedStore) Admits(url string, size int64) bool { return s.shard(url).Admits(url, size) }
+
 // Refresh re-stamps url's stored-at time after a revalidation.
 func (s *ShardedStore) Refresh(url string) { s.shard(url).Refresh(url) }
 
@@ -170,10 +173,13 @@ func (s *ShardedStore) Len() int {
 // the sum of per-shard high-water marks, an upper bound on the true
 // global peak (shards peak at different times). Capacity sums to the
 // requested global capacity whatever the rebalancer has shifted — the
-// rebalance invariant made visible (a snapshot racing an in-flight
-// transfer can read up to one rebalance step low, never high; see
-// rebalance.go).
+// rebalance invariant made visible. The snapshot is taken between
+// rebalance passes (it holds rebalMu): the shards are read one by one,
+// and transfers landing between those reads could otherwise be seen
+// half-applied, the sum a step off either way.
 func (s *ShardedStore) Stats() StoreStats {
+	s.rebalMu.Lock()
+	defer s.rebalMu.Unlock()
 	var agg StoreStats
 	for _, sh := range s.shards {
 		st := sh.Stats()

@@ -332,6 +332,11 @@ func (s *Store) put(url string, obj *Object, rt *obs.ReqTrace) bool {
 	return true
 }
 
+// Admits reports whether Put would accept an object of size bytes under
+// url as far as size goes — the test at the top of put, so the proxy can
+// decide before it buffers a body whether to keep it.
+func (s *Store) Admits(url string, size int64) bool { return size <= s.Quota() }
+
 // Refresh updates the stored-at time of url's object after a successful
 // revalidation (304 from the origin).
 func (s *Store) Refresh(url string) {
