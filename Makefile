@@ -171,6 +171,9 @@ examples:
 	$(GO) run ./examples/capturepipeline
 	$(GO) run ./examples/liveproxy
 	$(GO) run ./examples/siblings
+	$(GO) run ./examples/customworkload
 
+# go build ./cmd/<name> from the repo root leaves <name> there.
 clean:
 	$(GO) clean ./...
+	rm -f analyze httpfilter livebench loadgen proxy tracegen websim

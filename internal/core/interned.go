@@ -11,19 +11,49 @@
 package core
 
 import (
+	"sync"
+
 	"webcache/internal/policy"
 	"webcache/internal/trace"
 )
 
+// tablePool holds the entry tables of released interned caches, every
+// slot up to capacity nil.
+var tablePool sync.Pool
+
 // NewColumnar returns a cache over the interned columnar trace view.
 // The entry table is pre-sized to col.NumIDs() — exact, not a hint —
-// so steady-state replay in this mode allocates nothing. Requests are
-// fed with AccessIndex; Access panics in this mode.
+// so steady-state replay in this mode allocates nothing; a table a
+// released cache left behind is reused when it is large enough.
+// Requests are fed with AccessIndex; Access panics in this mode.
 func NewColumnar(cfg Config, col *trace.Columnar) *Cache {
 	c := newCache(cfg)
 	c.col = col
-	c.byID = make([]*policy.Entry, col.NumIDs())
+	n := col.NumIDs()
+	if t, _ := tablePool.Get().(*[]*policy.Entry); !DisableAllocOpts && t != nil && cap(*t) >= n {
+		c.byID = (*t)[:n]
+	} else {
+		c.byID = make([]*policy.Entry, n)
+	}
 	return c
+}
+
+// Release hands the cache's entry memory to caches built after it: the
+// entry pool's slabs and, in interned mode, the cleared ID table. Call
+// it once the statistics have been read. Afterwards the cache, its
+// policy and every entry the cache handed out are invalid and must not
+// be used. Release does nothing when the cache does not recycle entries
+// — an OnEvict observer may retain them, or DisableAllocOpts is set.
+func (c *Cache) Release() {
+	if !c.recycle {
+		return
+	}
+	c.pool.Release()
+	if t := c.byID; t != nil {
+		clear(t)
+		tablePool.Put(&t)
+		c.byID = nil
+	}
 }
 
 // Interned reports whether the cache indexes entries by interned ID.

@@ -115,6 +115,28 @@ func TestInternedMatchesStringEngine(t *testing.T) {
 	}
 }
 
+// TestInternedAfterRelease checks that caches built after another one
+// released its memory behave exactly as before: the ID table comes back
+// cleared and the entry slabs' stale fields never show.
+func TestInternedAfterRelease(t *testing.T) {
+	tr := internedTestTrace(4000)
+	col := tr.Columnar()
+	for _, mk := range []func() Config{
+		func() Config { return Config{Capacity: 0, Seed: 7} },
+		func() Config { return Config{Capacity: 20000, Policy: policy.NewLRU(), Seed: 7} },
+	} {
+		prev := NewColumnar(Config{Capacity: 30000, Policy: policy.NewSorted([]policy.Key{policy.KeySize}, 0), Seed: 5}, col)
+		for i := 0; i < col.Len(); i++ {
+			prev.AccessIndex(i)
+		}
+		prev.Release()
+		hitsStr, hitsID, statsStr, statsID := runBoth(t, tr, mk)
+		if !reflect.DeepEqual(hitsStr, hitsID) || !reflect.DeepEqual(statsStr, statsID) {
+			t.Fatalf("after Release, stats diverge:\nstring   %+v\ninterned %+v", statsStr, statsID)
+		}
+	}
+}
+
 // TestInternedSweep checks the Pitkow/Recker periodic sweep behaves
 // identically in both modes.
 func TestInternedSweep(t *testing.T) {

@@ -160,3 +160,31 @@ func TestEntryPoolRecycles(t *testing.T) {
 		t.Fatal("empty pool did not allocate a fresh entry")
 	}
 }
+
+// TestEntryPoolRelease checks that a released pool is empty and that
+// entries carved after a release, from whatever blocks it returned, are
+// in the NewEntry state however their last user left them.
+func TestEntryPoolRelease(t *testing.T) {
+	var p EntryPool
+	var prev *Entry
+	for i := 0; i < 2*slabSize; i++ {
+		e := p.Get("http://s/old", int64(i+1), trace.Audio, 10, uint64(i))
+		e.ID, e.NRef, e.Latency, e.Expires, e.DayATime = 3, 9, 2.5, 99, 4
+		e.prio, e.heapIdx, e.bucket, e.prev, e.next = 1.5, 7, 2, prev, prev
+		prev = e
+		if i%3 == 0 {
+			p.Put(e)
+		}
+	}
+	p.Release()
+	if p.Len() != 0 || len(p.slab) != 0 || len(p.slabs) != 0 {
+		t.Fatalf("released pool not empty: %d free, %d slab, %d blocks", p.Len(), len(p.slab), len(p.slabs))
+	}
+	var q EntryPool
+	want := NewEntry("http://s/new", 2048, trace.Graphics, 20, 7)
+	for i := 0; i < 2*slabSize; i++ {
+		if got := q.Get("http://s/new", 2048, trace.Graphics, 20, 7); *got != *want {
+			t.Fatalf("entry %d after Release = %+v, want %+v", i, got, want)
+		}
+	}
+}

@@ -1,11 +1,17 @@
 package policy
 
-import "webcache/internal/trace"
+import (
+	"sync"
+
+	"webcache/internal/trace"
+)
 
 // EntryPool recycles Entries between an eviction and a later insert,
 // removing the per-insert allocation from the replay hot loop: once a
 // finite cache reaches capacity, every miss both evicts and inserts,
 // so the pool reaches a steady state where no Entry is ever allocated.
+// Release extends the reuse across replays: the slabs go back to a
+// process-wide pool from which later EntryPools carve.
 //
 // The zero value is ready to use. Entries handed to Put must already
 // be detached from every policy (Policy.Remove has returned) and must
@@ -19,10 +25,17 @@ type EntryPool struct {
 	// which the heap sifts chase through pointers — stays contiguous
 	// instead of scattering across individual allocations.
 	slab []Entry
+	// slabs lists every block slab was cut from, for Release.
+	slabs []*[slabSize]Entry
 }
 
 // slabSize is the number of entries allocated per block (~16 KiB).
 const slabSize = 128
+
+// slabPool holds the blocks of released EntryPools. Their entries
+// still carry the last replay's field values; Get resets each one
+// before handing it out.
+var slabPool sync.Pool
 
 // Put recycles e for a future Get.
 func (p *EntryPool) Put(e *Entry) {
@@ -41,7 +54,12 @@ func (p *EntryPool) Get(url string, size int64, typ trace.DocType, now int64, ra
 		return e
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]Entry, slabSize)
+		s, _ := slabPool.Get().(*[slabSize]Entry)
+		if s == nil {
+			s = new([slabSize]Entry)
+		}
+		p.slabs = append(p.slabs, s)
+		p.slab = s[:]
 	}
 	e := &p.slab[0]
 	p.slab = p.slab[1:]
@@ -51,6 +69,17 @@ func (p *EntryPool) Get(url string, size int64, typ trace.DocType, now int64, ra
 
 // Len reports how many entries are waiting for reuse.
 func (p *EntryPool) Len() int { return len(p.free) }
+
+// Release returns every block p carved entries from to the process-wide
+// pool and leaves p empty. Every entry p ever handed out becomes
+// invalid: neither the caller nor any policy still holding one may use
+// it again.
+func (p *EntryPool) Release() {
+	for _, s := range p.slabs {
+		slabPool.Put(s)
+	}
+	*p = EntryPool{}
+}
 
 // Reserver is implemented by policies whose internal structures can be
 // pre-sized from an expected resident-document count. The cache passes

@@ -317,7 +317,12 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 		s.countError(w, rt, fmt.Sprintf("proxy: building origin request: %v", err))
 		return
 	}
-	copyHopByHopSafe(req.Header, r.Header)
+	copyEndToEnd(req.Header, r.Header)
+	// The stored body must be identity, since it is served to every later
+	// client whatever it accepts. Left alone, the transport asks for gzip
+	// itself and decodes the answer; a forwarded Accept-Encoding would
+	// make the body this client's encoding instead.
+	req.Header.Del("Accept-Encoding")
 	// A sampled miss watches the transport's own lifecycle callbacks:
 	// origin.dial and origin.ttfb spans come from httptrace, so the
 	// timeline attributes origin latency to the wire, not RoundTrip.
@@ -345,8 +350,9 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 		m.OriginFetches.Inc()
 	}
 
-	if resp.StatusCode != http.StatusOK {
-		// Serve non-200 responses uncached.
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
+		// Serve non-200 responses uncached, and so a body the transport
+		// left encoded: the cache keeps identity bodies only.
 		n := s.relay(w, resp)
 		rt.SetOutcome("MISS", resp.StatusCode, n)
 		return
@@ -516,11 +522,7 @@ func (s *Server) serveObject(w http.ResponseWriter, obj *Object, verdict string,
 // returns the body bytes written.
 func (s *Server) relay(w http.ResponseWriter, resp *http.Response) int64 {
 	h := w.Header()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			h.Add(k, v)
-		}
-	}
+	copyEndToEnd(h, resp.Header)
 	h.Set("X-Cache", "MISS")
 	w.WriteHeader(resp.StatusCode)
 	n, _ := io.Copy(w, resp.Body)
@@ -538,7 +540,7 @@ func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target *url
 		s.countError(w, rt, fmt.Sprintf("proxy: building pass-through request: %v", err))
 		return
 	}
-	copyHopByHopSafe(req.Header, r.Header)
+	copyEndToEnd(req.Header, r.Header)
 	req = origin.TraceRequest(req, rt)
 	resp, err := s.transport().RoundTrip(req)
 	if err != nil {
@@ -556,17 +558,38 @@ func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target *url
 	}
 }
 
-// copyHopByHopSafe copies end-to-end request headers, dropping
-// hop-by-hop ones.
-func copyHopByHopSafe(dst, src http.Header) {
+// copyEndToEnd copies the end-to-end headers of a request or response
+// into dst. It drops the hop-by-hop ones, which describe a single
+// connection: a fixed list and every header that src's Connection field
+// names.
+func copyEndToEnd(dst, src http.Header) {
+	conn := src["Connection"]
 	for k, vs := range src {
-		switch http.CanonicalHeaderKey(k) {
-		case "Connection", "Proxy-Connection", "Keep-Alive", "Te",
-			"Trailer", "Transfer-Encoding", "Upgrade", "Proxy-Authorization":
+		switch k = http.CanonicalHeaderKey(k); k {
+		case "Connection", "Proxy-Connection", "Keep-Alive", "Te", "Trailer",
+			"Transfer-Encoding", "Upgrade", "Proxy-Authorization", "Proxy-Authenticate":
+			continue
+		}
+		if listsToken(conn, k) {
 			continue
 		}
 		for _, v := range vs {
 			dst.Add(k, v)
 		}
 	}
+}
+
+// listsToken reports whether the comma-separated field values list
+// name, compared without regard to case.
+func listsToken(values []string, name string) bool {
+	for _, v := range values {
+		for v != "" {
+			var tok string
+			tok, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(tok), name) {
+				return true
+			}
+		}
+	}
+	return false
 }

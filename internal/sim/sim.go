@@ -177,6 +177,9 @@ func Experiment1(tr *trace.Trace, seed uint64) *Exp1Result {
 		replay()
 	}
 	final := cache.Stats()
+	if !DisableInterning {
+		cache.Release()
+	}
 	return &Exp1Result{
 		Workload:  tr.Name,
 		Rates:     rates,
@@ -223,7 +226,9 @@ type RunOptions struct {
 // policy, and scores it against the Experiment 1 baseline. Unless
 // DisableInterning is set, the replay runs over the trace's shared
 // interned columnar view (built once per trace, fanned out read-only to
-// every run of a sweep) through an ID-indexed cache.
+// every run of a sweep) through an ID-indexed cache, and the cache's
+// entry memory is released for the next run once its results are
+// copied out. pol is invalid after RunPolicy returns.
 func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity int64, seed uint64, opts RunOptions) *PolicyRun {
 	cfg := core.Config{
 		Capacity:       capacity,
@@ -271,6 +276,9 @@ func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity in
 		Capacity: capacity,
 		Rates:    rates,
 		Final:    cache.Stats(),
+	}
+	if !DisableInterning {
+		cache.Release()
 	}
 	if base != nil {
 		run.HRRatioMean = rates.HR.MeanRatioTo(base.Rates.HR)
