@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-proxy bench-proxy-read-mostly bench-proxy-shadow bench-proxy-traced bench-proxy-smoke bench-proxy-shadow-smoke bench-proxy-traced-smoke bench-ab report examples clean
+.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-proxy bench-proxy-read-mostly bench-proxy-shadow bench-proxy-traced bench-proxy-smoke bench-proxy-shadow-smoke bench-proxy-traced-smoke bench-ab fuzz-smoke report examples clean
 
 # Workload scale for the replay benchmark harness; 0.3 is large enough
 # for stable ns/request numbers, small enough to finish in seconds.
@@ -159,6 +159,13 @@ WORKLOAD ?= proxy-large
 PAIRS    ?= 10
 bench-ab:
 	$(GO) run ./internal/tools/benchab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS)
+
+# Short fuzzing runs of the policy oracles: the structural backends
+# against the heap, and the heap against a sorted slice.
+FUZZ_TIME ?= 15s
+fuzz-smoke:
+	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzStructuralVsHeap$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzEntryHeap$$' -fuzztime $(FUZZ_TIME)
 
 # Full-scale paper-vs-measured numbers (the EXPERIMENTS.md data).
 report:

@@ -298,7 +298,14 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	srv.FreshFor = 100 * 365 * 24 * time.Hour // never revalidate
 	srv.MaxObjectBytes = 64 << 20
 	srv.Transport = origin.RewriteTransport(originTS.Listener.Addr().String())
-	proxyTS := httptest.NewServer(srv)
+	// A miss is stored after its body reaches the client, and the store
+	// reads simNow; the next request may move the clock only once the
+	// handler has returned.
+	handled := make(chan struct{}, 1)
+	proxyTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() { handled <- struct{}{} }()
+		srv.ServeHTTP(w, r)
+	}))
 	defer proxyTS.Close()
 
 	proxyURL, err := url.Parse(proxyTS.URL)
@@ -319,6 +326,7 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 		}
 		n, _ := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		<-handled
 		bytesTotal += n
 		if v := resp.Header.Get("X-Cache"); v == "HIT" || v == "REVALIDATED" {
 			hits++

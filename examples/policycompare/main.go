@@ -7,20 +7,28 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"webcache"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	tr, _, err := webcache.GenerateWorkload("C", 42, 0.25)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bound := webcache.MaxHitRates(tr, 1)
 	capacity := bound.MaxNeeded / 10
-	fmt.Printf("Classroom workload: %d requests, MaxNeeded %.1f MB, cache %.1f MB\n\n",
+	fmt.Fprintf(w, "Classroom workload: %d requests, MaxNeeded %.1f MB, cache %.1f MB\n\n",
 		len(tr.Requests), float64(bound.MaxNeeded)/1e6, float64(capacity)/1e6)
 
 	specs := []string{
@@ -36,7 +44,7 @@ func main() {
 	for _, spec := range specs {
 		pol, err := webcache.NewPolicy(spec, tr.Start)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cache := webcache.NewCache(webcache.CacheConfig{Capacity: capacity, Policy: pol, Seed: 9})
 		for i := range tr.Requests {
@@ -47,12 +55,13 @@ func main() {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].hr > rows[j].hr })
 
-	fmt.Printf("%-15s %8s %8s %10s\n", "policy", "HR%", "WHR%", "% of max HR")
+	fmt.Fprintf(w, "%-15s %8s %8s %10s\n", "policy", "HR%", "WHR%", "% of max HR")
 	for _, r := range rows {
-		fmt.Printf("%-15s %8.1f %8.1f %10.0f\n",
+		fmt.Fprintf(w, "%-15s %8.1f %8.1f %10.0f\n",
 			r.name, 100*r.hr, 100*r.whr, 100*r.hr/bound.AggHR)
 	}
-	fmt.Println("\nThe paper's ranking — SIZE first, NREF second, ATIME (LRU) third,")
-	fmt.Println("ETIME (FIFO) last — should be visible above; LOG2SIZE and LRU-MIN")
-	fmt.Println("track SIZE closely.")
+	fmt.Fprintln(w, "\nThe paper's ranking — SIZE first, NREF second, ATIME (LRU) third,")
+	fmt.Fprintln(w, "ETIME (FIFO) last — should be visible above; LOG2SIZE and LRU-MIN")
+	fmt.Fprintln(w, "track SIZE closely.")
+	return nil
 }

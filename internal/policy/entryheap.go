@@ -3,12 +3,17 @@ package policy
 import "webcache/internal/pqueue"
 
 // entryHeap is the indexed binary min-heap the heap-based policies keep
-// their entries on. It mirrors pqueue.Heap exactly — same operation
-// semantics, same comparison sequence, same hole-based sift with the
-// same pqueue.DisableHoleSift ablation switch — but is concrete over
-// *Entry: the index bookkeeping compiles to direct e.heapIdx loads and
-// stores instead of method calls through the generics dictionary, which
-// matters in the sift loops at the bottom of every replay.
+// their entries on. It has pqueue.Heap's operation semantics and its
+// hole-based sifts (with the same pqueue.DisableHoleSift ablation
+// switch), but is concrete over *Entry: the index bookkeeping compiles to
+// direct e.heapIdx loads and stores instead of method calls through the
+// generics dictionary, which matters in the sift loops at the bottom of
+// every replay.
+//
+// Removing the root — every eviction — is a bottom-up pop (popRoot), so
+// its comparison sequence differs from pqueue.Heap's. The victim order
+// does not: the root is the minimum of a strict total order, whatever
+// the internal layout.
 type entryHeap struct {
 	items []*Entry
 	less  func(a, b *Entry) bool
@@ -44,15 +49,6 @@ func (h *entryHeap) Peek() (*Entry, bool) {
 	return h.items[0], true
 }
 
-func (h *entryHeap) Pop() (*Entry, bool) {
-	if len(h.items) == 0 {
-		return nil, false
-	}
-	head := h.items[0]
-	h.removeAt(0)
-	return head, true
-}
-
 // Remove deletes e from the heap using its tracked index; it reports
 // false (and does nothing) when e is not on this heap.
 func (h *entryHeap) Remove(e *Entry) bool {
@@ -76,11 +72,11 @@ func (h *entryHeap) Fix(e *Entry) bool {
 	return true
 }
 
-// Items returns the backing slice in heap order; callers must not
-// mutate it.
-func (h *entryHeap) Items() []*Entry { return h.items }
-
 func (h *entryHeap) removeAt(i int) {
+	if i == 0 && !pqueue.DisableHoleSift {
+		h.popRoot()
+		return
+	}
 	n := len(h.items) - 1
 	e := h.items[i]
 	if i != n {
@@ -95,6 +91,38 @@ func (h *entryHeap) removeAt(i int) {
 			h.up(i)
 		}
 	}
+}
+
+// popRoot removes the root bottom-up. The hole walks from the root to a
+// leaf along the smaller child, one comparison per level instead of the
+// two a top-down sift of the former last element spends; that element
+// then fills the leaf hole and sifts up, which from the bottom level is
+// usually zero or one step.
+func (h *entryHeap) popRoot() {
+	n := len(h.items) - 1
+	h.items[0].heapIdx = -1
+	last := h.items[n]
+	h.items[n] = nil
+	h.items = h.items[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.less(h.items[c+1], h.items[c]) {
+			c++
+		}
+		h.items[i] = h.items[c]
+		h.items[i].heapIdx = i
+		i = c
+	}
+	h.items[i] = last
+	last.heapIdx = i
+	h.up(i)
 }
 
 func (h *entryHeap) up(i int) {

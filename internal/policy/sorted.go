@@ -44,9 +44,9 @@ func NewSorted(keys []Key, dayStart int64) *Sorted {
 }
 
 // Backend reports which structure realizes the removal order: "heap"
-// (the universal fallback), "list" (intrusive recency list), "freq"
-// (NREF buckets), or "size" (static log2-size buckets). See
-// structural.go for the selection rules.
+// (the universal fallback), "list" (intrusive recency list) or "size"
+// (static log2-size buckets). See structural.go for the selection
+// rules.
 func (p *Sorted) Backend() string { return p.ord.kind() }
 
 // Name implements Policy.

@@ -5,11 +5,10 @@ package policy
 // Every Sorted policy is a strict total order over (keys…, Rand, URL),
 // and the heap realizes that order generically in O(log n) per Add and
 // Touch. But the paper's keys have shape: ETIME never changes after
-// insertion, ATIME only ever increases to "now", NREF only ever
-// increments by one, and SIZE/LOG2SIZE are immutable. Each shape admits
-// a dedicated structure that maintains the *same* total order — victim
-// for victim, including the Rand/URL tiebreak — with cheaper
-// operations:
+// insertion, ATIME only ever increases to "now", and SIZE/LOG2SIZE are
+// immutable. Each shape admits a dedicated structure that maintains the
+// *same* total order — victim for victim, including the Rand/URL
+// tiebreak — with cheaper operations:
 //
 //   - recencyList: an intrusive doubly-linked list kept fully sorted.
 //     Serves ETIME- and ATIME-primary combos (FIFO, LRU) where inserted
@@ -18,22 +17,19 @@ package policy
 //     sharing that timestamp. DAY(ATIME)/ATIME also qualifies: dayOf is
 //     monotone nondecreasing in ATime, so the (day, atime, tie) order
 //     coincides with the (atime, tie) order.
-//   - freqBuckets: the classic O(1) LFU layout — a sorted list of NREF
-//     buckets — except each bucket holds a small heap on the residual
-//     (secondary, Rand, URL) order rather than an insertion-ordered
-//     list, because the taxonomy's tiebreak is randomized, not FIFO.
-//     Serves every NREF-primary combo, LFU, and Hyper-G.
 //   - sizeBuckets: 64 static buckets indexed by the cached ⌊log2 Size⌋,
 //     each a small heap on the full order. Serves SIZE- and
 //     LOG2SIZE-primary combos; Touch at most re-sifts within one
 //     bucket, and entries never migrate (Size is immutable).
 //
-// Selection is automatic in NewSorted via structuralFor; anything it
-// does not recognize — DAY(ATIME) primaries with non-ATIME secondaries
-// (same-day runs are unbounded, so tail scans are not), the extension
-// keys, RANDOM anywhere but last — stays on the heap, which remains
-// both the universal fallback and the oracle the property tests drain
-// against.
+// Selection is automatic in NewSorted via structuralFor; everything
+// else stays on the heap, which remains both the universal fallback and
+// the oracle the property tests drain against. That covers DAY(ATIME)
+// primaries with non-ATIME secondaries (same-day runs are unbounded, so
+// tail scans are not), the extension keys, RANDOM anywhere but last, and
+// NREF primaries (LFU, Hyper-G, NREF/*): a per-reference-count bucket
+// list was measured slower than the heap on every NREF combo (DESIGN.md
+// §14).
 
 // DisableStructural is an ablation switch: when set before policies are
 // constructed, NewSorted keeps every combo on the generic heap backend.
@@ -90,16 +86,7 @@ func structuralFor(keys []Key, less func(a, b *Entry) bool) order {
 			return nil
 		}
 	}
-	if len(ks) == 3 {
-		if ks[0] == KeyNRef {
-			// Hyper-G (NREF, ATIME, SIZE) and friends: buckets
-			// partition on the primary, the per-bucket heap orders the
-			// full residual.
-			return newFreqBuckets(less)
-		}
-		return nil
-	}
-	if len(ks) > 3 {
+	if len(ks) > 2 {
 		return nil
 	}
 	primary := ks[0]
@@ -135,8 +122,6 @@ func structuralFor(keys []Key, less func(a, b *Entry) bool) order {
 			return newRecencyList(less, touchTail)
 		}
 		return nil
-	case KeyNRef:
-		return newFreqBuckets(less)
 	case KeySize, KeyLog2Size:
 		// ⌊log2 Size⌋ is monotone in Size, so bucket order is primary
 		// order for both keys; within a bucket the heap handles the

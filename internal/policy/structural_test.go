@@ -33,8 +33,6 @@ func TestStructuralBackendSelection(t *testing.T) {
 				return "list"
 			}
 			return "heap"
-		case KeyNRef:
-			return "freq"
 		}
 		return "heap"
 	}
@@ -54,8 +52,8 @@ func TestStructuralBackendSelection(t *testing.T) {
 	}{
 		{NewFIFO(), "list"},
 		{NewLRU(), "list"},
-		{NewLFU(), "freq"},
-		{NewHyperG(), "freq"},
+		{NewLFU(), "heap"},
+		{NewHyperG(), "heap"},
 	}
 	for _, c := range classics {
 		if got := c.p.Backend(); got != c.want {

@@ -172,11 +172,11 @@ func TestShardedConcurrentReplacement(t *testing.T) {
 // accounted exactly once (drained, dropped, or stale), and usage stays
 // within each shard's moving quota.
 func TestBufferedMaintenanceRaceStress(t *testing.T) {
-	// One run per structural policy backend: the default SIZE (static
-	// log2-size buckets), LRU (intrusive recency list), and LFU (NREF
-	// frequency buckets) — the structures the drain-time ReplayTouches
-	// now mutates under each shard's write lock, so this is where the
-	// race detector watches them live under the Maintainer.
+	// One run per policy backend: the default SIZE (static log2-size
+	// buckets), LRU (intrusive recency list), and LFU (the heap) — the
+	// structures the drain-time ReplayTouches mutates under each shard's
+	// write lock, so this is where the race detector watches them live
+	// under the Maintainer.
 	for name, factory := range map[string]func() policy.Policy{
 		"size": nil,
 		"lru":  func() policy.Policy { return policy.NewLRU() },

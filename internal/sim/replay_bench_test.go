@@ -8,46 +8,54 @@ import (
 	"webcache/internal/pqueue"
 )
 
-// Full-replay microbenchmarks per policy family, the hot path the
-// compiled-comparator work targets. Each reports ns/request alongside
-// ns/op, and each family runs in two modes: the optimized engine and
-// the pre-optimization engine reconstructed through the ablation
-// switches, so
+// Full-replay microbenchmarks per policy family. Each reports
+// ns/request alongside ns/op, and each family runs in three modes: the
+// optimized engine, the pre-optimization engine reconstructed through
+// the ablation switches, and the optimized engine with every order on
+// the generic heap (policy.DisableStructural), so
 //
 //	go test ./internal/sim -bench Replay -benchmem
 //
-// shows the compiled layer's contribution per family. The 36-policy
-// aggregate number lives in BENCH_replay.json (make bench-baseline).
+// shows the compiled layer's contribution per family and what each
+// policy backend saves over the heap. The 36-policy aggregate number
+// lives in BENCH_replay.json (make bench-baseline).
 
 // replayFamilies samples one representative policy per structural
-// family: a single-key heap, a two-key heap, a day-keyed heap, the
-// scan-based LRU-MIN, the three-key Hyper-G, and the float-priority
-// GreedyDual-Size.
+// family — a single-key and a two-key SIZE order (size buckets), LRU
+// (recency list), LOG2SIZE/ATIME (size buckets re-sifted on touch),
+// DAY(ATIME)/SIZE, NREF/ETIME and Hyper-G (heap) — plus the scan-based
+// LRU-MIN, Pitkow/Recker, and the float-priority GreedyDual-Size.
 var replayFamilies = []struct {
 	name string
 	spec string
 }{
 	{"Size", "SIZE"},
 	{"SizeATime", "SIZE/ATIME"},
+	{"LRU", "LRU"},
+	{"Log2SizeATime", "LOG2SIZE/ATIME"},
+	{"DayATimeSize", "DAY(ATIME)/SIZE"},
+	{"NRefETime", "NREF/ETIME"},
 	{"PitkowRecker", "Pitkow-Recker"},
 	{"LRUMin", "LRU-MIN"},
 	{"HyperG", "Hyper-G"},
 	{"GDSize", "GD-Size(1)"},
 }
 
-func benchmarkReplayPolicy(b *testing.B, spec string, legacy bool) {
+func benchmarkReplayPolicy(b *testing.B, spec string, legacy, heapOnly bool) {
 	tr, base := benchExp2Workload(b)
 	policy.DisableCompiled = legacy
 	core.DisableAllocOpts = legacy
 	DisableDayIndex = legacy
 	pqueue.DisableHoleSift = legacy
 	DisableInterning = legacy
+	policy.DisableStructural = heapOnly
 	defer func() {
 		policy.DisableCompiled = false
 		core.DisableAllocOpts = false
 		DisableDayIndex = false
 		pqueue.DisableHoleSift = false
 		DisableInterning = false
+		policy.DisableStructural = false
 	}()
 	capacity := base.MaxNeeded / 10
 	b.ReportAllocs()
@@ -68,12 +76,20 @@ func benchmarkReplayPolicy(b *testing.B, spec string, legacy bool) {
 
 func BenchmarkReplay(b *testing.B) {
 	for _, f := range replayFamilies {
-		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, false) })
+		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, false, false) })
 	}
 }
 
 func BenchmarkReplayGeneric(b *testing.B) {
 	for _, f := range replayFamilies {
-		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, true) })
+		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, true, false) })
+	}
+}
+
+// BenchmarkReplayHeap is BenchmarkReplay with every order on the heap;
+// families the heap already runs time the same in both.
+func BenchmarkReplayHeap(b *testing.B) {
+	for _, f := range replayFamilies {
+		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, false, true) })
 	}
 }

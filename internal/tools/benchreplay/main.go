@@ -18,7 +18,7 @@
 //     layer's contribution;
 //   - nostructural: the interned engine with only the structural policy
 //     backends disabled (policy.DisableStructural) — every combo back
-//     on the generic heap, isolating the recency-list/frequency-bucket
+//     on the generic heap, isolating the recency-list/size-bucket
 //     layer's contribution;
 //   - optimized: everything on — compiled comparators over cached
 //     derived keys, entry recycling, pre-sized heaps, hole-based sifts,
