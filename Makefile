@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-proxy bench-proxy-read-mostly bench-proxy-shadow bench-proxy-traced bench-proxy-smoke bench-proxy-shadow-smoke bench-proxy-traced-smoke bench-ab fuzz-smoke report examples clean
+.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-ab fuzz-smoke report examples clean
 
 # Workload scale for the replay benchmark harness; 0.3 is large enough
 # for stable ns/request numbers, small enough to finish in seconds.
@@ -37,12 +37,11 @@ fmt-check:
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# The CI gate: formatting, build, vet, short tests, race coverage,
-# smoke runs of both benchmark harnesses (replay, which doubles as an
-# end-to-end equivalence check of the compiled comparator and
-# structural policy layers, and the contended-store loadgen with its
-# trajectory schema check), and the recorded-trajectory guard.
-verify: fmt-check build vet test-short race bench-smoke bench-guard bench-proxy-smoke bench-proxy-shadow-smoke bench-proxy-traced-smoke
+# The CI gate: formatting, build, vet, short tests, race coverage, a
+# smoke run of the replay harness (which doubles as an end-to-end
+# equivalence check of the compiled comparator and structural policy
+# layers), and the recorded-trajectory guard.
+verify: fmt-check build vet test-short race bench-smoke bench-guard
 
 # Whole-repo statement coverage (short mode, like the CI gate); writes
 # cover.out for tooling and prints the per-function summary tail.
@@ -85,70 +84,10 @@ bench-smoke:
 # schema must hold — including the nostructural/structural_subset field
 # groups — and the last recorded entry must not have regressed optimized
 # ns/request by more than 15% vs its predecessor, so a slow hot path
-# cannot be recorded and merged silently. The proxy trajectory's
-# travel-together groups (buffered_*, shadow_*, trace_*) are checked by
-# the same gate.
+# cannot be recorded and merged silently.
 bench-guard:
 	$(GO) run ./internal/tools/benchreplay -check BENCH_replay.json
 	$(GO) run ./internal/tools/benchreplay -diff BENCH_replay.json -threshold 15
-	$(GO) run ./cmd/loadgen -check BENCH_proxy.json
-
-# Contended-store throughput: single-mutex Store vs N-way ShardedStore
-# under zipf load, appended to the tracked trajectory (BENCH_proxy.json
-# at the repo root — same append-only, git_rev'd arrangement as
-# BENCH_replay.json; the speedup only means something relative to the
-# recorded gomaxprocs).
-LOADGEN_GOROUTINES ?= 8
-LOADGEN_SHARDS     ?= 16
-bench-proxy:
-	$(GO) run ./cmd/loadgen -goroutines $(LOADGEN_GOROUTINES) -shards $(LOADGEN_SHARDS) -out BENCH_proxy.json
-
-# The buffered hit path's home ground: 99% GETs, so the run compares
-# all three stores (single-mutex, locked sharded, buffered sharded with
-# its Maintainer live) and records hit-path latency quantiles alongside
-# throughput. Appends to the same tracked trajectory.
-bench-proxy-read-mostly:
-	$(GO) run ./cmd/loadgen -preset read-mostly -goroutines $(LOADGEN_GOROUTINES) -shards $(LOADGEN_SHARDS) -out BENCH_proxy.json
-
-# Price the ghost-cache fleet on the hit path: the read-mostly preset
-# with a fourth side shadowed by three candidate policies, recorded to
-# the tracked trajectory. The acceptance target is shadow_overhead
-# (shadowed p50 over baseline p50) staying under 1.10.
-bench-proxy-shadow:
-	$(GO) run ./cmd/loadgen -preset read-mostly -shadow 3 -goroutines $(LOADGEN_GOROUTINES) -shards $(LOADGEN_SHARDS) -out BENCH_proxy.json
-
-# Price request-lifecycle tracing on the hit path: the read-mostly
-# preset with a fifth side whose store runs the traced span path, every
-# request sampled (the worst case), recorded to the tracked trajectory.
-# The acceptance target is trace_overhead (traced p50 over baseline
-# p50) staying within noise of 1.0 at realistic sampling and bounded at
-# -trace-sample 1.
-bench-proxy-traced:
-	$(GO) run ./cmd/loadgen -preset read-mostly -trace-sample 1 -goroutines $(LOADGEN_GOROUTINES) -shards $(LOADGEN_SHARDS) -out BENCH_proxy.json
-
-# Tiny traced run for CI: the traced fifth side plus its trace_*
-# schema checks, against a throwaway file.
-bench-proxy-traced-smoke:
-	$(GO) run ./cmd/loadgen -keys 256 -goroutines 4 -shards 4 -ops 5000 -reps 1 -preset read-mostly -trace-sample 1 -out /tmp/BENCH_proxy_traced_smoke.json
-	$(GO) run ./cmd/loadgen -check /tmp/BENCH_proxy_traced_smoke.json
-	@rm -f /tmp/BENCH_proxy_traced_smoke.json
-
-# Tiny shadowed run for CI: all four sides (ghost fleet included) plus
-# the shadow_* schema checks, against a throwaway file.
-bench-proxy-shadow-smoke:
-	$(GO) run ./cmd/loadgen -keys 256 -goroutines 4 -shards 4 -ops 5000 -reps 1 -preset read-mostly -shadow 3 -out /tmp/BENCH_proxy_shadow_smoke.json
-	$(GO) run ./cmd/loadgen -check /tmp/BENCH_proxy_shadow_smoke.json
-	@rm -f /tmp/BENCH_proxy_shadow_smoke.json
-
-# Tiny loadgen run for CI: exercises the full harness (both stores,
-# timed reps, trajectory append + schema check) in well under a second,
-# against a throwaway file so the tracked trajectory only ever holds
-# deliberate bench-proxy entries.
-bench-proxy-smoke:
-	$(GO) run ./cmd/loadgen -keys 256 -goroutines 4 -shards 4 -ops 5000 -reps 1 -out /tmp/BENCH_proxy_smoke.json
-	$(GO) run ./cmd/loadgen -check /tmp/BENCH_proxy_smoke.json
-	@rm -f /tmp/BENCH_proxy_smoke.json
-	$(GO) run ./cmd/loadgen -check BENCH_proxy.json
 
 # A/B the end-to-end benchmark (BENCHMARK.json) between a parent revision
 # and the working tree: interleaved pairs on alternating order, per-metric
@@ -183,4 +122,4 @@ examples:
 # go build ./cmd/<name> from the repo root leaves <name> there.
 clean:
 	$(GO) clean ./...
-	rm -f analyze httpfilter livebench loadgen proxy tracegen websim
+	rm -f analyze httpfilter livebench proxy tracegen websim

@@ -57,8 +57,6 @@ func main() {
 		polSpec  = flag.String("policy", "SIZE", "removal policy for both systems")
 		fraction = flag.Float64("fraction", 0.10, "cache size as a fraction of MaxNeeded")
 		seed     = flag.Uint64("seed", 42, "workload seed")
-		shards   = flag.Int("shards", 0, "live store shard count (0 = single-mutex store; 1-shard sharded replays byte-identically to it)")
-		touchBuf = flag.Int("touch-buffer", 0, "live store touch-buffer slots (0 = synchronous hit path, the deterministic default the delta-0.00 check requires)")
 		metrics  = flag.Bool("metrics", false, "report both replays through a shared metric registry and print it")
 		shadow   = flag.String("shadow", "", "comma-separated candidate policies to run as ghost caches beside the live store; each is cross-checked exactly against a fresh simulator replay")
 		traceN   = flag.Int("trace-sample", 0, "trace every nth live request's phase timeline (0 = off)")
@@ -73,20 +71,13 @@ func main() {
 	if *traceOut != "" && sample == 0 {
 		sample = 1
 	}
-	if err := run(*wl, *scale, *polSpec, *fraction, *seed, *shards, *touchBuf, *shadow, sample, *traceOut, os.Stdout, reg); err != nil {
+	if err := run(*wl, *scale, *polSpec, *fraction, *seed, *shadow, sample, *traceOut, os.Stdout, reg); err != nil {
 		fmt.Fprintln(os.Stderr, "livebench:", err)
 		os.Exit(1)
 	}
 }
 
-// run replays the workload through both systems. shards selects the
-// live store: 0 is the single-mutex Store, N >= 1 an N-way
-// ShardedStore (1 shard replays byte-identically to the single-mutex
-// store; more shards partition capacity into per-shard quotas, so
-// small deltas against the unsharded simulator are expected). touchBuf
-// > 0 runs the live store's buffered hit path — the replay is
-// single-client so every touch still lands, but drain timing may shift
-// tie-heavy evictions, so the deterministic check keeps it at 0. When
+// run replays the workload through both systems. When
 // reg is non-nil both replays report into it and the run ends with the
 // registry exposition and the live store's event profile. shadow, when
 // non-empty, names candidate policies (comma-separated) to run as a
@@ -99,7 +90,7 @@ func main() {
 // ring under -metrics — are written there as Chrome trace-event JSON,
 // so a sampled miss renders parse → store.get → origin TTFB →
 // admission → eviction spans in Perfetto next to residency spans.
-func run(wl string, scale float64, polSpec string, fraction float64, seed uint64, shards, touchBuf int, shadow string, traceSample int, traceOut string, out io.Writer, reg *obs.Registry) error {
+func run(wl string, scale float64, polSpec string, fraction float64, seed uint64, shadow string, traceSample int, traceOut string, out io.Writer, reg *obs.Registry) error {
 	cfg, err := workload.ByName(wl, seed)
 	if err != nil {
 		return err
@@ -161,7 +152,7 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		// the store's eviction clock is driven by simulated time.
 		tracer = obs.NewTracer(obs.TracerOptions{SampleEvery: traceSample})
 	}
-	liveHits, liveBytesHit, liveBytes, fleet, err := replayLive(tr, polSpec, capacity, seed+2, shards, touchBuf, shadowSpecs, tracer, out, reg, ring)
+	liveHits, liveBytesHit, liveBytes, fleet, err := replayLive(tr, polSpec, capacity, seed+2, shadowSpecs, tracer, out, reg, ring)
 	if err != nil {
 		return err
 	}
@@ -242,7 +233,7 @@ func simHooks(reg *obs.Registry) core.CacheHooks {
 // the simulated side so the fleet's caches replay deterministically;
 // the returned fleet is already closed (fully drained). tracer, when
 // non-nil, records sampled requests' phase timelines.
-func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint64, shards, touchBuf int, shadowSpecs []string, tracer *obs.Tracer, out io.Writer, reg *obs.Registry, ring *obs.EventRing) (hits, bytesHit, bytesTotal int64, fleet *proxy.ShadowFleet, err error) {
+func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint64, shadowSpecs []string, tracer *obs.Tracer, out io.Writer, reg *obs.Registry, ring *obs.EventRing) (hits, bytesHit, bytesTotal int64, fleet *proxy.ShadowFleet, err error) {
 	org := origin.FromTrace(tr)
 	originTS := httptest.NewServer(org)
 	defer originTS.Close()
@@ -251,20 +242,7 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	var store proxy.ObjectStore
-	if shards >= 1 {
-		store = proxy.NewShardedStore(capacity, shards, func() policy.Policy {
-			p, _ := policy.Parse(polSpec, tr.Start)
-			return p
-		})
-		fmt.Fprintf(out, "live store: %d-way sharded\n", shards)
-	} else {
-		store = proxy.NewStore(capacity, livePol)
-	}
-	if touchBuf > 0 {
-		store.SetTouchBuffer(touchBuf)
-		fmt.Fprintf(out, "live store: buffered hit path, %d touch slots\n", touchBuf)
-	}
+	store := proxy.NewStore(capacity, livePol)
 	// Mirror core.New's internal seed derivation so the per-entry random
 	// tiebreak sequences of the two systems are identical.
 	store.SetSeed(cacheSeed ^ 0x9e3779b97f4a7c15)

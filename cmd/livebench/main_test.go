@@ -20,7 +20,7 @@ func TestLiveMatchesSimulated(t *testing.T) {
 	}
 	for _, polSpec := range []string{"SIZE", "LRU", "LFU"} {
 		var out bytes.Buffer
-		if err := run("C", 0.005, polSpec, 0.10, 7, 0, 0, "", 0, "", &out, nil); err != nil {
+		if err := run("C", 0.005, polSpec, 0.10, 7, "", 0, "", &out, nil); err != nil {
 			t.Fatalf("%s: %v", polSpec, err)
 		}
 		text := out.String()
@@ -30,56 +30,12 @@ func TestLiveMatchesSimulated(t *testing.T) {
 	}
 }
 
-// TestShardedOneShardMatchesSimulated repeats the validation with the
-// live side on a 1-shard ShardedStore: one shard holds the full
-// capacity and the base tiebreak seed, so the sharded path must replay
-// byte-identically to the single-mutex store — and therefore match the
-// simulator exactly too.
-func TestShardedOneShardMatchesSimulated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live HTTP replay in -short mode")
-	}
-	for _, polSpec := range []string{"SIZE", "LRU"} {
-		var out bytes.Buffer
-		if err := run("C", 0.005, polSpec, 0.10, 7, 1, 0, "", 0, "", &out, nil); err != nil {
-			t.Fatalf("%s: %v", polSpec, err)
-		}
-		text := out.String()
-		if !strings.Contains(text, "delta:     HR +0.00 points  WHR +0.00 points") {
-			t.Errorf("%s: 1-shard sharded replay and simulated disagree:\n%s", polSpec, text)
-		}
-	}
-}
-
-// TestBufferedReplayMatchesSimulated runs the live side with the
-// buffered hit path on. The replay drives one request at a time, so the
-// touch stream has a single logical writer: with a ring deep enough to
-// never drop, every recorded touch is replayed in order before any
-// eviction decision, and the buffered store must still match the
-// simulator to the request — the strongest end-to-end statement of the
-// buffered path's sequential equivalence.
-func TestBufferedReplayMatchesSimulated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live HTTP replay in -short mode")
-	}
-	for _, polSpec := range []string{"SIZE", "LRU"} {
-		var out bytes.Buffer
-		if err := run("C", 0.005, polSpec, 0.10, 7, 0, 1<<15, "", 0, "", &out, nil); err != nil {
-			t.Fatalf("%s: %v", polSpec, err)
-		}
-		text := out.String()
-		if !strings.Contains(text, "delta:     HR +0.00 points  WHR +0.00 points") {
-			t.Errorf("%s: buffered live replay and simulated disagree:\n%s", polSpec, text)
-		}
-	}
-}
-
 func TestRunRejectsBadInputs(t *testing.T) {
 	var out bytes.Buffer
-	if err := run("ZZ", 0.01, "SIZE", 0.1, 1, 0, 0, "", 0, "", &out, nil); err == nil {
+	if err := run("ZZ", 0.01, "SIZE", 0.1, 1, "", 0, "", &out, nil); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if err := run("C", 0.005, "NOPE", 0.1, 1, 0, 0, "", 0, "", &out, nil); err == nil {
+	if err := run("C", 0.005, "NOPE", 0.1, 1, "", 0, "", &out, nil); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -94,7 +50,7 @@ func TestRegistryCrossCheck(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	var out bytes.Buffer
-	if err := run("C", 0.005, "LRU", 0.10, 7, 0, 0, "", 0, "", &out, reg); err != nil {
+	if err := run("C", 0.005, "LRU", 0.10, 7, "", 0, "", &out, reg); err != nil {
 		t.Fatal(err)
 	}
 	pairs := map[string]string{
@@ -136,7 +92,7 @@ func TestShadowCrossCheck(t *testing.T) {
 		t.Skip("live HTTP replay in -short mode")
 	}
 	var out bytes.Buffer
-	if err := run("C", 0.005, "SIZE", 0.10, 7, 0, 0, "LRU,SIZE,LFU,SIZE/NREF", 0, "", &out, nil); err != nil {
+	if err := run("C", 0.005, "SIZE", 0.10, 7, "LRU,SIZE,LFU,SIZE/NREF", 0, "", &out, nil); err != nil {
 		t.Fatalf("shadowed run: %v\n%s", err, out.String())
 	}
 	text := out.String()
@@ -174,7 +130,7 @@ func TestTraceExport(t *testing.T) {
 	}
 	traceFile := t.TempDir() + "/trace.json"
 	var out bytes.Buffer
-	if err := run("C", 0.005, "SIZE", 0.10, 7, 0, 0, "", 1, traceFile, &out, nil); err != nil {
+	if err := run("C", 0.005, "SIZE", 0.10, 7, "", 1, traceFile, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, pat := range []string{
@@ -270,7 +226,7 @@ func TestOutputShape(t *testing.T) {
 		t.Skip("live HTTP replay in -short mode")
 	}
 	var out bytes.Buffer
-	if err := run("BL", 0.003, "SIZE", 0.10, 3, 0, 0, "", 0, "", &out, nil); err != nil {
+	if err := run("BL", 0.003, "SIZE", 0.10, 3, "", 0, "", &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, pat := range []string{

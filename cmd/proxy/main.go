@@ -6,8 +6,6 @@
 // Usage:
 //
 //	proxy -listen :3128 -capacity 64MiB -policy SIZE
-//	proxy -listen :3128 -shards 16            # N-way sharded store (0 = auto)
-//	proxy -listen :3128 -touch-buffer 4096    # deeper touch rings (0 = synchronous hit path)
 //	proxy -listen :3128 -parent http://upstream:3128 -policy LRU-MIN
 //	proxy -listen :3128 -icp :3130 -siblings peer:3130=http://peer:3128
 //	proxy -listen :3128 -accesslog /var/log/webcache/access.log
@@ -34,7 +32,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -55,7 +52,6 @@ const eventRingSize = 1 << 16
 type options struct {
 	capacity  int64
 	polSpec   string
-	shards    int // 0 = auto (2×GOMAXPROCS; single-mutex on 1 core), 1 = single-mutex store, N>1 = N-way sharded
 	parent    string
 	freshFor  time.Duration
 	icpAddr   string
@@ -79,36 +75,20 @@ type options struct {
 	// nil check.
 	traceSample  int
 	traceSlowest int
-
-	// expectedDocs pre-sizes the store's maps and policy structures
-	// (Store.Reserve); 0 derives a hint from capacity assuming the
-	// trace-typical ~16 KiB mean document, < 0 disables reserving.
-	expectedDocs int
-
-	// Buffered-maintenance knobs. The zero values are fully inert —
-	// touchBuffer 0 keeps the drain-synchronous hit path and
-	// rebalanceEvery 0 starts no maintainer — so programmatic callers
-	// (tests) get the deterministic store unless they opt in.
-	touchBuffer    int           // >0: lossy touch ring slots per shard; Get goes read-lock only
-	drainEvery     time.Duration // background drain period (0 = Maintainer default)
-	rebalanceEvery time.Duration // shard quota rebalance period (0 = default when maintained; <0 disables)
-	rebalanceStep  int64         // max bytes moved into one shard per pass (0 = auto)
 }
 
 // app is a fully wired proxy: traffic mux, optional admin surface, and
 // the resources Close releases.
 type app struct {
-	store   proxy.ObjectStore
-	sharded *proxy.ShardedStore // non-nil when store is sharded
-	srv     *proxy.Server
-	logger  *proxy.AccessLogger // nil unless -accesslog or -admin
-	mux     *http.ServeMux      // traffic listener handler
+	store  *proxy.Store
+	srv    *proxy.Server
+	logger *proxy.AccessLogger // nil unless -accesslog or -admin
+	mux    *http.ServeMux      // traffic listener handler
 
 	reg    *obs.Registry      // nil unless admin
 	ring   *obs.EventRing     // nil unless admin
 	tracer *obs.Tracer        // nil unless -trace-sample > 0
 	admin  *obs.Server        // nil unless admin; caller Starts/Closes
-	maint  *proxy.Maintainer  // nil unless buffered or rebalancing
 	fleet  *proxy.ShadowFleet // nil unless -shadow
 
 	responder *proxy.ICPResponder
@@ -124,39 +104,12 @@ func buildApp(o options) (*app, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &app{}
-	shards := o.shards
-	if shards == 0 {
-		// Auto: twice the parallelism target, so two goroutines rarely
-		// collide on one shard even under a skewed URL population. On a
-		// single-core host there is no parallelism for sharding to buy
-		// and the routing hash is pure overhead (loadgen measures ~0.8×),
-		// so auto falls back to the single-mutex store there.
-		shards = 2 * runtime.GOMAXPROCS(0)
-		if shards == 2 {
-			shards = 1
-		}
-	}
-	if shards > 1 {
-		// Each shard needs its own policy instance; the spec was
-		// validated by the Parse above, so re-parses cannot fail.
-		a.sharded = proxy.NewShardedStore(o.capacity, shards, func() policy.Policy {
-			p, _ := policy.Parse(o.polSpec, dayStart)
-			return p
-		})
-		a.store = a.sharded
-	} else {
-		a.store = proxy.NewStore(o.capacity, pol)
-	}
-	if docs := o.expectedDocs; docs >= 0 {
-		if docs == 0 {
-			docs = int(o.capacity / (16 << 10))
-		}
-		a.store.Reserve(docs)
-	}
-	if o.touchBuffer > 0 {
-		a.store.SetTouchBuffer(o.touchBuffer)
-	}
+	// One store, one lock, one eviction order over the whole capacity:
+	// the policy ranks every resident document, as the simulator does.
+	// The map and policy pre-sizing assumes the trace-typical ~16 KiB
+	// mean document.
+	a := &app{store: proxy.NewStore(o.capacity, pol)}
+	a.store.Reserve(int(o.capacity / (16 << 10)))
 	a.srv = proxy.New(a.store)
 	a.srv.FreshFor = o.freshFor
 
@@ -213,9 +166,9 @@ func buildApp(o options) (*app, error) {
 		root = a.logger
 	}
 
-	// The shadow fleet rides beside whichever store was built: one
-	// ghost cache per candidate policy at the deployed capacity, fed by
-	// a single non-blocking enqueue per successful GET.
+	// The shadow fleet rides beside the store: one ghost cache per
+	// candidate policy at the deployed capacity, fed by a single
+	// non-blocking enqueue per successful GET.
 	if o.shadow != "" {
 		var specs []string
 		for _, s := range strings.Split(o.shadow, ",") {
@@ -256,11 +209,7 @@ func buildApp(o options) (*app, error) {
 		a.reg = obs.NewRegistry()
 		a.ring = obs.NewEventRing(eventRingSize)
 		a.srv.Metrics = proxy.NewMetrics(a.reg)
-		if a.sharded != nil {
-			a.sharded.SetHooksPerShard(proxy.ShardedStoreHooks(a.reg, a.ring))
-		} else {
-			a.store.SetHooks(proxy.StoreHooks(a.reg, a.ring))
-		}
+		a.store.SetHooks(proxy.StoreHooks(a.reg, a.ring))
 		a.srv.ICP.Queries = a.reg.Counter("proxy.icp_queries")
 		a.srv.ICP.Replies = a.reg.Counter("proxy.icp_replies")
 		extra := map[string]http.Handler{
@@ -284,27 +233,6 @@ func buildApp(o options) (*app, error) {
 				"policy": pol.Name(),
 			},
 			Extra: extra,
-		})
-	}
-
-	// Background maintenance: runs when the buffered hit path needs its
-	// drain safety net, or when a sharded store should rebalance quota.
-	// With the zero-valued knobs neither condition holds and no goroutine
-	// starts — the deterministic arrangement tests rely on.
-	if o.touchBuffer > 0 || (a.sharded != nil && o.rebalanceEvery != 0) {
-		var mm *proxy.MaintMetrics
-		if a.reg != nil {
-			shardCount := 1
-			if a.sharded != nil {
-				shardCount = a.sharded.NumShards()
-			}
-			mm = proxy.NewMaintMetrics(a.reg, shardCount)
-		}
-		a.maint = proxy.StartMaintenance(a.store, proxy.MaintOptions{
-			DrainEvery:     o.drainEvery,
-			RebalanceEvery: o.rebalanceEvery,
-			RebalanceStep:  o.rebalanceStep,
-			Metrics:        mm,
 		})
 	}
 
@@ -341,9 +269,6 @@ func (a *app) snapshot() any {
 	if a.fleet != nil {
 		doc["shadow"] = a.fleet.Report()
 	}
-	if a.sharded != nil {
-		doc["shards"] = a.sharded.ShardStats()
-	}
 	if a.responder != nil {
 		q, h := a.responder.Stats()
 		doc["icp"] = map[string]int64{"queries": q, "hits": h}
@@ -352,15 +277,11 @@ func (a *app) snapshot() any {
 }
 
 // Close releases everything buildApp opened, in dependency order: the
-// maintainer stops touching the store first, then the shadow fleet
-// stops its drain worker (no more ghost-cache writes), then the admin
-// server — whose handlers read both — shuts down, then the network and
-// file resources. Every step is idempotent and nil-safe, so Close is
+// shadow fleet stops its drain worker (no more ghost-cache writes),
+// then the admin server — whose handlers read the fleet — shuts down,
+// then the network and file resources. Every step is idempotent and nil-safe, so Close is
 // safe after a partial buildApp failure and after a prior Close.
 func (a *app) Close() {
-	if a.maint != nil {
-		a.maint.Close()
-	}
 	if a.fleet != nil {
 		a.fleet.Close()
 	}
@@ -383,7 +304,6 @@ func main() {
 		listen    = flag.String("listen", ":3128", "address to listen on")
 		capFlag   = flag.String("capacity", "64MiB", "cache capacity (bytes, or with KiB/MiB/GiB suffix)")
 		polSpec   = flag.String("policy", "SIZE", "removal policy (SIZE, LRU, LFU, LRU-MIN, Hyper-G, key1/key2, ...)")
-		shards    = flag.Int("shards", 0, "store shard count (0 = auto: 2×GOMAXPROCS, single-mutex on 1 core; 1 = single-mutex store)")
 		parent    = flag.String("parent", "", "optional parent proxy URL (second-level cache)")
 		freshFor  = flag.Duration("fresh", 5*time.Minute, "serve cached objects this long before revalidating")
 		icpAddr   = flag.String("icp", "", "UDP address to answer ICP sibling queries on (e.g. :3130)")
@@ -397,13 +317,6 @@ func main() {
 
 		traceSample  = flag.Int("trace-sample", 0, "trace every nth request's phase timeline (0 = off); /requests on the admin address shows the kept tail")
 		traceSlowest = flag.Int("trace-slowest", 16, "keep this many slowest traced requests per window (plus every errored/missed/evicting one)")
-
-		expectedDocs = flag.Int("expected-docs", 0, "pre-size store maps and policy structures for this many resident documents (0 = capacity/16KiB, -1 = off)")
-
-		touchBuffer    = flag.Int("touch-buffer", 1024, "touch-buffer slots per shard for the read-lock-only hit path (0 = synchronous policy updates)")
-		drainEvery     = flag.Duration("drain-every", 50*time.Millisecond, "background touch-buffer drain period")
-		rebalanceEvery = flag.Duration("rebalance-every", 2*time.Second, "shard quota rebalance period (sharded store; negative disables)")
-		rebalanceStep  = flag.String("rebalance-step", "0", "max bytes moved into one shard per rebalance pass (0 = auto; accepts KiB/MiB suffixes)")
 	)
 	flag.Parse()
 
@@ -412,17 +325,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "proxy:", err)
 		os.Exit(2)
 	}
-	step := int64(0)
-	if *rebalanceStep != "0" {
-		if step, err = parseBytes(*rebalanceStep); err != nil {
-			fmt.Fprintln(os.Stderr, "proxy: bad -rebalance-step:", err)
-			os.Exit(2)
-		}
-	}
 	a, err := buildApp(options{
 		capacity:  capacity,
 		polSpec:   *polSpec,
-		shards:    *shards,
 		parent:    *parent,
 		freshFor:  *freshFor,
 		icpAddr:   *icpAddr,
@@ -436,13 +341,6 @@ func main() {
 
 		traceSample:  *traceSample,
 		traceSlowest: *traceSlowest,
-
-		expectedDocs: *expectedDocs,
-
-		touchBuffer:    *touchBuffer,
-		drainEvery:     *drainEvery,
-		rebalanceEvery: *rebalanceEvery,
-		rebalanceStep:  step,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proxy:", err)
@@ -459,19 +357,12 @@ func main() {
 		log.Printf("introspection endpoints on http://%s/ (metrics, healthz, events, trace, pprof)", addr)
 	}
 
-	shardNote := "single-mutex store"
-	if a.sharded != nil {
-		shardNote = fmt.Sprintf("%d-way sharded store", a.sharded.NumShards())
-	}
-	if *touchBuffer > 0 {
-		shardNote += fmt.Sprintf(", buffered hit path (%d slots)", *touchBuffer)
-	}
-	log.Printf("caching proxy on %s: capacity=%s policy=%s (%s)", *listen, *capFlag, *polSpec, shardNote)
+	log.Printf("caching proxy on %s: capacity=%s policy=%s", *listen, *capFlag, *polSpec)
 
 	// Serve until SIGTERM/SIGINT, then shut down deterministically:
 	// stop accepting traffic, drain in-flight requests, and only then
-	// Close the app (maintainer → shadow fleet → admin → ICP → log) so
-	// nothing is torn down while requests might still touch it.
+	// Close the app (shadow fleet → admin → ICP → log) so nothing is
+	// torn down while requests might still touch it.
 	traffic := &http.Server{Addr: *listen, Handler: a.mux}
 	errc := make(chan error, 1)
 	go func() { errc <- traffic.ListenAndServe() }()

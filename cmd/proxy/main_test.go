@@ -16,7 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"webcache/internal/core"
 	"webcache/internal/obs"
+	"webcache/internal/origin"
+	"webcache/internal/policy"
+	"webcache/internal/sim"
+	"webcache/internal/workload"
 )
 
 func TestParseBytes(t *testing.T) {
@@ -199,88 +204,6 @@ func TestAdminEndToEnd(t *testing.T) {
 	body, status = adminGet(t, traffic.URL+"/._webcache/stats")
 	if status != http.StatusOK || !strings.Contains(body, `"Requests": 5`) {
 		t.Errorf("legacy stats = %d %q", status, body)
-	}
-}
-
-// TestShardedApp wires the app with an explicit shard count and the
-// admin surface on, pushes traffic through it, and checks the sharded
-// store is live end to end: the snapshot grows a per-shard stats
-// section, the shard totals agree with the aggregate, and the event
-// ring carries shard tags.
-func TestShardedApp(t *testing.T) {
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html")
-		fmt.Fprintf(w, "<html>%s</html>", r.URL.Path)
-	}))
-	defer origin.Close()
-
-	a, err := buildApp(options{
-		capacity: 1 << 20,
-		polSpec:  "SIZE",
-		shards:   4,
-		freshFor: time.Hour,
-		admin:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.sharded == nil || a.sharded.NumShards() != 4 {
-		t.Fatal("explicit -shards 4 did not build a 4-way sharded store")
-	}
-
-	traffic := httptest.NewServer(a.mux)
-	defer traffic.Close()
-
-	for i := 0; i < 20; i++ {
-		req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/doc%d.html", traffic.URL, i%10), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Host = strings.TrimPrefix(origin.URL, "http://")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-
-	// The snapshot document gains the per-shard section, and the shard
-	// docs sum to the aggregate the store reports.
-	raw, err := json.Marshal(a.snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Store  struct{ Docs int64 }
-		Shards []struct{ Docs int64 }
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Shards) != 4 {
-		t.Fatalf("snapshot has %d shard entries, want 4", len(snap.Shards))
-	}
-	var docs int64
-	for _, sh := range snap.Shards {
-		docs += sh.Docs
-	}
-	if snap.Store.Docs != 10 || docs != snap.Store.Docs {
-		t.Errorf("aggregate docs %d, shard sum %d, want both 10", snap.Store.Docs, docs)
-	}
-
-	// Every ring event carries a valid shard tag, and the 10 distinct
-	// documents spread over more than one shard.
-	shardsSeen := map[int32]bool{}
-	for _, ev := range a.ring.Snapshot() {
-		if ev.Shard < 0 || ev.Shard >= 4 {
-			t.Fatalf("event carries shard %d outside [0,4)", ev.Shard)
-		}
-		shardsSeen[ev.Shard] = true
-	}
-	if len(shardsSeen) < 2 {
-		t.Errorf("10 documents landed on %d shard(s); routing looks degenerate", len(shardsSeen))
 	}
 }
 
@@ -648,10 +571,10 @@ func TestShadowAppBadSpec(t *testing.T) {
 	}
 }
 
-// TestCleanShutdownNoGoroutineLeak pins the Close ordering satellite:
-// a fully loaded app — buffered maintainer, shadow fleet, admin server
-// with an SSE subscriber — releases every goroutine it started. Run
-// twice to confirm Close is idempotent.
+// TestCleanShutdownNoGoroutineLeak pins the Close ordering: a fully
+// loaded app — shadow fleet, admin server with an SSE subscriber —
+// releases every goroutine it started. Run twice to confirm Close is
+// idempotent.
 func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "<html>%s</html>", r.URL.Path)
@@ -661,21 +584,17 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	a, err := buildApp(options{
-		capacity:       1 << 20,
-		polSpec:        "SIZE",
-		shards:         4,
-		freshFor:       time.Hour,
-		admin:          true,
-		shadow:         "LRU,LFU",
-		touchBuffer:    256,
-		drainEvery:     5 * time.Millisecond,
-		rebalanceEvery: 10 * time.Millisecond,
+		capacity: 1 << 20,
+		polSpec:  "SIZE",
+		freshFor: time.Hour,
+		admin:    true,
+		shadow:   "LRU,LFU",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.maint == nil || a.fleet == nil || a.admin == nil {
-		t.Fatal("expected maintainer, fleet and admin server all live")
+	if a.fleet == nil || a.admin == nil {
+		t.Fatal("expected fleet and admin server both live")
 	}
 
 	traffic := httptest.NewServer(a.mux)
@@ -710,8 +629,8 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	a.Close() // idempotent
 	sse.Body.Close()
 
-	// The maintainer, fleet worker, admin accept loop, SSE streamer and
-	// snapshot ticker must all be gone. Poll briefly: handler goroutines
+	// The fleet worker, admin accept loop, SSE streamer and snapshot
+	// ticker must all be gone. Poll briefly: handler goroutines
 	// unwind asynchronously after Close returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -733,6 +652,85 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	if got := a.fleet.Report().Enqueued; got != enq {
 		t.Fatalf("fleet accepted an event after Close: %d != %d", got, enq)
 	}
+}
+
+// TestDefaultAppMatchesSimulator replays a small BL trace through the
+// app exactly as main wires it — default flags, on a four-core
+// GOMAXPROCS, with the stub origin as its parent — and requires the
+// proxy to hit and miss request for request with core.Cache under the
+// same SIZE policy, capacity and tiebreak seed. It pins the deployed
+// store to the simulator's one global eviction order: a store that
+// splits its capacity or defers policy updates evicts different
+// documents and diverges.
+func TestDefaultAppMatchesSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live HTTP replay in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
+	const seed = 11
+	cfg, err := workload.ByName("BL", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scale = 0.01
+	cfg.SizeChangeProb = 0 // one size per URL, as the origin serves it
+	cfg.ZeroSizeProb = 0
+	tr, _, err := workload.GenerateValidated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := sim.Experiment1(tr, seed+1).MaxNeeded / 10
+	pol, err := policy.Parse("SIZE", tr.Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simCache := core.New(core.Config{Capacity: capacity, Policy: pol, Seed: seed + 2, ExcludeDynamic: true})
+
+	originTS := httptest.NewServer(origin.FromTrace(tr))
+	defer originTS.Close()
+	a, err := buildApp(options{
+		capacity: capacity,
+		polSpec:  "SIZE",
+		parent:   originTS.URL,
+		freshFor: 100 * 365 * 24 * time.Hour, // never revalidate
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	// livebench's recipe: core.New's seed derivation for the tiebreak
+	// stream, and trace time for the store's clock.
+	a.store.SetSeed((seed + 2) ^ 0x9e3779b97f4a7c15)
+	var now int64
+	a.store.SetClock(func() time.Time { return time.Unix(now, 0) })
+
+	var hits int
+	for i := range tr.Requests {
+		req := &tr.Requests[i]
+		now = req.Time
+		simHit := simCache.Access(req)
+		w := httptest.NewRecorder()
+		a.mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, req.URL, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d (%s): status %d", i, req.URL, w.Code)
+		}
+		if liveHit := w.Header().Get("X-Cache") == "HIT"; liveHit != simHit {
+			t.Fatalf("request %d (%s, %d bytes): proxy hit=%v, simulator hit=%v after %d agreeing requests",
+				i, req.URL, req.Size, liveHit, simHit, i)
+		}
+		if simHit {
+			hits++
+		}
+	}
+	evictions := a.store.Stats().Evictions
+	if hits == 0 || evictions == 0 {
+		t.Fatalf("replay of %d requests saw %d hits and %d evictions; too small to mean anything", len(tr.Requests), hits, evictions)
+	}
+	if simEv := simCache.Stats().Evictions; evictions != simEv {
+		t.Errorf("proxy evicted %d documents, simulator %d", evictions, simEv)
+	}
+	t.Logf("%d requests, %d hits, %d evictions, all agreeing", len(tr.Requests), hits, evictions)
 }
 
 func adminGet(t *testing.T, url string) (string, int) {

@@ -29,7 +29,7 @@ package policy
 // tail scans are not), the extension keys, RANDOM anywhere but last, and
 // NREF primaries (LFU, Hyper-G, NREF/*): a per-reference-count bucket
 // list was measured slower than the heap on every NREF combo (DESIGN.md
-// §14).
+// §12).
 
 // DisableStructural is an ablation switch: when set before policies are
 // constructed, NewSorted keeps every combo on the generic heap backend.

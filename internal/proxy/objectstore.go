@@ -8,11 +8,11 @@ import (
 )
 
 // ObjectStore is the contract the serving path programs against: the
-// policy-driven object cache behind proxy.Server, the ICP responder,
-// livebench's replay, and loadgen's contention harness. Two
-// implementations exist — the single-mutex Store and the N-way
-// ShardedStore — and every consumer takes the interface so the two are
-// interchangeable drop-ins (cmd/proxy selects with -shards).
+// policy-driven object cache behind proxy.Server, the ICP responder
+// and livebench's replay. Two implementations exist — the single-mutex
+// Store, which cmd/proxy and livebench serve from because it evicts in
+// one global order, and the N-way ShardedStore — and every consumer
+// takes the interface so the two are interchangeable drop-ins.
 //
 // The miss path decides what to buffer before it reads a body, so the
 // contract includes the admission question (Admits) beside the

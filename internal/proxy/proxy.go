@@ -63,7 +63,7 @@ type Server struct {
 	// per-request cost is one non-blocking enqueue; nil costs one branch.
 	Shadow *ShadowFleet
 	// Tracer, when non-nil, samples requests into per-phase span
-	// timelines (parse, route, store get, origin dial/TTFB/body,
+	// timelines (parse, store get, origin dial/TTFB/body,
 	// admission, eviction chain) and keeps the tail worth inspecting —
 	// the /requests admin endpoint. Nil — the default — costs one
 	// branch per request; unsampled requests cost one atomic add.
@@ -84,8 +84,7 @@ type Server struct {
 	}
 }
 
-// New returns a caching proxy over the given store — the single-mutex
-// Store or an N-way ShardedStore, whichever the deployment picked.
+// New returns a caching proxy over the given store.
 func New(store ObjectStore) *Server {
 	s := &Server{
 		store:          store,
@@ -306,7 +305,7 @@ func (s *Server) revalidate(key string, obj *Object, target *url.URL) bool {
 
 // fetchAndServe fetches target from the origin (or parent proxy),
 // streams it to the client as it arrives, and caches it when eligible
-// (DESIGN.md §13).
+// (DESIGN.md §11).
 func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *url.URL, key string, rt *obs.ReqTrace) {
 	s.stats.misses.Add(1)
 	if m := s.Metrics; m != nil {

@@ -4,11 +4,11 @@ package proxy
 // store partitions capacity into static per-shard quotas, so a shard
 // that the URL hash happens to load heavily evicts constantly while an
 // unpopular one sits half empty. The rebalancer runs off the serving
-// path (the Maintainer ticks it) and shifts quota from cold shards to
-// hot ones, where heat is eviction pressure — the number of evictions
-// a shard performed since the previous pass. Occupancy alone is not a
-// demand signal (a full shard that never evicts is in equilibrium);
-// evictions are capacity misses by definition.
+// path (its owner calls Rebalance periodically) and shifts quota from
+// cold shards to hot ones, where heat is eviction pressure — the number
+// of evictions a shard performed since the previous pass. Occupancy
+// alone is not a demand signal (a full shard that never evicts is in
+// equilibrium); evictions are capacity misses by definition.
 //
 // Invariants, enforced structurally and unit-tested:
 //

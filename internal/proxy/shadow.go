@@ -10,7 +10,7 @@ package proxy
 // core.Cache at the deployed capacity running a candidate policy) and
 // feeds them asynchronously off the live request stream: the serving
 // path pays exactly one non-blocking enqueue per request into a lossy
-// ring (the touchbuf.go discipline — drops are counted, never block),
+// ring (drops are counted, never block),
 // and a single worker goroutine replays the stream into every shadow.
 //
 // Each shadow reports lifetime and sliding-window HR/WHR plus
@@ -61,41 +61,50 @@ type shadowEvent struct {
 
 var shadowEventPool = sync.Pool{New: func() any { return new(shadowEvent) }}
 
-// shadowRing is the fleet's lossy MPSC queue — the touchBuffer
-// discipline over request events: a ticket per enqueue, CAS-published
-// slots so a full slot drops the new event instead of overwriting an
-// undrained one, tail advanced only by the drain.
+// shadowRing is the fleet's lossy MPSC queue over request events. A
+// writer reserves a ticket only while the ring has a free slot (a CAS
+// on head against the drained tail), so every ticket's slot is empty
+// and every ticket is published; a full ring drops the event instead.
+// The drain applies tickets in order and stops at the first one whose
+// writer is still between reserving and publishing, so no event is
+// ever skipped.
 type shadowRing struct {
-	slots []atomic.Pointer[shadowEvent]
-	head  atomic.Uint64
-	tail  atomic.Uint64
-	// dropped counts every lost event: full-ring fast-path drops (no
-	// ticket taken) plus slot collisions discovered by the CAS. collided
-	// counts only the latter, so enqueued = head − collided.
-	dropped  atomic.Int64
-	collided atomic.Int64
+	slots   []atomic.Pointer[shadowEvent]
+	head    atomic.Uint64 // tickets reserved; each is published
+	tail    atomic.Uint64 // tickets drained; advanced only by the drain
+	dropped atomic.Int64  // events lost to a full ring
 }
 
 // full reports whether the ring has no free slots. The answer can be
 // stale by a concurrent drain or enqueue — the CAS in record stays the
 // authority — but it lets an overloaded hot path drop in two atomic
-// loads instead of a pool round-trip plus a wasted ticket.
+// loads instead of a pool round-trip. Tail is read first: it never
+// passes head, so the difference cannot wrap.
 func (b *shadowRing) full() bool {
-	return b.head.Load()-b.tail.Load() >= uint64(len(b.slots))
+	tail := b.tail.Load()
+	return b.head.Load()-tail >= uint64(len(b.slots))
 }
 
-// record enqueues one event, or counts a drop when the slot is still
-// occupied. Never blocks.
+// record enqueues one event, or counts a drop when the ring is full.
+// Never blocks.
 func (b *shadowRing) record(ev *shadowEvent) bool {
-	t := b.head.Add(1) - 1
-	if !b.slots[t%uint64(len(b.slots))].CompareAndSwap(nil, ev) {
-		ev.url = ""
-		shadowEventPool.Put(ev)
-		b.dropped.Add(1)
-		b.collided.Add(1)
-		return false
+	n := uint64(len(b.slots))
+	for {
+		tail := b.tail.Load() // before head, as in full
+		t := b.head.Load()
+		if t-tail >= n {
+			ev.url = ""
+			shadowEventPool.Put(ev)
+			b.dropped.Add(1)
+			return false
+		}
+		if b.head.CompareAndSwap(t, t+1) {
+			// Ticket t-n was drained (tail passed it), so its slot is
+			// empty.
+			b.slots[t%n].Store(ev)
+			return true
+		}
 	}
-	return true
 }
 
 func (b *shadowRing) pending() int64 {
@@ -270,10 +279,10 @@ func (f *ShadowFleet) Observe(url string, size int64, deployedHit bool) {
 }
 
 // enqueuedCount derives the successful-enqueue total from the ring:
-// every ticketed Observe either published or collided — no separate
-// hot-path counter needed.
+// every reserved ticket is published, so no separate hot-path counter
+// is needed.
 func (f *ShadowFleet) enqueuedCount() int64 {
-	return int64(f.ring.head.Load()) - f.ring.collided.Load()
+	return int64(f.ring.head.Load())
 }
 
 // worker drains the ring whenever nudged, until Close.
@@ -299,9 +308,8 @@ func (f *ShadowFleet) Flush() int {
 }
 
 // drainLocked replays pending events in ticket order. Caller holds
-// f.mu. Slots whose writer is still mid-publish are skipped — like a
-// touch drain, the event is then applied by a later drain or dropped
-// by a later writer reusing the slot.
+// f.mu. It stops at the first slot whose writer is still mid-publish;
+// that writer's wakeup runs the next drain, which resumes there.
 func (f *ShadowFleet) drainLocked() int {
 	b := f.ring
 	head := b.head.Load()
@@ -315,10 +323,11 @@ func (f *ShadowFleet) drainLocked() int {
 	if f.stampOnDrain {
 		batchAt = f.clock()
 	}
-	for t := tail; t != head; t++ {
+	t := tail
+	for ; t != head; t++ {
 		ev := b.slots[t%n].Swap(nil)
 		if ev == nil {
-			continue
+			break
 		}
 		if f.stampOnDrain {
 			// One clock read per batch: events drained together share a
@@ -331,7 +340,7 @@ func (f *ShadowFleet) drainLocked() int {
 		shadowEventPool.Put(ev)
 		applied++
 	}
-	b.tail.Store(head)
+	b.tail.Store(t)
 	f.processed.Add(int64(applied))
 	return applied
 }

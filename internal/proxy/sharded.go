@@ -7,12 +7,12 @@ package proxy
 // shards, each a complete single-mutex Store with its own policy
 // instance, entry/object maps, lock, tiebreak stream, and capacity
 // quota. Requests for different shards never share a lock, so hit
-// throughput scales with cores until the memory system saturates
-// (cmd/loadgen measures exactly this, single-mutex vs sharded, into
-// the BENCH_proxy.json trajectory).
+// throughput can scale with cores until the memory system saturates.
 //
 // Sharding trades two global properties for that parallelism, both
-// documented rather than hidden:
+// documented rather than hidden. Together they cost the deployed
+// proxy a sixth of its hit rate, which is why cmd/proxy and livebench
+// serve from one Store (DESIGN.md §10):
 //
 //   - Capacity is partitioned, not pooled. Each shard enforces its own
 //     quota (see the remainder rule at NewShardedStore), so a popular
@@ -25,13 +25,13 @@ package proxy
 //   - Policy state is per shard. Each shard's removal policy ranks
 //     only its own residents, so a victim is the best candidate within
 //     the incoming URL's shard, not globally. This is the standard
-//     sharded-LRU approximation (memcached, Squid); at proxy
-//     populations it does not measurably distort the taxonomy.
+//     sharded-LRU approximation (memcached, Squid), but it is the
+//     paper's partitioned cache (Experiment 4): SIZE evicts the
+//     largest document of one shard, not of the whole cache.
 //
 // With one shard both properties collapse back to the single store's:
 // a 1-shard ShardedStore is byte-equivalent to Store under a fixed
-// seed and clock (pinned by TestShardedOneShardByteEquivalent and
-// exercised end-to-end by livebench -shards 1).
+// seed and clock (pinned by TestShardedOneShardByteEquivalent).
 
 import (
 	"sync"

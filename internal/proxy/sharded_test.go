@@ -232,6 +232,9 @@ func TestPutReplaceFailureKeepsOldObject(t *testing.T) {
 			if s.Put("http://h/a.html", &Object{Body: make([]byte, 80), StoredAt: time.Now()}) {
 				t.Fatal("oversized replacement admitted")
 			}
+			if err := checkStoreInvariants(s); err != nil {
+				t.Fatalf("after failed replacement: %v", err)
+			}
 			obj, ok := s.Get("http://h/a.html")
 			if !ok {
 				t.Fatal("old object lost by failed replacement")
@@ -255,6 +258,9 @@ func TestPutReplaceFailureKeepsOldObject(t *testing.T) {
 			}
 			if st := s.Stats(); st.Used != 40 || st.Docs != 2 {
 				t.Errorf("stats after successful replacement = %+v, want Used 40, Docs 2", st)
+			}
+			if err := checkStoreInvariants(s); err != nil {
+				t.Fatalf("after successful replacement: %v", err)
 			}
 		})
 	}

@@ -150,10 +150,10 @@ func (s *Store) SetHooks(h core.CacheHooks) {
 // attaches a lossy touch ring of that many atomic slots: Get takes only
 // the read lock and buffers the policy update, which is drained in
 // recorded order under the write lock by the next Put, by the Get that
-// crosses the half-full threshold (TryLock, never blocking), by
-// FlushTouches, and by a Maintainer. slots <= 0 (the default) is the
-// drain-synchronous deterministic mode: Get write-locks and calls
-// pol.Touch inline, byte-for-byte the unbuffered hit path — the mode
+// crosses the half-full threshold (TryLock, never blocking), and by
+// FlushTouches. slots <= 0 (the default) is the drain-synchronous
+// deterministic mode: Get write-locks and calls pol.Touch inline,
+// byte-for-byte the unbuffered hit path — the mode cmd/proxy,
 // livebench and the equivalence tests rely on.
 //
 // In buffered mode the OnHit hook fires before the entry's ATime/NRef

@@ -282,6 +282,9 @@ func TestMissOriginFailsMidBody(t *testing.T) {
 			if served.Load() != 2 {
 				t.Errorf("origin served %d requests, want 2", served.Load())
 			}
+			// The handler stores the body after the client has its last
+			// byte; Close waits for the handler.
+			pts.Close()
 			if _, ok := store.Peek(target); !ok {
 				t.Error("the complete refetch was not cached")
 			}
@@ -305,11 +308,17 @@ func TestMissOriginBodyOverrun(t *testing.T) {
 	pts := httptest.NewServer(srv)
 	defer pts.Close()
 	client := proxyClient(t, pts.URL)
-	for i, target := range []string{originURL + "/one.txt", originURL + "/two.txt"} {
+	targets := []string{originURL + "/one.txt", originURL + "/two.txt"}
+	for i, target := range targets {
 		resp, got, err := fetch(client, target, nil)
 		if err != nil || resp.Header.Get("X-Cache") != "MISS" || string(got) != body {
 			t.Fatalf("fetch %d: X-Cache %q, %d bytes, err %v; want the %d declared bytes", i, resp.Header.Get("X-Cache"), len(got), err, declared)
 		}
+	}
+	// Each handler stores its body after the client has the last byte;
+	// Close waits for the handlers.
+	pts.Close()
+	for i, target := range targets {
 		if obj, ok := store.Peek(target); !ok || string(obj.Body) != body {
 			t.Fatalf("fetch %d: cached %v, want the declared bytes", i, obj)
 		}

@@ -7,9 +7,10 @@ package proxy
 // hit in a fixed-size ring of atomic slots and returns under the read
 // lock. The ring is drained in batches under the write lock — by the
 // next Put before it picks victims, by the Get that crosses the
-// pending threshold (via TryLock, never blocking the hit), and by the
-// background Maintainer — replaying the recorded hits into the policy
-// in ticket order through policy.ReplayTouches.
+// pending threshold (via TryLock, never blocking the hit), and by
+// FlushTouches — replaying the recorded hits into the policy in ticket
+// order through policy.ReplayTouches. A read-only lull leaves recorded
+// hits pending until one of those runs.
 //
 // The buffer is deliberately lossy, the "lightweight buffered
 // maintenance" arrangement production caches use (BP-Wrapper, Caffeine
@@ -40,9 +41,9 @@ package proxy
 //
 // Buffer size 0 disables the buffer entirely: Get takes the write lock
 // and updates the policy inline, byte-for-byte the pre-buffer hit
-// path. That is the drain-synchronous deterministic mode livebench and
-// the equivalence tests run in, and it is the default everywhere a
-// fixed eviction sequence matters.
+// path. That is the drain-synchronous deterministic mode cmd/proxy,
+// livebench and the equivalence tests run in: the default, and the
+// only mode in which eviction follows the simulator's global order.
 
 import (
 	"sync"
