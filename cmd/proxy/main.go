@@ -13,7 +13,11 @@
 //	proxy -listen :3128 -admin :8081 -shadow "LRU,SIZE,LFU"   # ghost-cache policy comparison on /shadow
 //	proxy -listen :3128 -admin :8081 -trace-sample 100        # per-request span timelines on /requests
 //
-// GET /._webcache/stats on the listen address reports statistics. With
+// The process's soft memory limit follows -capacity (see memoryLimit)
+// unless GOMEMLIMIT is set.
+//
+// GET /._webcache/stats on the listen address reports statistics,
+// including a memory section read from runtime/metrics. With
 // -admin, a separate introspection listener serves /metrics, /healthz,
 // /buildinfo, /events (SSE serving-stats snapshots), /trace (Chrome
 // trace-event JSON of recent cache events — and, with -trace-sample,
@@ -32,6 +36,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"syscall"
@@ -212,6 +217,7 @@ func buildApp(o options) (*app, error) {
 		a.store.SetHooks(proxy.StoreHooks(a.reg, a.ring))
 		a.srv.ICP.Queries = a.reg.Counter("proxy.icp_queries")
 		a.srv.ICP.Replies = a.reg.Counter("proxy.icp_replies")
+		registerMemoryGauges(a.reg)
 		extra := map[string]http.Handler{
 			"/accesslog": a.logger.Handler(),
 		}
@@ -251,8 +257,9 @@ func buildApp(o options) (*app, error) {
 // and the admin /events SSE frame.
 func (a *app) snapshot() any {
 	doc := map[string]any{
-		"proxy": a.srv.Stats(),
-		"store": a.store.Stats(),
+		"proxy":  a.srv.Stats(),
+		"store":  a.store.Stats(),
+		"memory": readMemory(),
 	}
 	if a.reg != nil {
 		// Recent-window hit rate for the deployed store (the store.*
@@ -324,6 +331,11 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proxy:", err)
 		os.Exit(2)
+	}
+	if limit, derived := applyMemoryLimit(capacity, os.Getenv, debug.SetMemoryLimit); derived {
+		log.Printf("memory limit %.1f MiB, from -capacity (set GOMEMLIMIT to override)", float64(limit)/(1<<20))
+	} else {
+		log.Printf("memory limit %d bytes, from GOMEMLIMIT", limit)
 	}
 	a, err := buildApp(options{
 		capacity:  capacity,

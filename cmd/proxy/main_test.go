@@ -123,6 +123,11 @@ func TestAdminEndToEnd(t *testing.T) {
 		"proxy.latency_ns.p50 ",
 		"proxy.latency_ns.p99 ",
 		"store.inserts 3",
+		"runtime.memory_limit_bytes ",
+		"runtime.heap_live_bytes ",
+		"runtime.heap_goal_bytes ",
+		"runtime.mapped_bytes ",
+		"runtime.gc_cycles ",
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(body, want) {
@@ -204,6 +209,20 @@ func TestAdminEndToEnd(t *testing.T) {
 	body, status = adminGet(t, traffic.URL+"/._webcache/stats")
 	if status != http.StatusOK || !strings.Contains(body, `"Requests": 5`) {
 		t.Errorf("legacy stats = %d %q", status, body)
+	}
+	// Its memory section comes from runtime/metrics: a live heap under its
+	// goal and inside what the process has mapped, and a limit.
+	var stats struct{ Memory map[string]int64 }
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatalf("stats unparsable: %v", err)
+	}
+	m := stats.Memory
+	if m["heap_live_bytes"] > m["heap_goal_bytes"] || m["heap_live_bytes"] > m["mapped_bytes"] ||
+		m["mapped_bytes"] <= 0 || m["memory_limit_bytes"] <= 0 {
+		t.Errorf("stats memory section = %v", m)
+	}
+	if len(m) != len(memoryMetrics) {
+		t.Errorf("stats memory section has %d values, want %d: %v", len(m), len(memoryMetrics), m)
 	}
 }
 

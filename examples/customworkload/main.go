@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"webcache"
@@ -36,26 +38,32 @@ const labJSON = `{
 }`
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg, err := webcache.WorkloadFromJSON(strings.NewReader(labJSON))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tr, vstats, err := webcache.GenerateCustom(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("workload %s: %d valid requests (%d raw), %.1f MB over %d days\n",
+	fmt.Fprintf(w, "workload %s: %d valid requests (%d raw), %.1f MB over %d days\n",
 		tr.Name, vstats.Kept, vstats.Input, float64(tr.TotalBytes())/1e6, tr.Days())
 
 	bound := webcache.MaxHitRates(tr, 1)
-	fmt.Printf("infinite cache: HR %.1f%%, MaxNeeded %.1f MB\n\n",
+	fmt.Fprintf(w, "infinite cache: HR %.1f%%, MaxNeeded %.1f MB\n\n",
 		100*bound.AggHR, float64(bound.MaxNeeded)/1e6)
 
-	fmt.Printf("%-10s %8s %8s\n", "policy", "HR%", "WHR%")
+	fmt.Fprintf(w, "%-10s %8s %8s\n", "policy", "HR%", "WHR%")
 	for _, spec := range []string{"SIZE", "LRU", "LFU"} {
 		pol, err := webcache.NewPolicy(spec, tr.Start)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cache := webcache.NewCache(webcache.CacheConfig{
 			Capacity: bound.MaxNeeded / 10,
@@ -66,7 +74,8 @@ func main() {
 			cache.Access(&tr.Requests[i])
 		}
 		st := cache.Stats()
-		fmt.Printf("%-10s %8.1f %8.1f\n", spec, 100*st.HitRate(), 100*st.WeightedHitRate())
+		fmt.Fprintf(w, "%-10s %8.1f %8.1f\n", spec, 100*st.HitRate(), 100*st.WeightedHitRate())
 	}
-	fmt.Println("\nthe paper's SIZE result holds on custom workloads too")
+	fmt.Fprintln(w, "\nthe paper's SIZE result holds on custom workloads too")
+	return nil
 }

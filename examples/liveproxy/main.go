@@ -12,12 +12,21 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"webcache"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Origin: a handful of documents of very different sizes.
 	docs := map[string]string{
 		"/index.html": strings.Repeat("h", 2_000),
@@ -25,9 +34,9 @@ func main() {
 		"/paper.ps":   strings.Repeat("p", 120_000),
 		"/song.au":    strings.Repeat("a", 400_000),
 	}
-	var originHits int
+	var originHits atomic.Int64
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		originHits++
+		originHits.Add(1)
 		body, ok := docs[r.URL.Path]
 		if !ok {
 			http.NotFound(w, r)
@@ -38,33 +47,45 @@ func main() {
 	}))
 	defer origin.Close()
 
+	// A proxy stores a miss after the client has its last byte, so before
+	// each next request the example waits for both proxies' handlers to
+	// return; otherwise a quick client could overtake a store.
+	var busy sync.WaitGroup
+	settled := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			busy.Add(1)
+			defer busy.Done()
+			h.ServeHTTP(w, r)
+		})
+	}
+
 	// Parent proxy: large, SIZE policy (the paper's Experiment 3 keeps
 	// big documents alive at the second level).
 	parentPol, err := webcache.NewPolicy("SIZE", 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	parent := webcache.NewProxy(webcache.NewProxyStore(8<<20, parentPol))
-	parentTS := httptest.NewServer(parent)
+	parentTS := httptest.NewServer(settled(parent))
 	defer parentTS.Close()
 
 	// Child proxy: small, also SIZE, chained to the parent.
 	childPol, err := webcache.NewPolicy("SIZE", 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	child := webcache.NewProxy(webcache.NewProxyStore(150_000, childPol))
 	parentURL, err := url.Parse(parentTS.URL)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	child.Transport = &http.Transport{Proxy: http.ProxyURL(parentURL)}
-	childTS := httptest.NewServer(child)
+	childTS := httptest.NewServer(settled(child))
 	defer childTS.Close()
 
 	childURL, err := url.Parse(childTS.URL)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	client := &http.Client{Transport: &http.Transport{Proxy: http.ProxyURL(childURL)}}
 
@@ -74,24 +95,26 @@ func main() {
 		"/logo.gif", "/index.html", "/song.au", "/logo.gif",
 		"/index.html", "/paper.ps", "/song.au", "/index.html",
 	}
-	fmt.Printf("%-14s %-12s %s\n", "document", "child says", "bytes")
+	fmt.Fprintf(w, "%-14s %-12s %s\n", "document", "child says", "bytes")
 	for _, path := range mix {
 		resp, err := client.Get(origin.URL + path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-14s %-12s %d\n", path, resp.Header.Get("X-Cache"), len(body))
+		busy.Wait()
+		fmt.Fprintf(w, "%-14s %-12s %d\n", path, resp.Header.Get("X-Cache"), len(body))
 	}
 
 	cs, ps := child.Stats(), parent.Stats()
-	fmt.Printf("\nchild:  %d requests, %d hits (HR %.0f%%), store holds %d docs\n",
+	fmt.Fprintf(w, "\nchild:  %d requests, %d hits (HR %.0f%%), store holds %d docs\n",
 		cs.Requests, cs.Hits, 100*float64(cs.Hits)/float64(cs.Requests), child.Store().Len())
-	fmt.Printf("parent: %d requests, %d hits — the large documents the child's\n", ps.Requests, ps.Hits)
-	fmt.Printf("        SIZE policy evicted were answered here, not by the origin\n")
-	fmt.Printf("origin: %d fetches for %d client requests\n", originHits, len(mix))
+	fmt.Fprintf(w, "parent: %d requests, %d hits — the large documents the child's\n", ps.Requests, ps.Hits)
+	fmt.Fprintf(w, "        SIZE policy evicted were answered here, not by the origin\n")
+	fmt.Fprintf(w, "origin: %d fetches for %d client requests\n", originHits.Load(), len(mix))
+	return nil
 }

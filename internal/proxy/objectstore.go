@@ -30,7 +30,8 @@ type ObjectStore interface {
 	// or statistics (the ICP responder's read).
 	Peek(url string) (*Object, bool)
 	// Put stores obj under url, evicting victims as needed; it reports
-	// whether the object was admitted.
+	// whether the object was admitted. It builds the header values a hit
+	// serves before obj becomes visible to Get.
 	Put(url string, obj *Object) bool
 	// Admits reports whether an object of size bytes under url would pass
 	// Put's size test (the quota of the store, or of url's shard). The

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,7 +243,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if obj, ok := s.storeGet(key, rt); ok && !noCache {
 		age := time.Since(obj.StoredAt)
 		if age <= s.FreshFor {
-			s.serveObject(w, obj, "HIT", rt)
+			s.serveObject(w, obj, xCacheHit, rt)
 			s.stats.hits.Add(1)
 			s.stats.bytesFromHit.Add(int64(len(obj.Body)))
 			if m := s.Metrics; m != nil {
@@ -258,7 +259,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ok := s.revalidate(key, obj, target)
 		rt.EndSpan(reval)
 		if ok {
-			s.serveObject(w, obj, "REVALIDATED", rt)
+			s.serveObject(w, obj, xCacheRevalidated, rt)
 			s.stats.revalidated.Add(1)
 			s.stats.bytesFromHit.Add(int64(len(obj.Body)))
 			if m := s.Metrics; m != nil {
@@ -359,7 +360,8 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	contentType, lastMod := headerSubset(resp.Header)
 	length := resp.ContentLength // -1: chunked or EOF-delimited origin
 	fits := length <= s.MaxObjectBytes && (length < 0 || s.store.Admits(key, length))
-	setEntityHeaders(w.Header(), contentType, lastMod, length, "MISS")
+	hdr := makeEntityHeader(contentType, lastMod, length)
+	hdr.set(w.Header(), xCacheMiss)
 	serve := rt.BeginSpan(obs.PhaseServe)
 	w.WriteHeader(http.StatusOK)
 	bodySpan := rt.BeginSpan(obs.PhaseBody)
@@ -394,7 +396,10 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	rt.SetOutcome("MISS", http.StatusOK, sent)
 	if body != nil {
 		admit := rt.BeginSpan(obs.PhaseAdmit)
-		obj := &Object{Body: body, ContentType: contentType, LastModified: lastMod, StoredAt: time.Now()}
+		// A body of declared length is served with the same headers on
+		// every hit; Put formats those of a body whose length the origin
+		// did not declare.
+		obj := &Object{Body: body, ContentType: contentType, LastModified: lastMod, StoredAt: time.Now(), header: hdr}
 		arg := int64(0)
 		if s.storePut(key, obj, rt) {
 			arg = 1
@@ -487,30 +492,55 @@ func (s *Server) countError(w http.ResponseWriter, rt *obs.ReqTrace, msg string)
 	http.Error(w, msg, http.StatusBadGateway)
 }
 
-// setEntityHeaders sets the response headers of a document served from
-// the cache or streamed from the origin; a negative length (unknown
-// until the origin's body ends) sets no Content-Length.
-func setEntityHeaders(h http.Header, contentType string, lastMod time.Time, length int64, verdict string) {
-	if contentType != "" {
-		h.Set("Content-Type", contentType)
-	}
+// entityHeader holds the formatted values of the entity headers a
+// document is served with; an empty value is a header it does not send.
+type entityHeader [3]string
+
+// entityHeaderNames are the header names of an entityHeader's values.
+var entityHeaderNames = [3]string{"Content-Type", "Last-Modified", "Content-Length"}
+
+// makeEntityHeader formats a document's entity headers. A negative
+// length (unknown until the origin's body ends) sends no Content-Length.
+func makeEntityHeader(contentType string, lastMod time.Time, length int64) entityHeader {
+	e := entityHeader{0: contentType}
 	if !lastMod.IsZero() {
-		h.Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
+		e[1] = lastMod.UTC().Format(http.TimeFormat)
 	}
 	if length >= 0 {
-		h.Set("Content-Length", fmt.Sprint(length))
+		e[2] = strconv.FormatInt(length, 10)
 	}
-	h.Set("X-Cache", verdict)
+	return e
 }
 
-// serveObject writes a cached object to the client.
-func (s *Server) serveObject(w http.ResponseWriter, obj *Object, verdict string, rt *obs.ReqTrace) {
-	setEntityHeaders(w.Header(), obj.ContentType, obj.LastModified, int64(len(obj.Body)), verdict)
+// The X-Cache values, shared by every response (len == cap).
+var (
+	xCacheMiss        = []string{"MISS"}
+	xCacheHit         = []string{"HIT"}
+	xCacheRevalidated = []string{"REVALIDATED"}
+)
+
+// set assigns the entity headers and the X-Cache verdict to h. The
+// values are slices of e itself, shared by every response that e's
+// object serves, each with len == cap: an Add elsewhere copies instead
+// of appending into e.
+func (e *entityHeader) set(h http.Header, xCache []string) {
+	for i, name := range entityHeaderNames {
+		if e[i] != "" {
+			h[name] = e[i : i+1 : i+1]
+		}
+	}
+	h["X-Cache"] = xCache
+}
+
+// serveObject writes a cached object to the client, with the header
+// values formatted when it was stored.
+func (s *Server) serveObject(w http.ResponseWriter, obj *Object, xCache []string, rt *obs.ReqTrace) {
+	obj.header.set(w.Header(), xCache)
 	serve := rt.BeginSpan(obs.PhaseServe)
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(obj.Body)
 	rt.EndSpan(serve)
-	rt.SetOutcome(verdict, http.StatusOK, int64(n))
+	rt.SetOutcome(xCache[0], http.StatusOK, int64(n))
 	s.stats.bytesServed.Add(int64(n))
 	if m := s.Metrics; m != nil {
 		m.BytesServed.Add(int64(n))

@@ -24,6 +24,11 @@ type Object struct {
 	ContentType  string
 	LastModified time.Time
 	StoredAt     time.Time
+
+	// header is what a hit serves the fields above as: formatted once, by
+	// the miss that fetched the object or else by Put, and shared by
+	// every response.
+	header entityHeader
 }
 
 // StoreStats counts store activity. Capacity is the store's current
@@ -254,6 +259,8 @@ func (s *Store) Peek(url string) (*Object, bool) {
 
 // Put stores obj under url, evicting as needed. Objects larger than the
 // whole store are not cached; Put reports whether it stored the object.
+// Unless the miss path already did, Put formats the header values a hit
+// serves from obj's fields, so obj must not change once it has been put.
 // Pending buffered touches are drained first, so victim selection sees
 // the recency the hit path recorded.
 func (s *Store) Put(url string, obj *Object) bool { return s.put(url, obj, nil) }
@@ -268,6 +275,9 @@ func (s *Store) PutTraced(url string, obj *Object, rt *obs.ReqTrace) bool {
 
 func (s *Store) put(url string, obj *Object, rt *obs.ReqTrace) bool {
 	size := int64(len(obj.Body))
+	if obj.header[2] == "" { // no Content-Length: not formatted yet
+		obj.header = makeEntityHeader(obj.ContentType, obj.LastModified, size)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drainTouchesLocked()
