@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-ab fuzz-smoke report examples clean
+.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-ab fuzz-smoke report examples loc clean
 
 # Workload scale for the replay benchmark harness; 0.3 is large enough
 # for stable ns/request numbers, small enough to finish in seconds.
@@ -119,6 +119,16 @@ examples:
 	$(GO) run ./examples/liveproxy
 	$(GO) run ./examples/siblings
 	$(GO) run ./examples/customworkload
+
+# Go line counts: non-test and test lines outside bench/ (its own module),
+# then non-test lines in each of LOC_PACKAGES.
+LOC_PACKAGES ?= internal/proxy internal/policy internal/obs
+loc:
+	@echo "non-test Go lines outside bench/: $$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/:     $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
+	@for d in $(LOC_PACKAGES); do \
+		echo "  $$d: $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done
 
 # go build ./cmd/<name> from the repo root leaves <name> there.
 clean:

@@ -3,7 +3,7 @@ package obs
 // Request-lifecycle tracing. The proxy's histograms (metrics.go) can
 // say that p99 is high; this file is the artifact that says why: each
 // sampled request is recorded as a timeline of phases — parse, shard
-// route, store get, touch-ring enqueue, origin dial / TTFB / body
+// route, store get (policy touch included), origin dial / TTFB / body
 // streaming, admission, the eviction chain a Put triggers — and a
 // tail-based reservoir keeps exactly the requests worth looking at:
 // the K slowest per window plus every one that errored, missed, or
@@ -16,8 +16,7 @@ package obs
 // unsampled request's nil *ReqTrace) costs one branch per site, and
 // the sampled path allocates nothing in steady state — span buffers
 // are fixed-size arrays inside pooled ReqTrace objects, recycled when
-// the reservoir discards or displaces a trace (the same
-// record-into-recycled-object discipline as touchbuf's touchRecPool).
+// the reservoir discards or displaces a trace.
 
 import (
 	"encoding/json"
@@ -35,22 +34,21 @@ import (
 type Phase uint8
 
 const (
-	PhaseParse        Phase = iota // request line/URL normalization
-	PhaseRoute                     // shard selection (sharded store only)
-	PhaseStoreGet                  // store lookup incl. policy touch
-	PhaseTouchEnqueue              // buffered hit path: lossy ring enqueue
-	PhaseDial                      // origin TCP connect
-	PhaseTTFB                      // origin request written → first response byte
-	PhaseBody                      // origin body streaming into the object buffer
-	PhaseAdmit                     // store admission (Put) incl. eviction chain
-	PhaseEvict                     // one victim removal inside the admit span
-	PhaseRevalidate                // conditional GET for a stale hit
-	PhaseServe                     // writing the response to the client
+	PhaseParse      Phase = iota // request line/URL normalization
+	PhaseRoute                   // shard selection (sharded store only)
+	PhaseStoreGet                // store lookup incl. policy touch
+	PhaseDial                    // origin TCP connect
+	PhaseTTFB                    // origin request written → first response byte
+	PhaseBody                    // origin body streaming into the object buffer
+	PhaseAdmit                   // store admission (Put) incl. eviction chain
+	PhaseEvict                   // one victim removal inside the admit span
+	PhaseRevalidate              // conditional GET for a stale hit
+	PhaseServe                   // writing the response to the client
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	"parse", "route", "store.get", "touch.enqueue",
+	"parse", "route", "store.get",
 	"origin.dial", "origin.ttfb", "origin.body",
 	"admit", "evict", "revalidate", "serve",
 }

@@ -11,7 +11,8 @@ import (
 // policy-driven object cache behind proxy.Server, the ICP responder
 // and livebench's replay. Two implementations exist — the single-mutex
 // Store, which cmd/proxy and livebench serve from because it evicts in
-// one global order, and the N-way ShardedStore — and every consumer
+// one global order, and the N-way ShardedStore, which nothing outside
+// its tests builds — and every consumer
 // takes the interface so the two are interchangeable drop-ins.
 //
 // The miss path decides what to buffer before it reads a body, so the
@@ -58,20 +59,11 @@ type ObjectStore interface {
 	SetSeed(seed uint64)
 	// SetHooks attaches cache event hooks (hit/miss/evict/add).
 	SetHooks(h core.CacheHooks)
-
-	// SetTouchBuffer selects the hit path: slots > 0 attaches a lossy
-	// per-shard touch ring and Get goes read-lock only; 0 (the
-	// default) is the drain-synchronous deterministic mode where Get
-	// updates the policy inline. Call before serving.
-	SetTouchBuffer(slots int)
-	// FlushTouches drains any buffered touches into the policy now and
-	// returns how many were applied (0 in synchronous mode).
-	FlushTouches() int
 }
 
 // TracedStore is the optional request-tracing extension of
 // ObjectStore: Get/Put variants that record their phases (shard
-// route, touch enqueue, eviction chain) into a sampled request's span
+// route, eviction chain) into a sampled request's span
 // timeline. The proxy type-asserts for it once at construction, so an
 // ObjectStore that lacks it is simply served untraced — the same
 // graceful-degradation shape as policy.Reserver. A nil rt must behave

@@ -16,20 +16,29 @@ import (
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore(1000, nil)
-	obj := &Object{Body: []byte("hello"), ContentType: "text/plain", StoredAt: time.Now()}
+	now := time.Unix(1_000_000, 0)
+	s.SetClock(func() time.Time { return now })
+	obj := &Object{Body: []byte("hello"), ContentType: "text/plain", StoredAt: now}
 	if !s.Put("http://a/x", obj) {
 		t.Fatal("Put failed")
 	}
+	stored := now.Unix()
+	now = now.Add(7 * time.Second)
 	got, ok := s.Get("http://a/x")
 	if !ok || string(got.Body) != "hello" {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
+	// The hit updates the entry before Get returns: ATime is the hit's
+	// time, NRef counts the hit, ETime still says when it entered.
+	if e := s.entries["http://a/x"]; e.ATime != now.Unix() || e.NRef != 2 || e.ETime != stored {
+		t.Fatalf("entry after hit: ATime %d NRef %d ETime %d, want %d 2 %d", e.ATime, e.NRef, e.ETime, now.Unix(), stored)
+	}
 	if _, ok := s.Get("http://a/missing"); ok {
 		t.Fatal("Get on missing key succeeded")
 	}
-	st := s.Stats()
-	if st.Gets != 2 || st.Hits != 1 || st.Used != 5 || st.Docs != 1 {
-		t.Fatalf("stats %+v", st)
+	want := StoreStats{Gets: 2, Hits: 1, Puts: 1, Used: 5, MaxUsed: 5, Docs: 1, Capacity: 1000}
+	if st := s.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }
 

@@ -119,7 +119,7 @@ func (s *ShardedStore) Get(url string) (*Object, bool) { return s.shard(url).Get
 
 // GetTraced is Get with the request's span timeline attached: the
 // shard-route decision becomes a route span annotated with the chosen
-// shard index, and the shard's own traced hit path nests inside it.
+// shard index, and the trace records the shard.
 func (s *ShardedStore) GetTraced(url string, rt *obs.ReqTrace) (*Object, bool) {
 	if rt == nil {
 		return s.Get(url)
@@ -191,9 +191,6 @@ func (s *ShardedStore) Stats() StoreStats {
 		agg.MaxUsed += st.MaxUsed
 		agg.Docs += st.Docs
 		agg.Capacity += st.Capacity
-		agg.TouchDrained += st.TouchDrained
-		agg.TouchDropped += st.TouchDropped
-		agg.TouchStale += st.TouchStale
 	}
 	return agg
 }
@@ -206,27 +203,6 @@ func (s *ShardedStore) ShardStats() []StoreStats {
 		out[i] = sh.Stats()
 	}
 	return out
-}
-
-// SetTouchBuffer gives every shard its own lossy touch ring of the
-// given slot count (0 = the drain-synchronous deterministic mode; see
-// Store.SetTouchBuffer). Per-shard rings keep the buffered hit path
-// contention-free: a shard's ring is only drained under that shard's
-// own write lock.
-func (s *ShardedStore) SetTouchBuffer(slots int) {
-	for _, sh := range s.shards {
-		sh.SetTouchBuffer(slots)
-	}
-}
-
-// FlushTouches drains every shard's touch buffer and returns the total
-// number of recorded hits replayed into the policies.
-func (s *ShardedStore) FlushTouches() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.FlushTouches()
-	}
-	return n
 }
 
 // Quotas returns each shard's current byte quota, in shard order. The

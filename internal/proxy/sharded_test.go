@@ -107,9 +107,6 @@ func TestShardedStatsAggregate(t *testing.T) {
 		fromShards.MaxUsed += ss.MaxUsed
 		fromShards.Evictions += ss.Evictions
 		fromShards.Capacity += ss.Capacity
-		fromShards.TouchDrained += ss.TouchDrained
-		fromShards.TouchDropped += ss.TouchDropped
-		fromShards.TouchStale += ss.TouchStale
 	}
 	if fromShards.Capacity != 1<<20 {
 		t.Errorf("shard quotas sum to %d, want the requested capacity %d", fromShards.Capacity, 1<<20)

@@ -7,7 +7,6 @@ package proxy
 import (
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"webcache/internal/core"
@@ -32,10 +31,8 @@ type Object struct {
 }
 
 // StoreStats counts store activity. Capacity is the store's current
-// byte quota (rebalanced at runtime for a sharded store's shards); the
-// Touch* fields account for the buffered hit path — drained touches
-// were replayed into the policy, dropped ones hit a full buffer,
-// stale ones outlived their entry (see SetTouchBuffer).
+// byte quota (moved at runtime by the rebalancer for a sharded store's
+// shards; fixed for a standalone Store).
 type StoreStats struct {
 	Gets      int64
 	Hits      int64
@@ -45,20 +42,17 @@ type StoreStats struct {
 	MaxUsed   int64
 	Docs      int64
 	Capacity  int64
-
-	TouchDrained int64
-	TouchDropped int64
-	TouchStale   int64
 }
 
 // Store is a concurrency-safe, capacity-bounded object store whose
 // removal victims are chosen by a policy.Policy (SIZE by default, the
 // paper's recommendation for hit rate). All policy and map bookkeeping
-// is guarded by one RWMutex; reads that mutate no shared state (Peek,
-// Len, Stats — and Get, once a touch buffer is attached) take it
-// shared, everything else exclusive. Get/Hit totals live in atomics so
-// the read-locked hit path never writes shared struct fields. For
-// parallel scaling across cores, wrap N of these in a ShardedStore.
+// is guarded by one RWMutex: Get and every mutation take it exclusively,
+// because a hit stamps the entry's ATime and NRef and re-ranks it in the
+// policy on the spot, as the simulator does; Peek, Len and Stats take it
+// shared, so ICP queries can be answered beside traffic. Eviction
+// follows one global order, which is why cmd/proxy and livebench serve
+// from this type.
 type Store struct {
 	mu       sync.RWMutex
 	capacity int64
@@ -66,23 +60,9 @@ type Store struct {
 	entries  map[string]*policy.Entry
 	objects  map[string]*Object
 	rnd      *rng.Rand
-	stats    StoreStats // Gets/Hits/Capacity/Touch* tracked separately; see Stats
+	stats    StoreStats // Capacity is filled in by Stats
 	now      func() time.Time
 	hooks    core.CacheHooks
-
-	gets atomic.Int64
-	hits atomic.Int64
-
-	// buf is the lossy touch ring of the buffered hit path; nil means
-	// drain-synchronous mode (Get write-locks and touches inline). An
-	// atomic pointer so Get can pick its path without any lock.
-	buf atomic.Pointer[touchBuffer]
-
-	// touchDrained/touchStale and drainScratch are drain-side state,
-	// guarded by mu held exclusively.
-	touchDrained int64
-	touchStale   int64
-	drainScratch []policy.TouchRecord
 }
 
 // NewStore returns a store with the given capacity in bytes and policy.
@@ -151,43 +131,13 @@ func (s *Store) SetHooks(h core.CacheHooks) {
 	s.hooks = h
 }
 
-// SetTouchBuffer switches the hit path between its two modes. slots > 0
-// attaches a lossy touch ring of that many atomic slots: Get takes only
-// the read lock and buffers the policy update, which is drained in
-// recorded order under the write lock by the next Put, by the Get that
-// crosses the half-full threshold (TryLock, never blocking), and by
-// FlushTouches. slots <= 0 (the default) is the drain-synchronous
-// deterministic mode: Get write-locks and calls pol.Touch inline,
-// byte-for-byte the unbuffered hit path — the mode cmd/proxy,
-// livebench and the equivalence tests rely on.
-//
-// In buffered mode the OnHit hook fires before the entry's ATime/NRef
-// are updated (the update happens at drain time); inline mode fires it
-// after. Call before serving, like SetSeed and SetHooks.
-func (s *Store) SetTouchBuffer(slots int) {
-	if slots <= 0 {
-		s.buf.Store(nil)
-		return
-	}
-	s.buf.Store(newTouchBuffer(slots))
-}
-
-// Get returns the cached object for url, updating recency/frequency
-// bookkeeping on a hit — inline under the write lock in synchronous
-// mode, via the touch buffer under the read lock in buffered mode.
-func (s *Store) Get(url string) (*Object, bool) { return s.get(url, nil) }
-
-// GetTraced is Get with the request's span timeline attached: the
-// buffered hit path records a touch.enqueue span. A nil rt is exactly
-// Get (the untraced branch costs one nil check per site).
-func (s *Store) GetTraced(url string, rt *obs.ReqTrace) (*Object, bool) { return s.get(url, rt) }
-
-func (s *Store) get(url string, rt *obs.ReqTrace) (*Object, bool) {
-	buf := s.buf.Load()
-	if buf == nil {
-		return s.getSync(url)
-	}
-	s.mu.RLock()
+// Get returns the cached object for url. A hit stamps the entry's ATime
+// with the store's clock, increments its NRef and re-ranks it in the
+// policy before the OnHit hook fires, all under the write lock.
+func (s *Store) Get(url string) (*Object, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Gets++
 	e, ok := s.entries[url]
 	if !ok {
 		if s.hooks.OnMiss != nil {
@@ -195,57 +145,21 @@ func (s *Store) get(url string, rt *obs.ReqTrace) (*Object, bool) {
 			// responds (the fetch path counts the bytes).
 			s.hooks.OnMiss(0, s.now().Unix())
 		}
-		s.mu.RUnlock()
-		s.gets.Add(1)
-		return nil, false
-	}
-	obj := s.objects[url]
-	at := s.now().Unix()
-	if s.hooks.OnHit != nil {
-		s.hooks.OnHit(e)
-	}
-	s.mu.RUnlock()
-	s.gets.Add(1)
-	s.hits.Add(1)
-	// The recorded touch is applied later; if the ring just crossed
-	// half full, try to drain now without ever blocking the hit.
-	var sp obs.SpanID
-	if rt != nil {
-		sp = rt.BeginSpan(obs.PhaseTouchEnqueue)
-	}
-	crossed := buf.record(e, at)
-	if rt != nil {
-		rt.EndSpan(sp)
-	}
-	if crossed && s.mu.TryLock() {
-		s.drainTouchesLocked()
-		s.mu.Unlock()
-	}
-	return obj, true
-}
-
-// getSync is the drain-synchronous hit path: the pre-buffer behavior,
-// preserved exactly for deterministic replays.
-func (s *Store) getSync(url string) (*Object, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gets.Add(1)
-	e, ok := s.entries[url]
-	if !ok {
-		if s.hooks.OnMiss != nil {
-			s.hooks.OnMiss(0, s.now().Unix())
-		}
 		return nil, false
 	}
 	e.ATime = s.now().Unix()
 	e.NRef++
 	s.pol.Touch(e)
-	s.hits.Add(1)
+	s.stats.Hits++
 	if s.hooks.OnHit != nil {
 		s.hooks.OnHit(e)
 	}
 	return s.objects[url], true
 }
+
+// GetTraced is Get: a hit's policy update happens inline, inside the
+// caller's store.get span, so there is no store-side phase to record.
+func (s *Store) GetTraced(url string, rt *obs.ReqTrace) (*Object, bool) { return s.Get(url) }
 
 // Peek reports whether url is cached, without updating recency,
 // frequency or statistics. ICP responders use it so sibling queries do
@@ -261,8 +175,6 @@ func (s *Store) Peek(url string) (*Object, bool) {
 // whole store are not cached; Put reports whether it stored the object.
 // Unless the miss path already did, Put formats the header values a hit
 // serves from obj's fields, so obj must not change once it has been put.
-// Pending buffered touches are drained first, so victim selection sees
-// the recency the hit path recorded.
 func (s *Store) Put(url string, obj *Object) bool { return s.put(url, obj, nil) }
 
 // PutTraced is Put with the request's span timeline attached: each
@@ -280,7 +192,6 @@ func (s *Store) put(url string, obj *Object, rt *obs.ReqTrace) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.drainTouchesLocked()
 	if size > s.capacity {
 		return false
 	}
@@ -374,52 +285,6 @@ func (s *Store) removeLocked(e *policy.Entry) {
 	s.stats.Docs--
 }
 
-// FlushTouches drains the touch buffer now, replaying every pending
-// recorded hit into the policy, and returns the number applied. A
-// no-op (0) in synchronous mode.
-func (s *Store) FlushTouches() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainTouchesLocked()
-}
-
-// drainTouchesLocked replays the buffered hits recorded up to now into
-// the policy in ticket order. Caller holds mu exclusively. Records
-// whose entry has been evicted, removed or replaced since the hit are
-// discarded as stale (pointer-identity check), so the policy never
-// sees a dead entry.
-func (s *Store) drainTouchesLocked() int {
-	b := s.buf.Load()
-	if b == nil {
-		return 0
-	}
-	head := b.head.Load()
-	tail := b.tail.Load()
-	if tail == head {
-		return 0
-	}
-	n := uint64(len(b.slots))
-	batch := s.drainScratch[:0]
-	for t := tail; t != head; t++ {
-		rec := b.slots[t%n].Swap(nil)
-		if rec == nil {
-			continue // dropped, or its writer is still publishing
-		}
-		if cur, ok := s.entries[rec.e.URL]; ok && cur == rec.e {
-			batch = append(batch, policy.TouchRecord{Entry: rec.e, ATime: rec.at})
-		} else {
-			s.touchStale++
-		}
-		rec.e = nil
-		touchRecPool.Put(rec)
-	}
-	b.tail.Store(head)
-	policy.ReplayTouches(s.pol, batch)
-	s.touchDrained += int64(len(batch))
-	s.drainScratch = batch[:0]
-	return len(batch)
-}
-
 // Len returns the number of cached objects.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -427,23 +292,13 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Stats returns a snapshot of store counters. In synchronous mode the
-// snapshot is exact (Gets/Hits are incremented under the lock Stats
-// holds shared); in buffered mode the hit path increments them outside
-// the lock, so the snapshot is monotonic but may be mid-update by up
-// to the handful of Gets in flight.
+// Stats returns an exact snapshot of store counters: every counter is
+// written under the write lock, and Stats holds the lock shared.
 func (s *Store) Stats() StoreStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
-	st.Gets = s.gets.Load()
-	st.Hits = s.hits.Load()
 	st.Capacity = s.capacity
-	st.TouchDrained = s.touchDrained
-	st.TouchStale = s.touchStale
-	if b := s.buf.Load(); b != nil {
-		st.TouchDropped = b.dropped.Load()
-	}
 	return st
 }
 

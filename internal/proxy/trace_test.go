@@ -30,39 +30,6 @@ func hasPhase(phases []string, name string) bool {
 	return false
 }
 
-// TestStoreGetTracedTouchSpan pins that the buffered hit path's lossy
-// ring enqueue is visible as a touch.enqueue span, and that the
-// synchronous hit path records none (there is no enqueue to time).
-func TestStoreGetTracedTouchSpan(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerOptions{})
-	s := NewStore(1000, nil)
-	s.Put("http://a/x", &Object{Body: []byte("hello")})
-
-	rt := tr.Begin()
-	if _, ok := s.GetTraced("http://a/x", rt); !ok {
-		t.Fatal("traced Get missed")
-	}
-	if phases := spanPhases(rt); hasPhase(phases, "touch.enqueue") {
-		t.Fatalf("synchronous hit path recorded an enqueue span: %v", phases)
-	}
-	tr.End(rt)
-
-	s.SetTouchBuffer(8)
-	rt = tr.Begin()
-	if _, ok := s.GetTraced("http://a/x", rt); !ok {
-		t.Fatal("buffered traced Get missed")
-	}
-	if phases := spanPhases(rt); !hasPhase(phases, "touch.enqueue") {
-		t.Fatalf("buffered hit path recorded no enqueue span: %v", phases)
-	}
-	tr.End(rt)
-
-	// The untraced contract: GetTraced with a nil trace is exactly Get.
-	if _, ok := s.GetTraced("http://a/x", nil); !ok {
-		t.Fatal("nil-trace GetTraced missed")
-	}
-}
-
 // TestStorePutTracedEvictionSpans pins the admission chain: each victim
 // removal is one evict span annotated with the victim's size, and the
 // trace's eviction counter matches.
