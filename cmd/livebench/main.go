@@ -275,7 +275,9 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	}
 	srv.FreshFor = 100 * 365 * 24 * time.Hour // never revalidate
 	srv.MaxObjectBytes = 64 << 20
-	srv.Transport = origin.RewriteTransport(originTS.Listener.Addr().String())
+	upstream := origin.RewriteTransport(originTS.Listener.Addr().String())
+	defer upstream.CloseIdleConnections()
+	srv.Transport = upstream
 	// A miss is stored after its body reaches the client, and the store
 	// reads simNow; the next request may move the clock only once the
 	// handler has returned.

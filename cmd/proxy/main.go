@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"webcache/internal/obs"
+	"webcache/internal/origin"
 	"webcache/internal/policy"
 	"webcache/internal/proxy"
 )
@@ -88,7 +89,7 @@ type app struct {
 	store  *proxy.Store
 	srv    *proxy.Server
 	logger *proxy.AccessLogger // nil unless -accesslog or -admin
-	mux    *http.ServeMux      // traffic listener handler
+	mux    http.Handler        // traffic listener handler
 
 	reg    *obs.Registry      // nil unless admin
 	ring   *obs.EventRing     // nil unless admin
@@ -123,7 +124,7 @@ func buildApp(o options) (*app, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad parent URL: %w", err)
 		}
-		a.srv.Transport = proxy.UpstreamTransport(pu)
+		a.srv.Transport = origin.NewClient(pu)
 		log.Printf("chaining to parent proxy %s", pu)
 	}
 
@@ -242,16 +243,25 @@ func buildApp(o options) (*app, error) {
 		})
 	}
 
-	a.mux = http.NewServeMux()
-	a.mux.HandleFunc("/._webcache/stats", func(w http.ResponseWriter, r *http.Request) {
+	// Only the origin-form request line "GET /._webcache/stats" reaches
+	// the stats page. Everything else goes to the proxy as it came: no
+	// path cleaning or redirects, which would rewrite the URL a client
+	// asked an origin for.
+	a.mux = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.RequestURI != statsPath {
+			root.ServeHTTP(w, r)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(a.snapshot())
 	})
-	a.mux.Handle("/", root)
 	return a, nil
 }
+
+// statsPath is where the traffic listener serves the stats document.
+const statsPath = "/._webcache/stats"
 
 // snapshot is the serving-stats document: the /._webcache/stats body
 // and the admin /events SSE frame.
@@ -297,6 +307,9 @@ func (a *app) Close() {
 	}
 	if a.responder != nil {
 		a.responder.Close()
+	}
+	if a.srv != nil {
+		a.srv.CloseIdleConnections()
 	}
 	if a.logger != nil {
 		a.logger.Flush()

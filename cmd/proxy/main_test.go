@@ -306,6 +306,50 @@ func TestParentTransportKeepsIdleConnections(t *testing.T) {
 	}
 }
 
+// TestTrafficForwardsRequestTargetsUnchanged sends request lines that a
+// path-cleaning mux would redirect or answer itself: every one reaches
+// the upstream (here the parent) with its exact URL, and only the
+// origin-form GET /._webcache/stats gets the proxy's own stats.
+func TestTrafficForwardsRequestTargetsUnchanged(t *testing.T) {
+	parent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "parent saw %s", r.RequestURI)
+	}))
+	defer parent.Close()
+	a, err := buildApp(options{capacity: 1 << 20, polSpec: "SIZE", freshFor: time.Minute, parent: parent.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	traffic := httptest.NewServer(a.mux)
+	defer traffic.Close()
+
+	for _, target := range []string{
+		"http://example.com/a//b",
+		"http://example.com/a/../b",
+		"http://example.com/x/./y",
+		"http://example.com/._webcache/stats",
+	} {
+		c, err := net.Dial("tcp", traffic.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: example.com\r\nConnection: close\r\n\r\n", target)
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		c.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || string(body) != "parent saw "+target {
+			t.Errorf("%s: status %d, body %q, err %v; want 200 from the parent with the exact URL", target, resp.StatusCode, body, err)
+		}
+	}
+	body, status := adminGet(t, traffic.URL+"/._webcache/stats")
+	if status != http.StatusOK || !strings.Contains(body, `"proxy"`) {
+		t.Errorf("origin-form stats: status %d, body %.80q", status, body)
+	}
+}
+
 // TestShadowApp wires the app with a shadow fleet and the admin
 // surface, pushes traffic through it, and checks the fleet end to end:
 // every successful GET reaches the ghost caches, /shadow answers in

@@ -7,10 +7,8 @@
 package origin
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -121,20 +119,6 @@ func (p *patternReader) Read(buf []byte) (int, error) {
 	p.pos += n
 	p.remaining -= n
 	return int(n), nil
-}
-
-// RewriteTransport dials every outbound connection to a fixed address,
-// so URLs with synthetic hosts (http://s5.world.example/...) resolve to
-// the local origin server. The Host header still carries the synthetic
-// name, which the origin uses to reconstruct the full URL.
-func RewriteTransport(originAddr string) http.RoundTripper {
-	return &http.Transport{
-		DialContext: func(ctx context.Context, network, _ string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, network, originAddr)
-		},
-		MaxIdleConnsPerHost: 16,
-	}
 }
 
 func contentTypeFor(t trace.DocType) string {

@@ -54,6 +54,9 @@ func TestServeBodySize(t *testing.T) {
 	if body[0] != 'a' || body[25] != 'z' || body[26] != 'a' {
 		t.Fatalf("unexpected pattern start: %q", body[:30])
 	}
+	// The handler counts the fetch after its last byte is on the wire,
+	// so the client can have the whole body first; Close waits for it.
+	ts.Close()
 	n, by := s.Fetches()
 	if n != 1 || by != 1000 {
 		t.Fatalf("fetches %d/%d", n, by)

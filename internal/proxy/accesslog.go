@@ -135,6 +135,18 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// ReadFrom hands src to the wrapped writer through io.Copy, which uses
+// that writer's own ReadFrom when it has one, so a relayed body keeps
+// net/http's socket-to-socket path under the logger.
+func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
+	if r.status == 0 {
+		r.status = http.StatusOK
+	}
+	n, err := io.Copy(r.ResponseWriter, src)
+	r.bytes += n
+	return n, err
+}
+
 // ServeHTTP implements http.Handler.
 func (l *AccessLogger) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	seq := l.seen.Add(1)

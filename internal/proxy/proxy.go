@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,11 +44,12 @@ type Server struct {
 	FreshFor time.Duration
 	// MaxObjectBytes bounds what the proxy will cache, and with it the
 	// memory one miss can hold. A larger body is relayed to the client
-	// whole through a fixed copy buffer and not kept.
+	// whole and not kept: socket to socket when the upstream client's
+	// body can write itself, else through a fixed copy buffer.
 	MaxObjectBytes int64
-	// Transport performs origin fetches; configure http.Transport with
-	// Proxy to chain to a parent cache. Defaults to
-	// http.DefaultTransport.
+	// Transport performs origin fetches; origin.NewClient with a parent
+	// URL chains to a parent cache. Nil fetches straight from each
+	// origin through the server's own origin.Client.
 	Transport http.RoundTripper
 	// Siblings are cooperating caches queried over ICP before a
 	// cacheable miss goes to the origin (the Harvest arrangement of the
@@ -74,7 +77,9 @@ type Server struct {
 	// once here so the serving path never repeats the assertion.
 	traced TracedStore
 
-	// siblingTransports maps a sibling's proxy URL to its transport.
+	// direct is the upstream client a nil Transport stands for.
+	direct *origin.Client
+	// siblingTransports maps a sibling's proxy URL to its client.
 	siblingTransports sync.Map
 
 	stats struct {
@@ -91,6 +96,7 @@ func New(store ObjectStore) *Server {
 		store:          store,
 		FreshFor:       5 * time.Minute,
 		MaxObjectBytes: 8 << 20,
+		direct:         origin.NewClient(nil),
 	}
 	if ts, ok := store.(TracedStore); ok {
 		s.traced = ts
@@ -120,35 +126,36 @@ func (s *Server) transport() http.RoundTripper {
 	if s.Transport != nil {
 		return s.Transport
 	}
-	return http.DefaultTransport
+	return s.direct
 }
 
-// UpstreamTransport returns a transport that sends every request through
-// the cache at proxyURL — a parent or a sibling. All of its connections
-// go to that one host, so the idle pool is sized for a proxy's
-// concurrent misses instead of net/http's default of two, past which
-// every further miss would dial anew.
-func UpstreamTransport(proxyURL *url.URL) *http.Transport {
-	return &http.Transport{
-		Proxy:               http.ProxyURL(proxyURL),
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     90 * time.Second,
+// CloseIdleConnections closes the idle upstream connections of the
+// direct client, of every sibling's client and of Transport, when it
+// has such a method.
+func (s *Server) CloseIdleConnections() {
+	s.direct.CloseIdleConnections()
+	s.siblingTransports.Range(func(_, c any) bool {
+		c.(*origin.Client).CloseIdleConnections()
+		return true
+	})
+	if c, ok := s.Transport.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
 	}
 }
 
-// siblingTransport returns the transport for fetches through the sibling
+// siblingTransport returns the client for fetches through the sibling
 // whose HTTP listener is proxyURL, built on first use and then reused so
 // sibling fetches keep their connections; nil when the URL does not parse.
 func (s *Server) siblingTransport(proxyURL string) http.RoundTripper {
-	if tr, ok := s.siblingTransports.Load(proxyURL); ok {
-		return tr.(http.RoundTripper)
+	if c, ok := s.siblingTransports.Load(proxyURL); ok {
+		return c.(*origin.Client)
 	}
 	u, err := url.Parse(proxyURL)
 	if err != nil {
 		return nil
 	}
-	tr, _ := s.siblingTransports.LoadOrStore(proxyURL, UpstreamTransport(u))
-	return tr.(http.RoundTripper)
+	c, _ := s.siblingTransports.LoadOrStore(proxyURL, origin.NewClient(u))
+	return c.(*origin.Client)
 }
 
 // Cacheable reports whether a request/URL is cacheable under the
@@ -256,7 +263,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		reval := rt.BeginSpan(obs.PhaseRevalidate)
-		ok := s.revalidate(key, obj, target)
+		ok := s.revalidate(r.Context(), key, obj, target)
 		rt.EndSpan(reval)
 		if ok {
 			s.serveObject(w, obj, xCacheRevalidated, rt)
@@ -280,11 +287,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // revalidate sends a conditional GET; true means the cached copy is
 // still current (the origin answered 304).
-func (s *Server) revalidate(key string, obj *Object, target *url.URL) bool {
+func (s *Server) revalidate(ctx context.Context, key string, obj *Object, target *url.URL) bool {
 	if obj.LastModified.IsZero() {
 		return false
 	}
-	req, err := http.NewRequest(http.MethodGet, target.String(), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target.String(), nil)
 	if err != nil {
 		return false
 	}
@@ -312,16 +319,17 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	if m := s.Metrics; m != nil {
 		m.Misses.Inc()
 	}
-	req, err := http.NewRequest(http.MethodGet, target.String(), nil)
+	// The fetch lives on the client's context: a client that goes away
+	// cancels it, and its connection to the origin is closed.
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target.String(), nil)
 	if err != nil {
 		s.countError(w, rt, fmt.Sprintf("proxy: building origin request: %v", err))
 		return
 	}
 	copyEndToEnd(req.Header, r.Header)
 	// The stored body must be identity, since it is served to every later
-	// client whatever it accepts. Left alone, the transport asks for gzip
-	// itself and decodes the answer; a forwarded Accept-Encoding would
-	// make the body this client's encoding instead.
+	// client whatever it accepts; a forwarded Accept-Encoding would make
+	// the body this client's encoding instead.
 	req.Header.Del("Accept-Encoding")
 	// A sampled miss watches the transport's own lifecycle callbacks:
 	// origin.dial and origin.ttfb spans come from httptrace, so the
@@ -342,6 +350,10 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	}
 	resp, err := tr.RoundTrip(req)
 	if err != nil {
+		if r.Context().Err() != nil {
+			rt.SetOutcome("ERROR", http.StatusBadGateway, 0) // the client left: no one to answer
+			return
+		}
 		s.countError(w, rt, fmt.Sprintf("proxy: origin fetch failed: %v", err))
 		return
 	}
@@ -351,8 +363,8 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	}
 
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
-		// Serve non-200 responses uncached, and so a body the transport
-		// left encoded: the cache keeps identity bodies only.
+		// Serve non-200 responses uncached, and so an encoded body: the
+		// cache keeps identity bodies only.
 		n := s.relay(w, resp)
 		rt.SetOutcome("MISS", resp.StatusCode, n)
 		return
@@ -370,7 +382,11 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	var rerr, werr error
 	switch {
 	case !fits:
-		_, sent, rerr, werr = relayBody(w, resp.Body, -1)
+		if wt, ok := resp.Body.(io.WriterTo); ok {
+			sent, rerr, werr = writeBody(w, wt)
+		} else {
+			_, sent, rerr, werr = relayBody(w, resp.Body, -1)
+		}
 	case length < 0:
 		body, sent, rerr, werr = relayBody(w, resp.Body, s.MaxObjectBytes)
 	default:
@@ -386,8 +402,10 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *u
 	}
 	if rerr != nil || werr != nil {
 		// Too late for a 502: drop the connection, so the client reads a
-		// cut transfer and not a complete document. Nothing is cached.
-		if rerr != nil {
+		// cut transfer and not a complete document. Nothing is cached. A
+		// client that left cancelled the fetch, which is not the origin's
+		// failure.
+		if rerr != nil && r.Context().Err() == nil {
 			s.noteError(rt)
 		}
 		rt.SetOutcome("ERROR", http.StatusOK, sent)
@@ -431,6 +449,19 @@ func teeBody(w io.Writer, src io.Reader, body []byte) (sent int64, rerr, werr er
 		}
 	}
 	return sent, nil, nil
+}
+
+// writeBody relays a body through its own WriteTo, which for an
+// origin.Client body of declared length moves the bytes socket to socket
+// when w is net/http's response on a TCP connection. An
+// *origin.BodyError is the origin's failure; any other error is w's.
+func writeBody(w io.Writer, src io.WriterTo) (sent int64, rerr, werr error) {
+	sent, err := src.WriteTo(w)
+	var be *origin.BodyError
+	if errors.As(err, &be) {
+		return sent, err, nil
+	}
+	return sent, nil, err
 }
 
 // relayBufPool holds the copy buffers of relayBody, so a miss that is
@@ -564,7 +595,7 @@ func (s *Server) relay(w http.ResponseWriter, resp *http.Response) int64 {
 
 // passThrough forwards an uncacheable request verbatim.
 func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target *url.URL, rt *obs.ReqTrace) {
-	req, err := http.NewRequest(r.Method, target.String(), r.Body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), r.Body)
 	if err != nil {
 		s.countError(w, rt, fmt.Sprintf("proxy: building pass-through request: %v", err))
 		return

@@ -328,6 +328,89 @@ func TestMissOriginBodyOverrun(t *testing.T) {
 	}
 }
 
+// TestMissClientDisconnectCancelsFetch has the origin stall after its
+// head and 64 KiB of body, and the client hang up: the fetch is
+// cancelled, on the route that keeps the body and on the one that
+// relays it. The handler returns within a second, the origin sees its
+// connection closed rather than pooled, no error is counted, and no
+// goroutine is left behind.
+func TestMissClientDisconnectCancelsFetch(t *testing.T) {
+	const size, sent = 256 << 10, 64 << 10
+	for _, tc := range []struct {
+		name      string
+		maxObject int64
+	}{{"kept", 8 << 20}, {"relayed", 128 << 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			originClosed := make(chan struct{})
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				br := bufio.NewReader(c)
+				if _, err := http.ReadRequest(br); err != nil {
+					return
+				}
+				fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", size)
+				c.Write(pattern(sent))
+				io.Copy(io.Discard, br) // stall until the proxy closes the connection
+				close(originClosed)
+			}()
+			defer ln.Close()
+
+			srv := New(NewStore(1<<20, nil))
+			srv.MaxObjectBytes = tc.maxObject
+			returned := make(chan struct{})
+			pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				defer close(returned)
+				srv.ServeHTTP(w, r)
+			}))
+			defer pts.Close()
+
+			c, err := net.Dial("tcp", pts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := "http://" + ln.Addr().String() + "/doc.bin"
+			fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: %s\r\n\r\n", target, ln.Addr())
+			resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(resp.Body, make([]byte, 1)); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+
+			for what, ch := range map[string]chan struct{}{"the handler returned": returned, "the origin connection closed": originClosed} {
+				select {
+				case <-ch:
+				case <-time.After(time.Second):
+					t.Fatalf("%s more than a second after the client hung up", what)
+				}
+			}
+			if st := srv.Stats(); st.Errors != 0 {
+				t.Errorf("stats %+v, want no error for a client that left", st)
+			}
+			pts.Close()
+			ln.Close()
+			srv.CloseIdleConnections()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("goroutines: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
+	}
+}
+
 // TestAdmitsAgreesWithPut is the property the miss path rests on: for
 // sizes around the quota, Admits answers what Put then does — on the
 // single store, on a sharded store, and after a rebalance moved quota
