@@ -100,13 +100,15 @@ bench-ab:
 	$(GO) run ./internal/tools/benchab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Short fuzzing runs of the policy oracles (the structural backends
-# against the heap, and the heap against a sorted slice) and of the
-# proxy's upstream client against the standard library's framing.
+# against the heap, and the heap against a sorted slice), of the
+# proxy's upstream client against the standard library's framing, and
+# of its downstream connection loop against net/http.Server.
 FUZZ_TIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzStructuralVsHeap$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzEntryHeap$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/origin -run '^$$' -fuzz '^FuzzUpstreamResponse$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/proxy -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZ_TIME)
 
 # Full-scale paper-vs-measured numbers (the EXPERIMENTS.md data).
 report:

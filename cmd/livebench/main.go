@@ -25,9 +25,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -282,16 +284,18 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	// reads simNow; the next request may move the clock only once the
 	// handler has returned.
 	handled := make(chan struct{}, 1)
-	proxyTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() { handled <- struct{}{} }()
-		srv.ServeHTTP(w, r)
-	}))
-	defer proxyTS.Close()
-
-	proxyURL, err := url.Parse(proxyTS.URL)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
+	traffic := proxy.NewConnServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() { handled <- struct{}{} }()
+		srv.ServeHTTP(w, r)
+	}))
+	go traffic.Serve(ln)
+	defer traffic.Shutdown(context.Background())
+
+	proxyURL := &url.URL{Scheme: "http", Host: ln.Addr().String()}
 	client := &http.Client{Transport: &http.Transport{
 		Proxy:               http.ProxyURL(proxyURL),
 		MaxIdleConnsPerHost: 16,

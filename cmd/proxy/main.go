@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -388,9 +389,14 @@ func main() {
 	// stop accepting traffic, drain in-flight requests, and only then
 	// Close the app (shadow fleet → admin → ICP → log) so nothing is
 	// torn down while requests might still touch it.
-	traffic := &http.Server{Addr: *listen, Handler: a.mux}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		a.Close()
+		log.Fatal(err)
+	}
+	traffic := proxy.NewConnServer(a.mux)
 	errc := make(chan error, 1)
-	go func() { errc <- traffic.ListenAndServe() }()
+	go func() { errc <- traffic.Serve(ln) }()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"slices"
 	"strings"
@@ -20,6 +22,7 @@ import (
 	"webcache/internal/obs"
 	"webcache/internal/origin"
 	"webcache/internal/policy"
+	"webcache/internal/proxy"
 	"webcache/internal/sim"
 	"webcache/internal/workload"
 )
@@ -68,7 +71,7 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	defer a.Close()
 
-	traffic := httptest.NewServer(a.mux)
+	traffic := serveTraffic(t, a.mux)
 	defer traffic.Close()
 	adminAddr, err := a.admin.Start("127.0.0.1:0")
 	if err != nil {
@@ -270,7 +273,7 @@ func TestParentTransportKeepsIdleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	traffic := httptest.NewServer(a.mux)
+	traffic := serveTraffic(t, a.mux)
 	defer traffic.Close()
 
 	for round := 0; round < 2; round++ {
@@ -320,7 +323,7 @@ func TestTrafficForwardsRequestTargetsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	traffic := httptest.NewServer(a.mux)
+	traffic := serveTraffic(t, a.mux)
 	defer traffic.Close()
 
 	for _, target := range []string{
@@ -378,7 +381,7 @@ func TestShadowApp(t *testing.T) {
 		t.Fatal("-shadow did not attach a fleet to the proxy server")
 	}
 
-	traffic := httptest.NewServer(a.mux)
+	traffic := serveTraffic(t, a.mux)
 	defer traffic.Close()
 	adminAddr, err := a.admin.Start("127.0.0.1:0")
 	if err != nil {
@@ -506,7 +509,7 @@ func TestTracedApp(t *testing.T) {
 		t.Fatal("-trace-sample did not attach a tracer to the proxy server")
 	}
 
-	traffic := httptest.NewServer(a.mux)
+	traffic := serveTraffic(t, a.mux)
 	defer traffic.Close()
 	adminAddr, err := a.admin.Start("127.0.0.1:0")
 	if err != nil {
@@ -660,7 +663,7 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 		t.Fatal("expected fleet and admin server both live")
 	}
 
-	traffic := httptest.NewServer(a.mux)
+	traffic := serveTraffic(t, a.mux)
 	adminAddr, err := a.admin.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -768,17 +771,36 @@ func TestDefaultAppMatchesSimulator(t *testing.T) {
 	var now int64
 	a.store.SetClock(func() time.Time { return time.Unix(now, 0) })
 
+	// Served as main serves it; the store reads now, so the next request
+	// may move the clock only once the handler has returned.
+	handled := make(chan struct{}, 1)
+	traffic := serveTraffic(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() { handled <- struct{}{} }()
+		a.mux.ServeHTTP(w, r)
+	}))
+	trafficURL, err := url.Parse(traffic.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{Proxy: http.ProxyURL(trafficURL)}}
+	defer client.CloseIdleConnections()
+
 	var hits int
 	for i := range tr.Requests {
 		req := &tr.Requests[i]
 		now = req.Time
 		simHit := simCache.Access(req)
-		w := httptest.NewRecorder()
-		a.mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, req.URL, nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("request %d (%s): status %d", i, req.URL, w.Code)
+		resp, err := client.Get(req.URL)
+		if err != nil {
+			t.Fatalf("request %d (%s): %v", i, req.URL, err)
 		}
-		if liveHit := w.Header().Get("X-Cache") == "HIT"; liveHit != simHit {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		<-handled
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d (%s): status %d", i, req.URL, resp.StatusCode)
+		}
+		if liveHit := resp.Header.Get("X-Cache") == "HIT"; liveHit != simHit {
 			t.Fatalf("request %d (%s, %d bytes): proxy hit=%v, simulator hit=%v after %d agreeing requests",
 				i, req.URL, req.Size, liveHit, simHit, i)
 		}
@@ -794,6 +816,36 @@ func TestDefaultAppMatchesSimulator(t *testing.T) {
 		t.Errorf("proxy evicted %d documents, simulator %d", evictions, simEv)
 	}
 	t.Logf("%d requests, %d hits, %d evictions, all agreeing", len(tr.Requests), hits, evictions)
+}
+
+// trafficServer serves a handler on a loopback port through
+// proxy.ConnServer, as main serves the traffic listener.
+type trafficServer struct {
+	URL      string
+	Listener net.Listener
+	srv      *proxy.ConnServer
+	served   chan error
+	once     sync.Once
+}
+
+func serveTraffic(t *testing.T, h http.Handler) *trafficServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &trafficServer{URL: "http://" + ln.Addr().String(), Listener: ln, srv: proxy.NewConnServer(h), served: make(chan error, 1)}
+	go func() { ts.served <- ts.srv.Serve(ln) }()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// Close stops the server and waits for every handler to return.
+func (ts *trafficServer) Close() {
+	ts.once.Do(func() {
+		ts.srv.Shutdown(context.Background())
+		<-ts.served
+	})
 }
 
 func adminGet(t *testing.T, url string) (string, int) {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,13 +144,11 @@ func proxyGet(t *testing.T, proxyURL, target string, hdr http.Header) (*http.Res
 	return resp, string(body)
 }
 
-func newProxyServer(t *testing.T, freshFor time.Duration) (*Server, *httptest.Server) {
+func newProxyServer(t *testing.T, freshFor time.Duration) (*Server, *testServer) {
 	t.Helper()
 	srv := New(NewStore(1<<20, nil))
 	srv.FreshFor = freshFor
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return srv, newConnTestServer(t, srv)
 }
 
 func TestProxyHitMiss(t *testing.T) {
@@ -199,6 +198,39 @@ func TestProxyRevalidation(t *testing.T) {
 	// The origin served the 304 cheaply but was contacted twice total.
 	if origin.hits.Load() != 2 {
 		t.Fatalf("origin hits %d", origin.hits.Load())
+	}
+}
+
+// TestConcurrentRevalidations has two clients revalidate one stale URL
+// at once against an origin that answers 304: each hit reads the
+// object's StoredAt while the other's Refresh re-stamps it, which the
+// race detector reports unless Refresh leaves a served object as it is.
+func TestConcurrentRevalidations(t *testing.T) {
+	origin := &originServer{body: "stable content", lastMod: time.Now().Add(-time.Hour)}
+	ots := httptest.NewServer(origin.handler())
+	defer ots.Close()
+	srv, pts := newProxyServer(t, 0) // everything is stale immediately
+	target := ots.URL + "/doc.html"
+	proxyGet(t, pts.URL, target, nil)
+
+	client := proxyClient(t, pts.URL)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				resp, body, err := fetch(client, target, nil)
+				if err != nil || resp.Header.Get("X-Cache") != "REVALIDATED" || string(body) != origin.body {
+					t.Errorf("revalidated fetch: %v, %q", err, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.Revalidated != 100 {
+		t.Errorf("stats %+v, want 100 revalidations", st)
 	}
 }
 

@@ -259,12 +259,15 @@ func (s *Store) put(url string, obj *Object, rt *obs.ReqTrace) bool {
 func (s *Store) Admits(url string, size int64) bool { return size <= s.Quota() }
 
 // Refresh updates the stored-at time of url's object after a successful
-// revalidation (304 from the origin).
+// revalidation (304 from the origin). It installs a copy: a reader may
+// still hold the object Get returned, which never changes.
 func (s *Store) Refresh(url string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if obj, ok := s.objects[url]; ok {
-		obj.StoredAt = s.now()
+		fresh := *obj
+		fresh.StoredAt = s.now()
+		s.objects[url] = &fresh
 	}
 }
 

@@ -130,76 +130,78 @@ func TestMissStreamsByteExact(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			origin, fetches := sizedOrigin(t)
-			store := tc.store()
-			srv := New(store)
-			if tc.maxObject > 0 {
-				srv.MaxObjectBytes = tc.maxObject
-			}
-			var logged bytes.Buffer
-			logger := NewAccessLogger(srv, &logged)
-			pts := httptest.NewServer(logger)
-			defer pts.Close()
-			client := proxyClient(t, pts.URL)
-			target := fmt.Sprintf("%s/%s/%d", origin.URL, tc.path, tc.size)
-			want := pattern(tc.size)
+			forEachServer(t, func(t *testing.T, serve serveFunc) {
+				origin, fetches := sizedOrigin(t)
+				store := tc.store()
+				srv := New(store)
+				if tc.maxObject > 0 {
+					srv.MaxObjectBytes = tc.maxObject
+				}
+				var logged bytes.Buffer
+				logger := NewAccessLogger(srv, &logged)
+				pts := serve(t, logger)
+				defer pts.Close()
+				client := proxyClient(t, pts.URL)
+				target := fmt.Sprintf("%s/%s/%d", origin.URL, tc.path, tc.size)
+				want := pattern(tc.size)
 
-			second := "MISS"
-			if tc.cached {
-				second = "HIT"
-			}
-			for i, verdict := range []string{"MISS", second} {
-				resp, body, err := fetch(client, target, nil)
-				if err != nil {
-					t.Fatalf("request %d: %v", i, err)
+				second := "MISS"
+				if tc.cached {
+					second = "HIT"
 				}
-				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != verdict {
-					t.Fatalf("request %d: status %d, X-Cache %q, want 200 %s", i, resp.StatusCode, resp.Header.Get("X-Cache"), verdict)
-				}
-				if !bytes.Equal(body, want) {
-					t.Fatalf("request %d: %d body bytes differ from the origin's %d", i, len(body), len(want))
-				}
-				if tc.path == "doc" || verdict == "HIT" {
-					if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(tc.size) {
-						t.Fatalf("request %d: Content-Length %q, want %d", i, cl, tc.size)
+				for i, verdict := range []string{"MISS", second} {
+					resp, body, err := fetch(client, target, nil)
+					if err != nil {
+						t.Fatalf("request %d: %v", i, err)
+					}
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != verdict {
+						t.Fatalf("request %d: status %d, X-Cache %q, want 200 %s", i, resp.StatusCode, resp.Header.Get("X-Cache"), verdict)
+					}
+					if !bytes.Equal(body, want) {
+						t.Fatalf("request %d: %d body bytes differ from the origin's %d", i, len(body), len(want))
+					}
+					if tc.path == "doc" || verdict == "HIT" {
+						if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(tc.size) {
+							t.Fatalf("request %d: Content-Length %q, want %d", i, cl, tc.size)
+						}
+					}
+					if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+						t.Fatalf("request %d: Content-Type %q", i, ct)
+					}
+					if resp.Header.Get("Last-Modified") == "" {
+						t.Fatalf("request %d: no Last-Modified", i)
 					}
 				}
-				if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-					t.Fatalf("request %d: Content-Type %q", i, ct)
+				// The client has the last byte before the handler has done
+				// its accounting; Close waits for the handlers.
+				pts.Close()
+				wantFetches, wantDocs := int64(1), 1
+				if !tc.cached {
+					wantFetches, wantDocs = 2, 0
 				}
-				if resp.Header.Get("Last-Modified") == "" {
-					t.Fatalf("request %d: no Last-Modified", i)
+				if got := fetches.Load(); got != wantFetches {
+					t.Errorf("origin fetched %d times, want %d", got, wantFetches)
 				}
-			}
-			// The client has the last byte before the handler has done
-			// its accounting; Close waits for the handlers.
-			pts.Close()
-			wantFetches, wantDocs := int64(1), 1
-			if !tc.cached {
-				wantFetches, wantDocs = 2, 0
-			}
-			if got := fetches.Load(); got != wantFetches {
-				t.Errorf("origin fetched %d times, want %d", got, wantFetches)
-			}
-			if got := store.Len(); got != wantDocs {
-				t.Errorf("store holds %d objects, want %d", got, wantDocs)
-			}
-			if st := srv.Stats(); st.BytesServed != 2*tc.size || st.Errors != 0 {
-				t.Errorf("stats %+v, want %d bytes served and no errors", st, 2*tc.size)
-			}
-			if err := logger.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
-			if len(lines) != 2 {
-				t.Fatalf("%d access-log lines, want 2:\n%s", len(lines), logged.String())
-			}
-			for _, line := range lines {
-				f := strings.Fields(line)
-				if f[len(f)-1] != fmt.Sprint(tc.size) || f[len(f)-2] != "200" {
-					t.Errorf("access log %q, want status 200 and %d bytes", line, tc.size)
+				if got := store.Len(); got != wantDocs {
+					t.Errorf("store holds %d objects, want %d", got, wantDocs)
 				}
-			}
+				if st := srv.Stats(); st.BytesServed != 2*tc.size || st.Errors != 0 {
+					t.Errorf("stats %+v, want %d bytes served and no errors", st, 2*tc.size)
+				}
+				if err := logger.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+				if len(lines) != 2 {
+					t.Fatalf("%d access-log lines, want 2:\n%s", len(lines), logged.String())
+				}
+				for _, line := range lines {
+					f := strings.Fields(line)
+					if f[len(f)-1] != fmt.Sprint(tc.size) || f[len(f)-2] != "200" {
+						t.Errorf("access log %q, want status 200 and %d bytes", line, tc.size)
+					}
+				}
+			})
 		})
 	}
 }
@@ -241,53 +243,55 @@ func TestMissOriginFailsMidBody(t *testing.T) {
 	}
 	for _, declared := range []int{100, 200 << 10} { // inside and past net/http's write buffer
 		t.Run(fmt.Sprint(declared), func(t *testing.T) {
-			good := string(pattern(int64(declared)))
-			originURL, served := brokenOrigin(t, func(n int64) string {
-				if n == 1 {
-					return head(declared) + good[:declared/2]
+			forEachServer(t, func(t *testing.T, serve serveFunc) {
+				good := string(pattern(int64(declared)))
+				originURL, served := brokenOrigin(t, func(n int64) string {
+					if n == 1 {
+						return head(declared) + good[:declared/2]
+					}
+					return head(declared) + good
+				})
+				store := NewStore(1<<20, nil)
+				srv := New(store)
+				srv.Tracer = obs.NewTracer(obs.TracerOptions{})
+				pts := serve(t, srv)
+				defer pts.Close()
+				client := proxyClient(t, pts.URL)
+				target := originURL + "/doc.txt"
+				old := &Object{Body: []byte("the copy cached earlier"), StoredAt: time.Now()}
+				store.Put(target, old)
+
+				// Pragma: no-cache forces a fetch although a copy is cached.
+				_, body, err := fetch(client, target, http.Header{"Pragma": {"no-cache"}})
+				if err == nil {
+					t.Fatalf("client read a complete %d-byte document from an origin that sent half of %d", len(body), declared)
 				}
-				return head(declared) + good
+				if st := srv.Stats(); st.Errors != 1 {
+					t.Errorf("stats %+v, want one error", st)
+				}
+				if got, ok := store.Peek(target); !ok || got != old {
+					t.Errorf("the copy cached earlier did not survive the failed refetch (have %v, %v)", got, ok)
+				}
+				recs := srv.Tracer.Snapshot()
+				if len(recs) != 1 || !recs[0].Error || recs[0].Verdict != "ERROR" {
+					t.Errorf("trace records %+v, want one errored", recs)
+				}
+
+				store.Remove(target)
+				resp, body, err := fetch(client, target, nil)
+				if err != nil || resp.Header.Get("X-Cache") != "MISS" || string(body) != good {
+					t.Fatalf("refetch: X-Cache %q, %d bytes, err %v", resp.Header.Get("X-Cache"), len(body), err)
+				}
+				if served.Load() != 2 {
+					t.Errorf("origin served %d requests, want 2", served.Load())
+				}
+				// The handler stores the body after the client has its last
+				// byte; Close waits for the handler.
+				pts.Close()
+				if _, ok := store.Peek(target); !ok {
+					t.Error("the complete refetch was not cached")
+				}
 			})
-			store := NewStore(1<<20, nil)
-			srv := New(store)
-			srv.Tracer = obs.NewTracer(obs.TracerOptions{})
-			pts := httptest.NewServer(srv)
-			defer pts.Close()
-			client := proxyClient(t, pts.URL)
-			target := originURL + "/doc.txt"
-			old := &Object{Body: []byte("the copy cached earlier"), StoredAt: time.Now()}
-			store.Put(target, old)
-
-			// Pragma: no-cache forces a fetch although a copy is cached.
-			_, body, err := fetch(client, target, http.Header{"Pragma": {"no-cache"}})
-			if err == nil {
-				t.Fatalf("client read a complete %d-byte document from an origin that sent half of %d", len(body), declared)
-			}
-			if st := srv.Stats(); st.Errors != 1 {
-				t.Errorf("stats %+v, want one error", st)
-			}
-			if got, ok := store.Peek(target); !ok || got != old {
-				t.Errorf("the copy cached earlier did not survive the failed refetch (have %v, %v)", got, ok)
-			}
-			recs := srv.Tracer.Snapshot()
-			if len(recs) != 1 || !recs[0].Error || recs[0].Verdict != "ERROR" {
-				t.Errorf("trace records %+v, want one errored", recs)
-			}
-
-			store.Remove(target)
-			resp, body, err := fetch(client, target, nil)
-			if err != nil || resp.Header.Get("X-Cache") != "MISS" || string(body) != good {
-				t.Fatalf("refetch: X-Cache %q, %d bytes, err %v", resp.Header.Get("X-Cache"), len(body), err)
-			}
-			if served.Load() != 2 {
-				t.Errorf("origin served %d requests, want 2", served.Load())
-			}
-			// The handler stores the body after the client has its last
-			// byte; Close waits for the handler.
-			pts.Close()
-			if _, ok := store.Peek(target); !ok {
-				t.Error("the complete refetch was not cached")
-			}
 		})
 	}
 }
@@ -298,34 +302,36 @@ func TestMissOriginFailsMidBody(t *testing.T) {
 // drops the connection), so client and cache get exactly that much, and
 // the next fetch is not confused by the surplus.
 func TestMissOriginBodyOverrun(t *testing.T) {
-	const declared = 100
-	body := string(pattern(declared))
-	originURL, served := brokenOrigin(t, func(int64) string {
-		return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s and a surplus", declared, body)
+	forEachServer(t, func(t *testing.T, serve serveFunc) {
+		const declared = 100
+		body := string(pattern(declared))
+		originURL, served := brokenOrigin(t, func(int64) string {
+			return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s and a surplus", declared, body)
+		})
+		store := NewStore(1<<20, nil)
+		srv := New(store)
+		pts := serve(t, srv)
+		defer pts.Close()
+		client := proxyClient(t, pts.URL)
+		targets := []string{originURL + "/one.txt", originURL + "/two.txt"}
+		for i, target := range targets {
+			resp, got, err := fetch(client, target, nil)
+			if err != nil || resp.Header.Get("X-Cache") != "MISS" || string(got) != body {
+				t.Fatalf("fetch %d: X-Cache %q, %d bytes, err %v; want the %d declared bytes", i, resp.Header.Get("X-Cache"), len(got), err, declared)
+			}
+		}
+		// Each handler stores its body after the client has the last byte;
+		// Close waits for the handlers.
+		pts.Close()
+		for i, target := range targets {
+			if obj, ok := store.Peek(target); !ok || string(obj.Body) != body {
+				t.Fatalf("fetch %d: cached %v, want the declared bytes", i, obj)
+			}
+		}
+		if st := srv.Stats(); st.Errors != 0 || served.Load() != 2 {
+			t.Errorf("stats %+v, origin served %d; want no errors and 2", st, served.Load())
+		}
 	})
-	store := NewStore(1<<20, nil)
-	srv := New(store)
-	pts := httptest.NewServer(srv)
-	defer pts.Close()
-	client := proxyClient(t, pts.URL)
-	targets := []string{originURL + "/one.txt", originURL + "/two.txt"}
-	for i, target := range targets {
-		resp, got, err := fetch(client, target, nil)
-		if err != nil || resp.Header.Get("X-Cache") != "MISS" || string(got) != body {
-			t.Fatalf("fetch %d: X-Cache %q, %d bytes, err %v; want the %d declared bytes", i, resp.Header.Get("X-Cache"), len(got), err, declared)
-		}
-	}
-	// Each handler stores its body after the client has the last byte;
-	// Close waits for the handlers.
-	pts.Close()
-	for i, target := range targets {
-		if obj, ok := store.Peek(target); !ok || string(obj.Body) != body {
-			t.Fatalf("fetch %d: cached %v, want the declared bytes", i, obj)
-		}
-	}
-	if st := srv.Stats(); st.Errors != 0 || served.Load() != 2 {
-		t.Errorf("stats %+v, origin served %d; want no errors and 2", st, served.Load())
-	}
 }
 
 // TestMissClientDisconnectCancelsFetch has the origin stall after its
@@ -341,72 +347,74 @@ func TestMissClientDisconnectCancelsFetch(t *testing.T) {
 		maxObject int64
 	}{{"kept", 8 << 20}, {"relayed", 128 << 10}} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			originClosed := make(chan struct{})
-			go func() {
-				c, err := ln.Accept()
+			forEachServer(t, func(t *testing.T, serve serveFunc) {
+				before := runtime.NumGoroutine()
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
-					return
+					t.Fatal(err)
 				}
-				defer c.Close()
-				br := bufio.NewReader(c)
-				if _, err := http.ReadRequest(br); err != nil {
-					return
-				}
-				fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", size)
-				c.Write(pattern(sent))
-				io.Copy(io.Discard, br) // stall until the proxy closes the connection
-				close(originClosed)
-			}()
-			defer ln.Close()
+				originClosed := make(chan struct{})
+				go func() {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					defer c.Close()
+					br := bufio.NewReader(c)
+					if _, err := http.ReadRequest(br); err != nil {
+						return
+					}
+					fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", size)
+					c.Write(pattern(sent))
+					io.Copy(io.Discard, br) // stall until the proxy closes the connection
+					close(originClosed)
+				}()
+				defer ln.Close()
 
-			srv := New(NewStore(1<<20, nil))
-			srv.MaxObjectBytes = tc.maxObject
-			returned := make(chan struct{})
-			pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				defer close(returned)
-				srv.ServeHTTP(w, r)
-			}))
-			defer pts.Close()
+				srv := New(NewStore(1<<20, nil))
+				srv.MaxObjectBytes = tc.maxObject
+				returned := make(chan struct{})
+				pts := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					defer close(returned)
+					srv.ServeHTTP(w, r)
+				}))
+				defer pts.Close()
 
-			c, err := net.Dial("tcp", pts.Listener.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			target := "http://" + ln.Addr().String() + "/doc.bin"
-			fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: %s\r\n\r\n", target, ln.Addr())
-			resp, err := http.ReadResponse(bufio.NewReader(c), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := io.ReadFull(resp.Body, make([]byte, 1)); err != nil {
-				t.Fatal(err)
-			}
-			c.Close()
+				c, err := net.Dial("tcp", pts.Listener.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				target := "http://" + ln.Addr().String() + "/doc.bin"
+				fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: %s\r\n\r\n", target, ln.Addr())
+				resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(resp.Body, make([]byte, 1)); err != nil {
+					t.Fatal(err)
+				}
+				c.Close()
 
-			for what, ch := range map[string]chan struct{}{"the handler returned": returned, "the origin connection closed": originClosed} {
-				select {
-				case <-ch:
-				case <-time.After(time.Second):
-					t.Fatalf("%s more than a second after the client hung up", what)
+				for what, ch := range map[string]chan struct{}{"the handler returned": returned, "the origin connection closed": originClosed} {
+					select {
+					case <-ch:
+					case <-time.After(time.Second):
+						t.Fatalf("%s more than a second after the client hung up", what)
+					}
 				}
-			}
-			if st := srv.Stats(); st.Errors != 0 {
-				t.Errorf("stats %+v, want no error for a client that left", st)
-			}
-			pts.Close()
-			ln.Close()
-			srv.CloseIdleConnections()
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<20)
-					t.Fatalf("goroutines: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				if st := srv.Stats(); st.Errors != 0 {
+					t.Errorf("stats %+v, want no error for a client that left", st)
 				}
-			}
+				pts.Close()
+				ln.Close()
+				srv.CloseIdleConnections()
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<20)
+						t.Fatalf("goroutines: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+					}
+				}
+			})
 		})
 	}
 }
