@@ -50,10 +50,6 @@ type Event struct {
 	Age int64 `json:"age,omitempty"`
 	// NRef is set on hits and evictions: the entry's reference count.
 	NRef int64 `json:"nref,omitempty"`
-	// Shard tags events from a sharded store with their shard of
-	// origin, so a merged ring stays attributable; 0 for unsharded
-	// sources (and shard 0).
-	Shard int32 `json:"shard,omitempty"`
 }
 
 // EventRing is a bounded ring buffer of cache events. Recording is a

@@ -2,10 +2,10 @@ package obs
 
 // Request-lifecycle tracing. The proxy's histograms (metrics.go) can
 // say that p99 is high; this file is the artifact that says why: each
-// sampled request is recorded as a timeline of phases — parse, shard
-// route, store get (policy touch included), origin dial / TTFB / body
-// streaming, admission, the eviction chain a Put triggers — and a
-// tail-based reservoir keeps exactly the requests worth looking at:
+// sampled request is recorded as a timeline of phases — parse, store
+// get (policy touch included), origin dial / TTFB / body streaming,
+// admission, the eviction chain a Put triggers — and a tail-based
+// reservoir keeps exactly the requests worth looking at:
 // the K slowest per window plus every one that errored, missed, or
 // evicted something. The kept set is an admin endpoint (/requests) and
 // exports through the same Chrome trace-event path as the event ring,
@@ -35,7 +35,6 @@ type Phase uint8
 
 const (
 	PhaseParse      Phase = iota // request line/URL normalization
-	PhaseRoute                   // shard selection (sharded store only)
 	PhaseStoreGet                // store lookup incl. policy touch
 	PhaseDial                    // origin TCP connect
 	PhaseTTFB                    // origin request written → first response byte
@@ -48,7 +47,7 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	"parse", "route", "store.get",
+	"parse", "store.get",
 	"origin.dial", "origin.ttfb", "origin.body",
 	"admit", "evict", "revalidate", "serve",
 }
@@ -80,7 +79,7 @@ type SpanRec struct {
 	Phase Phase
 	Start int64 // ns since request start
 	Dur   int64 // ns; 0 while open
-	Arg   int64 // phase-specific annotation (shard index, victim bytes, admit verdict)
+	Arg   int64 // phase-specific annotation (victim bytes, admit verdict)
 }
 
 // ReqTrace is one sampled request's timeline. It is pooled: obtain one
@@ -96,7 +95,6 @@ type ReqTrace struct {
 	Status    int
 	Bytes     int64
 	Err       bool
-	Shard     int32 // -1 when the store is unsharded
 	Evictions int32
 	Wall      time.Time // wall-clock start; also the monotonic base
 	Total     int64     // ns, set by Tracer.End
@@ -137,7 +135,7 @@ func (rt *ReqTrace) BeginSpan(p Phase) SpanID {
 func (rt *ReqTrace) EndSpan(id SpanID) { rt.EndSpanArg(id, 0) }
 
 // EndSpanArg closes a span and attaches a phase-specific annotation
-// (shard index for route, victim bytes for evict, 1/0 for admit).
+// (victim bytes for evict, 1/0 for admit).
 func (rt *ReqTrace) EndSpanArg(id SpanID, arg int64) {
 	if rt == nil || id == NoSpan {
 		return
@@ -185,13 +183,6 @@ func (rt *ReqTrace) CountEviction() {
 	}
 }
 
-// SetShard records which shard served the request. Nil-safe.
-func (rt *ReqTrace) SetShard(i int) {
-	if rt != nil {
-		rt.Shard = int32(i)
-	}
-}
-
 // Spans copies out the recorded spans (tests and reports).
 func (rt *ReqTrace) Spans() []SpanRec {
 	if rt == nil {
@@ -221,7 +212,6 @@ func (rt *ReqTrace) reset(t *Tracer) {
 	rt.Status = 0
 	rt.Bytes = 0
 	rt.Err = false
-	rt.Shard = -1
 	rt.Evictions = 0
 	rt.Total = 0
 	rt.tracer = t
@@ -503,7 +493,6 @@ type RequestRecord struct {
 	Status       int        `json:"status"`
 	Bytes        int64      `json:"bytes"`
 	Error        bool       `json:"error,omitempty"`
-	Shard        int32      `json:"shard"`
 	Evictions    int32      `json:"evictions,omitempty"`
 	TotalNs      int64      `json:"total_ns"`
 	Flag         string     `json:"flag"` // why it was kept: error|evict|miss|slow
@@ -520,7 +509,6 @@ func (rt *ReqTrace) record() RequestRecord {
 		Status:    rt.Status,
 		Bytes:     rt.Bytes,
 		Error:     rt.Err,
-		Shard:     rt.Shard,
 		Evictions: rt.Evictions,
 		TotalNs:   rt.Total,
 	}
@@ -676,9 +664,6 @@ func (t *Tracer) traceEvents() []traceEvent {
 		}
 		if rec.Evictions > 0 {
 			parent.Args["evictions"] = rec.Evictions
-		}
-		if rec.Shard >= 0 {
-			parent.Args["shard"] = rec.Shard
 		}
 		out = append(out, parent)
 		for _, s := range rec.Spans {

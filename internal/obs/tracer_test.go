@@ -40,7 +40,6 @@ func TestTracerNilSafety(t *testing.T) {
 	rt.SetOutcome("HIT", 200, 1)
 	rt.MarkError()
 	rt.CountEviction()
-	rt.SetShard(3)
 	if rt.Spans() != nil || rt.DroppedSpans() != 0 {
 		t.Fatal("nil trace reported spans")
 	}

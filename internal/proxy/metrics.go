@@ -70,22 +70,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // stream carries the same age/NREF detail as a replay's. Live entries
 // are string-indexed, so trace events carry ID -1.
 func StoreHooks(reg *obs.Registry, ring *obs.EventRing) core.CacheHooks {
-	return shardHooks(reg, ring, 0)
-}
-
-// ShardedStoreHooks returns the per-shard hook constructor a
-// ShardedStore wires through SetHooksPerShard: every shard increments
-// the same store.* counters (obs counters are atomic, so the merge is
-// free), and ring events are tagged with the shard of origin — the
-// merged obs.EventRing stays one timeline and analysis.AnalyzeEvents
-// keeps working, but each event remains attributable.
-func ShardedStoreHooks(reg *obs.Registry, ring *obs.EventRing) func(shard int) core.CacheHooks {
-	return func(shard int) core.CacheHooks {
-		return shardHooks(reg, ring, int32(shard))
-	}
-}
-
-func shardHooks(reg *obs.Registry, ring *obs.EventRing, shard int32) core.CacheHooks {
 	hits := reg.Counter("store.hits")
 	misses := reg.Counter("store.misses")
 	evictions := reg.Counter("store.evictions")
@@ -93,9 +77,8 @@ func shardHooks(reg *obs.Registry, ring *obs.EventRing, shard int32) core.CacheH
 	inserts := reg.Counter("store.inserts")
 	// Windowed hit/get counts give the deployed store a recent-window
 	// hit rate alongside the lifetime ratio — the like-for-like side of
-	// the shadow fleet's regret comparison. All shards feed the same
-	// pair (atomic buckets merge for free, like the counters above);
-	// the derived rate is computed at scrape time, in basis points.
+	// the shadow fleet's regret comparison. The derived rate is computed
+	// at scrape time, in basis points.
 	winHits := reg.Windowed("store.window_hits", 0, 0)
 	winGets := reg.Windowed("store.window_gets", 0, 0)
 	reg.GaugeFunc("store.window_hr_bp", func() int64 {
@@ -118,21 +101,21 @@ func shardHooks(reg *obs.Registry, ring *obs.EventRing, shard int32) core.CacheH
 			hits.Inc()
 			winHits.Inc()
 			winGets.Inc()
-			ring.Record(obs.Event{Kind: obs.EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef, Shard: shard})
+			ring.Record(obs.Event{Kind: obs.EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
 		},
 		OnMiss: func(size, now int64) {
 			misses.Inc()
 			winGets.Inc()
-			ring.Record(obs.Event{Kind: obs.EventMiss, Time: now, ID: -1, Size: size, Shard: shard})
+			ring.Record(obs.Event{Kind: obs.EventMiss, Time: now, ID: -1, Size: size})
 		},
 		OnEvict: func(e *policy.Entry, now int64) {
 			evictions.Inc()
 			evictedBytes.Add(e.Size)
-			ring.Record(obs.Event{Kind: obs.EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef, Shard: shard})
+			ring.Record(obs.Event{Kind: obs.EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
 		},
 		OnAdd: func(e *policy.Entry) {
 			inserts.Inc()
-			ring.Record(obs.Event{Kind: obs.EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size, Shard: shard})
+			ring.Record(obs.Event{Kind: obs.EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
 		},
 	}
 }

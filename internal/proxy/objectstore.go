@@ -4,16 +4,20 @@ import (
 	"time"
 
 	"webcache/internal/core"
-	"webcache/internal/obs"
 )
 
 // ObjectStore is the contract the serving path programs against: the
 // policy-driven object cache behind proxy.Server, the ICP responder
-// and livebench's replay. Two implementations exist — the single-mutex
-// Store, which cmd/proxy and livebench serve from because it evicts in
-// one global order, and the N-way ShardedStore, which nothing outside
-// its tests builds — and every consumer
-// takes the interface so the two are interchangeable drop-ins.
+// and livebench's replay. cmd/proxy and livebench build the
+// single-mutex Store, which evicts in one global order; the N-way
+// ShardedStore is built only by its own tests. A store's byte capacity
+// is fixed when it is built.
+//
+// A caller may wrap a store by embedding the interface and overriding
+// Get and Put, as a benchmark does to time them; any method added here
+// would be promoted past such a wrapper. Request tracing therefore
+// stays off the interface: proxy.Server reaches Store.PutTraced
+// directly when it serves from a *Store.
 //
 // The miss path decides what to buffer before it reads a body, so the
 // contract includes the admission question (Admits) beside the
@@ -35,7 +39,7 @@ type ObjectStore interface {
 	// serves before obj becomes visible to Get.
 	Put(url string, obj *Object) bool
 	// Admits reports whether an object of size bytes under url would pass
-	// Put's size test (the quota of the store, or of url's shard). The
+	// Put's size test (the capacity of the store, or of url's shard). The
 	// miss path asks before it reads a body, so one that Put would
 	// reject is never buffered; the answer and Put's must agree.
 	Admits(url string, size int64) bool
@@ -61,23 +65,8 @@ type ObjectStore interface {
 	SetHooks(h core.CacheHooks)
 }
 
-// TracedStore is the optional request-tracing extension of
-// ObjectStore: Get/Put variants that record their phases (shard
-// route, eviction chain) into a sampled request's span
-// timeline. The proxy type-asserts for it once at construction, so an
-// ObjectStore that lacks it is simply served untraced — the same
-// graceful-degradation shape as policy.Reserver. A nil rt must behave
-// exactly like the untraced method.
-type TracedStore interface {
-	GetTraced(url string, rt *obs.ReqTrace) (*Object, bool)
-	PutTraced(url string, obj *Object, rt *obs.ReqTrace) bool
-}
-
-// Both implementations must satisfy the serving-path contract, traced
-// extension included.
+// Both implementations must satisfy the serving-path contract.
 var (
 	_ ObjectStore = (*Store)(nil)
 	_ ObjectStore = (*ShardedStore)(nil)
-	_ TracedStore = (*Store)(nil)
-	_ TracedStore = (*ShardedStore)(nil)
 )

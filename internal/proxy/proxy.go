@@ -73,9 +73,9 @@ type Server struct {
 	// branch per request; unsampled requests cost one atomic add.
 	Tracer *obs.Tracer
 
-	// traced is the store's optional tracing extension, type-asserted
-	// once here so the serving path never repeats the assertion.
-	traced TracedStore
+	// traced is the store when it is a *Store, asserted once in New, so
+	// a sampled admission can record its eviction chain (PutTraced).
+	traced *Store
 
 	// direct is the upstream client a nil Transport stands for.
 	direct *origin.Client
@@ -98,9 +98,7 @@ func New(store ObjectStore) *Server {
 		MaxObjectBytes: 8 << 20,
 		direct:         origin.NewClient(nil),
 	}
-	if ts, ok := store.(TracedStore); ok {
-		s.traced = ts
-	}
+	s.traced, _ = store.(*Store)
 	return s
 }
 
@@ -175,21 +173,21 @@ func Cacheable(r *http.Request) bool {
 	return true
 }
 
-// storeGet routes a lookup through the store's tracing extension when
-// this request is sampled; the untraced path is the plain Get.
+// storeGet is the store lookup, inside a store.get span when this
+// request is sampled.
 func (s *Server) storeGet(key string, rt *obs.ReqTrace) (*Object, bool) {
-	if rt == nil || s.traced == nil {
+	if rt == nil {
 		return s.store.Get(key)
 	}
 	sp := rt.BeginSpan(obs.PhaseStoreGet)
-	obj, ok := s.traced.GetTraced(key, rt)
+	obj, ok := s.store.Get(key)
 	rt.EndSpan(sp)
 	return obj, ok
 }
 
-// storePut routes an admission through the store's tracing extension
-// when this request is sampled. The admit span (opened by the caller)
-// wraps it, so eviction spans recorded by the store nest correctly.
+// storePut is the store admission; when this request is sampled and the
+// store is a *Store, it records the eviction chain. The admit span
+// (opened by the caller) wraps it, so the eviction spans nest inside.
 func (s *Server) storePut(key string, obj *Object, rt *obs.ReqTrace) bool {
 	if rt == nil || s.traced == nil {
 		return s.store.Put(key, obj)
@@ -230,19 +228,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		abs.Host = r.Host
 		target = &abs
 	}
+	// The absolute URL, formatted once: the cache key, the upstream
+	// request's target and the name the trace and the shadows see.
+	key := target.String()
 
 	if !Cacheable(r) {
 		s.stats.uncacheable.Add(1)
 		if m := s.Metrics; m != nil {
 			m.Uncacheable.Inc()
 		}
-		rt.SetURL(target.String())
+		rt.SetURL(key)
 		rt.EndSpan(parse)
-		s.passThrough(w, r, target, rt)
+		s.passThrough(w, r, key, rt)
 		return
 	}
 
-	key := target.String()
 	noCache := strings.EqualFold(r.Header.Get("Pragma"), "no-cache")
 	rt.SetURL(key)
 	rt.EndSpan(parse)
@@ -263,7 +263,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		reval := rt.BeginSpan(obs.PhaseRevalidate)
-		ok := s.revalidate(r.Context(), key, obj, target)
+		ok := s.revalidate(r.Context(), key, obj)
 		rt.EndSpan(reval)
 		if ok {
 			s.serveObject(w, obj, xCacheRevalidated, rt)
@@ -282,16 +282,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// through to a fresh fetch, replacing the stale copy.
 	}
 
-	s.fetchAndServe(w, r, target, key, rt)
+	s.fetchAndServe(w, r, key, rt)
 }
 
 // revalidate sends a conditional GET; true means the cached copy is
 // still current (the origin answered 304).
-func (s *Server) revalidate(ctx context.Context, key string, obj *Object, target *url.URL) bool {
+func (s *Server) revalidate(ctx context.Context, key string, obj *Object) bool {
 	if obj.LastModified.IsZero() {
 		return false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target.String(), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, key, nil)
 	if err != nil {
 		return false
 	}
@@ -311,17 +311,17 @@ func (s *Server) revalidate(ctx context.Context, key string, obj *Object, target
 	return false
 }
 
-// fetchAndServe fetches target from the origin (or parent proxy),
+// fetchAndServe fetches key from the origin (or parent proxy),
 // streams it to the client as it arrives, and caches it when eligible
 // (DESIGN.md §11).
-func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, target *url.URL, key string, rt *obs.ReqTrace) {
+func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key string, rt *obs.ReqTrace) {
 	s.stats.misses.Add(1)
 	if m := s.Metrics; m != nil {
 		m.Misses.Inc()
 	}
 	// The fetch lives on the client's context: a client that goes away
 	// cancels it, and its connection to the origin is closed.
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target.String(), nil)
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, key, nil)
 	if err != nil {
 		s.countError(w, rt, fmt.Sprintf("proxy: building origin request: %v", err))
 		return
@@ -593,9 +593,9 @@ func (s *Server) relay(w http.ResponseWriter, resp *http.Response) int64 {
 	return n
 }
 
-// passThrough forwards an uncacheable request verbatim.
-func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target *url.URL, rt *obs.ReqTrace) {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), r.Body)
+// passThrough forwards an uncacheable request to target verbatim.
+func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target string, rt *obs.ReqTrace) {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target, r.Body)
 	if err != nil {
 		s.countError(w, rt, fmt.Sprintf("proxy: building pass-through request: %v", err))
 		return
@@ -614,7 +614,7 @@ func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target *url
 	// opt-out) still reach the shadows: the simulator counts dynamic
 	// requests as misses, so the fleet must see them too.
 	if f := s.Shadow; f != nil && r.Method == http.MethodGet && resp.StatusCode == http.StatusOK {
-		f.Observe(target.String(), n, false)
+		f.Observe(target, n, false)
 	}
 }
 

@@ -34,11 +34,9 @@ package proxy
 // seed and clock (pinned by TestShardedOneShardByteEquivalent).
 
 import (
-	"sync"
 	"time"
 
 	"webcache/internal/core"
-	"webcache/internal/obs"
 	"webcache/internal/policy"
 )
 
@@ -46,12 +44,6 @@ import (
 // independent single-mutex shards.
 type ShardedStore struct {
 	shards []*Store
-
-	// Rebalancer state (rebalance.go): one pass runs at a time, and
-	// lastEvictions holds each shard's eviction count at the previous
-	// pass so pressure is a per-interval delta, not a lifetime total.
-	rebalMu       sync.Mutex
-	lastEvictions []int64
 }
 
 // shardSeedStep derives shard i's tiebreak seed as base + i*step — the
@@ -74,10 +66,7 @@ func NewShardedStore(capacity int64, shards int, newPolicy func() policy.Policy)
 	if newPolicy == nil {
 		newPolicy = func() policy.Policy { return nil } // NewStore defaults nil to SIZE
 	}
-	s := &ShardedStore{
-		shards:        make([]*Store, shards),
-		lastEvictions: make([]int64, shards),
-	}
+	s := &ShardedStore{shards: make([]*Store, shards)}
 	quota := capacity / int64(shards)
 	remainder := capacity % int64(shards)
 	for i := range s.shards {
@@ -117,33 +106,6 @@ func (s *ShardedStore) NumShards() int { return len(s.shards) }
 // Get returns the cached object for url from its shard.
 func (s *ShardedStore) Get(url string) (*Object, bool) { return s.shard(url).Get(url) }
 
-// GetTraced is Get with the request's span timeline attached: the
-// shard-route decision becomes a route span annotated with the chosen
-// shard index, and the trace records the shard.
-func (s *ShardedStore) GetTraced(url string, rt *obs.ReqTrace) (*Object, bool) {
-	if rt == nil {
-		return s.Get(url)
-	}
-	sp := rt.BeginSpan(obs.PhaseRoute)
-	idx := shardIndex(url, len(s.shards))
-	rt.EndSpanArg(sp, int64(idx))
-	rt.SetShard(idx)
-	return s.shards[idx].GetTraced(url, rt)
-}
-
-// PutTraced is Put with the request's span timeline attached — route
-// span plus the shard's admission/eviction spans.
-func (s *ShardedStore) PutTraced(url string, obj *Object, rt *obs.ReqTrace) bool {
-	if rt == nil {
-		return s.Put(url, obj)
-	}
-	sp := rt.BeginSpan(obs.PhaseRoute)
-	idx := shardIndex(url, len(s.shards))
-	rt.EndSpanArg(sp, int64(idx))
-	rt.SetShard(idx)
-	return s.shards[idx].PutTraced(url, obj, rt)
-}
-
 // Peek reports whether url is cached, without policy side effects.
 func (s *ShardedStore) Peek(url string) (*Object, bool) { return s.shard(url).Peek(url) }
 
@@ -169,17 +131,11 @@ func (s *ShardedStore) Len() int {
 	return n
 }
 
-// Stats aggregates counters across shards. Sums are exact; MaxUsed is
-// the sum of per-shard high-water marks, an upper bound on the true
-// global peak (shards peak at different times). Capacity sums to the
-// requested global capacity whatever the rebalancer has shifted — the
-// rebalance invariant made visible. The snapshot is taken between
-// rebalance passes (it holds rebalMu): the shards are read one by one,
-// and transfers landing between those reads could otherwise be seen
-// half-applied, the sum a step off either way.
+// Stats aggregates counters across shards. MaxUsed is the sum of
+// per-shard high-water marks, an upper bound on the true global peak
+// (shards peak at different times); Capacity sums to the capacity the
+// store was built with.
 func (s *ShardedStore) Stats() StoreStats {
-	s.rebalMu.Lock()
-	defer s.rebalMu.Unlock()
 	var agg StoreStats
 	for _, sh := range s.shards {
 		st := sh.Stats()
@@ -201,17 +157,6 @@ func (s *ShardedStore) ShardStats() []StoreStats {
 	out := make([]StoreStats, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = sh.Stats()
-	}
-	return out
-}
-
-// Quotas returns each shard's current byte quota, in shard order. The
-// values move under the rebalancer but always sum to the capacity the
-// store was built with.
-func (s *ShardedStore) Quotas() []int64 {
-	out := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Quota()
 	}
 	return out
 }
@@ -243,22 +188,11 @@ func (s *ShardedStore) SetSeed(seed uint64) {
 	}
 }
 
-// SetHooks attaches the same event hooks to every shard — the merged
-// arrangement: all shards' events land in one sink, which must be
-// concurrency-safe (obs.EventRing and obs counters are). For events
-// tagged with their shard of origin use SetHooksPerShard.
+// SetHooks attaches the same event hooks to every shard: all shards'
+// events land in one sink, which must be concurrency-safe (obs.EventRing
+// and obs counters are).
 func (s *ShardedStore) SetHooks(h core.CacheHooks) {
 	for _, sh := range s.shards {
 		sh.SetHooks(h)
-	}
-}
-
-// SetHooksPerShard attaches hooks(i) to shard i, so each shard's
-// events can carry its ID (ShardedStoreHooks builds ring events tagged
-// this way, keeping obs.EventRing traces and analysis.AnalyzeEvents
-// attributable after the merge).
-func (s *ShardedStore) SetHooksPerShard(hooks func(shard int) core.CacheHooks) {
-	for i, sh := range s.shards {
-		sh.SetHooks(hooks(i))
 	}
 }

@@ -30,9 +30,9 @@ type Object struct {
 	header entityHeader
 }
 
-// StoreStats counts store activity. Capacity is the store's current
-// byte quota (moved at runtime by the rebalancer for a sharded store's
-// shards; fixed for a standalone Store).
+// StoreStats counts store activity. Capacity is the store's byte
+// capacity, fixed when the store is built (summed over the shards of a
+// sharded store).
 type StoreStats struct {
 	Gets      int64
 	Hits      int64
@@ -55,7 +55,7 @@ type StoreStats struct {
 // from this type.
 type Store struct {
 	mu       sync.RWMutex
-	capacity int64
+	capacity int64 // fixed by NewStore, so read without mu
 	pol      policy.Policy
 	entries  map[string]*policy.Entry
 	objects  map[string]*Object
@@ -157,10 +157,6 @@ func (s *Store) Get(url string) (*Object, bool) {
 	return s.objects[url], true
 }
 
-// GetTraced is Get: a hit's policy update happens inline, inside the
-// caller's store.get span, so there is no store-side phase to record.
-func (s *Store) GetTraced(url string, rt *obs.ReqTrace) (*Object, bool) { return s.Get(url) }
-
 // Peek reports whether url is cached, without updating recency,
 // frequency or statistics. ICP responders use it so sibling queries do
 // not distort the removal policy's bookkeeping.
@@ -255,8 +251,9 @@ func (s *Store) put(url string, obj *Object, rt *obs.ReqTrace) bool {
 
 // Admits reports whether Put would accept an object of size bytes under
 // url as far as size goes — the test at the top of put, so the proxy can
-// decide before it buffers a body whether to keep it.
-func (s *Store) Admits(url string, size int64) bool { return size <= s.Quota() }
+// decide before it buffers a body whether to keep it. It takes no lock:
+// nothing writes capacity after NewStore.
+func (s *Store) Admits(url string, size int64) bool { return size <= s.capacity }
 
 // Refresh updates the stored-at time of url's object after a successful
 // revalidation (304 from the origin). It installs a copy: a reader may
@@ -303,67 +300,6 @@ func (s *Store) Stats() StoreStats {
 	st := s.stats
 	st.Capacity = s.capacity
 	return st
-}
-
-// Quota returns the store's current byte capacity. For a sharded
-// store's shard this moves over time: the rebalancer shifts quota from
-// cold shards to hot ones.
-func (s *Store) Quota() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.capacity
-}
-
-// largestLocked returns the size of the largest resident entry (0 when
-// empty). Caller holds mu.
-func (s *Store) largestLocked() int64 {
-	var largest int64
-	for _, e := range s.entries {
-		if e.Size > largest {
-			largest = e.Size
-		}
-	}
-	return largest
-}
-
-// donateQuota lowers the store's capacity by up to want bytes for the
-// rebalancer, and returns the amount actually taken. The quota never
-// drops below the bytes in use, the largest resident entry, or floor —
-// recomputed here under the lock, so the invariant holds even if the
-// shard admitted new objects since the rebalancer sampled it.
-func (s *Store) donateQuota(want, floor int64) int64 {
-	if want <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lowest := s.stats.Used
-	if l := s.largestLocked(); l > lowest {
-		lowest = l
-	}
-	if floor > lowest {
-		lowest = floor
-	}
-	give := s.capacity - lowest
-	if give <= 0 {
-		return 0
-	}
-	if give > want {
-		give = want
-	}
-	s.capacity -= give
-	return give
-}
-
-// grantQuota raises the store's capacity by n bytes (the receiving side
-// of a rebalance transfer).
-func (s *Store) grantQuota(n int64) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.capacity += n
-	s.mu.Unlock()
 }
 
 // headerSubset copies the entity headers a 1.0-era cache preserves.

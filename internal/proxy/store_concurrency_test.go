@@ -101,7 +101,7 @@ func forEachRaceStore(t *testing.T, capacity int64, body func(t *testing.T, pol 
 
 // TestStoreRaceStress hammers every store implementation from many
 // goroutines with the full interface surface — Get, Put, Peek, Remove,
-// Stats, Len — checking the accounting invariants mid-run and at the
+// Admits, Refresh, Stats, Len — checking the accounting invariants mid-run and at the
 // end. Run with -race to verify the locking discipline (make race does).
 func TestStoreRaceStress(t *testing.T) {
 	forEachRaceStore(t, 64<<10, func(t *testing.T, pol string, s ObjectStore) {
@@ -137,6 +137,7 @@ func TestStoreRaceStress(t *testing.T) {
 						}
 					case 7:
 						s.Len()
+						s.Admits(url, int64(100+(i%700)))
 						s.Refresh(url)
 					}
 				}
@@ -218,98 +219,4 @@ func TestShardedConcurrentReplacement(t *testing.T) {
 			t.Fatalf("%s: %v", pol, err)
 		}
 	})
-}
-
-// TestBufferedMaintenanceRaceStress is the sharded store's rebalance
-// stress test, under the race detector: worker goroutines on the full
-// interface surface, a background loop rebalancing on aggressive ticks,
-// and a competing Rebalance caller. The invariants checked are the ones
-// the design promises survive concurrency: the global quota sum is
-// exact at every observation, and usage stays within each shard's
-// moving quota. It goes when ShardedStore and the rebalancer are
-// deleted.
-func TestBufferedMaintenanceRaceStress(t *testing.T) {
-	// One run per policy backend: the default SIZE (static log2-size
-	// buckets), LRU (intrusive recency list), and LFU (the heap) — the
-	// structures each shard's hits and evictions mutate under its write
-	// lock while quota moves between shards.
-	for name, factory := range map[string]func() policy.Policy{
-		"size": nil,
-		"lru":  func() policy.Policy { return policy.NewLRU() },
-		"lfu":  func() policy.Policy { return policy.NewLFU() },
-	} {
-		t.Run(name, func(t *testing.T) { bufferedMaintenanceRaceStress(t, factory) })
-	}
-}
-
-func bufferedMaintenanceRaceStress(t *testing.T, factory func() policy.Policy) {
-	const capacity = 64 << 10
-	const shards = 8
-	s := NewShardedStore(capacity, shards, factory)
-	floor := MinShardQuota(capacity, shards)
-
-	// The background loop: rebalance every millisecond.
-	stop := make(chan struct{})
-	maintained := make(chan struct{})
-	go func() {
-		defer close(maintained)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				s.Rebalance(1024, floor)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 3000; i++ {
-				url := fmt.Sprintf("http://s/doc%d.html", (w*17+i)%120)
-				switch i % 8 {
-				case 0:
-					s.Put(url, &Object{Body: make([]byte, 200+(i%1800)), StoredAt: time.Now()})
-				case 7:
-					if i%32 == 7 {
-						s.Remove(url)
-					} else {
-						s.Peek(url)
-					}
-				default:
-					s.Get(url)
-				}
-				if i%500 == 0 {
-					// Stats snapshots between rebalance passes, so the sum
-					// is exact even with transfers racing the reader.
-					if got := s.Stats().Capacity; got != capacity {
-						panic(fmt.Sprintf("quota sum %d != capacity %d mid-run", got, capacity))
-					}
-				}
-			}
-		}(w)
-	}
-	// A competing rebalancer: passes must serialize, not corrupt.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			s.Rebalance(512, floor)
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-maintained
-
-	if got := s.Stats().Capacity; got != capacity {
-		t.Fatalf("quota sum %d != capacity %d after run", got, capacity)
-	}
-	if err := s.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -11,16 +11,6 @@ import (
 	"webcache/internal/trace"
 )
 
-// spanPhases collects the phase names a trace recorded, in order.
-func spanPhases(rt *obs.ReqTrace) []string {
-	spans := rt.Spans()
-	out := make([]string, len(spans))
-	for i, s := range spans {
-		out[i] = s.Phase.String()
-	}
-	return out
-}
-
 func hasPhase(phases []string, name string) bool {
 	for _, p := range phases {
 		if p == name {
@@ -61,50 +51,13 @@ func TestStorePutTracedEvictionSpans(t *testing.T) {
 	}
 }
 
-// TestShardedTracedRouteSpan pins the sharded wrappers: a route span
-// carrying the chosen shard index, the trace's Shard field set, and the
-// inner store's spans nested after it.
-func TestShardedTracedRouteSpan(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerOptions{})
-	s := NewShardedStore(4096, 4, func() policy.Policy { return nil })
-	rt := tr.Begin()
-	if !s.PutTraced("http://a/x", &Object{Body: []byte("hello")}, rt) {
-		t.Fatal("traced Put rejected")
-	}
-	tr.End(rt)
-
-	rt = tr.Begin()
-	if _, ok := s.GetTraced("http://a/x", rt); !ok {
-		t.Fatal("traced Get missed")
-	}
-	spans := rt.Spans()
-	if len(spans) == 0 || spans[0].Phase.String() != "route" {
-		t.Fatalf("first span = %v, want route", spanPhases(rt))
-	}
-	if spans[0].Arg < 0 || spans[0].Arg >= 4 {
-		t.Fatalf("route span arg %d outside shard range", spans[0].Arg)
-	}
-	if int64(rt.Shard) != spans[0].Arg {
-		t.Fatalf("trace shard %d != routed shard %d", rt.Shard, spans[0].Arg)
-	}
-	tr.End(rt)
-
-	if _, ok := s.GetTraced("http://a/x", nil); !ok {
-		t.Fatal("nil-trace sharded GetTraced missed")
-	}
-}
-
 // TestUntracedHitPathAllocs pins the disabled-tracing cost contract on
-// the store: the nil-trace hit path allocates exactly as much as the
-// plain one — nothing.
+// the store: the untraced hit path allocates nothing.
 func TestUntracedHitPathAllocs(t *testing.T) {
 	s := NewStore(1000, nil)
 	s.Put("http://a/x", &Object{Body: []byte("hello")})
 	if allocs := testing.AllocsPerRun(100, func() { s.Get("http://a/x") }); allocs > 0 {
 		t.Fatalf("plain Get allocates %.1f times", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.GetTraced("http://a/x", nil) }); allocs > 0 {
-		t.Fatalf("nil-trace GetTraced allocates %.1f times", allocs)
 	}
 }
 

@@ -85,11 +85,8 @@ type (
 	ProxyServer = proxy.Server
 	// ProxyStore is the live proxy's policy-driven object store.
 	ProxyStore = proxy.Store
-	// ShardedProxyStore is the N-way sharded store for contended
-	// serving: per-shard policy instance, lock, and capacity quota.
-	ShardedProxyStore = proxy.ShardedStore
 	// ProxyObjectStore is the store contract the proxy serves from;
-	// both ProxyStore and ShardedProxyStore satisfy it.
+	// ProxyStore satisfies it.
 	ProxyObjectStore = proxy.ObjectStore
 )
 
@@ -236,16 +233,8 @@ func NewProxyStore(capacity int64, pol Policy) *ProxyStore {
 	return proxy.NewStore(capacity, pol)
 }
 
-// NewShardedProxyStore returns an object store sharded N ways by URL
-// hash, each shard holding its own policy instance from newPolicy (nil
-// defaults every shard to SIZE) and an equal slice of the total
-// capacity — the contended-serving drop-in for NewProxyStore.
-func NewShardedProxyStore(capacity int64, shards int, newPolicy func() Policy) *ShardedProxyStore {
-	return proxy.NewShardedStore(capacity, shards, newPolicy)
-}
-
 // NewProxy returns a live HTTP caching proxy over the store (a
-// *ProxyStore or *ShardedProxyStore).
+// *ProxyStore, or a wrapper of one).
 func NewProxy(store ProxyObjectStore) *ProxyServer { return proxy.New(store) }
 
 // SynthesizeCapture renders tr as the Ethernet/IPv4/TCP packet capture a
