@@ -2,12 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fmt-check verify cover bench bench-baseline bench-compare bench-smoke bench-guard bench-ab fuzz-smoke report examples loc clean
-
-# Workload scale for the replay benchmark harness; 0.3 is large enough
-# for stable ns/request numbers, small enough to finish in seconds.
-BENCH_SCALE ?= 0.3
-BENCH_REPS  ?= 3
+.PHONY: all build vet test test-short race fmt-check verify cover bench bench-ab fuzz-smoke report examples loc clean
 
 all: build vet test
 
@@ -37,11 +32,11 @@ fmt-check:
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# The CI gate: formatting, build, vet, short tests, race coverage, a
-# smoke run of the replay harness (which doubles as an end-to-end
-# equivalence check of the compiled comparator and structural policy
-# layers), and the recorded-trajectory guard.
-verify: fmt-check build vet test-short race bench-smoke bench-guard
+# The CI gate: formatting, build, vet, short tests, race coverage, and a
+# quick run of the end-to-end benchmark, which fails if a sim-sweep cell
+# or a proxy check is wrong.
+verify: fmt-check build vet test-short race
+	$(GO) run -C bench . -quick
 
 # Whole-repo statement coverage (short mode, like the CI gate); writes
 # cover.out for tooling and prints the per-function summary tail.
@@ -52,42 +47,6 @@ cover:
 # One benchmark per paper table/figure, plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Measure the 36-policy replay hot path and append the result to the
-# tracked trajectory (BENCH_replay.json at the repo root, one array
-# entry per recorded run). With benchstat on PATH also snapshots the
-# per-family replay benchmarks.
-bench-baseline:
-	$(GO) run ./internal/tools/benchreplay -scale $(BENCH_SCALE) -reps $(BENCH_REPS) -out BENCH_replay.json
-	@if command -v benchstat >/dev/null 2>&1; then \
-		$(GO) test ./internal/sim -run NONE -bench Replay -benchtime 0.5s -count 6 > BENCH_families.txt; \
-		echo "wrote BENCH_families.txt (benchstat baseline)"; \
-	fi
-
-# Report the delta between the trajectory's last two recorded entries
-# (no measurement); benchstat over the per-family benchmarks when
-# available.
-bench-compare:
-	$(GO) run ./internal/tools/benchreplay -diff BENCH_replay.json
-	@if command -v benchstat >/dev/null 2>&1 && [ -f BENCH_families.txt ]; then \
-		$(GO) test ./internal/sim -run NONE -bench Replay -benchtime 0.5s -count 6 > /tmp/BENCH_families_new.txt; \
-		benchstat BENCH_families.txt /tmp/BENCH_families_new.txt; \
-	fi
-
-# Quick harness run at a reduced scale: verifies that the generic,
-# string-indexed, and interned engines produce byte-identical sweep
-# results.
-bench-smoke:
-	$(GO) run ./internal/tools/benchreplay -scale 0.02 -reps 1
-
-# Guards over the recorded trajectories (no measurement): the replay
-# schema must hold — including the nostructural/structural_subset field
-# groups — and the last recorded entry must not have regressed optimized
-# ns/request by more than 15% vs its predecessor, so a slow hot path
-# cannot be recorded and merged silently.
-bench-guard:
-	$(GO) run ./internal/tools/benchreplay -check BENCH_replay.json
-	$(GO) run ./internal/tools/benchreplay -diff BENCH_replay.json -threshold 15
 
 # A/B the end-to-end benchmark (BENCHMARK.json) between a parent revision
 # and the working tree: interleaved pairs on alternating order, per-metric
@@ -126,7 +85,7 @@ examples:
 
 # Go line counts: non-test and test lines outside bench/ (its own module),
 # then non-test lines in each of LOC_PACKAGES.
-LOC_PACKAGES ?= internal/proxy internal/policy internal/obs
+LOC_PACKAGES ?= internal/proxy internal/policy internal/obs internal/core internal/sim internal/pqueue
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@echo "test Go lines outside bench/:     $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"

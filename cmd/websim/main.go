@@ -23,8 +23,8 @@
 // -trace-cache DIR caches the validated synthetic workload in DIR as a
 // binary trace (written by the first run, reloaded by later ones), so a
 // multi-invocation study decodes each corpus once. -cpuprofile and
-// -memprofile write pprof profiles of the run, the inputs to the
-// hot-path work tracked in BENCH_replay.json.
+// -memprofile write pprof profiles of the run, the inputs to
+// hot-path work on the replay engine.
 //
 // Observability (internal/obs; overhead only when enabled, zero when
 // off):

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"webcache/internal/policy"
 	"webcache/internal/sim"
 	"webcache/internal/trace"
 	"webcache/internal/workload"
@@ -127,44 +126,28 @@ func TestTraceCache(t *testing.T) {
 }
 
 // TestGoldenExperiments replays the nine experiments against goldens
-// captured from the pre-interning engine, across the engine's ablation
-// modes: the interned columnar path must be byte-identical to the
-// string path, the structural policy backends byte-identical to the
-// heap fallback, and all of them to the recorded output.
+// captured from the pre-interning engine: the production replay path
+// (interned columnar caches, structural policy backends) must be
+// byte-identical to the recorded output.
 func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden replay is a full nine-experiment run")
-	}
-	modes := []struct {
-		name                   string
-		noIntern, noStructural bool
-	}{
-		{"optimized", false, false},
-		{"nointern", true, false},
-		{"nostructural", false, true},
 	}
 	for _, exp := range []string{"1", "2", "2s", "2all", "classics", "3", "4", "5", "6"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", "exp"+exp+".golden"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range modes {
-			sim.DisableInterning = mode.noIntern
-			policy.DisableStructural = mode.noStructural
-			var buf bytes.Buffer
-			cfg := runConfig{
-				exp: exp, wl: "BL", fraction: 0.10, scale: 0.05,
-				seed: 42, workers: 1,
-			}
-			err := run(&buf, cfg)
-			sim.DisableInterning = false
-			policy.DisableStructural = false
-			if err != nil {
-				t.Fatalf("exp %s (%s): %v", exp, mode.name, err)
-			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("exp %s (%s): output differs from golden", exp, mode.name)
-			}
+		var buf bytes.Buffer
+		cfg := runConfig{
+			exp: exp, wl: "BL", fraction: 0.10, scale: 0.05,
+			seed: 42, workers: 1,
+		}
+		if err := run(&buf, cfg); err != nil {
+			t.Fatalf("exp %s: %v", exp, err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("exp %s: output differs from golden", exp)
 		}
 	}
 }

@@ -133,13 +133,6 @@ func (h *CacheHooks) Any() bool {
 	return h.OnHit != nil || h.OnMiss != nil || h.OnEvict != nil || h.OnAdd != nil
 }
 
-// DisableAllocOpts, when set before caches are constructed, turns off
-// the allocation optimizations — entry recycling and capacity
-// pre-sizing — so the benchmark harness can measure their
-// contribution. Results are identical either way; it is not flipped in
-// production paths.
-var DisableAllocOpts bool
-
 // Cache is a simulated proxy cache. It indexes resident documents
 // either by URL string (New) or, when built over an interned columnar
 // trace view (NewColumnar), by dense int32 URL ID — the two modes are
@@ -177,7 +170,7 @@ type nowAware interface{ SetNow(int64) }
 // by URL string.
 func New(cfg Config) *Cache {
 	hint := 1024
-	if !DisableAllocOpts && cfg.SizeHint > hint {
+	if cfg.SizeHint > hint {
 		hint = cfg.SizeHint
 	}
 	c := newCache(cfg)
@@ -192,8 +185,8 @@ func newCache(cfg Config) *Cache {
 		rnd: rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
 	}
 	c.nowPol, _ = cfg.Policy.(nowAware)
-	c.recycle = !DisableAllocOpts && cfg.OnEvict == nil
-	if !DisableAllocOpts && cfg.SizeHint > 0 {
+	c.recycle = cfg.OnEvict == nil
+	if cfg.SizeHint > 0 {
 		if r, ok := cfg.Policy.(policy.Reserver); ok {
 			r.Reserve(cfg.SizeHint)
 		}
@@ -244,28 +237,35 @@ func (c *Cache) Access(req *trace.Request) bool {
 	if c.byID != nil {
 		panic("core: Access called on an interned cache; use AccessIndex")
 	}
-	c.now = req.Time
+	return c.access(c.entries[req.URL], req.URL, -1, req.Size, req.Type, req.Time)
+}
+
+// access is the request step of both index modes: e is the resident
+// entry the mode's lookup found for the document (nil when none). The
+// document is named by url in string mode and by id in interned mode.
+func (c *Cache) access(e *policy.Entry, url string, id int32, size int64, typ trace.DocType, now int64) bool {
+	c.now = now
 	if c.nowPol != nil {
-		c.nowPol.SetNow(req.Time)
+		c.nowPol.SetNow(now)
 	}
 
 	c.stats.Requests++
-	c.stats.BytesRequested += req.Size
-	ts := &c.stats.ByType[req.Type]
+	c.stats.BytesRequested += size
+	ts := &c.stats.ByType[typ]
 	ts.Requests++
-	ts.BytesRequested += req.Size
+	ts.BytesRequested += size
 
-	if e, ok := c.entries[req.URL]; ok {
-		if e.Size == req.Size {
-			e.ATime = req.Time
+	if e != nil {
+		if e.Size == size {
+			e.ATime = now
 			e.NRef++
 			if c.cfg.Policy != nil {
 				c.cfg.Policy.Touch(e)
 			}
 			c.stats.Hits++
-			c.stats.BytesHit += req.Size
+			c.stats.BytesHit += size
 			ts.Hits++
-			ts.BytesHit += req.Size
+			ts.BytesHit += size
 			if c.cfg.Hooks.OnHit != nil {
 				c.cfg.Hooks.OnHit(e)
 			}
@@ -281,18 +281,22 @@ func (c *Cache) Access(req *trace.Request) bool {
 	}
 
 	if c.cfg.Hooks.OnMiss != nil {
-		c.cfg.Hooks.OnMiss(req.Size, req.Time)
+		c.cfg.Hooks.OnMiss(size, now)
 	}
-	c.insert(req)
+	c.insert(url, id, size, typ, now)
 	return false
 }
 
-// insert stores the document named by req, evicting as needed.
-func (c *Cache) insert(req *trace.Request) {
-	if c.cfg.ExcludeDynamic && trace.IsDynamic(req.URL) {
-		return
+// insert stores the requested document, evicting as needed. Both modes
+// draw the same RNG sequence; in interned mode url is empty until the
+// document's URL is read from the trace view.
+func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now int64) {
+	if c.cfg.ExcludeDynamic {
+		if c.byID != nil && c.col.Dynamic[id] || c.byID == nil && trace.IsDynamic(url) {
+			return
+		}
 	}
-	if !c.Infinite() && req.Size > c.cfg.Capacity {
+	if !c.Infinite() && size > c.cfg.Capacity {
 		// The document can never fit; serve it without caching. The
 		// paper's traces never trigger this at the studied sizes, but a
 		// robust cache must not empty itself trying.
@@ -300,8 +304,8 @@ func (c *Cache) insert(req *trace.Request) {
 		return
 	}
 	if !c.Infinite() {
-		for c.stats.Used+req.Size > c.cfg.Capacity {
-			v := c.cfg.Policy.Victim(req.Size)
+		for c.stats.Used+size > c.cfg.Capacity {
+			v := c.cfg.Policy.Victim(size)
 			if v == nil {
 				// No removable documents remain; should be impossible
 				// given the capacity check above.
@@ -311,20 +315,28 @@ func (c *Cache) insert(req *trace.Request) {
 			c.evict(v)
 		}
 	}
+	if c.byID != nil {
+		url = c.col.URLs[id]
+	}
 	var e *policy.Entry
 	if c.recycle {
-		e = c.pool.Get(req.URL, req.Size, req.Type, req.Time, c.rnd.Uint64())
+		e = c.pool.Get(url, size, typ, now, c.rnd.Uint64())
 	} else {
-		e = policy.NewEntry(req.URL, req.Size, req.Type, req.Time, c.rnd.Uint64())
+		e = policy.NewEntry(url, size, typ, now, c.rnd.Uint64())
 	}
+	e.ID = id
 	if c.cfg.LatencyOf != nil {
-		e.Latency = c.cfg.LatencyOf(req.URL, req.Size)
+		e.Latency = c.cfg.LatencyOf(url, size)
 	}
 	if c.cfg.ExpiresOf != nil {
-		e.Expires = c.cfg.ExpiresOf(req.URL, req.Size, req.Time)
+		e.Expires = c.cfg.ExpiresOf(url, size, now)
 	}
-	c.entries[req.URL] = e
-	c.stats.Used += e.Size
+	if c.byID != nil {
+		c.byID[id] = e
+	} else {
+		c.entries[url] = e
+	}
+	c.stats.Used += size
 	c.stats.Docs++
 	c.stats.Inserted++
 	if c.stats.Used > c.stats.MaxUsed {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -96,6 +97,16 @@ func TestInternedMatchesStringEngine(t *testing.T) {
 				LatencyOf: func(url string, size int64) float64 { return float64(len(url)) + float64(size)/1024 },
 			}
 		}},
+		{"expires-hook", func() Config {
+			return Config{
+				Capacity: 20000,
+				Policy:   policy.NewExpiredFirst(policy.NewSorted([]policy.Key{policy.KeySize}, 0)),
+				Seed:     7,
+				ExpiresOf: func(url string, size, now int64) int64 {
+					return now + int64(crc32.ChecksumIEEE([]byte(url))%8)*2000
+				},
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,9 +183,6 @@ func TestInternedContainsAndLen(t *testing.T) {
 	c := NewColumnar(Config{Capacity: 0, Seed: 1}, col)
 	for i := 0; i < col.Len(); i++ {
 		c.AccessIndex(i)
-	}
-	if !c.Interned() {
-		t.Fatal("Interned() = false on a columnar cache")
 	}
 	last := map[string]int64{}
 	for i := range tr.Requests {

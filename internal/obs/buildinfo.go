@@ -61,7 +61,7 @@ func (b Build) String() string {
 
 // GitRev identifies the current revision for metric attribution,
 // preferring the binary's stamped VCS info and falling back to the
-// working tree's `git rev-parse` (the same convention as benchreplay's
+// working tree's `git rev-parse` (the same convention as the
 // BENCH_replay.json entries). Returns "unknown" when neither source is
 // available.
 func GitRev() string {

@@ -8,9 +8,8 @@
 // feeds (core.CacheHooks) are nil-checked function slots that cost one
 // predictable branch each when unset, and the replay spans and
 // snapshots are per-replay (tens of thousands of requests), not
-// per-request. The benchreplay harness measures the enabled-path cost
-// as an explicit "observed" mode so the overhead is tracked in
-// BENCH_replay.json alongside the engine's ns/request trajectory.
+// per-request. internal/sim's BenchmarkReplayObserved measures the
+// enabled-path cost against BenchmarkReplay, family by family.
 package obs
 
 import (

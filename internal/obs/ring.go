@@ -55,8 +55,8 @@ type Event struct {
 // EventRing is a bounded ring buffer of cache events. Recording is a
 // short uncontended mutex section (one slot store and two counter
 // bumps, no allocation), cheap enough to hang off core.CacheHooks on
-// the replay hot path; benchreplay's "observed" mode prices exactly
-// this enabled path. When the ring wraps, the oldest events are
+// the replay hot path; internal/sim's BenchmarkReplayObserved prices
+// exactly this enabled path. When the ring wraps, the oldest events are
 // overwritten — readers always see the most recent window.
 type EventRing struct {
 	mu     sync.Mutex

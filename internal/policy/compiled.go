@@ -20,13 +20,6 @@ package policy
 // whose derived keys are in sync; TestCompiledMatchesGeneric checks
 // the agreement pairwise on randomized, collision-heavy populations.
 
-// DisableCompiled, when set before policies are constructed, forces
-// every comparator back to the generic key-loop Less. It exists so the
-// benchmark harness (internal/tools/benchreplay, the sim replay
-// benchmarks) can measure the compiled layer's contribution; it is not
-// flipped in production paths.
-var DisableCompiled bool
-
 // CompileLess returns the removal-order comparator for the key
 // sequence, specialized when a compiled form exists and falling back
 // to the generic Less otherwise. The two are interchangeable except
@@ -38,10 +31,8 @@ var DisableCompiled bool
 // day-keyed policies maintain; hand-built entries must call
 // SyncDerived with the same dayStart first.
 func CompileLess(keys []Key, dayStart int64) func(a, b *Entry) bool {
-	if !DisableCompiled {
-		if f := compiledFor(keys); f != nil {
-			return f
-		}
+	if f := compiledFor(keys); f != nil {
+		return f
 	}
 	return Less(keys, dayStart)
 }

@@ -111,28 +111,6 @@ func TestCompiledCoversExperimentDesign(t *testing.T) {
 	check([]Key{KeyNRef, KeyATime, KeySize})
 }
 
-// TestDisableCompiledFallsBack checks the ablation switch: with
-// compiled comparators off, CompileLess must still produce the same
-// order (via the generic path).
-func TestDisableCompiledFallsBack(t *testing.T) {
-	DisableCompiled = true
-	defer func() { DisableCompiled = false }()
-	r := rand.New(rand.NewSource(11))
-	entries := randomEntries(r, 40)
-	for _, e := range entries {
-		e.SyncDerived(0)
-	}
-	less := CompileLess([]Key{KeySize, KeyATime}, 0)
-	generic := Less([]Key{KeySize, KeyATime}, 0)
-	for _, a := range entries {
-		for _, b := range entries {
-			if less(a, b) != generic(a, b) {
-				t.Fatalf("disabled CompileLess disagrees with Less on %s, %s", a.URL, b.URL)
-			}
-		}
-	}
-}
-
 // TestEntryPoolRecycles checks that Get reuses a Put entry and resets it
 // to the NewEntry state.
 func TestEntryPoolRecycles(t *testing.T) {

@@ -1,14 +1,11 @@
 package policy
 
-import "webcache/internal/pqueue"
-
 // entryHeap is the indexed binary min-heap the heap-based policies keep
 // their entries on. It has pqueue.Heap's operation semantics and its
-// hole-based sifts (with the same pqueue.DisableHoleSift ablation
-// switch), but is concrete over *Entry: the index bookkeeping compiles to
-// direct e.heapIdx loads and stores instead of method calls through the
-// generics dictionary, which matters in the sift loops at the bottom of
-// every replay.
+// hole-based sifts, but is concrete over *Entry: the index bookkeeping
+// compiles to direct e.heapIdx loads and stores instead of method calls
+// through the generics dictionary, which matters in the sift loops at
+// the bottom of every replay.
 //
 // Removing the root — every eviction — is a bottom-up pop (popRoot), so
 // its comparison sequence differs from pqueue.Heap's. The victim order
@@ -73,7 +70,7 @@ func (h *entryHeap) Fix(e *Entry) bool {
 }
 
 func (h *entryHeap) removeAt(i int) {
-	if i == 0 && !pqueue.DisableHoleSift {
+	if i == 0 {
 		h.popRoot()
 		return
 	}
@@ -126,10 +123,6 @@ func (h *entryHeap) popRoot() {
 }
 
 func (h *entryHeap) up(i int) {
-	if pqueue.DisableHoleSift {
-		h.upSwap(i)
-		return
-	}
 	e := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -145,9 +138,6 @@ func (h *entryHeap) up(i int) {
 }
 
 func (h *entryHeap) down(i int) bool {
-	if pqueue.DisableHoleSift {
-		return h.downSwap(i)
-	}
 	start := i
 	e := h.items[i]
 	n := len(h.items)
@@ -173,43 +163,4 @@ func (h *entryHeap) down(i int) bool {
 	h.items[i] = e
 	e.heapIdx = i
 	return true
-}
-
-func (h *entryHeap) upSwap(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *entryHeap) downSwap(i int) bool {
-	moved := false
-	n := len(h.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && h.less(h.items[right], h.items[left]) {
-			smallest = right
-		}
-		if !h.less(h.items[smallest], h.items[i]) {
-			break
-		}
-		h.swap(i, smallest)
-		i = smallest
-		moved = true
-	}
-	return moved
-}
-
-func (h *entryHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIdx = i
-	h.items[j].heapIdx = j
 }

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"webcache/internal/pqueue"
 )
 
 // heapOracle drives an entryHeap and a slice of the same live entries,
@@ -115,8 +113,7 @@ func (o *heapOracle) drain() {
 // FuzzEntryHeap checks entryHeap itself, the oracle every structural
 // backend is tested against: a seeded random Push/Fix/Remove/remove-root
 // script of (op, value) byte pairs must keep the heap consistent with a
-// slice sorted by the same comparator, under both the hole sifts and the
-// pqueue.DisableHoleSift swap sifts.
+// slice sorted by the same comparator.
 func FuzzEntryHeap(f *testing.F) {
 	f.Add(int64(1), uint16(32))
 	f.Add(int64(2), uint16(200))
@@ -124,15 +121,11 @@ func FuzzEntryHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		script := make([]byte, 2*(int(n%512)+1))
 		rand.New(rand.NewSource(seed)).Read(script)
-		defer func(old bool) { pqueue.DisableHoleSift = old }(pqueue.DisableHoleSift)
-		for _, swap := range []bool{false, true} {
-			pqueue.DisableHoleSift = swap
-			o := &heapOracle{t: t, h: newEntryHeap(heapOracleLess)}
-			for i := 0; i < len(script); i += 2 {
-				o.apply(script[i], script[i+1])
-				o.check()
-			}
-			o.drain()
+		o := &heapOracle{t: t, h: newEntryHeap(heapOracleLess)}
+		for i := 0; i < len(script); i += 2 {
+			o.apply(script[i], script[i+1])
+			o.check()
 		}
+		o.drain()
 	})
 }

@@ -31,14 +31,6 @@ package policy
 // list was measured slower than the heap on every NREF combo (DESIGN.md
 // §12).
 
-// DisableStructural is an ablation switch: when set before policies are
-// constructed, NewSorted keeps every combo on the generic heap backend.
-// It prices the structural fast path in benchreplay's `nostructural`
-// mode and pins golden equivalence (the nine websim goldens must be
-// byte-identical with the switch on and off). It is not safe to flip
-// while policies exist.
-var DisableStructural bool
-
 // order is the backend contract behind Sorted: a strict-total-order
 // container over entries. Peek returns the minimum (next victim) or nil
 // when empty. Implementations may use Entry's intrusive fields
@@ -57,10 +49,8 @@ type order interface {
 // newOrder picks the cheapest backend that provably reproduces the
 // heap's victim order for the key sequence, falling back to the heap.
 func newOrder(keys []Key, less func(a, b *Entry) bool) order {
-	if !DisableStructural {
-		if o := structuralFor(keys, less); o != nil {
-			return o
-		}
+	if o := structuralFor(keys, less); o != nil {
+		return o
 	}
 	return heapOrder{newEntryHeap(less)}
 }

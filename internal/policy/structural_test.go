@@ -8,13 +8,19 @@ import (
 	"webcache/internal/trace"
 )
 
-// withStructural builds a policy with the structural fast path forced
-// on or off, restoring the ablation switch afterwards.
-func withStructural(enabled bool, build func() *Sorted) *Sorted {
-	old := DisableStructural
-	DisableStructural = !enabled
-	p := build()
-	DisableStructural = old
+// onHeap moves a freshly built, empty policy onto the heap backend with
+// the same comparator: the oracle every structural backend must match.
+func onHeap(p *Sorted) *Sorted {
+	var less func(a, b *Entry) bool
+	switch o := p.ord.(type) {
+	case heapOrder:
+		less = o.h.less
+	case *recencyList:
+		less = o.less
+	case *sizeBuckets:
+		less = o.buckets[0].less
+	}
+	p.ord = heapOrder{newEntryHeap(less)}
 	return p
 }
 
@@ -40,10 +46,6 @@ func TestStructuralBackendSelection(t *testing.T) {
 		p := c.New(0)
 		if got, want := p.Backend(), wantFor(c); got != want {
 			t.Errorf("%s: backend %q, want %q", c, got, want)
-		}
-		off := withStructural(false, func() *Sorted { return c.New(0) })
-		if got := off.Backend(); got != "heap" {
-			t.Errorf("%s: DisableStructural backend %q, want heap", c, got)
 		}
 	}
 	classics := []struct {
@@ -98,8 +100,8 @@ func newStructuralHarness(t *testing.T, name string, build func() *Sorted) *stru
 	return &structuralHarness{
 		t:    t,
 		name: name,
-		fast: withStructural(true, build),
-		orcl: withStructural(false, build),
+		fast: build(),
+		orcl: onHeap(build()),
 		now:  100,
 	}
 }

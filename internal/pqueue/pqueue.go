@@ -136,20 +136,10 @@ func (h *Heap[T]) removeAt(i int) {
 	}
 }
 
-// DisableHoleSift reverts up and down to the pairwise-swap sift of the
-// original implementation. It exists so the benchmark harness can
-// reconstruct the pre-optimization hot path; the comparison sequence and
-// resulting heap layout are identical either way.
-var DisableHoleSift bool
-
 // up sifts i toward the root. The moving item is held aside while its
 // ancestors shift down into the hole, then written once at its final
 // position — one write and one SetHeapIndex per level instead of two.
 func (h *Heap[T]) up(i int) {
-	if DisableHoleSift {
-		h.upSwap(i)
-		return
-	}
 	item := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -167,9 +157,6 @@ func (h *Heap[T]) up(i int) {
 // down sifts i toward the leaves with the same hole scheme as up; it
 // reports whether the item moved.
 func (h *Heap[T]) down(i int) bool {
-	if DisableHoleSift {
-		return h.downSwap(i)
-	}
 	start := i
 	item := h.items[i]
 	n := len(h.items)
@@ -195,43 +182,4 @@ func (h *Heap[T]) down(i int) bool {
 	h.items[i] = item
 	item.SetHeapIndex(i)
 	return true
-}
-
-func (h *Heap[T]) upSwap(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *Heap[T]) downSwap(i int) bool {
-	moved := false
-	n := len(h.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && h.less(h.items[right], h.items[left]) {
-			smallest = right
-		}
-		if !h.less(h.items[smallest], h.items[i]) {
-			break
-		}
-		h.swap(i, smallest)
-		i = smallest
-		moved = true
-	}
-	return moved
-}
-
-func (h *Heap[T]) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].SetHeapIndex(i)
-	h.items[j].SetHeapIndex(j)
 }

@@ -88,12 +88,3 @@ func BenchmarkRemovePush(b *testing.B) {
 		h.Push(it)
 	}
 }
-
-// BenchmarkFixSwapSift is BenchmarkFix16k under the ablation switch, so
-// `go test -bench 'Fix16k|FixSwapSift'` shows the hole-based sift's
-// contribution directly.
-func BenchmarkFixSwapSift(b *testing.B) {
-	DisableHoleSift = true
-	defer func() { DisableHoleSift = false }()
-	benchmarkFix(b, 16384)
-}

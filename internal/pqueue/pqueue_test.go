@@ -234,51 +234,3 @@ func TestFixForeignItem(t *testing.T) {
 		t.Fatalf("foreign Fix disturbed heap: head key %d", got.key)
 	}
 }
-
-// TestHoleSiftMatchesSwapSift drives two heaps through the same random
-// operation sequence, one with the hole-based sifts and one with the
-// original pairwise-swap sifts, and requires identical layouts after
-// every operation: the ablation switch must only change speed.
-func TestHoleSiftMatchesSwapSift(t *testing.T) {
-	defer func() { DisableHoleSift = false }()
-	hole, swap := newHeap(), newHeap()
-	var holeItems, swapItems []*item
-	r := rng.New(9)
-	for op := 0; op < 5000; op++ {
-		k := r.Intn(50)
-		switch {
-		case r.Intn(3) == 0 && len(holeItems) > 0:
-			i := r.Intn(len(holeItems))
-			holeItems[i].key, swapItems[i].key = k, k
-			DisableHoleSift = false
-			hole.Fix(holeItems[i])
-			DisableHoleSift = true
-			swap.Fix(swapItems[i])
-		case r.Intn(4) == 0 && len(holeItems) > 0:
-			i := r.Intn(len(holeItems))
-			DisableHoleSift = false
-			hole.Remove(holeItems[i])
-			DisableHoleSift = true
-			swap.Remove(swapItems[i])
-			holeItems = append(holeItems[:i], holeItems[i+1:]...)
-			swapItems = append(swapItems[:i], swapItems[i+1:]...)
-		default:
-			hi, si := &item{key: k, idx: -1}, &item{key: k, idx: -1}
-			DisableHoleSift = false
-			hole.Push(hi)
-			DisableHoleSift = true
-			swap.Push(si)
-			holeItems = append(holeItems, hi)
-			swapItems = append(swapItems, si)
-		}
-		if hole.Len() != swap.Len() {
-			t.Fatalf("op %d: lengths diverge (%d vs %d)", op, hole.Len(), swap.Len())
-		}
-		for i := range hole.Items() {
-			if hole.Items()[i].key != swap.Items()[i].key {
-				t.Fatalf("op %d: layouts diverge at slot %d (%d vs %d)",
-					op, i, hole.Items()[i].key, swap.Items()[i].key)
-			}
-		}
-	}
-}

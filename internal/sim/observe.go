@@ -25,7 +25,7 @@ var Observer *obs.Observer
 // carries an event ring, the event-level trace. The counters are
 // resolved once per replay here, so the per-event work is a single
 // atomic add (plus one ring slot store when tracing is on — the cost
-// benchreplay's "observed" mode prices).
+// BenchmarkReplayObserved prices).
 func cacheHooks(o *obs.Observer) core.CacheHooks {
 	reg := o.Registry()
 	hits := reg.Counter("cache.hits")

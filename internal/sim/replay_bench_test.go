@@ -1,24 +1,23 @@
 package sim
 
 import (
+	"io"
 	"testing"
 
-	"webcache/internal/core"
+	"webcache/internal/obs"
 	"webcache/internal/policy"
-	"webcache/internal/pqueue"
 )
 
 // Full-replay microbenchmarks per policy family. Each reports
-// ns/request alongside ns/op, and each family runs in three modes: the
-// optimized engine, the pre-optimization engine reconstructed through
-// the ablation switches, and the optimized engine with every order on
-// the generic heap (policy.DisableStructural), so
+// ns/request alongside ns/op, and each family runs twice: as production
+// runs it, and with the observability layer attached (Observer with its
+// cache hooks, event ring and JSONL snapshots), so
 //
-//	go test ./internal/sim -bench Replay -benchmem
+//	go test ./internal/sim -run '^$' -bench 'Replay$|ReplayObserved' -benchmem
 //
-// shows the compiled layer's contribution per family and what each
-// policy backend saves over the heap. The 36-policy aggregate number
-// lives in BENCH_replay.json (make bench-baseline).
+// prices the enabled observability path per family. The last 36-policy
+// ablation, which priced each engine layer against its predecessor,
+// is the final entry of the frozen BENCH_replay.json.
 
 // replayFamilies samples one representative policy per structural
 // family — a single-key and a two-key SIZE order (size buckets), LRU
@@ -41,22 +40,18 @@ var replayFamilies = []struct {
 	{"GDSize", "GD-Size(1)"},
 }
 
-func benchmarkReplayPolicy(b *testing.B, spec string, legacy, heapOnly bool) {
+func benchmarkReplayPolicy(b *testing.B, spec string, observed bool) {
 	tr, base := benchExp2Workload(b)
-	policy.DisableCompiled = legacy
-	core.DisableAllocOpts = legacy
-	DisableDayIndex = legacy
-	pqueue.DisableHoleSift = legacy
-	DisableInterning = legacy
-	policy.DisableStructural = heapOnly
-	defer func() {
-		policy.DisableCompiled = false
-		core.DisableAllocOpts = false
-		DisableDayIndex = false
-		pqueue.DisableHoleSift = false
-		DisableInterning = false
-		policy.DisableStructural = false
-	}()
+	if observed {
+		o := obs.New(obs.Options{Metrics: io.Discard, Ring: obs.NewEventRing(1 << 16)})
+		o.SetExperiment("2")
+		Observer = o
+		defer func() {
+			if err := CloseObserver(nil); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
 	capacity := base.MaxNeeded / 10
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -76,20 +71,13 @@ func benchmarkReplayPolicy(b *testing.B, spec string, legacy, heapOnly bool) {
 
 func BenchmarkReplay(b *testing.B) {
 	for _, f := range replayFamilies {
-		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, false, false) })
+		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, false) })
 	}
 }
 
-func BenchmarkReplayGeneric(b *testing.B) {
+// BenchmarkReplayObserved is BenchmarkReplay with Observer attached.
+func BenchmarkReplayObserved(b *testing.B) {
 	for _, f := range replayFamilies {
-		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, true, false) })
-	}
-}
-
-// BenchmarkReplayHeap is BenchmarkReplay with every order on the heap;
-// families the heap already runs time the same in both.
-func BenchmarkReplayHeap(b *testing.B) {
-	for _, f := range replayFamilies {
-		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, false, true) })
+		b.Run(f.name, func(b *testing.B) { benchmarkReplayPolicy(b, f.spec, true) })
 	}
 }

@@ -62,19 +62,6 @@ func (st *replayState) flush() {
 	st.dayReqs, st.dayHit, st.dayBytes, st.dayBH = 0, 0, 0, 0
 }
 
-// DisableDayIndex, when set, makes Replay recompute each request's day
-// index per replay instead of reading the trace's shared precomputed
-// index. It exists for the benchmark harness to measure the
-// precomputation's contribution; results are identical either way.
-var DisableDayIndex bool
-
-// DisableInterning, when set, makes Experiment1 and RunPolicy replay
-// through the string-indexed engine instead of the interned columnar
-// one. It exists for the benchmark harness to measure interning's
-// contribution; results are identical either way (the equivalence test
-// and benchreplay's cross-mode DeepEqual enforce it).
-var DisableInterning bool
-
 // Replay feeds every request of tr through cache and returns the daily
 // HR/WHR series. onDayEnd, when non-nil, runs at each day boundary (used
 // by the periodic-sweep ablation). The per-request day indexes come
@@ -85,19 +72,11 @@ var DisableInterning bool
 func Replay(tr *trace.Trace, cache Accessor, onDayEnd func(day int)) DailyRates {
 	var st replayState
 	st.rates = DailyRates{HR: &stats.DailySeries{}, WHR: &stats.DailySeries{}}
-	var days []int32
-	if !DisableDayIndex {
-		days = tr.DayIndex()
-	}
+	days := tr.DayIndex()
 	prevDay := -1
 	for i := range tr.Requests {
 		req := &tr.Requests[i]
-		var day int
-		if days != nil {
-			day = int(days[i])
-		} else {
-			day = req.Day(tr.Start)
-		}
+		day := int(days[i])
 		if prevDay >= 0 && day != prevDay && onDayEnd != nil {
 			onDayEnd(prevDay)
 		}
@@ -162,14 +141,9 @@ func Experiment1(tr *trace.Trace, seed uint64) *Exp1Result {
 	var cache *core.Cache
 	var rates DailyRates
 	replay := func() {
-		if DisableInterning {
-			cache = core.New(cfg)
-			rates = Replay(tr, cache, nil)
-		} else {
-			col := tr.Columnar()
-			cache = core.NewColumnar(cfg, col)
-			rates = ReplayColumnar(col, cache, nil)
-		}
+		col := tr.Columnar()
+		cache = core.NewColumnar(cfg, col)
+		rates = ReplayColumnar(col, cache, nil)
 	}
 	if o != nil {
 		observeReplay(o, "(infinite)", tr.Name, 0, replay, func() core.Stats { return cache.Stats() })
@@ -177,9 +151,7 @@ func Experiment1(tr *trace.Trace, seed uint64) *Exp1Result {
 		replay()
 	}
 	final := cache.Stats()
-	if !DisableInterning {
-		cache.Release()
-	}
+	cache.Release()
 	return &Exp1Result{
 		Workload:  tr.Name,
 		Rates:     rates,
@@ -223,9 +195,8 @@ type RunOptions struct {
 }
 
 // RunPolicy replays tr through a finite cache of the given capacity and
-// policy, and scores it against the Experiment 1 baseline. Unless
-// DisableInterning is set, the replay runs over the trace's shared
-// interned columnar view (built once per trace, fanned out read-only to
+// policy, and scores it against the Experiment 1 baseline. The replay
+// runs over the trace's shared interned columnar view (built once per trace, fanned out read-only to
 // every run of a sweep) through an ID-indexed cache, and the cache's
 // entry memory is released for the next run once its results are
 // copied out. pol is invalid after RunPolicy returns.
@@ -245,22 +216,13 @@ func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity in
 	var cache *core.Cache
 	var rates DailyRates
 	replay := func() {
-		if DisableInterning {
-			cache = core.New(cfg)
-			var onDay func(int)
-			if opts.Sweep > 0 {
-				onDay = func(int) { cache.Sweep(opts.Sweep) }
-			}
-			rates = Replay(tr, cache, onDay)
-		} else {
-			col := tr.Columnar()
-			cache = core.NewColumnar(cfg, col)
-			var onDay func(int)
-			if opts.Sweep > 0 {
-				onDay = func(int) { cache.Sweep(opts.Sweep) }
-			}
-			rates = ReplayColumnar(col, cache, onDay)
+		col := tr.Columnar()
+		cache = core.NewColumnar(cfg, col)
+		var onDay func(int)
+		if opts.Sweep > 0 {
+			onDay = func(int) { cache.Sweep(opts.Sweep) }
 		}
+		rates = ReplayColumnar(col, cache, onDay)
 	}
 	if o != nil {
 		label := opts.Label
@@ -277,9 +239,7 @@ func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity in
 		Rates:    rates,
 		Final:    cache.Stats(),
 	}
-	if !DisableInterning {
-		cache.Release()
-	}
+	cache.Release()
 	if base != nil {
 		run.HRRatioMean = rates.HR.MeanRatioTo(base.Rates.HR)
 		run.WHRRatioMean = rates.WHR.MeanRatioTo(base.Rates.WHR)
