@@ -245,9 +245,9 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 		return 0, 0, 0, nil, err
 	}
 	store := proxy.NewStore(capacity, livePol)
-	// Mirror core.New's internal seed derivation so the per-entry random
-	// tiebreak sequences of the two systems are identical.
-	store.SetSeed(cacheSeed ^ 0x9e3779b97f4a7c15)
+	// The simulated cache's seed, so the per-entry random tiebreak
+	// sequences of the two systems are identical.
+	store.SetSeed(cacheSeed)
 	// Drive the store's clock from the trace so time-based policies see
 	// simulation time, not wall time.
 	var simNow int64

@@ -240,21 +240,66 @@ func (c *Cache) Access(req *trace.Request) bool {
 	return c.access(c.entries[req.URL], req.URL, -1, req.Size, req.Type, req.Time)
 }
 
+// Lookup is the live proxy's hit test, on a string-keyed cache (New)
+// only, as Insert and Remove are. It hits on the URL alone, through
+// Access's hit step. The proxy learns the size from the origin after a
+// miss, so a miss counts a request of size 0, fires OnMiss and stores
+// nothing: Insert does that once the response is in.
+func (c *Cache) Lookup(url string, now int64) bool {
+	e := c.entries[url]
+	if e == nil {
+		c.setNow(now)
+		c.request(0, trace.ClassifyURL(url))
+		if c.cfg.Hooks.OnMiss != nil {
+			c.cfg.Hooks.OnMiss(0, now)
+		}
+		return false
+	}
+	return c.access(e, url, -1, e.Size, e.Type, now)
+}
+
+// Insert stores url at size bytes, evicting as needed, and reports
+// whether it did. It takes a resident copy of url out first, so the
+// copy is never its replacement's victim; that is neither an eviction
+// nor a size change. If no victim can make room, the old copy is put
+// back. The TestLive* tests pin how Lookup and Insert differ from Access.
+func (c *Cache) Insert(url string, size, now int64) bool {
+	old := c.entries[url]
+	if old != nil {
+		c.remove(old)
+	}
+	c.setNow(now)
+	if !c.insert(url, -1, size, trace.ClassifyURL(url), now) {
+		if old != nil {
+			c.entries[url] = old
+			c.stats.Used += old.Size
+			c.stats.Docs++
+			c.cfg.Policy.Add(old)
+		}
+		return false
+	}
+	if old != nil && c.recycle {
+		c.pool.Put(old)
+	}
+	return true
+}
+
+// Remove drops url, if resident, without counting an eviction.
+func (c *Cache) Remove(url string) {
+	if e := c.entries[url]; e != nil {
+		c.remove(e)
+		if c.recycle {
+			c.pool.Put(e)
+		}
+	}
+}
+
 // access is the request step of both index modes: e is the resident
 // entry the mode's lookup found for the document (nil when none). The
 // document is named by url in string mode and by id in interned mode.
 func (c *Cache) access(e *policy.Entry, url string, id int32, size int64, typ trace.DocType, now int64) bool {
-	c.now = now
-	if c.nowPol != nil {
-		c.nowPol.SetNow(now)
-	}
-
-	c.stats.Requests++
-	c.stats.BytesRequested += size
-	ts := &c.stats.ByType[typ]
-	ts.Requests++
-	ts.BytesRequested += size
-
+	c.setNow(now)
+	ts := c.request(size, typ)
 	if e != nil {
 		if e.Size == size {
 			e.ATime = now
@@ -287,13 +332,31 @@ func (c *Cache) access(e *policy.Entry, url string, id int32, size int64, typ tr
 	return false
 }
 
-// insert stores the requested document, evicting as needed. Both modes
-// draw the same RNG sequence; in interned mode url is empty until the
-// document's URL is read from the trace view.
-func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now int64) {
+// request counts a request for size bytes of type typ.
+func (c *Cache) request(size int64, typ trace.DocType) *TypeStats {
+	c.stats.Requests++
+	c.stats.BytesRequested += size
+	ts := &c.stats.ByType[typ]
+	ts.Requests++
+	ts.BytesRequested += size
+	return ts
+}
+
+func (c *Cache) setNow(now int64) {
+	c.now = now
+	if c.nowPol != nil {
+		c.nowPol.SetNow(now)
+	}
+}
+
+// insert stores the requested document, evicting as needed, and
+// reports whether it did. Both modes draw the same RNG sequence; in
+// interned mode url is empty until the document's URL is read from the
+// trace view.
+func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now int64) bool {
 	if c.cfg.ExcludeDynamic {
 		if c.byID != nil && c.col.Dynamic[id] || c.byID == nil && trace.IsDynamic(url) {
-			return
+			return false
 		}
 	}
 	if !c.Infinite() && size > c.cfg.Capacity {
@@ -301,7 +364,7 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 		// paper's traces never trigger this at the studied sizes, but a
 		// robust cache must not empty itself trying.
 		c.stats.Bypassed++
-		return
+		return false
 	}
 	if !c.Infinite() {
 		for c.stats.Used+size > c.cfg.Capacity {
@@ -310,7 +373,7 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 				// No removable documents remain; should be impossible
 				// given the capacity check above.
 				c.stats.Bypassed++
-				return
+				return false
 			}
 			c.evict(v)
 		}
@@ -351,6 +414,7 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 	if c.cfg.Hooks.OnAdd != nil {
 		c.cfg.Hooks.OnAdd(e)
 	}
+	return true
 }
 
 // evict removes a policy-chosen victim and notifies the observer. When

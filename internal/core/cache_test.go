@@ -262,3 +262,103 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
+
+// refusingPolicy tracks membership but never names a victim, so an
+// Insert that needs room fails.
+type refusingPolicy struct{ n int }
+
+func (p *refusingPolicy) Name() string               { return "REFUSING" }
+func (p *refusingPolicy) Add(*policy.Entry)          { p.n++ }
+func (p *refusingPolicy) Touch(*policy.Entry)        {}
+func (p *refusingPolicy) Remove(*policy.Entry)       { p.n-- }
+func (p *refusingPolicy) Victim(int64) *policy.Entry { return nil }
+func (p *refusingPolicy) Len() int                   { return p.n }
+
+// TestLiveLookupMiss pins the first way the live API differs from
+// Access: a Lookup miss counts a request of size 0 and fires OnMiss,
+// but stores nothing and draws no tiebreak value, so the next Insert
+// gets the value it would have got without the Lookup.
+func TestLiveLookupMiss(t *testing.T) {
+	var misses []int64
+	var rands []uint64
+	hooks := CacheHooks{
+		OnMiss: func(size, now int64) { misses = append(misses, size, now) },
+		OnAdd:  func(e *policy.Entry) { rands = append(rands, e.Rand) },
+	}
+	c := New(Config{Capacity: 1000, Policy: sizePolicy(), Seed: 7, Hooks: hooks})
+	if c.Lookup("http://a/x.html", 5) {
+		t.Fatal("Lookup on an empty cache hit")
+	}
+	if len(misses) != 2 || misses[0] != 0 || misses[1] != 5 {
+		t.Fatalf("OnMiss calls (size, now) = %v, want [0 5]", misses)
+	}
+	st := c.Stats()
+	if st.Requests != 1 || st.BytesRequested != 0 || st.Docs != 0 || st.Inserted != 0 || c.Contains("http://a/x.html", 0) {
+		t.Fatalf("after a Lookup miss: %+v", st)
+	}
+	c.Insert("http://a/x.html", 100, 6)
+
+	fresh := New(Config{Capacity: 1000, Policy: sizePolicy(), Seed: 7, Hooks: hooks})
+	fresh.Insert("http://a/x.html", 100, 6)
+	if len(rands) != 2 || rands[0] != rands[1] {
+		t.Fatalf("tiebreak values %v: the Lookup miss drew from the stream", rands)
+	}
+	if !c.Lookup("http://a/x.html", 7) {
+		t.Fatal("Lookup after Insert missed")
+	}
+	if st := c.Stats(); st.Requests != 2 || st.Hits != 1 || st.BytesHit != 100 {
+		t.Fatalf("after a Lookup hit: %+v", st)
+	}
+	c.CheckInvariants()
+}
+
+// TestLiveInsertSameSize pins the second: an Insert over a resident
+// copy of the same size into a full cache replaces it without evicting
+// anything. Docs and Used count only the new copy, and neither
+// Evictions nor SizeChanges moves.
+func TestLiveInsertSameSize(t *testing.T) {
+	c := New(Config{Capacity: 300, Policy: sizePolicy(), Seed: 1})
+	c.Insert("http://a/x.html", 100, 1)
+	c.Insert("http://a/y.html", 200, 2)
+	if !c.Insert("http://a/x.html", 100, 3) {
+		t.Fatal("same-size replacement rejected")
+	}
+	st := c.Stats()
+	if st.Docs != 2 || st.Used != 300 || st.Evictions != 0 || st.SizeChanges != 0 || st.Inserted != 3 {
+		t.Fatalf("after a same-size replacement: %+v", st)
+	}
+	if !c.Contains("http://a/x.html", 100) || !c.Contains("http://a/y.html", 200) {
+		t.Fatal("replacement lost a document")
+	}
+	c.CheckInvariants()
+}
+
+// TestLiveInsertOtherSize pins the second for a changed size, and the
+// third: a replacement that finds no victim to make room leaves the old
+// copy resident as it was, and the cache goes on working after it.
+func TestLiveInsertOtherSize(t *testing.T) {
+	c := New(Config{Capacity: 300, Policy: &refusingPolicy{}, Seed: 1})
+	c.Insert("http://a/x.html", 100, 1)
+	c.Insert("http://a/y.html", 200, 2)
+	if c.Insert("http://a/x.html", 150, 3) {
+		t.Fatal("replacement admitted with no victim to make room")
+	}
+	if st := c.Stats(); st.Docs != 2 || st.Used != 300 || !c.Contains("http://a/x.html", 100) {
+		t.Fatalf("failed replacement did not keep the old copy: %+v", st)
+	}
+	c.CheckInvariants()
+	if !c.Insert("http://a/x.html", 50, 4) {
+		t.Fatal("replacement that fits rejected")
+	}
+	if !c.Insert("http://a/z.html", 40, 5) {
+		t.Fatal("insert after the replacements rejected")
+	}
+	st := c.Stats()
+	if st.Docs != 3 || st.Used != 290 || st.Evictions != 0 || st.SizeChanges != 0 {
+		t.Fatalf("after a changed-size replacement: %+v", st)
+	}
+	if !c.Contains("http://a/x.html", 50) || c.Contains("http://a/x.html", 100) {
+		t.Fatal("cache does not hold exactly the new copy")
+	}
+	c.CheckInvariants()
+}

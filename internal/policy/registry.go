@@ -137,7 +137,7 @@ func Parse(spec string, dayStart int64) (Policy, error) {
 // Factory validates a specification string once and returns a
 // constructor producing fresh, independent Policy instances for it —
 // the registry lookup callers use when they need several caches
-// running the same policy (one per shard, one per shadow) or want
+// running the same policy (one per shadow cache) or want
 // flag errors surfaced at startup rather than at first use. The
 // returned name is the canonical spelling (Policy.Name of a probe
 // instance), stable across equivalent spellings of spec.

@@ -371,7 +371,7 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 	}
 	contentType, lastMod := headerSubset(resp.Header)
 	length := resp.ContentLength // -1: chunked or EOF-delimited origin
-	fits := length <= s.MaxObjectBytes && (length < 0 || s.store.Admits(key, length))
+	fits := length <= s.MaxObjectBytes && (length < 0 || s.store.Admits(length))
 	hdr := makeEntityHeader(contentType, lastMod, length)
 	hdr.set(w.Header(), xCacheMiss)
 	serve := rt.BeginSpan(obs.PhaseServe)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"webcache/internal/core"
 	"webcache/internal/policy"
 )
 
@@ -19,6 +20,8 @@ func TestStorePutGet(t *testing.T) {
 	s := NewStore(1000, nil)
 	now := time.Unix(1_000_000, 0)
 	s.SetClock(func() time.Time { return now })
+	var aTime, nRef, eTime int64
+	s.SetHooks(core.CacheHooks{OnHit: func(e *policy.Entry) { aTime, nRef, eTime = e.ATime, e.NRef, e.ETime }})
 	obj := &Object{Body: []byte("hello"), ContentType: "text/plain", StoredAt: now}
 	if !s.Put("http://a/x", obj) {
 		t.Fatal("Put failed")
@@ -31,8 +34,8 @@ func TestStorePutGet(t *testing.T) {
 	}
 	// The hit updates the entry before Get returns: ATime is the hit's
 	// time, NRef counts the hit, ETime still says when it entered.
-	if e := s.entries["http://a/x"]; e.ATime != now.Unix() || e.NRef != 2 || e.ETime != stored {
-		t.Fatalf("entry after hit: ATime %d NRef %d ETime %d, want %d 2 %d", e.ATime, e.NRef, e.ETime, now.Unix(), stored)
+	if aTime != now.Unix() || nRef != 2 || eTime != stored {
+		t.Fatalf("entry after hit: ATime %d NRef %d ETime %d, want %d 2 %d", aTime, nRef, eTime, now.Unix(), stored)
 	}
 	if _, ok := s.Get("http://a/missing"); ok {
 		t.Fatal("Get on missing key succeeded")

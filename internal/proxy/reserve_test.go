@@ -55,26 +55,6 @@ func TestReserveAllocationPin(t *testing.T) {
 	t.Logf("fill of %d docs: %d mallocs reserved, %d unreserved", docs, reserved, cold)
 }
 
-// TestShardedReserve checks the hint spreads across shards: after
-// Reserve(docs), each shard accepts its share of a full-population fill
-// without violating its quota bookkeeping, and a zero/negative hint is
-// a no-op.
-func TestShardedReserve(t *testing.T) {
-	s := NewShardedStore(1<<20, 4, nil)
-	s.Reserve(1000)
-	s.Reserve(0)  // no-op
-	s.Reserve(-5) // no-op
-	for i := 0; i < 256; i++ {
-		url := fmt.Sprintf("http://sharded.example.com/doc%d", i)
-		if !s.Put(url, &Object{Body: make([]byte, 8)}) {
-			t.Fatalf("put %d rejected after Reserve", i)
-		}
-	}
-	if got := s.Len(); got != 256 {
-		t.Fatalf("Len = %d after 256 puts, want 256", got)
-	}
-}
-
 // TestReserveAfterServingIsNoop pins the documented contract: Reserve
 // on a store already holding objects must not clear or replace the
 // maps.

@@ -12,8 +12,6 @@ import (
 	"webcache/internal/core"
 	"webcache/internal/obs"
 	"webcache/internal/policy"
-	"webcache/internal/rng"
-	"webcache/internal/trace"
 )
 
 // Object is a cached HTTP response body plus the metadata needed to
@@ -31,8 +29,7 @@ type Object struct {
 }
 
 // StoreStats counts store activity. Capacity is the store's byte
-// capacity, fixed when the store is built (summed over the shards of a
-// sharded store).
+// capacity, fixed when the store is built.
 type StoreStats struct {
 	Gets      int64
 	Hits      int64
@@ -46,23 +43,30 @@ type StoreStats struct {
 
 // Store is a concurrency-safe, capacity-bounded object store whose
 // removal victims are chosen by a policy.Policy (SIZE by default, the
-// paper's recommendation for hit rate). All policy and map bookkeeping
-// is guarded by one RWMutex: Get and every mutation take it exclusively,
-// because a hit stamps the entry's ATime and NRef and re-ranks it in the
-// policy on the spot, as the simulator does; Peek, Len and Stats take it
-// shared, so ICP queries can be answered beside traffic. Eviction
-// follows one global order, which is why cmd/proxy and livebench serve
-// from this type.
+// paper's recommendation for hit rate). Admission, eviction and hit
+// bookkeeping are a core.Cache's, the simulator's engine, through its
+// live API; Store adds a lock, the bodies in a second map and a wall
+// clock. Get and every mutation take the lock exclusively, because a
+// hit stamps the entry's ATime and NRef and re-ranks it in the policy
+// on the spot, as the simulator does; Peek, Len and Stats take it
+// shared, so ICP queries can be answered beside traffic.
+//
+// The cache recycles evicted entries (core.Config.OnEvict is unset), so
+// no *policy.Entry escapes Store: Get and Peek return only the *Object,
+// and the CacheHooks given to SetHooks must not retain their entries
+// (StoreHooks copies fields).
 type Store struct {
 	mu       sync.RWMutex
 	capacity int64 // fixed by NewStore, so read without mu
-	pol      policy.Policy
-	entries  map[string]*policy.Entry
+	cfg      core.Config
+	c        *core.Cache
 	objects  map[string]*Object
-	rnd      *rng.Rand
-	stats    StoreStats // Capacity is filled in by Stats
 	now      func() time.Time
-	hooks    core.CacheHooks
+
+	// onEvict is the OnEvict hook SetHooks was given, which the cache's
+	// own, s.evicted, calls.
+	onEvict func(e *policy.Entry, now int64)
+	rt      *obs.ReqTrace // the trace of the PutTraced in progress
 }
 
 // NewStore returns a store with the given capacity in bytes and policy.
@@ -72,33 +76,40 @@ func NewStore(capacity int64, pol policy.Policy) *Store {
 	if pol == nil {
 		pol = policy.NewSorted([]policy.Key{policy.KeySize}, 0)
 	}
-	return &Store{
+	s := &Store{
 		capacity: capacity,
-		pol:      pol,
-		entries:  make(map[string]*policy.Entry),
 		objects:  make(map[string]*Object),
-		rnd:      rng.New(0x9e3779b97f4a7c15),
 		now:      time.Now,
 	}
+	s.cfg = core.Config{Capacity: capacity, Policy: pol, Hooks: core.CacheHooks{OnEvict: s.evicted}}
+	s.c = core.New(s.cfg)
+	return s
+}
+
+// rebuild replaces the cache with an empty one built from s.cfg. The
+// setters that change s.cfg call it before the first Put.
+func (s *Store) rebuild() {
+	if s.c.Len() > 0 {
+		panic("proxy: Store reconfigured after the first Put")
+	}
+	s.c = core.New(s.cfg)
 }
 
 // Reserve pre-sizes the store for an expected resident-document count:
 // the entry and object maps allocate their buckets up front and the
-// policy's backing structures grow through policy.Reserver — the same
-// pre-sizing the simulator's SizeHint path does for core.Cache. It is
-// purely a performance hint: call it before serving; a non-positive
-// hint or a store already holding objects makes it a no-op (re-hashing
-// a live map would cost more than incremental growth).
+// policy's backing structures grow through policy.Reserver — the
+// simulator's core.Config.SizeHint. It is purely a performance hint:
+// call it before serving; a non-positive hint or a store already
+// holding objects makes it a no-op (re-hashing a live map would cost
+// more than incremental growth).
 func (s *Store) Reserve(docs int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if docs <= 0 || len(s.entries) > 0 {
+	if docs <= 0 || s.c.Len() > 0 {
 		return
 	}
-	if r, ok := s.pol.(policy.Reserver); ok {
-		r.Reserve(docs)
-	}
-	s.entries = make(map[string]*policy.Entry, docs)
+	s.cfg.SizeHint = docs
+	s.rebuild()
 	s.objects = make(map[string]*Object, docs)
 }
 
@@ -109,26 +120,30 @@ func (s *Store) SetClock(now func() time.Time) {
 	s.now = now
 }
 
-// SetSeed re-seeds the per-entry random tiebreak stream. cmd/livebench
-// uses it to give the live store the same tiebreak sequence as a
-// simulated core.Cache, making the two systems byte-for-byte comparable
-// even for policies with frequent key ties (LRU at one-second timestamp
-// resolution, LFU at low reference counts). Call before any Put.
+// SetSeed sets the seed of the per-entry random tiebreak stream, as
+// core.Config.Seed does. cmd/livebench passes the simulated cache's
+// seed, making the two systems byte-for-byte comparable even for
+// policies with frequent key ties (LRU at one-second timestamp
+// resolution, LFU at low reference counts). Call before the first Put.
 func (s *Store) SetSeed(seed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rnd = rng.New(seed)
+	s.cfg.Seed = seed
+	s.rebuild()
 }
 
 // SetHooks attaches the same nil-checked cache event hooks the
 // simulated core.Cache fires, so the live store feeds the identical
 // observability surface (hit/miss/evict/add events with the evicted
-// entry's age and NREF). Call before serving; unset hooks cost one
-// branch per event, same contract as core.
+// entry's age and NREF). Call before the first Put; unset hooks cost
+// one branch per event, same contract as core.
 func (s *Store) SetHooks(h core.CacheHooks) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.hooks = h
+	s.onEvict = h.OnEvict
+	h.OnEvict = s.evicted
+	s.cfg.Hooks = h
+	s.rebuild()
 }
 
 // Get returns the cached object for url. A hit stamps the entry's ATime
@@ -137,22 +152,8 @@ func (s *Store) SetHooks(h core.CacheHooks) {
 func (s *Store) Get(url string) (*Object, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Gets++
-	e, ok := s.entries[url]
-	if !ok {
-		if s.hooks.OnMiss != nil {
-			// Size 0: a live miss's size is unknown until the origin
-			// responds (the fetch path counts the bytes).
-			s.hooks.OnMiss(0, s.now().Unix())
-		}
+	if !s.c.Lookup(url, s.now().Unix()) {
 		return nil, false
-	}
-	e.ATime = s.now().Unix()
-	e.NRef++
-	s.pol.Touch(e)
-	s.stats.Hits++
-	if s.hooks.OnHit != nil {
-		s.hooks.OnHit(e)
 	}
 	return s.objects[url], true
 }
@@ -171,89 +172,49 @@ func (s *Store) Peek(url string) (*Object, bool) {
 // whole store are not cached; Put reports whether it stored the object.
 // Unless the miss path already did, Put formats the header values a hit
 // serves from obj's fields, so obj must not change once it has been put.
-func (s *Store) Put(url string, obj *Object) bool { return s.put(url, obj, nil) }
+func (s *Store) Put(url string, obj *Object) bool { return s.PutTraced(url, obj, nil) }
 
 // PutTraced is Put with the request's span timeline attached: each
 // victim the admission evicts becomes one evict span (annotated with
 // the victim's bytes) and bumps the trace's eviction count. A nil rt
 // is exactly Put.
 func (s *Store) PutTraced(url string, obj *Object, rt *obs.ReqTrace) bool {
-	return s.put(url, obj, rt)
-}
-
-func (s *Store) put(url string, obj *Object, rt *obs.ReqTrace) bool {
 	size := int64(len(obj.Body))
 	if obj.header[2] == "" { // no Content-Length: not formatted yet
 		obj.header = makeEntityHeader(obj.ContentType, obj.LastModified, size)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if size > s.capacity {
+	if !s.Admits(size) {
 		return false
 	}
-	s.stats.Puts++
-	// Replacement must be atomic: the old entry is taken out before the
-	// eviction loop (its bytes are being superseded, and the policy must
-	// not pick it as its own replacement's victim), but if no victim set
-	// can make room for the new object, the old one is reinstated rather
-	// than silently lost.
-	old, hadOld := s.entries[url]
-	var oldObj *Object
-	if hadOld {
-		oldObj = s.objects[url]
-		s.removeLocked(old)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rt = rt
+	ok := s.c.Insert(url, size, s.now().Unix())
+	s.rt = nil
+	if ok {
+		s.objects[url] = obj
 	}
-	now := s.now().Unix()
-	for s.stats.Used+size > s.capacity {
-		var sp obs.SpanID
-		if rt != nil {
-			sp = rt.BeginSpan(obs.PhaseEvict)
-		}
-		v := s.pol.Victim(size)
-		if v == nil {
-			if rt != nil {
-				// Arg -1: the victim search failed, admission denied.
-				rt.EndSpanArg(sp, -1)
-			}
-			if hadOld {
-				s.entries[url] = old
-				s.objects[url] = oldObj
-				s.pol.Add(old)
-				s.stats.Used += old.Size
-				s.stats.Docs++
-			}
-			return false
-		}
-		s.removeLocked(v)
-		s.stats.Evictions++
-		if rt != nil {
-			rt.EndSpanArg(sp, v.Size)
-			rt.CountEviction()
-		}
-		if s.hooks.OnEvict != nil {
-			s.hooks.OnEvict(v, now)
-		}
-	}
-	e := policy.NewEntry(url, size, trace.ClassifyURL(url), now, s.rnd.Uint64())
-	s.entries[url] = e
-	s.objects[url] = obj
-	s.pol.Add(e)
-	s.stats.Used += size
-	s.stats.Docs++
-	if s.stats.Used > s.stats.MaxUsed {
-		s.stats.MaxUsed = s.stats.Used
-	}
-	if s.hooks.OnAdd != nil {
-		s.hooks.OnAdd(e)
-	}
-	return true
+	return ok
 }
 
-// Admits reports whether Put would accept an object of size bytes under
-// url as far as size goes — the test at the top of put, so the proxy can
+// evicted is the cache's OnEvict hook: it drops the victim's body and
+// calls the caller's own hook. Inside a PutTraced, both are one evict
+// span.
+func (s *Store) evicted(e *policy.Entry, now int64) {
+	sp := s.rt.BeginSpan(obs.PhaseEvict)
+	delete(s.objects, e.URL)
+	if s.onEvict != nil {
+		s.onEvict(e, now)
+	}
+	s.rt.EndSpanArg(sp, e.Size)
+	s.rt.CountEviction()
+}
+
+// Admits reports whether Put would accept an object of size bytes as
+// far as size goes — the test at the top of Put, so the proxy can
 // decide before it buffers a body whether to keep it. It takes no lock:
 // nothing writes capacity after NewStore.
-func (s *Store) Admits(url string, size int64) bool { return size <= s.capacity }
+func (s *Store) Admits(size int64) bool { return size <= s.capacity }
 
 // Refresh updates the stored-at time of url's object after a successful
 // revalidation (304 from the origin). It installs a copy: a reader may
@@ -272,34 +233,35 @@ func (s *Store) Refresh(url string) {
 func (s *Store) Remove(url string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[url]; ok {
-		s.removeLocked(e)
-	}
-}
-
-func (s *Store) removeLocked(e *policy.Entry) {
-	s.pol.Remove(e)
-	delete(s.entries, e.URL)
-	delete(s.objects, e.URL)
-	s.stats.Used -= e.Size
-	s.stats.Docs--
+	s.c.Remove(url)
+	delete(s.objects, url)
 }
 
 // Len returns the number of cached objects.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.entries)
+	return s.c.Len()
 }
 
 // Stats returns an exact snapshot of store counters: every counter is
-// written under the write lock, and Stats holds the lock shared.
+// written under the write lock, and Stats holds the lock shared. A Put
+// past Admits is one Insert, which the cache counts as inserted or
+// bypassed.
 func (s *Store) Stats() StoreStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := s.stats
-	st.Capacity = s.capacity
-	return st
+	st := s.c.Stats()
+	return StoreStats{
+		Gets:      st.Requests,
+		Hits:      st.Hits,
+		Puts:      st.Inserted + st.Bypassed,
+		Evictions: st.Evictions,
+		Used:      st.Used,
+		MaxUsed:   st.MaxUsed,
+		Docs:      st.Docs,
+		Capacity:  s.capacity,
+	}
 }
 
 // headerSubset copies the entity headers a 1.0-era cache preserves.

@@ -9,55 +9,32 @@ import (
 	"webcache/internal/policy"
 )
 
-// checkInvariants verifies the store's accounting against its contents:
-// Used is the sum of the resident entries' sizes and within capacity;
-// the document count agrees across the counter, both maps and the
-// policy; and every object's body is exactly as long as its entry says.
-// It holds the read lock, so it may run beside live traffic.
-func (s *Store) checkInvariants() error {
+// checkInvariants runs core.Cache's own check on the store's cache,
+// then verifies that the body map holds exactly the resident documents,
+// each body as long as its entry. It holds the read lock, so it may run
+// beside live traffic.
+func (s *Store) checkInvariants() (err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var sum int64
-	for url, e := range s.entries {
-		if e.URL != url {
-			return fmt.Errorf("entry under %q names %q", url, e.URL)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
 		}
-		obj, ok := s.objects[url]
-		if !ok {
-			return fmt.Errorf("entry %q has no object", url)
-		}
-		if int64(len(obj.Body)) != e.Size {
-			return fmt.Errorf("object %q holds %d bytes, its entry says %d", url, len(obj.Body), e.Size)
-		}
-		sum += e.Size
+	}()
+	s.c.CheckInvariants()
+	if len(s.objects) != s.c.Len() {
+		return fmt.Errorf("%d bodies, %d resident documents", len(s.objects), s.c.Len())
 	}
-	if s.stats.Used != sum {
-		return fmt.Errorf("Used %d, resident entries sum to %d", s.stats.Used, sum)
-	}
-	if s.stats.Used > s.capacity {
-		return fmt.Errorf("Used %d exceeds capacity %d", s.stats.Used, s.capacity)
-	}
-	if n := len(s.entries); s.stats.Docs != int64(n) || len(s.objects) != n || s.pol.Len() != n {
-		return fmt.Errorf("Docs %d, entries %d, objects %d, policy %d", s.stats.Docs, n, len(s.objects), s.pol.Len())
-	}
-	return nil
-}
-
-// checkInvariants runs the store check on every shard against its own
-// quota.
-func (s *ShardedStore) checkInvariants() error {
-	for i, sh := range s.shards {
-		if err := sh.checkInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+	for url, obj := range s.objects {
+		if !s.c.Contains(url, int64(len(obj.Body))) {
+			return fmt.Errorf("body of %q (%d bytes) is not resident at that size", url, len(obj.Body))
 		}
 	}
 	return nil
 }
 
-// checkStoreInvariants checks whichever implementation s is.
-func checkStoreInvariants(s ObjectStore) error {
-	return s.(interface{ checkInvariants() error }).checkInvariants()
-}
+// checkStoreInvariants checks the store behind s.
+func checkStoreInvariants(s ObjectStore) error { return s.(*Store).checkInvariants() }
 
 // racePolicies are the backends the concurrency tests run each store
 // over: SIZE (the default, on size buckets), LRU (an intrusive recency
@@ -73,16 +50,11 @@ var racePolicies = []struct {
 	{"LFU", func() policy.Policy { return policy.NewLFU() }},
 }
 
-// raceImpls builds one store of each implementation behind the shared
-// ObjectStore interface, so every concurrency test in this file runs
-// against both the single-mutex Store and the ShardedStore (including
-// the 1-shard edge case, whose routing and quota paths are live even
-// though only one lock exists).
+// raceImpls builds the store the concurrency tests in this file run
+// against, behind the ObjectStore interface the serving path uses.
 func raceImpls(capacity int64) map[string]func(newPolicy func() policy.Policy) ObjectStore {
 	return map[string]func(func() policy.Policy) ObjectStore{
 		"single-mutex": func(p func() policy.Policy) ObjectStore { return NewStore(capacity, p()) },
-		"sharded-1":    func(p func() policy.Policy) ObjectStore { return NewShardedStore(capacity, 1, p) },
-		"sharded-8":    func(p func() policy.Policy) ObjectStore { return NewShardedStore(capacity, 8, p) },
 	}
 }
 
@@ -137,7 +109,7 @@ func TestStoreRaceStress(t *testing.T) {
 						}
 					case 7:
 						s.Len()
-						s.Admits(url, int64(100+(i%700)))
+						s.Admits(int64(100 + (i % 700)))
 						s.Refresh(url)
 					}
 				}

@@ -95,15 +95,11 @@ func fetch(c *http.Client, target string, hdr http.Header) (*http.Response, []by
 // TestMissStreamsByteExact drives every branch of the miss path by body
 // size: each document arrives byte for byte under the right headers, a
 // cacheable one is a HIT with the same bytes on the second request, one
-// past MaxObjectBytes or past the quota of the store (or of its shard)
-// is delivered whole and not kept, and the byte counters agree with the
-// wire.
+// past MaxObjectBytes or past the capacity of the store is delivered
+// whole and not kept, and the byte counters agree with the wire.
 func TestMissStreamsByteExact(t *testing.T) {
 	single := func(capacity int64) func() ObjectStore {
 		return func() ObjectStore { return NewStore(capacity, nil) }
-	}
-	sharded := func(capacity int64, shards int) func() ObjectStore {
-		return func() ObjectStore { return NewShardedStore(capacity, shards, nil) }
 	}
 	const defaultMax = 8 << 20
 	cases := []struct {
@@ -122,8 +118,6 @@ func TestMissStreamsByteExact(t *testing.T) {
 		{"MaxObjectBytes+10", single(32 << 20), 0, "doc", defaultMax + 10, false},
 		{"store quota", single(64 << 10), 0, "doc", 64 << 10, true},
 		{"store quota+1", single(64 << 10), 0, "doc", 64<<10 + 1, false},
-		{"shard quota", sharded(256<<10, 4), 0, "doc", 64 << 10, true},
-		{"shard quota+1", sharded(256<<10, 4), 0, "doc", 64<<10 + 1, false},
 		{"unknown length", single(1 << 20), 0, "stream", 100 << 10, true},
 		{"unknown length, empty", single(1 << 20), 0, "stream", 0, true},
 		{"unknown length past MaxObjectBytes", single(1 << 20), 64 << 10, "stream", 200 << 10, false},
@@ -420,14 +414,12 @@ func TestMissClientDisconnectCancelsFetch(t *testing.T) {
 }
 
 // TestAdmitsAgreesWithPut is the property the miss path rests on: for
-// sizes around the quota, Admits answers what Put then does — on the
-// single store, on a sharded store, and on each shard after a skewed
-// load filled one of them.
+// sizes around the capacity, Admits answers what Put then does.
 func TestAdmitsAgreesWithPut(t *testing.T) {
 	check := func(t *testing.T, s ObjectStore, url string, quota int64) {
 		t.Helper()
 		for _, size := range []int64{0, 1, quota / 2, quota - 1, quota, quota + 1, 2 * quota} {
-			admits := s.Admits(url, size)
+			admits := s.Admits(size)
 			if put := s.Put(url, &Object{Body: make([]byte, size)}); put != admits {
 				t.Fatalf("%s, quota %d, size %d: Admits %v but Put %v", url, quota, size, admits, put)
 			}
@@ -441,22 +433,6 @@ func TestAdmitsAgreesWithPut(t *testing.T) {
 		capacity := 1 + rnd.Int63n(64<<10)
 		single := NewStore(capacity, nil)
 		check(t, single, fmt.Sprintf("http://a.example/%d", i), capacity)
-
-		shards := 1 + rnd.Intn(8)
-		sh := NewShardedStore(capacity, shards, nil)
-		for j := 0; j < 8; j++ {
-			url := fmt.Sprintf("http://b.example/%d/%d", i, j)
-			check(t, sh, url, sh.shard(url).Stats().Capacity)
-		}
-	}
-
-	const capacity, shards = 64 << 10, 4
-	sh := NewShardedStore(capacity, shards, nil)
-	for _, url := range urlsForShard(shards, 0, 64) {
-		sh.Put(url, &Object{Body: make([]byte, 1024)})
-	}
-	for i := 0; i < shards; i++ {
-		check(t, sh, urlsForShard(shards, i, 1)[0], capacity/shards)
 	}
 }
 
