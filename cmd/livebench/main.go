@@ -18,8 +18,8 @@
 // exactly zero.
 //
 // With -metrics, both replays report through one obs.Registry — the
-// simulated cache's hooks under sim.*, the live proxy and store under
-// proxy.* / store.* — and the run ends with the registry exposition
+// simulated cache's core.Stats under sim.*, the live proxy and store
+// under proxy.* / store.* — and the run ends with the registry exposition
 // plus an event-level profile (eviction ages, occupancy) of the live
 // store, so the counter cross-check mirrors the hit-rate delta.
 package main
@@ -124,10 +124,10 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		Seed:           seed + 2,
 		ExcludeDynamic: true,
 	}
-	if reg != nil {
-		simCfg.Hooks = simHooks(reg)
-	}
 	simCache := core.New(simCfg)
+	if reg != nil {
+		proxy.RegisterCacheStats(reg, "sim", simCache.Stats)
+	}
 	for i := range tr.Requests {
 		simCache.Access(&tr.Requests[i])
 	}
@@ -191,12 +191,12 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 	}
 
 	if reg != nil {
-		// The counter-level cross-check: the simulated cache's hooks and
-		// the live store's hooks landed in one registry, so agreement is
+		// The counter-level cross-check: the simulated cache's counts and
+		// the live store's are published in one registry, so agreement is
 		// visible without rederiving rates.
+		snap := reg.Snapshot()
 		fmt.Fprintf(out, "registry:  sim hits %d / live hits %d, sim evictions %d / live evictions %d\n",
-			reg.Counter("sim.hits").Load(), reg.Counter("store.hits").Load(),
-			reg.Counter("sim.evictions").Load(), reg.Counter("store.evictions").Load())
+			snap["sim.hits"], snap["store.hits"], snap["sim.evictions"], snap["store.evictions"])
 		fmt.Fprintln(out, "--- registry ---")
 		if err := reg.WriteText(out); err != nil {
 			return err
@@ -207,22 +207,6 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		}
 	}
 	return nil
-}
-
-// simHooks reports the simulated cache's events under the sim.* names,
-// next to the live side's proxy.* / store.* counters.
-func simHooks(reg *obs.Registry) core.CacheHooks {
-	hits := reg.Counter("sim.hits")
-	misses := reg.Counter("sim.misses")
-	evictions := reg.Counter("sim.evictions")
-	evictedBytes := reg.Counter("sim.evicted_bytes")
-	inserts := reg.Counter("sim.inserts")
-	return core.CacheHooks{
-		OnHit:   func(*policy.Entry) { hits.Inc() },
-		OnMiss:  func(int64, int64) { misses.Inc() },
-		OnEvict: func(e *policy.Entry, now int64) { evictions.Inc(); evictedBytes.Add(e.Size) },
-		OnAdd:   func(*policy.Entry) { inserts.Inc() },
-	}
 }
 
 // replayLive drives every trace request through a real proxy + origin.
@@ -272,7 +256,8 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 		fmt.Fprintf(out, "live store: shadowing %s\n", strings.Join(fleet.Policies(), ", "))
 	}
 	if reg != nil {
-		srv.Metrics = proxy.NewMetrics(reg)
+		srv.RegisterMetrics(reg)
+		store.RegisterMetrics(reg)
 		store.SetHooks(proxy.StoreHooks(reg, ring))
 	}
 	srv.FreshFor = 100 * 365 * 24 * time.Hour // never revalidate

@@ -41,8 +41,8 @@ func TestRunRejectsBadInputs(t *testing.T) {
 }
 
 // TestRegistryCrossCheck runs with the shared registry on: the
-// simulated cache's sim.* counters and the live store's store.*
-// counters must agree exactly, mirroring the hit-rate delta, and the
+// simulated cache's sim.* counts and the live store's store.* counts
+// must agree exactly, mirroring the hit-rate delta, and the
 // report must end with the registry exposition and the event profile.
 func TestRegistryCrossCheck(t *testing.T) {
 	if testing.Short() {
@@ -59,17 +59,18 @@ func TestRegistryCrossCheck(t *testing.T) {
 		"sim.evictions": "store.evictions",
 		"sim.inserts":   "store.inserts",
 	}
+	snap := reg.Snapshot()
 	for simName, liveName := range pairs {
-		simV, liveV := reg.Counter(simName).Load(), reg.Counter(liveName).Load()
-		if simV == 0 {
-			t.Errorf("%s is zero — hooks not attached?", simName)
+		simV, liveV := snap[simName], snap[liveName]
+		if simV == nil || simV == int64(0) {
+			t.Errorf("%s = %v — sim stats not registered?", simName, simV)
 		}
 		if simV != liveV {
-			t.Errorf("%s = %d but %s = %d", simName, simV, liveName, liveV)
+			t.Errorf("%s = %v but %s = %v", simName, simV, liveName, liveV)
 		}
 	}
-	if got := reg.Counter("proxy.requests").Load(); got == 0 {
-		t.Error("proxy.requests is zero — proxy metrics not attached")
+	if got := snap["proxy.requests"]; got == nil || got == int64(0) {
+		t.Errorf("proxy.requests = %v — proxy metrics not registered?", got)
 	}
 	if reg.Histogram("proxy.latency_ns").Count() == 0 {
 		t.Error("proxy latency histogram empty")

@@ -215,10 +215,9 @@ func buildApp(o options) (*app, error) {
 	if o.admin {
 		a.reg = obs.NewRegistry()
 		a.ring = obs.NewEventRing(eventRingSize)
-		a.srv.Metrics = proxy.NewMetrics(a.reg)
+		a.srv.RegisterMetrics(a.reg)
+		a.store.RegisterMetrics(a.reg)
 		a.store.SetHooks(proxy.StoreHooks(a.reg, a.ring))
-		a.srv.ICP.Queries = a.reg.Counter("proxy.icp_queries")
-		a.srv.ICP.Replies = a.reg.Counter("proxy.icp_replies")
 		registerMemoryGauges(a.reg)
 		extra := map[string]http.Handler{
 			"/accesslog": a.logger.Handler(),
@@ -273,9 +272,9 @@ func (a *app) snapshot() any {
 		"memory": readMemory(),
 	}
 	if a.reg != nil {
-		// Recent-window hit rate for the deployed store (the store.*
+		// Recent-window hit rate for the deployed store: the store.*
 		// lifetime counters tell you since-boot; this is the last
-		// minute) — the deployed side of the shadow fleet's regret.
+		// minute.
 		gets := a.reg.Windowed("store.window_gets", 0, 0).WindowTotal()
 		hits := a.reg.Windowed("store.window_hits", 0, 0).WindowTotal()
 		hr := 0.0

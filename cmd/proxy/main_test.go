@@ -241,8 +241,97 @@ func TestBuildAppWithoutAdmin(t *testing.T) {
 	if a.admin != nil || a.reg != nil || a.ring != nil || a.logger != nil {
 		t.Fatal("admin machinery built without -admin")
 	}
-	if a.srv.Metrics != nil {
-		t.Fatal("proxy metrics attached without -admin")
+}
+
+// TestAdminMetricNames pins the admin registry's metric names: a name
+// dashboards and the CI smoke read must not vanish or change when the
+// component that counts it changes.
+func TestAdminMetricNames(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "<html>doc</html>")
+	}))
+	defer origin.Close()
+	a, err := buildApp(options{capacity: 1 << 20, polSpec: "SIZE", freshFor: time.Hour, admin: true, shadow: "LRU,SIZE"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	traffic := serveTraffic(t, a.mux)
+	for _, want := range []string{"MISS", "HIT"} {
+		req, err := http.NewRequest(http.MethodGet, traffic.URL+"/a.html", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Host = strings.TrimPrefix(origin.URL, "http://")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("X-Cache = %q, want %q", got, want)
+		}
+	}
+
+	var got []string
+	for name := range a.reg.Snapshot() {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	want := []string{
+		"proxy.bytes_from_hit",
+		"proxy.bytes_served",
+		"proxy.errors",
+		"proxy.hits",
+		"proxy.icp_queries",
+		"proxy.icp_replies",
+		"proxy.misses",
+		"proxy.origin_bytes",
+		"proxy.origin_fetches",
+		"proxy.requests",
+		"proxy.revalidated",
+		"proxy.sibling_hits",
+		"proxy.uncacheable",
+		"runtime.gc_cycles",
+		"runtime.heap_goal_bytes",
+		"runtime.heap_live_bytes",
+		"runtime.mapped_bytes",
+		"runtime.memory_limit_bytes",
+		"store.evicted_bytes",
+		"store.evictions",
+		"store.hits",
+		"store.inserts",
+		"store.misses",
+		"store.shadow.LRU.docs",
+		"store.shadow.LRU.evictions",
+		"store.shadow.LRU.hits",
+		"store.shadow.LRU.regret_bp",
+		"store.shadow.LRU.requests",
+		"store.shadow.LRU.used_bytes",
+		"store.shadow.LRU.window_hr_bp",
+		"store.shadow.LRU.window_whr_bp",
+		"store.shadow.SIZE.docs",
+		"store.shadow.SIZE.evictions",
+		"store.shadow.SIZE.hits",
+		"store.shadow.SIZE.regret_bp",
+		"store.shadow.SIZE.requests",
+		"store.shadow.SIZE.used_bytes",
+		"store.shadow.SIZE.window_hr_bp",
+		"store.shadow.SIZE.window_whr_bp",
+		"store.shadow.drops",
+		"store.shadow.enqueued",
+		"store.shadow.pending",
+		"store.shadow.processed",
+		"store.window_gets",
+		"store.window_hits",
+		"store.window_hr_bp",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry names:\n got %q\nwant %q", got, want)
+	}
+	if _, ok := a.reg.HistogramSnapshot()["proxy.latency_ns"]; !ok {
+		t.Error("registry has no proxy.latency_ns histogram")
 	}
 }
 

@@ -176,61 +176,49 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // Registry is a named collection of metrics. Get-or-create lookups
 // take a mutex; the returned primitives are lock-free, so hooks hold a
-// pointer and never touch the registry on the event path.
+// pointer and never touch the registry on the event path. A name is
+// one metric of one kind: asking for it as another kind panics.
 type Registry struct {
-	mu     sync.Mutex
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
-	winds  map[string]*WindowedCounter
-	funcs  map[string]func() int64
+	mu sync.Mutex
+	// metrics holds a *Counter, *Gauge, *Histogram, *WindowedCounter or
+	// computed gauge (func() int64) per name.
+	metrics map[string]any
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-		winds:  make(map[string]*WindowedCounter),
-		funcs:  make(map[string]func() int64),
+	return &Registry{metrics: make(map[string]any)}
+}
+
+// lookup returns the metric registered as name, creating it with mk on
+// first use. It panics when name is registered as another kind.
+func lookup[M any](r *Registry, name string, mk func() M) M {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.metrics[name]; ok {
+		if v, ok := m.(M); ok {
+			return v
+		}
+		panic(fmt.Sprintf("obs: metric %q is a %T, not a %T", name, m, *new(M)))
 	}
+	v := mk()
+	r.metrics[name] = v
+	return v
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counts[name]
-	if !ok {
-		c = &Counter{}
-		r.counts[name] = c
-	}
-	return c
+	return lookup(r, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return lookup(r, name, func() *Histogram { return &Histogram{} })
 }
 
 // Windowed returns the named windowed counter, creating it with the
@@ -238,14 +226,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // defaults). The geometry is fixed at creation: later calls return the
 // existing counter regardless of the arguments.
 func (r *Registry) Windowed(name string, window time.Duration, buckets int) *WindowedCounter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.winds[name]
-	if !ok {
-		w = NewWindowedCounter(window, buckets)
-		r.winds[name] = w
-	}
-	return w
+	return lookup(r, name, func() *WindowedCounter { return NewWindowedCounter(window, buckets) })
 }
 
 // GaugeFunc registers a computed gauge: fn is evaluated at every
@@ -257,7 +238,12 @@ func (r *Registry) Windowed(name string, window time.Duration, buckets int) *Win
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.funcs[name] = fn
+	if m, ok := r.metrics[name]; ok {
+		if _, ok := m.(func() int64); !ok {
+			panic(fmt.Sprintf("obs: metric %q is a %T, not a %T", name, m, fn))
+		}
+	}
+	r.metrics[name] = fn
 }
 
 // Snapshot returns every counter and gauge as a flat name→value map;
@@ -268,19 +254,19 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counts)+2*len(r.gauges)+len(r.winds)+len(r.funcs))
-	for name, c := range r.counts {
-		out[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Load()
-		out[name+".max"] = g.Max()
-	}
-	for name, w := range r.winds {
-		out[name] = w.WindowTotal()
-	}
-	for name, fn := range r.funcs {
-		out[name] = fn()
+	out := make(map[string]any, len(r.metrics))
+	for name, m := range r.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			out[name] = m.Load()
+		case *Gauge:
+			out[name] = m.Load()
+			out[name+".max"] = m.Max()
+		case *WindowedCounter:
+			out[name] = m.WindowTotal()
+		case func() int64:
+			out[name] = m()
+		}
 	}
 	return out
 }
@@ -290,8 +276,12 @@ func (r *Registry) Snapshot() map[string]any {
 func (r *Registry) HistogramSnapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.hists))
-	for name, h := range r.hists {
+	out := make(map[string]any)
+	for name, m := range r.metrics {
+		h, ok := m.(*Histogram)
+		if !ok {
+			continue
+		}
 		out[name] = map[string]any{
 			"count":   h.Count(),
 			"sum":     h.Sum(),

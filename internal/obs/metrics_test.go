@@ -253,6 +253,46 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestRegistryRefusesNameUnderTwoKinds pins that one name is one
+// metric: asking for it as another kind panics instead of creating a
+// second metric that the exposition would shadow. Re-registering a
+// computed gauge replaces its function.
+func TestRegistryRefusesNameUnderTwoKinds(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("store.hits", func() int64 { return 1 })
+	r.GaugeFunc("store.hits", func() int64 { return 2 })
+	if got := r.Snapshot()["store.hits"]; got != int64(2) {
+		t.Fatalf("re-registered computed gauge reads %v, want 2", got)
+	}
+	r.Counter("c")
+	r.Gauge("g")
+	r.Histogram("h")
+	r.Windowed("w", 0, 0)
+	register := map[string]func(name string){
+		"Counter":   func(name string) { r.Counter(name) },
+		"Gauge":     func(name string) { r.Gauge(name) },
+		"Histogram": func(name string) { r.Histogram(name) },
+		"Windowed":  func(name string) { r.Windowed(name, 0, 0) },
+		"GaugeFunc": func(name string) { r.GaugeFunc(name, func() int64 { return 0 }) },
+	}
+	owner := map[string]string{"c": "Counter", "g": "Gauge", "h": "Histogram", "w": "Windowed", "store.hits": "GaugeFunc"}
+	for name, kind := range owner {
+		for other, reg := range register {
+			if other == kind {
+				continue
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) after %s did not panic", other, name, kind)
+					}
+				}()
+				reg(name)
+			}()
+		}
+	}
+}
+
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.count").Add(2)

@@ -216,8 +216,7 @@ func (o *Observer) Close(sum RunSummary) error {
 	defer o.mu.Unlock()
 	sum.Record = "summary"
 	sum.Replays = len(o.snapshots)
-	sum.Metrics = o.reg.Snapshot()
-	sum.Histograms = o.reg.HistogramSnapshot()
+	sum.Metrics, sum.Histograms = o.reg.Snapshot(), o.reg.HistogramSnapshot()
 	sum.Generated = time.Now().UTC().Format(time.RFC3339)
 	if o.enc != nil {
 		return o.enc.Encode(sum)

@@ -53,16 +53,15 @@ type Event struct {
 }
 
 // EventRing is a bounded ring buffer of cache events. Recording is a
-// short uncontended mutex section (one slot store and two counter
-// bumps, no allocation), cheap enough to hang off core.CacheHooks on
+// short uncontended mutex section (one slot store and one counter
+// bump, no allocation), cheap enough to hang off core.CacheHooks on
 // the replay hot path; internal/sim's BenchmarkReplayObserved prices
 // exactly this enabled path. When the ring wraps, the oldest events are
 // overwritten — readers always see the most recent window.
 type EventRing struct {
-	mu     sync.Mutex
-	buf    []Event
-	total  uint64
-	counts [numEventKinds]int64
+	mu    sync.Mutex
+	buf   []Event
+	total uint64
 }
 
 // NewEventRing returns a ring retaining the last capacity events.
@@ -78,9 +77,6 @@ func (r *EventRing) Record(ev Event) {
 	r.mu.Lock()
 	r.buf[r.total%uint64(len(r.buf))] = ev
 	r.total++
-	if ev.Kind < numEventKinds {
-		r.counts[ev.Kind]++
-	}
 	r.mu.Unlock()
 }
 
@@ -103,14 +99,6 @@ func (r *EventRing) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// Counts returns the per-kind event totals (hit, miss, evict, add)
-// since the ring was created — these are not capped by the capacity.
-func (r *EventRing) Counts() (hits, misses, evicts, adds int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts[EventHit], r.counts[EventMiss], r.counts[EventEvict], r.counts[EventAdd]
 }
 
 // Snapshot copies the retained events out, oldest first.

@@ -53,8 +53,16 @@ func TestEventRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// kindCounts counts events by kind.
+func kindCounts(evs []Event) (n [numEventKinds]int64) {
+	for _, ev := range evs {
+		n[ev.Kind]++
+	}
+	return n
+}
+
 func TestEventRingCounts(t *testing.T) {
-	r := NewEventRing(2) // smaller than the event stream: counts must survive wrap
+	r := NewEventRing(2) // smaller than the event stream: the total survives wrap
 	r.Record(Event{Kind: EventHit})
 	r.Record(Event{Kind: EventHit})
 	r.Record(Event{Kind: EventMiss})
@@ -62,9 +70,11 @@ func TestEventRingCounts(t *testing.T) {
 	r.Record(Event{Kind: EventAdd})
 	r.Record(Event{Kind: EventAdd})
 	r.Record(Event{Kind: EventAdd})
-	hits, misses, evicts, adds := r.Counts()
-	if hits != 2 || misses != 1 || evicts != 1 || adds != 3 {
-		t.Fatalf("Counts() = (%d,%d,%d,%d), want (2,1,1,3)", hits, misses, evicts, adds)
+	if got := r.Total(); got != 7 {
+		t.Fatalf("Total() = %d, want 7", got)
+	}
+	if got := kindCounts(r.Snapshot()); got != [numEventKinds]int64{0, 0, 0, 2} {
+		t.Fatalf("retained kinds (hit, miss, evict, add) = %v, want the newest two adds", got)
 	}
 }
 
@@ -97,14 +107,10 @@ func TestEventRingConcurrentRecord(t *testing.T) {
 	if got := r.Total(); got != writers*per {
 		t.Fatalf("Total() = %d, want %d", got, writers*per)
 	}
-	hits, misses, evicts, adds := r.Counts()
-	if hits+misses+evicts+adds != writers*per {
-		t.Fatalf("Counts() sum = %d, want %d", hits+misses+evicts+adds, writers*per)
-	}
 }
 
 // TestEventRingConcurrentWrap hammers a ring much smaller than the
-// event stream: totals and per-kind counts must be exact despite every
+// event stream: the total must be exact despite every
 // writer wrapping the buffer many times over, and the retained window
 // must hold only intact events (a torn slot would surface as a payload
 // that no writer produced).
@@ -130,10 +136,6 @@ func TestEventRingConcurrentWrap(t *testing.T) {
 	}
 	if got := r.Len(); got != capacity {
 		t.Fatalf("Len() after heavy wrap = %d, want %d", got, capacity)
-	}
-	hits, misses, evicts, adds := r.Counts()
-	if hits != writers*per/4 || misses != writers*per/4 || evicts != writers*per/4 || adds != writers*per/4 {
-		t.Fatalf("Counts() = (%d,%d,%d,%d), want %d each", hits, misses, evicts, adds, writers*per/4)
 	}
 	snap := r.Snapshot()
 	if len(snap) != capacity {

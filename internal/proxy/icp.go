@@ -13,9 +13,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"webcache/internal/obs"
 )
 
 // ICP opcodes (RFC 2186 §3).
@@ -212,11 +211,11 @@ type Sibling struct {
 // ICPClient queries siblings.
 type ICPClient struct {
 	Timeout time.Duration
-	// Queries / Replies, when non-nil, count the datagrams sent and the
-	// replies received in time — the admin endpoint's view of sibling
-	// protocol health.
-	Queries *obs.Counter
-	Replies *obs.Counter
+
+	// queries / replies count the datagrams sent and the replies
+	// received in time — the admin endpoint's view of sibling protocol
+	// health (Server.RegisterMetrics).
+	queries, replies atomic.Int64
 
 	mu     sync.Mutex
 	reqNum uint32
@@ -271,9 +270,7 @@ func (c *ICPClient) queryOne(addr, url string, reqNum uint32, timeout time.Durat
 	if _, err := conn.Write(out); err != nil {
 		return false, fmt.Errorf("proxy: sending ICP query: %w", err)
 	}
-	if c.Queries != nil {
-		c.Queries.Inc()
-	}
+	c.queries.Add(1)
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return false, err
 	}
@@ -286,9 +283,7 @@ func (c *ICPClient) queryOne(addr, url string, reqNum uint32, timeout time.Durat
 	if err != nil {
 		return false, err
 	}
-	if c.Replies != nil {
-		c.Replies.Inc()
-	}
+	c.replies.Add(1)
 	if reply.ReqNum != reqNum {
 		return false, fmt.Errorf("proxy: ICP reply for request %d, want %d", reply.ReqNum, reqNum)
 	}

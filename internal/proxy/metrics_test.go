@@ -17,6 +17,7 @@ func TestStoreHooksFireOnStore(t *testing.T) {
 	ring := obs.NewEventRing(64)
 	st := NewStore(250, nil)
 	st.SetHooks(StoreHooks(reg, ring))
+	st.RegisterMetrics(reg)
 
 	obj := func(n int) *Object { return &Object{Body: bytes.Repeat([]byte("x"), n)} }
 
@@ -31,31 +32,34 @@ func TestStoreHooksFireOnStore(t *testing.T) {
 	// 100+100 resident; +100 forces one eviction.
 	st.Put("http://a/3", obj(100))
 
-	if got := reg.Counter("store.hits").Load(); got != 1 {
-		t.Errorf("store.hits = %d, want 1", got)
-	}
-	if got := reg.Counter("store.misses").Load(); got != 1 {
-		t.Errorf("store.misses = %d, want 1", got)
-	}
-	if got := reg.Counter("store.inserts").Load(); got != 3 {
-		t.Errorf("store.inserts = %d, want 3", got)
-	}
-	if got := reg.Counter("store.evictions").Load(); got != 1 {
-		t.Errorf("store.evictions = %d, want 1", got)
-	}
-	if got := reg.Counter("store.evicted_bytes").Load(); got != 100 {
-		t.Errorf("store.evicted_bytes = %d, want 100", got)
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"store.hits":          1,
+		"store.misses":        1,
+		"store.inserts":       3,
+		"store.evictions":     1,
+		"store.evicted_bytes": 100,
+		"store.window_gets":   2,
+		"store.window_hits":   1,
+	} {
+		if got := snap[name]; got != want {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
 	}
 
-	hits, misses, evicts, adds := ring.Counts()
-	if hits != 1 || misses != 1 || evicts != 1 || adds != 3 {
-		t.Errorf("ring counts = (%d,%d,%d,%d), want (1,1,1,3)", hits, misses, evicts, adds)
+	// The ring has not wrapped, so it holds every event the hooks saw.
+	var kinds [4]int64
+	for _, ev := range ring.Snapshot() {
+		kinds[ev.Kind]++
+	}
+	if kinds != [4]int64{1, 1, 1, 3} {
+		t.Errorf("ring events (hit, miss, evict, add) = %v, want [1 1 1 3]", kinds)
 	}
 	// The hook stream must agree with the store's own counters.
 	ss := st.Stats()
-	if hits != ss.Hits || evicts != ss.Evictions {
+	if kinds[obs.EventHit] != ss.Hits || kinds[obs.EventEvict] != ss.Evictions {
 		t.Errorf("ring (hits %d, evicts %d) disagrees with StoreStats (%d, %d)",
-			hits, evicts, ss.Hits, ss.Evictions)
+			kinds[obs.EventHit], kinds[obs.EventEvict], ss.Hits, ss.Evictions)
 	}
 }
 
@@ -79,7 +83,7 @@ func TestProxyMetricsMatchStats(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	srv := New(NewStore(1<<20, nil))
-	srv.Metrics = NewMetrics(reg)
+	srv.RegisterMetrics(reg)
 	pts := httptest.NewServer(srv)
 	defer pts.Close()
 
@@ -91,6 +95,7 @@ func TestProxyMetricsMatchStats(t *testing.T) {
 	if st.Requests != 3 || st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 3 requests / 2 hits / 1 miss", st)
 	}
+	snap := reg.Snapshot()
 	checks := map[string]int64{
 		"proxy.requests":       st.Requests,
 		"proxy.hits":           st.Hits,
@@ -98,14 +103,12 @@ func TestProxyMetricsMatchStats(t *testing.T) {
 		"proxy.bytes_served":   st.BytesServed,
 		"proxy.bytes_from_hit": st.BytesFromHit,
 		"proxy.origin_fetches": 1,
+		"proxy.origin_bytes":   int64(len("<html>doc</html>")),
 	}
 	for name, want := range checks {
-		if got := reg.Counter(name).Load(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+		if got := snap[name]; got != want {
+			t.Errorf("%s = %v, want %d", name, got, want)
 		}
-	}
-	if got := reg.Counter("proxy.origin_bytes").Load(); got != int64(len("<html>doc</html>")) {
-		t.Errorf("proxy.origin_bytes = %d, want body length", got)
 	}
 	lat := reg.Histogram("proxy.latency_ns")
 	if lat.Count() != 3 {
@@ -113,6 +116,35 @@ func TestProxyMetricsMatchStats(t *testing.T) {
 	}
 	if lat.Quantile(0.50) <= 0 {
 		t.Errorf("latency p50 = %d, want > 0", lat.Quantile(0.50))
+	}
+}
+
+// TestOriginBytesCountRelayedResponses pins that a fetch relayed
+// uncached (here a 404) counts its body in proxy.origin_bytes, as it
+// counts the fetch in proxy.origin_fetches.
+func TestOriginBytesCountRelayedResponses(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, "not found")
+	}))
+	defer origin.Close()
+
+	reg := obs.NewRegistry()
+	srv := New(NewStore(1<<20, nil))
+	srv.RegisterMetrics(reg)
+	pts := httptest.NewServer(srv)
+	defer pts.Close()
+
+	resp, body := proxyGet(t, pts.URL, origin.URL+"/missing.html", nil)
+	if resp.StatusCode != http.StatusNotFound || body != "not found" {
+		t.Fatalf("response = %d %q, want 404 \"not found\"", resp.StatusCode, body)
+	}
+	snap := reg.Snapshot()
+	if got := snap["proxy.origin_fetches"]; got != int64(1) {
+		t.Errorf("proxy.origin_fetches = %v, want 1", got)
+	}
+	if got := snap["proxy.origin_bytes"]; got != int64(len("not found")) {
+		t.Errorf("proxy.origin_bytes = %v, want %d", got, len("not found"))
 	}
 }
 

@@ -58,10 +58,6 @@ type Server struct {
 	Siblings []Sibling
 	// ICP issues the sibling queries.
 	ICP ICPClient
-	// Metrics, when non-nil, mirrors every outcome into a shared
-	// obs.Registry (plus a per-request latency histogram) for the admin
-	// endpoint. Nil — the default — costs one branch per site.
-	Metrics *Metrics
 	// Shadow, when non-nil, receives every successful GET outcome (URL,
 	// body size, deployed hit-or-miss) for the ghost-cache fleet. The
 	// per-request cost is one non-blocking enqueue; nil costs one branch.
@@ -77,6 +73,10 @@ type Server struct {
 	// a sampled admission can record its eviction chain (PutTraced).
 	traced *Store
 
+	// latency, set by RegisterMetrics, times every request; nil — the
+	// default — costs one branch per request.
+	latency *obs.Histogram
+
 	// direct is the upstream client a nil Transport stands for.
 	direct *origin.Client
 	// siblingTransports maps a sibling's proxy URL to its client.
@@ -87,6 +87,9 @@ type Server struct {
 		uncacheable, errors                 atomic.Int64
 		bytesServed, bytesFromHit           atomic.Int64
 		siblingHits                         atomic.Int64
+		// originFetches / originBytes count upstream document fetches
+		// and their body bytes: the traffic a cache exists to avoid.
+		originFetches, originBytes atomic.Int64
 	}
 }
 
@@ -198,10 +201,9 @@ func (s *Server) storePut(key string, obj *Object, rt *obs.ReqTrace) bool {
 // ServeHTTP implements the proxy.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
-	if m := s.Metrics; m != nil {
-		m.Requests.Inc()
+	if h := s.latency; h != nil {
 		start := time.Now()
-		defer func() { m.Latency.Observe(time.Since(start).Nanoseconds()) }()
+		defer func() { h.Observe(time.Since(start).Nanoseconds()) }()
 	}
 	rt := s.Tracer.Begin() // nil when untraced or unsampled; every rt method is nil-safe
 	if rt != nil {
@@ -234,9 +236,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if !Cacheable(r) {
 		s.stats.uncacheable.Add(1)
-		if m := s.Metrics; m != nil {
-			m.Uncacheable.Inc()
-		}
 		rt.SetURL(key)
 		rt.EndSpan(parse)
 		s.passThrough(w, r, key, rt)
@@ -253,10 +252,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.serveObject(w, obj, xCacheHit, rt)
 			s.stats.hits.Add(1)
 			s.stats.bytesFromHit.Add(int64(len(obj.Body)))
-			if m := s.Metrics; m != nil {
-				m.Hits.Inc()
-				m.BytesFromHit.Add(int64(len(obj.Body)))
-			}
 			if f := s.Shadow; f != nil {
 				f.Observe(key, int64(len(obj.Body)), true)
 			}
@@ -269,10 +264,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.serveObject(w, obj, xCacheRevalidated, rt)
 			s.stats.revalidated.Add(1)
 			s.stats.bytesFromHit.Add(int64(len(obj.Body)))
-			if m := s.Metrics; m != nil {
-				m.Revalidated.Inc()
-				m.BytesFromHit.Add(int64(len(obj.Body)))
-			}
 			if f := s.Shadow; f != nil {
 				f.Observe(key, int64(len(obj.Body)), true)
 			}
@@ -316,9 +307,6 @@ func (s *Server) revalidate(ctx context.Context, key string, obj *Object) bool {
 // (DESIGN.md §11).
 func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key string, rt *obs.ReqTrace) {
 	s.stats.misses.Add(1)
-	if m := s.Metrics; m != nil {
-		m.Misses.Inc()
-	}
 	// The fetch lives on the client's context: a client that goes away
 	// cancels it, and its connection to the origin is closed.
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, key, nil)
@@ -343,9 +331,6 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 		if st := s.siblingTransport(sib.Proxy); st != nil {
 			tr = st
 			s.stats.siblingHits.Add(1)
-			if m := s.Metrics; m != nil {
-				m.SiblingHits.Inc()
-			}
 		}
 	}
 	resp, err := tr.RoundTrip(req)
@@ -358,14 +343,13 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 		return
 	}
 	defer resp.Body.Close()
-	if m := s.Metrics; m != nil {
-		m.OriginFetches.Inc()
-	}
+	s.stats.originFetches.Add(1)
 
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
 		// Serve non-200 responses uncached, and so an encoded body: the
 		// cache keeps identity bodies only.
 		n := s.relay(w, resp)
+		s.stats.originBytes.Add(n)
 		rt.SetOutcome("MISS", resp.StatusCode, n)
 		return
 	}
@@ -396,10 +380,7 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 	rt.EndSpanArg(bodySpan, sent)
 	rt.EndSpan(serve)
 	s.stats.bytesServed.Add(sent)
-	if m := s.Metrics; m != nil {
-		m.OriginBytes.Add(sent)
-		m.BytesServed.Add(sent)
-	}
+	s.stats.originBytes.Add(sent)
 	if rerr != nil || werr != nil {
 		// Too late for a 502: drop the connection, so the client reads a
 		// cut transfer and not a complete document. Nothing is cached. A
@@ -510,9 +491,6 @@ func relayBody(w io.Writer, src io.Reader, keepMax int64) (body []byte, sent int
 // noteError counts one failed request and flags its trace.
 func (s *Server) noteError(rt *obs.ReqTrace) {
 	s.stats.errors.Add(1)
-	if m := s.Metrics; m != nil {
-		m.Errors.Inc()
-	}
 	rt.MarkError()
 }
 
@@ -573,9 +551,6 @@ func (s *Server) serveObject(w http.ResponseWriter, obj *Object, xCache []string
 	rt.EndSpan(serve)
 	rt.SetOutcome(xCache[0], http.StatusOK, int64(n))
 	s.stats.bytesServed.Add(int64(n))
-	if m := s.Metrics; m != nil {
-		m.BytesServed.Add(int64(n))
-	}
 }
 
 // relay streams an origin response to the client without caching and
@@ -587,9 +562,6 @@ func (s *Server) relay(w http.ResponseWriter, resp *http.Response) int64 {
 	w.WriteHeader(resp.StatusCode)
 	n, _ := io.Copy(w, resp.Body)
 	s.stats.bytesServed.Add(n)
-	if m := s.Metrics; m != nil {
-		m.BytesServed.Add(n)
-	}
 	return n
 }
 

@@ -49,7 +49,9 @@ type StoreStats struct {
 // clock. Get and every mutation take the lock exclusively, because a
 // hit stamps the entry's ATime and NRef and re-ranks it in the policy
 // on the spot, as the simulator does; Peek, Len and Stats take it
-// shared, so ICP queries can be answered beside traffic.
+// shared, so ICP queries can be answered beside traffic. Its counts are
+// the cache's core.Stats, which Stats and RegisterMetrics read; hooks
+// add events, not counts.
 //
 // The cache recycles evicted entries (core.Config.OnEvict is unset), so
 // no *policy.Entry escapes Store: Get and Peek return only the *Object,

@@ -11,8 +11,9 @@ import (
 // Observer, when non-nil, is the session's observability sink: every
 // RunPolicy/Experiment1/Experiment6 replay runs under pprof labels
 // (policy=, workload=, experiment=) and emits an obs.ReplaySnapshot
-// with its outcome counters and timing, and every cache is built with
-// event hooks feeding the observer's metric registry.
+// with its outcome counters and timing, which also sum into the
+// observer's cache.* counters; when the observer carries an event ring,
+// every cache is built with event hooks feeding it.
 //
 // It is nil by default — the disabled path costs one nil check per
 // replay and nothing per request (see core.CacheHooks) — and is set
@@ -21,45 +22,30 @@ import (
 // consult it once at start.
 var Observer *obs.Observer
 
-// cacheHooks builds core event hooks feeding o's registry and, when o
-// carries an event ring, the event-level trace. The counters are
-// resolved once per replay here, so the per-event work is a single
-// atomic add (plus one ring slot store when tracing is on — the cost
-// BenchmarkReplayObserved prices).
+// cacheHooks builds core event hooks feeding o's event ring, the
+// event-level trace; with no ring it returns no hooks, and the replay
+// runs unhooked. The cache.* counters come from each replay's final
+// core.Stats (observeReplay), not from the hooks, so the per-event
+// work is one ring slot store — the cost BenchmarkReplayObserved
+// prices.
 func cacheHooks(o *obs.Observer) core.CacheHooks {
-	reg := o.Registry()
-	hits := reg.Counter("cache.hits")
-	misses := reg.Counter("cache.misses")
-	evictions := reg.Counter("cache.evictions")
-	evictedBytes := reg.Counter("cache.evicted_bytes")
-	inserts := reg.Counter("cache.inserts")
 	ring := o.Ring()
 	if ring == nil {
-		return core.CacheHooks{
-			OnHit:   func(*policy.Entry) { hits.Inc() },
-			OnMiss:  func(int64, int64) { misses.Inc() },
-			OnEvict: func(e *policy.Entry, now int64) { evictions.Inc(); evictedBytes.Add(e.Size) },
-			OnAdd:   func(*policy.Entry) { inserts.Inc() },
-		}
+		return core.CacheHooks{}
 	}
 	return core.CacheHooks{
 		OnHit: func(e *policy.Entry) {
-			hits.Inc()
 			// e.ATime was just refreshed to the request time — it is the
 			// event timestamp, no extra plumbing needed.
 			ring.Record(obs.Event{Kind: obs.EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
 		},
 		OnMiss: func(size, now int64) {
-			misses.Inc()
 			ring.Record(obs.Event{Kind: obs.EventMiss, Time: now, ID: -1, Size: size})
 		},
 		OnEvict: func(e *policy.Entry, now int64) {
-			evictions.Inc()
-			evictedBytes.Add(e.Size)
 			ring.Record(obs.Event{Kind: obs.EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
 		},
 		OnAdd: func(e *policy.Entry) {
-			inserts.Inc()
 			// e.ETime is the insert time by construction.
 			ring.Record(obs.Event{Kind: obs.EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
 		},
@@ -67,8 +53,9 @@ func cacheHooks(o *obs.Observer) core.CacheHooks {
 }
 
 // observeReplay runs fn (one whole-trace replay) under pprof labels and
-// emits its snapshot: fn's wall time plus the cache's final counters.
-// stats must read the replay's cache after fn returns.
+// emits its snapshot: fn's wall time plus the cache's final counters,
+// which it also adds into the registry's cache.* counters. stats must
+// read the replay's cache after fn returns.
 func observeReplay(o *obs.Observer, policyName, workloadName string, capacity int64, fn func(), stats func() core.Stats) {
 	labels := []string{
 		"policy", policyName,
@@ -79,6 +66,12 @@ func observeReplay(o *obs.Observer, policyName, workloadName string, capacity in
 	obs.Span(labels, fn)
 	elapsed := time.Since(start)
 	st := stats()
+	reg := o.Registry()
+	reg.Counter("cache.hits").Add(st.Hits)
+	reg.Counter("cache.misses").Add(st.Requests - st.Hits)
+	reg.Counter("cache.evictions").Add(st.Evictions)
+	reg.Counter("cache.evicted_bytes").Add(st.EvictedBytes)
+	reg.Counter("cache.inserts").Add(st.Inserted)
 	snap := obs.ReplaySnapshot{
 		Workload:           workloadName,
 		Policy:             policyName,

@@ -139,7 +139,7 @@ func TestObserverResultsUnperturbed(t *testing.T) {
 	}
 }
 
-// TestObserverRegistryCountsAggregate checks the cache event hooks sum
+// TestObserverRegistryCountsAggregate checks the cache.* counters sum
 // across every replay of a sweep.
 func TestObserverRegistryCountsAggregate(t *testing.T) {
 	tr := dayTrace(30)
