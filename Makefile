@@ -59,13 +59,15 @@ bench-ab:
 	$(GO) run ./internal/tools/benchab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Short fuzzing runs of the policy oracles (the structural backends
-# against the heap, and the heap against a sorted slice), of the
+# against the heap, the heap against a sorted slice, and the packed
+# removal key against the key-by-key Less), of the
 # proxy's upstream client against the standard library's framing, and
 # of its downstream connection loop against net/http.Server.
 FUZZ_TIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzStructuralVsHeap$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzEntryHeap$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/origin -run '^$$' -fuzz '^FuzzUpstreamResponse$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/proxy -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZ_TIME)
 
@@ -85,7 +87,7 @@ examples:
 
 # Go line counts: non-test and test lines outside bench/ (its own module),
 # then non-test lines in each of LOC_PACKAGES.
-LOC_PACKAGES ?= internal/proxy internal/policy internal/obs internal/core internal/sim internal/pqueue
+LOC_PACKAGES ?= internal/proxy internal/policy internal/obs internal/core internal/sim
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@echo "test Go lines outside bench/:     $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"

@@ -47,25 +47,10 @@ type Entry struct {
 	// (§5 open problem 4: Harvest-style expiry-aware removal).
 	Expires int64
 
-	// Log2Size caches ⌊log2 Size⌋, the LOG2SIZE sort key. It is computed
-	// once when the entry is created (Size never changes in place: a
-	// size mismatch replaces the entry), so the compiled comparators
-	// compare it directly instead of recomputing the log per heap sift.
-	Log2Size int32
-
-	// DayATime caches DAY(ATIME), the day index of the last access
-	// relative to the policy's day start. Policies whose key sequence
-	// includes KeyDayATime refresh it on Add and Touch — the only points
-	// where ATime changes — so comparisons need no division. Entries
-	// built outside a policy must call SyncDerived before being handed
-	// to a compiled day-keyed comparator.
-	DayATime int64
-
-	// typeRank caches the KeyType removal rank of Type.
-	typeRank uint8
-
-	// prio is the floating-point priority used by GreedyDual-Size.
-	prio float64
+	// key is the removal key the owning policy packs from the fields
+	// above: one word per sorting key (see packKey), or GD-Size's
+	// priority in key[0]. lessKey compares it.
+	key [maxKeys]uint64
 
 	heapIdx int
 
@@ -73,12 +58,6 @@ type Entry struct {
 	prev, next *Entry
 	bucket     int
 }
-
-// HeapIndex implements pqueue.Item.
-func (e *Entry) HeapIndex() int { return e.heapIdx }
-
-// SetHeapIndex implements pqueue.Item.
-func (e *Entry) SetHeapIndex(i int) { e.heapIdx = i }
 
 // NewEntry returns an entry for a document inserted at time now.
 func NewEntry(url string, size int64, typ trace.DocType, now int64, rand uint64) *Entry {
@@ -104,24 +83,11 @@ func (e *Entry) init(url string, size int64, typ trace.DocType, now int64, rand 
 	e.Rand = rand
 	e.Latency = 0
 	e.Expires = 0
-	e.Log2Size = int32(log2Floor(size))
-	e.DayATime = 0
-	e.typeRank = typeRemovalRank(typ)
-	e.prio = 0
+	e.key = [maxKeys]uint64{}
 	e.heapIdx = -1
 	e.prev = nil
 	e.next = nil
 	e.bucket = -1
-}
-
-// SyncDerived recomputes the cached derived sort keys (Log2Size,
-// DayATime, and the type rank) from the entry's primary fields.
-// Policies maintain these implicitly via Add and Touch; call this when
-// building entries by hand for use with a CompileLess comparator.
-func (e *Entry) SyncDerived(dayStart int64) {
-	e.Log2Size = int32(log2Floor(e.Size))
-	e.DayATime = dayOf(e.ATime, dayStart)
-	e.typeRank = typeRemovalRank(e.Type)
 }
 
 // Policy selects removal victims among cached documents. The cache calls

@@ -1,23 +1,18 @@
 package policy
 
-// entryHeap is the indexed binary min-heap the heap-based policies keep
-// their entries on. It has pqueue.Heap's operation semantics and its
-// hole-based sifts, but is concrete over *Entry: the index bookkeeping
-// compiles to direct e.heapIdx loads and stores instead of method calls
-// through the generics dictionary, which matters in the sift loops at
-// the bottom of every replay.
+// entryHeap is the indexed binary min-heap, ordered by lessKey, the
+// heap-based policies keep their entries on. Each entry carries its
+// own slot index (heapIdx), so Fix and Remove find it in O(1) and
+// re-sift it in O(log n) when a touch changes its key. Sifts move a
+// hole instead of swapping, writing each moved entry once per level.
+// The zero value is an empty heap.
 //
-// Removing the root — every eviction — is a bottom-up pop (popRoot), so
-// its comparison sequence differs from pqueue.Heap's. The victim order
-// does not: the root is the minimum of a strict total order, whatever
-// the internal layout.
+// Removing the root — every eviction — is a bottom-up pop (popRoot).
+// Its comparison sequence differs from a top-down sift's, but the
+// victim order does not: the root is the minimum of a strict total
+// order, whatever the internal layout.
 type entryHeap struct {
 	items []*Entry
-	less  func(a, b *Entry) bool
-}
-
-func newEntryHeap(less func(a, b *Entry) bool) *entryHeap {
-	return &entryHeap{less: less}
 }
 
 // Grow pre-sizes the backing array to hold at least n entries.
@@ -110,7 +105,7 @@ func (h *entryHeap) popRoot() {
 		if c >= n {
 			break
 		}
-		if c+1 < n && h.less(h.items[c+1], h.items[c]) {
+		if c+1 < n && lessKey(h.items[c+1], h.items[c]) {
 			c++
 		}
 		h.items[i] = h.items[c]
@@ -126,7 +121,7 @@ func (h *entryHeap) up(i int) {
 	e := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(e, h.items[parent]) {
+		if !lessKey(e, h.items[parent]) {
 			break
 		}
 		h.items[i] = h.items[parent]
@@ -147,10 +142,10 @@ func (h *entryHeap) down(i int) bool {
 			break
 		}
 		smallest := left
-		if right := left + 1; right < n && h.less(h.items[right], h.items[left]) {
+		if right := left + 1; right < n && lessKey(h.items[right], h.items[left]) {
 			smallest = right
 		}
-		if !h.less(h.items[smallest], e) {
+		if !lessKey(h.items[smallest], e) {
 			break
 		}
 		h.items[i] = h.items[smallest]

@@ -20,7 +20,9 @@ type heapOracle struct {
 }
 
 // heapOracleLess is a strict total order with a deliberately small key
-// domain, so most comparisons fall through to the URL tiebreak.
+// domain, so most comparisons fall through to the URL tiebreak. It is
+// lessKey's order on entries whose key[0] is their NRef and whose Rand
+// is zero.
 func heapOracleLess(a, b *Entry) bool {
 	if a.NRef != b.NRef {
 		return a.NRef < b.NRef
@@ -47,7 +49,7 @@ func (o *heapOracle) apply(op, v byte) {
 	if op%8 < 4 || len(o.live) == 0 {
 		e := NewEntry(fmt.Sprintf("u%04d", o.next), 1, 0, 0, 0)
 		o.next++
-		e.NRef = key
+		e.NRef, e.key[0] = key, uint64(key)
 		o.h.Push(e)
 		o.insert(e)
 		return
@@ -57,7 +59,7 @@ func (o *heapOracle) apply(op, v byte) {
 	case 4, 5:
 		e := o.live[i]
 		o.live = slices.Delete(o.live, i, i+1)
-		e.NRef = key
+		e.NRef, e.key[0] = key, uint64(key)
 		o.insert(e)
 		if !o.h.Fix(e) {
 			o.t.Fatalf("Fix(%s) reported not on heap", e.URL)
@@ -121,7 +123,7 @@ func FuzzEntryHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		script := make([]byte, 2*(int(n%512)+1))
 		rand.New(rand.NewSource(seed)).Read(script)
-		o := &heapOracle{t: t, h: newEntryHeap(heapOracleLess)}
+		o := &heapOracle{t: t, h: &entryHeap{}}
 		for i := 0; i < len(script); i += 2 {
 			o.apply(script[i], script[i+1])
 			o.check()

@@ -1,6 +1,6 @@
 package policy
 
-import "webcache/internal/pqueue"
+import "container/heap"
 
 // ExpiredFirst wraps another policy with the Harvest cache's behaviour
 // cited in §5 open problem 4 of the paper: "the Harvest cache tries to
@@ -13,7 +13,7 @@ import "webcache/internal/pqueue"
 type ExpiredFirst struct {
 	inner Policy
 	now   int64
-	heap  *pqueue.Heap[*expiryNode]
+	heap  expiryHeap
 	nodes map[*Entry]*expiryNode
 }
 
@@ -24,22 +24,47 @@ type expiryNode struct {
 	idx int
 }
 
-func (n *expiryNode) HeapIndex() int     { return n.idx }
-func (n *expiryNode) SetHeapIndex(i int) { n.idx = i }
+// expiryHeap is a container/heap of nodes ordered by Expires, then the
+// universal Rand and URL tiebreak: a strict total order, so the head
+// is the same whatever the heap's layout.
+type expiryHeap []*expiryNode
+
+func (h expiryHeap) Len() int { return len(h) }
+
+func (h expiryHeap) Less(i, j int) bool {
+	a, b := h[i].e, h[j].e
+	if a.Expires != b.Expires {
+		return a.Expires < b.Expires
+	}
+	if a.Rand != b.Rand {
+		return a.Rand < b.Rand
+	}
+	return a.URL < b.URL
+}
+
+func (h expiryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+
+func (h *expiryHeap) Push(x any) {
+	n := x.(*expiryNode)
+	n.idx = len(*h)
+	*h = append(*h, n)
+}
+
+func (h *expiryHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return n
+}
 
 // NewExpiredFirst wraps inner.
 func NewExpiredFirst(inner Policy) *ExpiredFirst {
-	p := &ExpiredFirst{inner: inner, nodes: make(map[*Entry]*expiryNode)}
-	p.heap = pqueue.New(func(a, b *expiryNode) bool {
-		if a.e.Expires != b.e.Expires {
-			return a.e.Expires < b.e.Expires
-		}
-		if a.e.Rand != b.e.Rand {
-			return a.e.Rand < b.e.Rand
-		}
-		return a.e.URL < b.e.URL
-	})
-	return p
+	return &ExpiredFirst{inner: inner, nodes: make(map[*Entry]*expiryNode)}
 }
 
 // Name implements Policy.
@@ -57,9 +82,9 @@ func (p *ExpiredFirst) SetNow(now int64) {
 func (p *ExpiredFirst) Add(e *Entry) {
 	p.inner.Add(e)
 	if e.Expires > 0 {
-		n := &expiryNode{e: e, idx: -1}
+		n := &expiryNode{e: e}
 		p.nodes[e] = n
-		p.heap.Push(n)
+		heap.Push(&p.heap, n)
 	}
 }
 
@@ -67,11 +92,11 @@ func (p *ExpiredFirst) Add(e *Entry) {
 func (p *ExpiredFirst) Touch(e *Entry) {
 	p.inner.Touch(e)
 	if n, ok := p.nodes[e]; ok {
-		p.heap.Fix(n)
+		heap.Fix(&p.heap, n.idx)
 	} else if e.Expires > 0 {
-		n := &expiryNode{e: e, idx: -1}
+		n := &expiryNode{e: e}
 		p.nodes[e] = n
-		p.heap.Push(n)
+		heap.Push(&p.heap, n)
 	}
 }
 
@@ -79,7 +104,7 @@ func (p *ExpiredFirst) Touch(e *Entry) {
 func (p *ExpiredFirst) Remove(e *Entry) {
 	p.inner.Remove(e)
 	if n, ok := p.nodes[e]; ok {
-		p.heap.Remove(n)
+		heap.Remove(&p.heap, n.idx)
 		delete(p.nodes, e)
 	}
 }
@@ -87,8 +112,8 @@ func (p *ExpiredFirst) Remove(e *Entry) {
 // Victim implements Policy: the longest-expired document if any has
 // expired, otherwise the inner policy's choice.
 func (p *ExpiredFirst) Victim(incoming int64) *Entry {
-	if head, ok := p.heap.Peek(); ok && head.e.Expires <= p.now {
-		return head.e
+	if len(p.heap) > 0 && p.heap[0].e.Expires <= p.now {
+		return p.heap[0].e
 	}
 	return p.inner.Victim(incoming)
 }
@@ -97,7 +122,7 @@ func (p *ExpiredFirst) Victim(incoming int64) *Entry {
 func (p *ExpiredFirst) Len() int { return p.inner.Len() }
 
 // ExpiredCount reports how many tracked documents are currently expired
-// (an O(n log n) scan; intended for tests and reports, not hot paths).
+// (an O(n) scan; intended for tests and reports, not hot paths).
 func (p *ExpiredFirst) ExpiredCount() int {
 	n := 0
 	for _, node := range p.nodes {

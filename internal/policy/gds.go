@@ -11,8 +11,12 @@ package policy
 // and L rises to the evicted H. With cost = 1 ("GD-Size(1)") the policy
 // optimizes hit rate; with cost = size ("GD-Size(size)", H = L + 1) it
 // degenerates toward LRU and favors byte hit rate.
+//
+// The priority H is kept in the entry's removal key, key[0], through
+// floatWord, so the heap orders on lessKey like every sorted policy: a
+// NaN priority (possible only from a NaN cost) is removed last.
 type GreedyDualSize struct {
-	heap *entryHeap
+	heap entryHeap
 	l    float64
 	cost func(e *Entry) float64
 	name string
@@ -31,20 +35,7 @@ func NewGDSBytes() *GreedyDualSize {
 }
 
 func newGDS(name string, cost func(e *Entry) float64) *GreedyDualSize {
-	g := &GreedyDualSize{cost: cost, name: name}
-	g.heap = newEntryHeap(lessPrio)
-	return g
-}
-
-// lessPrio orders by the cached GD-Size priority with the universal
-// tiebreak; a named function rather than a per-policy closure so every
-// GD-Size instance shares one comparator, like the compiled taxonomy
-// comparators.
-func lessPrio(a, b *Entry) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return lessTie(a, b)
+	return &GreedyDualSize{cost: cost, name: name}
 }
 
 // Name implements Policy.
@@ -60,13 +51,13 @@ func (g *GreedyDualSize) priority(e *Entry) float64 {
 
 // Add implements Policy.
 func (g *GreedyDualSize) Add(e *Entry) {
-	e.prio = g.priority(e)
+	e.key[0] = floatWord(g.priority(e))
 	g.heap.Push(e)
 }
 
 // Touch implements Policy: refresh the priority with the current L.
 func (g *GreedyDualSize) Touch(e *Entry) {
-	e.prio = g.priority(e)
+	e.key[0] = floatWord(g.priority(e))
 	g.heap.Fix(e)
 }
 
@@ -74,8 +65,10 @@ func (g *GreedyDualSize) Touch(e *Entry) {
 // minimum (an eviction), L inflates to its priority, aging the rest of
 // the cache relative to future insertions.
 func (g *GreedyDualSize) Remove(e *Entry) {
-	if head, ok := g.heap.Peek(); ok && head == e && e.prio > g.l {
-		g.l = e.prio
+	if head, ok := g.heap.Peek(); ok && head == e {
+		if h := wordFloat(e.key[0]); h > g.l {
+			g.l = h
+		}
 	}
 	g.heap.Remove(e)
 }

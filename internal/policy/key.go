@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"webcache/internal/trace"
@@ -137,39 +138,8 @@ func typeRemovalRank(t trace.DocType) uint8 {
 	}
 }
 
-// compareKey orders a before b (negative result) when a should be
-// removed sooner under key k. dayStart anchors DAY(ATIME) day boundaries.
-func compareKey(k Key, a, b *Entry, dayStart int64) int {
-	switch k {
-	case KeySize:
-		return cmpInt64(b.Size, a.Size) // larger removed first
-	case KeyLog2Size:
-		return cmpInt(log2Floor(b.Size), log2Floor(a.Size))
-	case KeyETime:
-		return cmpInt64(a.ETime, b.ETime)
-	case KeyATime:
-		return cmpInt64(a.ATime, b.ATime)
-	case KeyDayATime:
-		return cmpInt64(dayOf(a.ATime, dayStart), dayOf(b.ATime, dayStart))
-	case KeyNRef:
-		return cmpInt64(a.NRef, b.NRef)
-	case KeyRandom:
-		return cmpUint64(a.Rand, b.Rand)
-	case KeyType:
-		return cmpInt(int(typeRemovalRank(a.Type)), int(typeRemovalRank(b.Type)))
-	case KeyLatency:
-		switch {
-		case a.Latency < b.Latency:
-			return -1
-		case a.Latency > b.Latency:
-			return 1
-		}
-		return 0
-	default:
-		return 0
-	}
-}
-
+// dayOf returns the day index of t counted from dayStart, with every
+// time before dayStart on day -1.
 func dayOf(t, dayStart int64) int64 {
 	d := t - dayStart
 	if d < 0 {
@@ -178,59 +148,106 @@ func dayOf(t, dayStart int64) int64 {
 	return d / 86400
 }
 
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// maxKeys is the number of sorting keys a removal key holds: the
+// paper's primary, secondary and tertiary key.
+const maxKeys = 3
+
+// packedKeys returns the keys a removal key stores for the sequence:
+// a trailing RANDOM is dropped, since the universal tiebreak compares
+// Rand next anyway. It fails when more than maxKeys keys remain.
+func packedKeys(keys []Key) ([]Key, error) {
+	if n := len(keys); n > 0 && keys[n-1] == KeyRandom {
+		keys = keys[:n-1]
+	}
+	if len(keys) > maxKeys {
+		return nil, fmt.Errorf("policy: %d sorting keys, at most %d fit a removal key", len(keys), maxKeys)
+	}
+	return keys, nil
+}
+
+// packKey writes e's removal key for keys (at most maxKeys, as
+// packedKeys returns them): one word per key, encoded so that a
+// smaller word means "remove sooner", and zero in the unused words.
+// dayStart anchors DAY(ATIME).
+func packKey(e *Entry, keys []Key, dayStart int64) {
+	e.key = [maxKeys]uint64{}
+	for i, k := range keys {
+		e.key[i] = keyWord(k, e, dayStart)
+	}
+}
+
+// keyWord encodes e's value under k so that unsigned order on words is
+// the key's removal order (Table 1): SIZE and LOG2SIZE are complemented
+// (largest first), the times and NREF are sign-biased (smallest first),
+// TYPE is its removal rank, LATENCY is floatWord's order, RANDOM is
+// Rand.
+func keyWord(k Key, e *Entry, dayStart int64) uint64 {
+	switch k {
+	case KeySize:
+		return ^biased(e.Size)
+	case KeyLog2Size:
+		return ^uint64(log2Floor(e.Size))
+	case KeyETime:
+		return biased(e.ETime)
+	case KeyATime:
+		return biased(e.ATime)
+	case KeyDayATime:
+		return biased(dayOf(e.ATime, dayStart))
+	case KeyNRef:
+		return biased(e.NRef)
+	case KeyRandom:
+		return e.Rand
+	case KeyType:
+		return uint64(typeRemovalRank(e.Type))
+	case KeyLatency:
+		return floatWord(e.Latency)
 	}
 	return 0
 }
 
-func cmpInt(a, b int) int {
+// biased maps int64 order onto uint64 order.
+func biased(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+// floatWord maps float64 order onto uint64 order. −0 maps to +0, so
+// the word order is < on every non-NaN value; every NaN maps to one
+// word above +Inf, so a NaN is removed last.
+func floatWord(f float64) uint64 {
 	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	case f != f:
+		return math.MaxUint64
+	case f == 0:
+		return 1 << 63
 	}
-	return 0
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
-func cmpUint64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// wordFloat inverts floatWord (a NaN word decodes to a NaN).
+func wordFloat(w uint64) float64 {
+	if w>>63 != 0 {
+		return math.Float64frombits(w &^ (1 << 63))
 	}
-	return 0
+	return math.Float64frombits(^w)
 }
 
-// Less builds a removal-order comparator over the given key sequence:
-// a loop over the keys with a switch dispatch per key, recomputing
-// every derived quantity (⌊log2 SIZE⌋, DAY(ATIME)) from the entry's
-// primary fields on each comparison. The RANDOM key followed by URL is
-// always appended as the final tiebreak, making the order total and
-// deterministic.
-//
-// Less is the reference semantics of the taxonomy and the oracle the
-// compiled-comparator property tests check against; hot paths use
-// CompileLess, which returns an unrolled specialization over the
-// cached derived keys for the common combinations.
-func Less(keys []Key, dayStart int64) func(a, b *Entry) bool {
-	ks := make([]Key, len(keys))
-	copy(ks, keys)
-	return func(a, b *Entry) bool {
-		for _, k := range ks {
-			if c := compareKey(k, a, b, dayStart); c != 0 {
-				return c < 0
-			}
-		}
-		if a.Rand != b.Rand {
-			return a.Rand < b.Rand
-		}
-		return a.URL < b.URL
+// lessKey is the one removal-order comparator: it reports whether a is
+// removed before b, comparing the removal keys word by word, then the
+// universal RANDOM tiebreak, then the URL, which makes the order total.
+func lessKey(a, b *Entry) bool {
+	if a.key[0] != b.key[0] {
+		return a.key[0] < b.key[0]
 	}
+	if a.key[1] != b.key[1] {
+		return a.key[1] < b.key[1]
+	}
+	if a.key[2] != b.key[2] {
+		return a.key[2] < b.key[2]
+	}
+	if a.Rand != b.Rand {
+		return a.Rand < b.Rand
+	}
+	return a.URL < b.URL
 }

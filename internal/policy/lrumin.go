@@ -75,13 +75,9 @@ func sizeClass(size int64) int {
 	return c
 }
 
-// Add implements Policy. The size class is the entry's cached
-// Log2Size, clamped.
+// Add implements Policy.
 func (p *LRUMin) Add(e *Entry) {
-	c := int(e.Log2Size)
-	if c > maxSizeClass {
-		c = maxSizeClass
-	}
+	c := sizeClass(e.Size)
 	e.bucket = c
 	p.buckets[c].pushBack(e)
 	p.count++

@@ -20,16 +20,17 @@ package policy
 // periodic variant is provided by core.Cache's periodic-sweep option
 // (§1.3 of the paper) and benchmarked as an ablation.
 type PitkowRecker struct {
-	heap     *entryHeap
+	heap     entryHeap
 	dayStart int64
 	now      int64
 }
 
+// pitkowKeys is the removal key Pitkow/Recker packs into each entry.
+var pitkowKeys = []Key{KeyDayATime, KeySize}
+
 // NewPitkowRecker returns the policy. dayStart anchors day boundaries.
 func NewPitkowRecker(dayStart int64) *PitkowRecker {
-	p := &PitkowRecker{dayStart: dayStart}
-	p.heap = newEntryHeap(CompileLess([]Key{KeyDayATime, KeySize}, dayStart))
-	return p
+	return &PitkowRecker{dayStart: dayStart}
 }
 
 // Name implements Policy.
@@ -41,16 +42,16 @@ func (p *PitkowRecker) Name() string { return "Pitkow/Recker" }
 // automatic, so the value is retained only for introspection.
 func (p *PitkowRecker) SetNow(now int64) { p.now = now }
 
-// Add implements Policy. The cached DAY(ATIME) key is refreshed here
-// and in Touch, the only points where ATime changes.
+// Add implements Policy. The removal key is packed here and in Touch,
+// the only points where ATime, and so DAY(ATIME), changes.
 func (p *PitkowRecker) Add(e *Entry) {
-	e.DayATime = dayOf(e.ATime, p.dayStart)
+	packKey(e, pitkowKeys, p.dayStart)
 	p.heap.Push(e)
 }
 
 // Touch implements Policy.
 func (p *PitkowRecker) Touch(e *Entry) {
-	e.DayATime = dayOf(e.ATime, p.dayStart)
+	packKey(e, pitkowKeys, p.dayStart)
 	p.heap.Fix(e)
 }
 

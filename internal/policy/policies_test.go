@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"webcache/internal/rng"
@@ -301,6 +303,44 @@ func TestGDSLatency(t *testing.T) {
 	}
 	if _, err := Parse("GD-Latency", 0); err != nil {
 		t.Fatalf("Parse(GD-Latency): %v", err)
+	}
+}
+
+// TestGDSLatencyNaNAndNegativeZero pins GD-Latency's order on the
+// priorities floatWord treats specially. A NaN latency gives a NaN
+// priority, which is removed last. A −0 priority packs to the same word
+// as +0, so it ties with a zero-latency document and Rand decides.
+func TestGDSLatencyNaNAndNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if floatWord(negZero) != floatWord(0) {
+		t.Fatalf("floatWord(-0) = %#x, floatWord(+0) = %#x", floatWord(negZero), floatWord(0))
+	}
+	if h := wordFloat(floatWord(math.NaN())); !math.IsNaN(h) {
+		t.Fatalf("a NaN priority decodes to %v", h)
+	}
+	g := NewGDSLatency()
+	for _, d := range []struct {
+		url     string
+		latency float64
+		rand    uint64
+	}{
+		{"nan", math.NaN(), 0},
+		{"costly", 5, 1},
+		{"zero", 0, 3},
+		{"negzero", negZero, 2},
+	} {
+		e := entry(d.url, 1000, 1, 1, 1, d.rand)
+		e.Latency = d.latency
+		g.Add(e)
+	}
+	var got []string
+	for g.Len() > 0 {
+		v := g.Victim(0)
+		got = append(got, v.URL)
+		g.Remove(v)
+	}
+	if want := []string{"negzero", "zero", "costly", "nan"}; !slices.Equal(got, want) {
+		t.Fatalf("removal order %v, want %v", got, want)
 	}
 }
 

@@ -24,9 +24,9 @@ const (
 const inListIdx = -2
 
 // recencyList keeps entries in a doubly-linked list maintained in
-// exactly the comparator's ascending order: head is the victim.
+// exactly lessKey's ascending order: head is the victim.
 //
-// Insertion scans backward from the tail with the full comparator, so
+// Insertion scans backward from the tail with lessKey, so
 // the list is correct for any inputs; it is *fast* because the combos
 // routed here insert and touch entries whose primary key is the current
 // clock maximum — the scan stops within the run of entries sharing that
@@ -35,12 +35,11 @@ const inListIdx = -2
 type recencyList struct {
 	head, tail *Entry
 	n          int
-	less       func(a, b *Entry) bool
 	mode       touchMode
 }
 
-func newRecencyList(less func(a, b *Entry) bool, mode touchMode) *recencyList {
-	return &recencyList{less: less, mode: mode}
+func newRecencyList(mode touchMode) *recencyList {
+	return &recencyList{mode: mode}
 }
 
 func (l *recencyList) kind() string { return "list" }
@@ -75,8 +74,8 @@ func (l *recencyList) Touch(e *Entry) {
 		// the old and new positions). Skip the unlink when the local
 		// order still holds — in a sorted list that pins the global
 		// position, e.g. a re-hit within the same second.
-		if (e.next == nil || !l.less(e.next, e)) &&
-			(e.prev == nil || !l.less(e, e.prev)) {
+		if (e.next == nil || !lessKey(e.next, e)) &&
+			(e.prev == nil || !lessKey(e, e.prev)) {
 			return
 		}
 		l.unlink(e)
@@ -85,22 +84,22 @@ func (l *recencyList) Touch(e *Entry) {
 	}
 	// touchLocal: the primary is fixed, so the entry moves only within
 	// its equal-primary run — a short bidirectional scan.
-	if next := e.next; next != nil && l.less(next, e) {
+	if next := e.next; next != nil && lessKey(next, e) {
 		// Moved tailward (the common case: keys increased).
 		at := next
 		l.unlink(e)
-		for at.next != nil && l.less(at.next, e) {
+		for at.next != nil && lessKey(at.next, e) {
 			at = at.next
 		}
 		l.insertAfter(e, at)
 		return
 	}
-	if prev := e.prev; prev != nil && l.less(e, prev) {
+	if prev := e.prev; prev != nil && lessKey(e, prev) {
 		// Moved headward — reachable only through a clock regression,
 		// but the scan keeps the order exact regardless.
 		at := prev
 		l.unlink(e)
-		for at != nil && l.less(e, at) {
+		for at != nil && lessKey(e, at) {
 			at = at.prev
 		}
 		l.insertAfter(e, at)
@@ -111,7 +110,7 @@ func (l *recencyList) Touch(e *Entry) {
 // from the tail.
 func (l *recencyList) insertFromTail(e *Entry) {
 	at := l.tail
-	for at != nil && l.less(e, at) {
+	for at != nil && lessKey(e, at) {
 		at = at.prev
 	}
 	l.insertAfter(e, at)

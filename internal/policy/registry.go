@@ -97,7 +97,8 @@ func ParseKey(s string) (Key, error) {
 // Parse builds a policy from a specification string: either a literature
 // policy name (FIFO, LRU, LFU, LRU-MIN, HYPER-G, PITKOW/RECKER,
 // GD-SIZE(1), GD-SIZE(SIZE)) or a slash-separated key list such as
-// "SIZE/NREF". dayStart anchors day-based keys.
+// "SIZE/NREF" of at most three keys, not counting a trailing RANDOM.
+// dayStart anchors day-based keys.
 func Parse(spec string, dayStart int64) (Policy, error) {
 	switch strings.ToUpper(strings.TrimSpace(spec)) {
 	case "FIFO":
@@ -130,6 +131,9 @@ func Parse(spec string, dayStart int64) (Policy, error) {
 	}
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("policy: empty spec")
+	}
+	if _, err := packedKeys(keys); err != nil {
+		return nil, fmt.Errorf("policy: bad spec %q: %w", spec, err)
 	}
 	return NewSorted(keys, dayStart), nil
 }

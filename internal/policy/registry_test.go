@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestFactoryProducesIndependentInstances(t *testing.T) {
 	name, make, err := Factory("SIZE/NREF", 0)
@@ -49,4 +52,38 @@ func TestFactoryRejectsBadSpec(t *testing.T) {
 			t.Errorf("Factory(%q): want error", spec)
 		}
 	}
+}
+
+// TestParseBoundsKeyCount pins the removal key's width at the input
+// edge: a spec may name at most three keys once a trailing RANDOM is
+// dropped. Parse and Factory report a longer one as an error naming
+// the spec; NewSorted panics on it.
+func TestParseBoundsKeyCount(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"SIZE/NREF/ATIME", true},
+		{"SIZE/NREF/ATIME/RANDOM", true},
+		{"SIZE/NREF/ATIME/ETIME", false},
+		{"SIZE/NREF/ATIME/ETIME/RANDOM", false},
+	} {
+		_, err := Parse(tc.spec, 0)
+		if (err == nil) != tc.ok {
+			t.Errorf("Parse(%q) error = %v, want ok=%v", tc.spec, err, tc.ok)
+			continue
+		}
+		if err != nil && !strings.Contains(err.Error(), tc.spec) {
+			t.Errorf("Parse(%q) error %q does not name the spec", tc.spec, err)
+		}
+		if _, _, ferr := Factory(tc.spec, 0); (ferr == nil) != tc.ok {
+			t.Errorf("Factory(%q) error = %v, want ok=%v", tc.spec, ferr, tc.ok)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSorted accepted four keys")
+		}
+	}()
+	NewSorted([]Key{KeySize, KeyNRef, KeyATime, KeyETime}, 0)
 }

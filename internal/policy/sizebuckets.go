@@ -1,14 +1,13 @@
 package policy
 
 // sizeBuckets realizes SIZE- and LOG2SIZE-primary orders with a static
-// index: 64 buckets addressed by the entry's cached ⌊log2 Size⌋
-// (Entry.Log2Size — already maintained for the LOG2SIZE comparators,
-// and monotone in Size, so bucket order is primary order for both
-// keys). Largest-first removal means the victim lives in the highest
-// non-empty bucket; within a bucket a small entryHeap over the full
-// comparator settles the residual order (for SIZE primaries that
-// residual still begins with the exact byte size, which varies only
-// within one power of two per bucket).
+// index: 64 buckets addressed by ⌊log2 Size⌋ (monotone in Size, so
+// bucket order is primary order for both keys). Largest-first removal
+// means the victim lives in the highest non-empty bucket; within a
+// bucket a small entryHeap on the full removal key settles the
+// residual order (for SIZE primaries that residual still begins with
+// the exact byte size, which varies only within one power of two per
+// bucket).
 //
 // Size never changes in place — a size mismatch replaces the entry — so
 // entries never migrate between buckets: Add and Remove touch exactly
@@ -23,12 +22,8 @@ type sizeBuckets struct {
 	fixOnTouch bool
 }
 
-func newSizeBuckets(less func(a, b *Entry) bool, fixOnTouch bool) *sizeBuckets {
-	s := &sizeBuckets{maxB: -1, fixOnTouch: fixOnTouch}
-	for i := range s.buckets {
-		s.buckets[i].less = less
-	}
-	return s
+func newSizeBuckets(fixOnTouch bool) *sizeBuckets {
+	return &sizeBuckets{maxB: -1, fixOnTouch: fixOnTouch}
 }
 
 func (s *sizeBuckets) kind() string { return "size" }
@@ -36,7 +31,7 @@ func (s *sizeBuckets) Len() int     { return s.n }
 func (s *sizeBuckets) Grow(int)     {}
 
 func (s *sizeBuckets) Add(e *Entry) {
-	i := int(e.Log2Size)
+	i := log2Floor(e.Size)
 	s.buckets[i].Push(e)
 	if i > s.maxB {
 		s.maxB = i
@@ -46,12 +41,12 @@ func (s *sizeBuckets) Add(e *Entry) {
 
 func (s *sizeBuckets) Touch(e *Entry) {
 	if s.fixOnTouch {
-		s.buckets[e.Log2Size].Fix(e)
+		s.buckets[log2Floor(e.Size)].Fix(e)
 	}
 }
 
 func (s *sizeBuckets) Remove(e *Entry) {
-	if s.buckets[e.Log2Size].Remove(e) {
+	if s.buckets[log2Floor(e.Size)].Remove(e) {
 		s.n--
 	}
 }

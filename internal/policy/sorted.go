@@ -1,6 +1,9 @@
 package policy
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Sorted is the taxonomy's generic policy: documents are kept in a total
 // removal order defined by a sequence of sorting keys, and the head of
@@ -12,34 +15,41 @@ type Sorted struct {
 	name string
 	ord  order
 
-	// dayStart/trackDay maintain the cached DAY(ATIME) derived key: when
-	// the key sequence includes KeyDayATime, Add and Touch (the only
-	// points where ATime changes) refresh Entry.DayATime so comparators
-	// read a field instead of dividing per comparison.
-	dayStart int64
-	trackDay bool
+	// keys is the key sequence packKey writes into each entry's removal
+	// key in Add, and again in Touch when touchKeys says a touch can
+	// change one of them (ATIME, DAY(ATIME) or NREF).
+	keys      []Key
+	dayStart  int64
+	touchKeys bool
 }
 
 // NewSorted returns a policy ordered by keys (primary first). dayStart
 // anchors the DAY(ATIME) key's day boundaries; pass the trace start.
 // The RANDOM tiebreak is always appended, so a single-key slice yields a
-// "<key> with random secondary" policy as used in Experiment 2. The
-// comparator is the compiled specialization for the combination when
-// one exists (see CompileLess).
+// "<key> with random secondary" policy as used in Experiment 2.
+// NewSorted panics when more than three keys remain after a trailing
+// RANDOM is dropped (Parse returns that as an error).
 func NewSorted(keys []Key, dayStart int64) *Sorted {
+	packed, err := packedKeys(keys)
+	if err != nil {
+		panic(err)
+	}
 	parts := make([]string, len(keys))
-	trackDay := false
 	for i, k := range keys {
 		parts[i] = k.String()
-		if k == KeyDayATime {
-			trackDay = true
+	}
+	touchKeys := false
+	for _, k := range packed {
+		if k == KeyATime || k == KeyDayATime || k == KeyNRef {
+			touchKeys = true
 		}
 	}
 	return &Sorted{
-		name:     strings.Join(parts, "/"),
-		ord:      newOrder(keys, CompileLess(keys, dayStart)),
-		dayStart: dayStart,
-		trackDay: trackDay,
+		name:      strings.Join(parts, "/"),
+		ord:       newOrder(packed),
+		keys:      slices.Clone(packed),
+		dayStart:  dayStart,
+		touchKeys: touchKeys,
 	}
 }
 
@@ -54,16 +64,14 @@ func (p *Sorted) Name() string { return p.name }
 
 // Add implements Policy.
 func (p *Sorted) Add(e *Entry) {
-	if p.trackDay {
-		e.DayATime = dayOf(e.ATime, p.dayStart)
-	}
+	packKey(e, p.keys, p.dayStart)
 	p.ord.Add(e)
 }
 
 // Touch implements Policy.
 func (p *Sorted) Touch(e *Entry) {
-	if p.trackDay {
-		e.DayATime = dayOf(e.ATime, p.dayStart)
+	if p.touchKeys {
+		packKey(e, p.keys, p.dayStart)
 	}
 	p.ord.Touch(e)
 }

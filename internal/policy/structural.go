@@ -3,12 +3,13 @@ package policy
 // The structural fast path: most taxonomy combos do not need a heap.
 //
 // Every Sorted policy is a strict total order over (keys…, Rand, URL),
-// and the heap realizes that order generically in O(log n) per Add and
-// Touch. But the paper's keys have shape: ETIME never changes after
-// insertion, ATIME only ever increases to "now", and SIZE/LOG2SIZE are
-// immutable. Each shape admits a dedicated structure that maintains the
-// *same* total order — victim for victim, including the Rand/URL
-// tiebreak — with cheaper operations:
+// which lessKey compares on the entry's packed removal key, and every
+// backend orders with lessKey. The heap realizes that order generically
+// in O(log n) per Add and Touch. But the paper's keys have shape:
+// ETIME never changes after insertion, ATIME only ever increases to
+// "now", and SIZE/LOG2SIZE are immutable. Each shape admits a dedicated
+// structure that maintains the *same* total order — victim for victim,
+// including the Rand/URL tiebreak — with cheaper operations:
 //
 //   - recencyList: an intrusive doubly-linked list kept fully sorted.
 //     Serves ETIME- and ATIME-primary combos (FIFO, LRU) where inserted
@@ -17,7 +18,7 @@ package policy
 //     sharing that timestamp. DAY(ATIME)/ATIME also qualifies: dayOf is
 //     monotone nondecreasing in ATime, so the (day, atime, tie) order
 //     coincides with the (atime, tie) order.
-//   - sizeBuckets: 64 static buckets indexed by the cached ⌊log2 Size⌋,
+//   - sizeBuckets: 64 static buckets indexed by ⌊log2 Size⌋,
 //     each a small heap on the full order. Serves SIZE- and
 //     LOG2SIZE-primary combos; Touch at most re-sifts within one
 //     bucket, and entries never migrate (Size is immutable).
@@ -48,22 +49,17 @@ type order interface {
 
 // newOrder picks the cheapest backend that provably reproduces the
 // heap's victim order for the key sequence, falling back to the heap.
-func newOrder(keys []Key, less func(a, b *Entry) bool) order {
-	if o := structuralFor(keys, less); o != nil {
+func newOrder(keys []Key) order {
+	if o := structuralFor(keys); o != nil {
 		return o
 	}
-	return heapOrder{newEntryHeap(less)}
+	return heapOrder{&entryHeap{}}
 }
 
-// structuralFor classifies a key sequence and returns its structural
-// backend, or nil when only the heap is known to be order-identical.
-// The classification mirrors compiledFor: a trailing RANDOM key is
-// redundant with the universal Rand tiebreak and is stripped first.
-func structuralFor(keys []Key, less func(a, b *Entry) bool) order {
-	ks := keys
-	if n := len(ks); n > 0 && ks[n-1] == KeyRandom {
-		ks = ks[:n-1]
-	}
+// structuralFor classifies a key sequence, as packedKeys returns it
+// (no trailing RANDOM), and returns its structural backend, or nil
+// when only the heap is known to be order-identical.
+func structuralFor(ks []Key) order {
 	if len(ks) == 0 {
 		return nil
 	}
@@ -86,22 +82,22 @@ func structuralFor(keys []Key, less func(a, b *Entry) bool) order {
 		secondary = ks[1]
 	}
 	// Does Touch change any non-primary key the order depends on?
-	// Touch sets ATime (and DayATime) to now and increments NRef.
+	// Touch sets ATime (and so DAY(ATIME)) to now and increments NRef.
 	touchMoves := hasSecondary &&
 		(secondary == KeyATime || secondary == KeyDayATime || secondary == KeyNRef)
 	switch primary {
 	case KeyATime:
 		// The touched entry's ATime becomes the maximum, so it belongs
 		// at (or within the equal-timestamp run at) the tail.
-		return newRecencyList(less, touchTail)
+		return newRecencyList(touchTail)
 	case KeyETime:
 		if touchMoves {
 			// ETIME is fixed, so a touch moves the entry only within
 			// its equal-ETime run — a bounded local reposition.
-			return newRecencyList(less, touchLocal)
+			return newRecencyList(touchLocal)
 		}
 		// FIFO-like: every key Touch can change is outside the order.
-		return newRecencyList(less, touchNone)
+		return newRecencyList(touchNone)
 	case KeyDayATime:
 		if hasSecondary && secondary == KeyATime {
 			// dayOf is monotone nondecreasing in ATime, so sorting by
@@ -109,7 +105,7 @@ func structuralFor(keys []Key, less func(a, b *Entry) bool) order {
 			// tail insertion argument carries over unchanged. Other
 			// DAY(ATIME) primaries stay on the heap: a touch would
 			// reposition within the whole same-day run.
-			return newRecencyList(less, touchTail)
+			return newRecencyList(touchTail)
 		}
 		return nil
 	case KeySize, KeyLog2Size:
@@ -118,7 +114,7 @@ func structuralFor(keys []Key, less func(a, b *Entry) bool) order {
 		// residual (for SIZE, the residual still starts with the exact
 		// size). Touch re-sifts within the bucket only when a mutable
 		// secondary participates.
-		return newSizeBuckets(less, touchMoves)
+		return newSizeBuckets(touchMoves)
 	}
 	return nil
 }

@@ -8,19 +8,10 @@ import (
 	"webcache/internal/trace"
 )
 
-// onHeap moves a freshly built, empty policy onto the heap backend with
-// the same comparator: the oracle every structural backend must match.
+// onHeap moves a freshly built, empty policy onto the heap backend:
+// the oracle every structural backend must match.
 func onHeap(p *Sorted) *Sorted {
-	var less func(a, b *Entry) bool
-	switch o := p.ord.(type) {
-	case heapOrder:
-		less = o.h.less
-	case *recencyList:
-		less = o.less
-	case *sizeBuckets:
-		less = o.buckets[0].less
-	}
-	p.ord = heapOrder{newEntryHeap(less)}
+	p.ord = heapOrder{&entryHeap{}}
 	return p
 }
 

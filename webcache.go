@@ -116,14 +116,16 @@ const (
 // NewPolicy builds a removal policy from a specification string: a
 // literature policy name ("FIFO", "LRU", "LFU", "LRU-MIN", "Hyper-G",
 // "Pitkow/Recker", "GD-Size(1)") or a slash-separated key list such as
-// "SIZE/NREF" (a random tiebreak is always appended). dayStart anchors
-// day-based keys; pass the trace's Start.
+// "SIZE/NREF" of at most three keys, not counting a trailing RANDOM (a
+// random tiebreak is always appended). dayStart anchors day-based keys;
+// pass the trace's Start.
 func NewPolicy(spec string, dayStart int64) (Policy, error) {
 	return policy.Parse(spec, dayStart)
 }
 
 // NewSortedPolicy builds a policy from explicit keys (Table 1 order
-// semantics, random tiebreak appended).
+// semantics, random tiebreak appended). It panics when more than three
+// keys remain after a trailing RANDOM is dropped.
 func NewSortedPolicy(keys []Key, dayStart int64) Policy {
 	return policy.NewSorted(keys, dayStart)
 }
