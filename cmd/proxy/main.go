@@ -329,7 +329,7 @@ func main() {
 		icpAddr   = flag.String("icp", "", "UDP address to answer ICP sibling queries on (e.g. :3130)")
 		siblings  = flag.String("siblings", "", "comma-separated sibling list as icpHost:port=httpURL pairs")
 		logPath   = flag.String("accesslog", "", "write a common-log-format access log to this file")
-		logSample = flag.Int("log-sample", 1, "log every nth request (1 = all)")
+		logSample = flag.Int("log-sample", 1, "log every nth request (1 = all); a sampled log (n > 1) is not a trace of the traffic and must not be replayed through the simulator as one")
 		adminAddr = flag.String("admin", "", "serve the introspection endpoints on this address (e.g. :8081)")
 
 		shadowSpec  = flag.String("shadow", "", "comma-separated candidate policies to run as ghost caches (e.g. \"LRU,SIZE,LFU\"); /shadow on the admin address reports their window HR/WHR and regret")

@@ -75,7 +75,7 @@ func run(wl, config string, scale float64, seed uint64, extended, validate bool,
 	}
 	if validate {
 		var stats *trace.ValidateStats
-		tr, stats = trace.Validate(tr)
+		tr, stats = trace.ValidateOwned(tr)
 		fmt.Fprintf(os.Stderr, "tracegen: %d of %d lines valid\n", stats.Kept, stats.Input)
 	}
 	if emitBin != "" {

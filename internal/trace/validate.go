@@ -39,9 +39,26 @@ func (s *ValidateStats) SizeChangeFraction() float64 {
 // (possibly inherited) size actually used by the simulator, so hit rate
 // and weighted hit rate are measured against the same exact trace.
 func Validate(raw *Trace) (*Trace, *ValidateStats) {
+	return validate(raw, make([]Request, 0, len(raw.Requests)))
+}
+
+// ValidateOwned is Validate for a caller that discards raw: the
+// validated requests are written over raw.Requests instead of into a
+// second array, and raw is left with no requests.
+func ValidateOwned(raw *Trace) (*Trace, *ValidateStats) {
+	out, stats := validate(raw, raw.Requests[:0])
+	// Release the dropped lines' strings still held past the kept prefix.
+	clear(raw.Requests[len(out.Requests):])
+	raw.Requests = nil
+	return out, stats
+}
+
+// validate appends the requests of raw that §1.1 keeps to dst. dst may
+// share raw.Requests' array: each request is copied out before its
+// slot can be written, since the write index never passes the read
+// index.
+func validate(raw *Trace, dst []Request) (*Trace, *ValidateStats) {
 	stats := &ValidateStats{Input: len(raw.Requests)}
-	out := &Trace{Name: raw.Name, Start: raw.Start}
-	out.Requests = make([]Request, 0, len(raw.Requests))
 	lastSize := make(map[string]int64, 1024)
 
 	for i := range raw.Requests {
@@ -65,10 +82,13 @@ func Validate(raw *Trace) (*Trace, *ValidateStats) {
 				stats.SizeChanges++
 			}
 		}
-		lastSize[r.URL] = r.Size
+		if !seen || r.Size != prev {
+			lastSize[r.URL] = r.Size
+		}
 		stats.Kept++
-		out.Requests = append(out.Requests, r)
+		dst = append(dst, r)
 	}
+	out := &Trace{Name: raw.Name, Start: raw.Start, Requests: dst}
 	if len(out.Requests) > 0 && out.Start == 0 {
 		first := out.Requests[0].Time
 		out.Start = first - first%86400

@@ -27,7 +27,8 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"webcache/internal/rng"
 	"webcache/internal/trace"
@@ -167,8 +168,9 @@ const (
 )
 
 // Generate produces the raw synthetic trace (including invalid noise
-// lines). Run trace.Validate on it before simulation, exactly as the
-// paper validates its logs.
+// lines). Run trace.Validate (or trace.ValidateOwned, which reuses the
+// raw array) on it before simulation, exactly as the paper validates
+// its logs.
 func Generate(cfg Config) (*trace.Trace, error) {
 	if cfg.Days < 1 || cfg.Requests < 1 || cfg.TotalBytes < 1 {
 		return nil, fmt.Errorf("workload %q: need positive Days/Requests/TotalBytes", cfg.Name)
@@ -221,6 +223,13 @@ func Generate(cfg Config) (*trace.Trace, error) {
 		return nil, fmt.Errorf("workload %q: %w", cfg.Name, err)
 	}
 
+	g := &generator{
+		cfg: &cfg, states: states, typePick: typePick,
+		serverZipf: serverZipf, clientZipf: clientZipf,
+		rDocs: rDocs, rSizes: rSizes, rNoise: rNoise,
+		clients: make([]string, min(max(cfg.Clients, 1), maxClientNames)+1),
+	}
+
 	// Per-day request budget.
 	dayCounts := splitByDay(cfg, rTimes)
 
@@ -231,6 +240,7 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	}
 	tr.Requests = make([]trace.Request, 0, total+int(float64(total)*cfg.NoiseFrac)+16)
 
+	var times []int64
 	for day, n := range dayCounts {
 		if n == 0 {
 			continue
@@ -239,7 +249,7 @@ func Generate(cfg Config) (*trace.Trace, error) {
 		if cfg.NoiseFrac > 0 {
 			nNoise = int(float64(n) * cfg.NoiseFrac)
 		}
-		times := dayTimes(cfg.StartDay, day, n+nNoise, rTimes)
+		times = dayTimes(times[:0], cfg.StartDay, day, n+nNoise, rTimes)
 		boost := 1.0
 		if cfg.NewDocBoost != nil {
 			boost = cfg.NewDocBoost(day)
@@ -249,66 +259,94 @@ func Generate(cfg Config) (*trace.Trace, error) {
 		for i, ts := range times {
 			remaining := len(times) - i
 			if noiseLeft > 0 && rNoise.Float64() < float64(noiseLeft)/float64(remaining) {
-				tr.Requests = append(tr.Requests, noiseRequest(cfg, states, ts, rNoise, clientZipf))
+				tr.Requests = append(tr.Requests, g.noiseRequest(ts))
 				noiseLeft--
 				continue
 			}
-			req := validRequest(cfg, states, typePick, serverZipf, clientZipf, rDocs, rSizes, boost, ts)
-			tr.Requests = append(tr.Requests, req)
+			tr.Requests = append(tr.Requests, g.validRequest(boost, ts))
 		}
 	}
 	return tr, nil
 }
 
-// validRequest draws one valid (status 200) request at time ts.
-func validRequest(cfg Config, states []*typeState, typePick *rng.Categorical,
-	serverZipf, clientZipf *rng.Zipf, rDocs, rSizes *rng.Rand, boost float64, ts int64) trace.Request {
+// maxClientNames bounds the per-call client-name table; ranks beyond it
+// (only a configuration with a larger client pool draws them) are
+// formatted on each request.
+const maxClientNames = 1 << 16
 
-	st := states[typePick.Draw()]
+// generator is the state of one Generate call. Nothing in it is shared
+// between calls, so workloads can be generated concurrently.
+type generator struct {
+	cfg                    *Config
+	states                 []*typeState
+	typePick               *rng.Categorical
+	serverZipf, clientZipf *rng.Zipf
+	rDocs, rSizes, rNoise  *rng.Rand
+	// clients[rank] is client rank's host name, formatted on first use.
+	clients []string
+	// buf is the scratch space URLs and names are built in.
+	buf []byte
+}
+
+// validRequest draws one valid (status 200) request at time ts.
+func (g *generator) validRequest(boost float64, ts int64) trace.Request {
+	st := g.states[g.typePick.Draw()]
 	alpha := st.spec.NewDocProb * boost
 	if alpha > 1 {
 		alpha = 1
 	}
 
 	var d *doc
-	fresh := len(st.docs) == 0 || rDocs.Float64() < alpha
+	fresh := len(st.docs) == 0 || g.rDocs.Float64() < alpha
 	if fresh {
-		d = mintDoc(cfg, st, serverZipf, rSizes, ts)
+		d = g.mintDoc(st, ts)
 	} else {
-		d = pickDoc(st, rDocs, cfg)
+		d = pickDoc(st, g.rDocs, g.cfg)
 		// Occasionally the origin document was modified to a new size
 		// since the last reference (§1.1).
-		if cfg.SizeChangeProb > 0 && rDocs.Float64() < cfg.SizeChangeProb {
-			d.size = perturbSize(d.size, rSizes)
+		if g.cfg.SizeChangeProb > 0 && g.rDocs.Float64() < g.cfg.SizeChangeProb {
+			d.size = perturbSize(d.size, g.rSizes)
 			d.lastMod = ts
 		}
 	}
 
 	size := d.size
-	if !fresh && cfg.ZeroSizeProb > 0 && rDocs.Float64() < cfg.ZeroSizeProb {
+	if !fresh && g.cfg.ZeroSizeProb > 0 && g.rDocs.Float64() < g.cfg.ZeroSizeProb {
 		size = 0 // validator will inherit the last known size
+	}
+	var lastMod int64
+	if g.cfg.Extended {
+		lastMod = d.lastMod
 	}
 	return trace.Request{
 		Time:         ts,
-		Client:       clientName(cfg, clientZipf),
+		Client:       g.clientName(),
 		URL:          d.url,
 		Status:       200,
 		Size:         size,
 		Type:         st.spec.Type,
-		LastModified: lastModFor(cfg, d),
+		LastModified: lastMod,
 	}
 }
 
-// mintDoc creates a new catalog document for st.
-func mintDoc(cfg Config, st *typeState, serverZipf *rng.Zipf, rSizes *rng.Rand, ts int64) *doc {
-	srv := serverZipf.Rank()
-	if cfg.AudioServer && st.spec.Type == trace.Audio {
+// mintDoc creates a new catalog document for st, at
+// http://s<server>.<domain><type prefix><id><type extension>.
+func (g *generator) mintDoc(st *typeState, ts int64) *doc {
+	srv := g.serverZipf.Rank()
+	if g.cfg.AudioServer && st.spec.Type == trace.Audio {
 		srv = 1
 	}
 	st.nextID++
-	url := fmt.Sprintf("http://s%d.%s%s%d%s", srv, cfg.Domain, pathPrefix(st.spec.Type), st.nextID, st.ext)
-	size := drawSize(st, rSizes)
-	st.docs = append(st.docs, doc{url: url, size: size, lastMod: ts - 86400*int64(1+rSizes.Intn(60))})
+	b := append(g.buf[:0], "http://s"...)
+	b = strconv.AppendInt(b, srv, 10)
+	b = append(b, '.')
+	b = append(b, g.cfg.Domain...)
+	b = append(b, pathPrefix(st.spec.Type)...)
+	b = strconv.AppendInt(b, int64(st.nextID), 10)
+	b = append(b, st.ext...)
+	g.buf = b
+	size := drawSize(st, g.rSizes)
+	st.docs = append(st.docs, doc{url: string(b), size: size, lastMod: ts - 86400*int64(1+g.rSizes.Intn(60))})
 	return &st.docs[len(st.docs)-1]
 }
 
@@ -319,7 +357,7 @@ const recencyWindow = 100
 // pickDoc draws an existing document: with probability RecencyBias one
 // of the recently minted documents, otherwise by Zipf popularity over
 // birth order mixed with a uniform component.
-func pickDoc(st *typeState, rDocs *rng.Rand, cfg Config) *doc {
+func pickDoc(st *typeState, rDocs *rng.Rand, cfg *Config) *doc {
 	n := len(st.docs)
 	if b := st.spec.RecencyBias; b > 0 && rDocs.Float64() < b {
 		w := recencyWindow
@@ -371,37 +409,54 @@ func perturbSize(old int64, r *rng.Rand) int64 {
 	return s
 }
 
+// noiseStatuses are the statuses of invalid lines; 302 stands for a
+// zero-size 200 first reference.
+var noiseStatuses = [...]int{304, 304, 304, 404, 403, 500, 302}
+
 // noiseRequest emits an invalid line: a non-200 status, or a zero-size
 // first reference, both of which §1.1 drops.
-func noiseRequest(cfg Config, states []*typeState, ts int64, r *rng.Rand, clientZipf *rng.Zipf) trace.Request {
-	statuses := []int{304, 304, 304, 404, 403, 500, 302}
-	status := statuses[r.Intn(len(statuses))]
-	url := fmt.Sprintf("http://s1.%s/noise/n%d.html", cfg.Domain, r.Intn(1<<20))
-	size := int64(0)
+func (g *generator) noiseRequest(ts int64) trace.Request {
+	status := noiseStatuses[g.rNoise.Intn(len(noiseStatuses))]
+	kind, id := byte('n'), g.rNoise.Intn(1<<20)
 	if status == 302 {
 		// A zero-size 200 for a never-seen URL is also invalid (§1.1).
 		status = 200
-		url = fmt.Sprintf("http://s1.%s/noise/z%d.html", cfg.Domain, r.Intn(1<<20))
+		kind, id = 'z', g.rNoise.Intn(1<<20)
 	}
+	b := append(g.buf[:0], "http://s1."...)
+	b = append(b, g.cfg.Domain...)
+	b = append(b, "/noise/"...)
+	b = append(b, kind)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, ".html"...)
+	g.buf = b
+	url := string(b)
 	return trace.Request{
 		Time:   ts,
-		Client: clientName(cfg, clientZipf),
+		Client: g.clientName(),
 		URL:    url,
 		Status: status,
-		Size:   size,
 		Type:   trace.ClassifyURL(url),
 	}
 }
 
-func clientName(cfg Config, z *rng.Zipf) string {
-	return fmt.Sprintf("client%d.%s", z.Rank(), cfg.Domain)
-}
-
-func lastModFor(cfg Config, d *doc) int64 {
-	if !cfg.Extended {
-		return 0
+// clientName draws a client rank and returns its host name,
+// client<rank>.<domain>.
+func (g *generator) clientName() string {
+	rank := g.clientZipf.Rank()
+	if rank < int64(len(g.clients)) && g.clients[rank] != "" {
+		return g.clients[rank]
 	}
-	return d.lastMod
+	b := append(g.buf[:0], "client"...)
+	b = strconv.AppendInt(b, rank, 10)
+	b = append(b, '.')
+	b = append(b, g.cfg.Domain...)
+	g.buf = b
+	name := string(b)
+	if rank < int64(len(g.clients)) {
+		g.clients[rank] = name
+	}
+	return name
 }
 
 // splitByDay apportions the valid-request budget across days using
@@ -434,19 +489,19 @@ func splitByDay(cfg Config, r *rng.Rand) []int {
 	return counts
 }
 
-// dayTimes draws n request times within day d, shaped toward working
-// hours (08:00–23:00 with a midday peak), sorted ascending.
-func dayTimes(start int64, day, n int, r *rng.Rand) []int64 {
-	times := make([]int64, n)
+// dayTimes appends to times n request times within day d, shaped
+// toward working hours (08:00–23:00 with a midday peak), sorted
+// ascending.
+func dayTimes(times []int64, start int64, day, n int, r *rng.Rand) []int64 {
 	dayStart := start + int64(day)*86400
-	for i := range times {
+	for i := 0; i < n; i++ {
 		// Sum of two uniforms gives a triangular peak at the middle of
 		// the active window.
 		frac := (r.Float64() + r.Float64()) / 2
 		sec := 8*3600 + int64(frac*float64(15*3600))
-		times[i] = dayStart + sec
+		times = append(times, dayStart+sec)
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	slices.Sort(times)
 	return times
 }
 
@@ -489,11 +544,4 @@ func nz(v, def float64) float64 {
 		return def
 	}
 	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
