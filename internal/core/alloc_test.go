@@ -128,32 +128,3 @@ func TestEvictCycleAllocsInterned(t *testing.T) {
 		t.Errorf("interned evict/insert cycle allocates %.1f objects per request, want 0", avg)
 	}
 }
-
-// TestRecyclingDisabledWithObserver checks the safety gate: with an
-// OnEvict observer set, evicted entries must never be recycled into
-// later inserts, since the observer may retain them.
-func TestRecyclingDisabledWithObserver(t *testing.T) {
-	pol := policy.NewSorted([]policy.Key{policy.KeyATime}, 0)
-	var evicted []*policy.Entry
-	c := New(Config{Capacity: 1000, Policy: pol, Seed: 3,
-		OnEvict: func(e *policy.Entry) { evicted = append(evicted, e) }})
-	for i := 0; i < 16; i++ {
-		c.Access(&trace.Request{
-			Time: int64(i), URL: fmt.Sprintf("http://s/big%d", i),
-			Size: 600, Type: trace.Text,
-		})
-	}
-	if len(evicted) == 0 {
-		t.Fatal("no evictions observed")
-	}
-	for i, e := range evicted {
-		for _, later := range evicted[i+1:] {
-			if e == later {
-				t.Fatal("evicted entry recycled while an OnEvict observer is set")
-			}
-		}
-		if got := e.URL; got != fmt.Sprintf("http://s/big%d", i) {
-			t.Fatalf("evicted entry %d mutated after observation: URL %q", i, got)
-		}
-	}
-}

@@ -88,15 +88,12 @@ type Config struct {
 	// 0 = never) to a document inserted at time now; it feeds the
 	// ExpiredFirst policy wrapper (§5 open problem 4).
 	ExpiresOf func(url string, size, now int64) int64
-	// OnEvict, when non-nil, observes every evicted entry (used by
-	// hierarchy experiments and tests). Setting it disables entry
-	// recycling for evictions, since the observer may retain the entry.
-	OnEvict func(e *policy.Entry)
-	// Hooks observes per-request cache events for the observability
-	// layer (internal/obs). Unlike OnEvict, hooks must not retain
-	// entries past the call — recycling stays enabled — and unset slots
-	// cost exactly one nil check each, preserving the hot path's
-	// zero-overhead contract when observability is off.
+	// Hooks observes per-request cache events: hits, misses, evictions
+	// and additions (the observability layer, the live store's body
+	// map). Hooks must not retain entries past the call, since every
+	// cache recycles them, and unset slots cost exactly one nil check
+	// each, preserving the hot path's zero-overhead contract when
+	// observability is off.
 	Hooks CacheHooks
 	// SizeHint estimates how many documents will be resident at once.
 	// The cache pre-sizes its URL index and the policy's heap (via
@@ -128,11 +125,6 @@ type CacheHooks struct {
 	OnAdd func(e *policy.Entry)
 }
 
-// Any reports whether at least one hook slot is set.
-func (h *CacheHooks) Any() bool {
-	return h.OnHit != nil || h.OnMiss != nil || h.OnEvict != nil || h.OnAdd != nil
-}
-
 // Cache is a simulated proxy cache. It indexes resident documents
 // either by URL string (New) or, when built over an interned columnar
 // trace view (NewColumnar), by dense int32 URL ID — the two modes are
@@ -155,11 +147,8 @@ type Cache struct {
 	// nowPol caches the cfg.Policy type assertion so the per-request
 	// hot path pays a nil check instead of an interface assertion.
 	nowPol nowAware
-	// pool recycles detached entries back into inserts; recycle gates
-	// whether evicted entries may enter it (false when an OnEvict
-	// observer could retain them).
-	pool    policy.EntryPool
-	recycle bool
+	// pool recycles detached entries back into inserts.
+	pool policy.EntryPool
 }
 
 // nowAware is implemented by policies that want the simulation clock
@@ -185,7 +174,6 @@ func newCache(cfg Config) *Cache {
 		rnd: rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
 	}
 	c.nowPol, _ = cfg.Policy.(nowAware)
-	c.recycle = cfg.OnEvict == nil
 	if cfg.SizeHint > 0 {
 		if r, ok := cfg.Policy.(policy.Reserver); ok {
 			r.Reserve(cfg.SizeHint)
@@ -215,18 +203,11 @@ func (c *Cache) Len() int { return int(c.stats.Docs) }
 func (c *Cache) Used() int64 { return c.stats.Used }
 
 // Contains reports whether the cache holds a copy of url with the given
-// size (the §1.1 hit test) without touching any metadata. On an
-// interned cache the first call builds the view's URL → ID map
-// (trace.Columnar.ID), which the view keeps from then on; replays never
-// build it.
+// size (the §1.1 hit test) without touching any metadata. Like Access,
+// it panics on a cache built with NewColumnar, which keeps no URL index.
 func (c *Cache) Contains(url string, size int64) bool {
 	if c.byID != nil {
-		id, ok := c.col.ID(url)
-		if !ok {
-			return false
-		}
-		e := c.byID[id]
-		return e != nil && e.Size == size
+		panic("core: Contains called on an interned cache")
 	}
 	e, ok := c.entries[url]
 	return ok && e.Size == size
@@ -281,7 +262,7 @@ func (c *Cache) Insert(url string, size, now int64) bool {
 		}
 		return false
 	}
-	if old != nil && c.recycle {
+	if old != nil {
 		c.pool.Put(old)
 	}
 	return true
@@ -291,9 +272,7 @@ func (c *Cache) Insert(url string, size, now int64) bool {
 func (c *Cache) Remove(url string) {
 	if e := c.entries[url]; e != nil {
 		c.remove(e)
-		if c.recycle {
-			c.pool.Put(e)
-		}
+		c.pool.Put(e)
 	}
 }
 
@@ -323,9 +302,7 @@ func (c *Cache) access(e *policy.Entry, url string, id int32, size int64, typ tr
 		// inconsistent and must be replaced (§1.1).
 		c.remove(e)
 		c.stats.SizeChanges++
-		if c.recycle {
-			c.pool.Put(e)
-		}
+		c.pool.Put(e)
 	}
 
 	if c.cfg.Hooks.OnMiss != nil {
@@ -384,12 +361,7 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 	if c.byID != nil {
 		url = c.col.URLs[id]
 	}
-	var e *policy.Entry
-	if c.recycle {
-		e = c.pool.Get(url, size, typ, now, c.rnd.Uint64())
-	} else {
-		e = policy.NewEntry(url, size, typ, now, c.rnd.Uint64())
-	}
+	e := c.pool.Get(url, size, typ, now, c.rnd.Uint64())
 	e.ID = id
 	if c.cfg.LatencyOf != nil {
 		e.Latency = c.cfg.LatencyOf(url, size)
@@ -420,9 +392,9 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 	return true
 }
 
-// evict removes a policy-chosen victim and notifies the observer. When
-// no observer can retain the entry it is recycled into the pool, so
-// the eviction→insert cycle of a full cache allocates nothing.
+// evict removes a policy-chosen victim, notifies the OnEvict hook and
+// recycles the entry into the pool, so the eviction→insert cycle of a
+// full cache allocates nothing.
 func (c *Cache) evict(e *policy.Entry) {
 	c.remove(e)
 	c.stats.Evictions++
@@ -430,12 +402,7 @@ func (c *Cache) evict(e *policy.Entry) {
 	if c.cfg.Hooks.OnEvict != nil {
 		c.cfg.Hooks.OnEvict(e, c.now)
 	}
-	if c.cfg.OnEvict != nil {
-		c.cfg.OnEvict(e)
-	}
-	if c.recycle {
-		c.pool.Put(e)
-	}
+	c.pool.Put(e)
 }
 
 // remove detaches e from the cache and policy without eviction stats.

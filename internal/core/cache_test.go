@@ -147,7 +147,9 @@ func TestOnEvictObserver(t *testing.T) {
 		Capacity: 100,
 		Policy:   policy.NewLRU(),
 		Seed:     8,
-		OnEvict:  func(e *policy.Entry) { evicted = append(evicted, e.URL) },
+		Hooks: CacheHooks{
+			OnEvict: func(e *policy.Entry, _ int64) { evicted = append(evicted, e.URL) },
+		},
 	})
 	c.Access(req("http://a/1.dat", 60, 1))
 	c.Access(req("http://a/2.dat", 60, 2))

@@ -209,14 +209,3 @@ func TestHookedAccessAllocs(t *testing.T) {
 		t.Errorf("hooked interned cycle allocates %.1f objects per request, want 0", avg)
 	}
 }
-
-func TestCacheHooksAny(t *testing.T) {
-	var h CacheHooks
-	if h.Any() {
-		t.Fatal("zero-value hooks report Any")
-	}
-	h.OnMiss = func(int64, int64) {}
-	if !h.Any() {
-		t.Fatal("hooks with OnMiss set report !Any")
-	}
-}

@@ -42,12 +42,8 @@ func NewColumnar(cfg Config, col *trace.Columnar) *Cache {
 // entry pool's slabs and, in interned mode, the cleared ID table. Call
 // it once the statistics have been read. Afterwards the cache, its
 // policy and every entry the cache handed out are invalid and must not
-// be used. Release does nothing when the cache does not recycle entries:
-// an OnEvict observer may retain them.
+// be used.
 func (c *Cache) Release() {
-	if !c.recycle {
-		return
-	}
 	c.pool.Release()
 	if t := c.byID; t != nil {
 		clear(t)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
-	"sync"
 	"testing"
 
 	"webcache/internal/policy"
@@ -177,7 +176,8 @@ func TestInternedSweep(t *testing.T) {
 	}
 }
 
-// TestInternedContainsAndLen checks the query helpers in interned mode.
+// TestInternedContainsAndLen checks Len in interned mode; Contains
+// panics there (TestInternedAccessPanics).
 func TestInternedContainsAndLen(t *testing.T) {
 	tr := internedTestTrace(500)
 	col := tr.Columnar()
@@ -185,71 +185,36 @@ func TestInternedContainsAndLen(t *testing.T) {
 	for i := 0; i < col.Len(); i++ {
 		c.AccessIndex(i)
 	}
-	last := map[string]int64{}
+	urls := map[string]bool{}
 	for i := range tr.Requests {
-		last[tr.Requests[i].URL] = tr.Requests[i].Size
+		urls[tr.Requests[i].URL] = true
 	}
-	for url, size := range last {
-		if !c.Contains(url, size) {
-			t.Fatalf("Contains(%q, %d) = false, want true", url, size)
-		}
-		if c.Contains(url, size+1) {
-			t.Fatalf("Contains(%q, %d) = true for a mismatched size", url, size+1)
-		}
+	if c.Len() != len(urls) {
+		t.Fatalf("Len = %d, want %d", c.Len(), len(urls))
 	}
-	if c.Contains("http://never.seen/x.html", 1) {
-		t.Fatal("Contains found a URL outside the trace")
-	}
-	if c.Len() != len(last) {
-		t.Fatalf("Len = %d, want %d", c.Len(), len(last))
-	}
-}
-
-// TestInternedContainsConcurrent calls Columnar.ID and Contains from
-// several goroutines at once, each with its own cache over one shared
-// view, as a sweep's workers do: the view builds its URL map on the
-// first call, so under -race this checks that build is synchronized.
-func TestInternedContainsConcurrent(t *testing.T) {
-	tr := internedTestTrace(500)
-	col := tr.Columnar()
-	last := map[string]int64{}
-	for i := range tr.Requests {
-		last[tr.Requests[i].URL] = tr.Requests[i].Size
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := NewColumnar(Config{Capacity: 0, Seed: 1}, col)
-			defer c.Release()
-			for i := 0; i < col.Len(); i++ {
-				c.AccessIndex(i)
-			}
-			for url, size := range last {
-				if id, ok := col.ID(url); !ok || col.URLs[id] != url {
-					t.Errorf("ID(%q) = %d,%v", url, id, ok)
-					return
-				}
-				if !c.Contains(url, size) {
-					t.Errorf("Contains(%q, %d) = false, want true", url, size)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestInternedAccessPanics pins the mixed-mode guard: feeding a raw
-// Request to an interned cache is a programming error.
+// Request to an interned cache, or asking it about a URL, is a
+// programming error.
 func TestInternedAccessPanics(t *testing.T) {
 	tr := internedTestTrace(10)
 	c := NewColumnar(Config{Capacity: 0, Seed: 1}, tr.Columnar())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Access on an interned cache did not panic")
-		}
-	}()
-	c.Access(&tr.Requests[0])
+	r := &tr.Requests[0]
+	for _, call := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Access", func() { c.Access(r) }},
+		{"Contains", func() { c.Contains(r.URL, r.Size) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an interned cache did not panic", call.name)
+				}
+			}()
+			call.fn()
+		}()
+	}
 }

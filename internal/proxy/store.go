@@ -53,9 +53,9 @@ type StoreStats struct {
 // the cache's core.Stats, which Stats and RegisterMetrics read; hooks
 // add events, not counts.
 //
-// The cache recycles evicted entries (core.Config.OnEvict is unset), so
-// no *policy.Entry escapes Store: Get and Peek return only the *Object,
-// and the CacheHooks given to SetHooks must not retain their entries
+// Every core.Cache recycles its evicted entries, so no *policy.Entry
+// escapes Store: Get and Peek return only the *Object, and the
+// CacheHooks given to SetHooks must not retain their entries
 // (StoreHooks copies fields).
 type Store struct {
 	mu       sync.RWMutex

@@ -46,50 +46,23 @@ func Experiment3(tr *trace.Trace, base *Exp1Result, fraction float64, seed uint6
 		core.Config{Capacity: 0, Seed: seed + 1},
 	)
 
-	res := &Exp3Result{
-		Workload: tr.Name, Fraction: fraction,
-		L1HR: &stats.DailySeries{}, L1WHR: &stats.DailySeries{},
-		L2HR: &stats.DailySeries{}, L2WHR: &stats.DailySeries{},
-	}
-
-	day := -1
-	var reqs, l1Hits, l2Hits, bytes, l1BH, l2BH int64
-	flush := func() {
-		if reqs == 0 {
-			return
-		}
-		res.L1HR.Add(day, float64(l1Hits)/float64(reqs))
-		res.L2HR.Add(day, float64(l2Hits)/float64(reqs))
-		if bytes > 0 {
-			res.L1WHR.Add(day, float64(l1BH)/float64(bytes))
-			res.L2WHR.Add(day, float64(l2BH)/float64(bytes))
-		}
-		reqs, l1Hits, l2Hits, bytes, l1BH, l2BH = 0, 0, 0, 0, 0, 0
-	}
+	l1, l2 := newReplayState(), newReplayState()
 	for i := range tr.Requests {
 		req := &tr.Requests[i]
-		if d := req.Day(tr.Start); d != day {
-			flush()
-			day = d
-		}
+		day := req.Day(tr.Start)
 		h1, h2 := tl.Access(req)
-		reqs++
-		bytes += req.Size
-		if h1 {
-			l1Hits++
-			l1BH += req.Size
-		}
-		if h2 {
-			l2Hits++
-			l2BH += req.Size
-		}
+		l1.observe(day, h1, req.Size)
+		l2.observe(day, h2, req.Size)
 	}
-	flush()
-	res.L1Final = tl.L1.Stats()
-	res.L2Final = tl.L2.Stats()
-	res.MeanL2HR = res.L2HR.Mean()
-	res.MeanL2WHR = res.L2WHR.Mean()
-	return res
+	l1.flush()
+	l2.flush()
+	return &Exp3Result{
+		Workload: tr.Name, Fraction: fraction,
+		L1HR: l1.rates.HR, L1WHR: l1.rates.WHR,
+		L2HR: l2.rates.HR, L2WHR: l2.rates.WHR,
+		L1Final: tl.L1.Stats(), L2Final: tl.L2.Stats(),
+		MeanL2HR: l2.rates.HR.Mean(), MeanL2WHR: l2.rates.WHR.Mean(),
+	}
 }
 
 // Exp4Partition reports one partition split of Experiment 4.
@@ -180,35 +153,19 @@ func PartitionStudy(r *Runner, tr *trace.Trace, base *Exp1Result, fraction float
 
 // perClassWHR replays tr through cache and returns daily (audio bytes
 // hit / all bytes requested) and (non-audio bytes hit / all bytes
-// requested) series.
+// requested) series: each class's accumulator sees every request but
+// counts only that class's hits.
 func perClassWHR(tr *trace.Trace, cache Accessor) (audio, nonAudio *stats.DailySeries) {
-	audio, nonAudio = &stats.DailySeries{}, &stats.DailySeries{}
-	day := -1
-	var bytes, audioBH, otherBH int64
-	flush := func() {
-		if bytes == 0 {
-			return
-		}
-		audio.Add(day, float64(audioBH)/float64(bytes))
-		nonAudio.Add(day, float64(otherBH)/float64(bytes))
-		bytes, audioBH, otherBH = 0, 0, 0
-	}
+	a, o := newReplayState(), newReplayState()
 	for i := range tr.Requests {
 		req := &tr.Requests[i]
-		if d := req.Day(tr.Start); d != day {
-			flush()
-			day = d
-		}
+		day := req.Day(tr.Start)
 		hit := cache.Access(req)
-		bytes += req.Size
-		if hit {
-			if req.Type == trace.Audio {
-				audioBH += req.Size
-			} else {
-				otherBH += req.Size
-			}
-		}
+		isAudio := req.Type == trace.Audio
+		a.observe(day, hit && isAudio, req.Size)
+		o.observe(day, hit && !isAudio, req.Size)
 	}
-	flush()
-	return audio, nonAudio
+	a.flush()
+	o.flush()
+	return a.rates.WHR, o.rates.WHR
 }

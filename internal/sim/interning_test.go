@@ -12,16 +12,23 @@ import (
 // The interned columnar engine's contract: every experiment that runs
 // through RunPolicy produces results deeply equal to the string-indexed
 // engine's. These tests replay each run a second time through a
-// test-only string path — core.New plus Replay, with the Config
-// RunPolicy builds — and require reflect.DeepEqual on the daily series
-// and the final statistics, the sim-level counterpart of core's
+// test-only string path — core.New plus a loop over Access, with the
+// Config RunPolicy builds — and require reflect.DeepEqual on the daily
+// series and the final statistics, the sim-level counterpart of core's
 // TestInternedMatchesStringEngine.
 
 // stringReplay runs tr through a string-indexed cache built from cfg.
+// It computes each request's day from its timestamp, independently of
+// the columnar view's day column.
 func stringReplay(tr *trace.Trace, cfg core.Config) (DailyRates, core.Stats) {
 	cache := core.New(cfg)
-	rates := Replay(tr, cache, nil)
-	return rates, cache.Stats()
+	st := newReplayState()
+	for i := range tr.Requests {
+		req := &tr.Requests[i]
+		st.observe(req.Day(tr.Start), cache.Access(req), req.Size)
+	}
+	st.flush()
+	return st.rates, cache.Stats()
 }
 
 // checkRun requires run, produced by RunPolicy, to equal the string

@@ -36,7 +36,7 @@ func benchExp2Workload(b *testing.B) (*trace.Trace, *Exp1Result) {
 			benchWorkloadErr = err
 			return
 		}
-		tr.DayIndex()
+		tr.Columnar()
 		benchWorkloadTr = tr
 		benchWorkloadBase = Experiment1(tr, 1)
 	})

@@ -24,14 +24,19 @@ type DailyRates struct {
 	WHR *stats.DailySeries
 }
 
-// replayState incrementally computes daily hit rates from snapshot
-// deltas of a cache's counters.
+// replayState accumulates request outcomes into daily HR and WHR
+// series; every daily series the experiments report is built by one.
 type replayState struct {
 	rates           DailyRates
 	day             int
 	started         bool
 	dayReqs, dayHit int64
 	dayBytes, dayBH int64
+}
+
+// newReplayState returns an accumulator with empty series.
+func newReplayState() replayState {
+	return replayState{rates: DailyRates{HR: &stats.DailySeries{}, WHR: &stats.DailySeries{}}}
 }
 
 // observe records one request outcome at the given day index.
@@ -49,6 +54,7 @@ func (st *replayState) observe(day int, hit bool, size int64) {
 	}
 }
 
+// flush records the current day's rates, if it saw any request.
 func (st *replayState) flush() {
 	if st.dayReqs == 0 {
 		return
@@ -62,42 +68,15 @@ func (st *replayState) flush() {
 	st.dayReqs, st.dayHit, st.dayBytes, st.dayBH = 0, 0, 0, 0
 }
 
-// Replay feeds every request of tr through cache and returns the daily
-// HR/WHR series. onDayEnd, when non-nil, runs at each day boundary (used
-// by the periodic-sweep ablation). The per-request day indexes come
-// from the trace's shared precomputed table (trace.DayIndex), so a
-// policy sweep divides each timestamp once rather than once per run;
-// the replay state itself lives on the stack and the loop allocates
-// only the returned daily series.
-func Replay(tr *trace.Trace, cache Accessor, onDayEnd func(day int)) DailyRates {
-	var st replayState
-	st.rates = DailyRates{HR: &stats.DailySeries{}, WHR: &stats.DailySeries{}}
-	days := tr.DayIndex()
-	prevDay := -1
-	for i := range tr.Requests {
-		req := &tr.Requests[i]
-		day := int(days[i])
-		if prevDay >= 0 && day != prevDay && onDayEnd != nil {
-			onDayEnd(prevDay)
-		}
-		hit := cache.Access(req)
-		st.observe(day, hit, req.Size)
-		prevDay = day
-	}
-	if prevDay >= 0 && onDayEnd != nil {
-		onDayEnd(prevDay)
-	}
-	st.flush()
-	return st.rates
-}
-
-// ReplayColumnar is Replay over the interned columnar view: every
-// per-request field (ID, size, time, day, type) is a column read, and
-// the cache's entry lookup is a slice index. Output is byte-identical
-// to Replay on the trace the view was built from.
+// ReplayColumnar feeds every request of the interned columnar view
+// through cache and returns the daily HR/WHR series. onDayEnd, when
+// non-nil, runs at each day boundary (used by the periodic-sweep
+// ablation). Every per-request field (ID, size, time, day, type) is a
+// column read, and the cache's entry lookup is a slice index; the day
+// column is shared by every replay of a sweep, so no replay divides a
+// timestamp, and the loop allocates only the returned daily series.
 func ReplayColumnar(col *trace.Columnar, cache *core.Cache, onDayEnd func(day int)) DailyRates {
-	var st replayState
-	st.rates = DailyRates{HR: &stats.DailySeries{}, WHR: &stats.DailySeries{}}
+	st := newReplayState()
 	prevDay := -1
 	for i := range col.IDs {
 		day := int(col.Day[i])
@@ -183,8 +162,6 @@ type RunOptions struct {
 	// Sweep, when positive, runs a periodic end-of-day removal down to
 	// this fraction of capacity (the Pitkow/Recker comfort level, §1.3).
 	Sweep float64
-	// ExcludeDynamic never caches CGI/query documents.
-	ExcludeDynamic bool
 	// LatencyOf feeds the KeyLatency extension key.
 	LatencyOf func(url string, size int64) float64
 	// Label names the run in observability output (pprof labels and
@@ -202,12 +179,11 @@ type RunOptions struct {
 // copied out. pol is invalid after RunPolicy returns.
 func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity int64, seed uint64, opts RunOptions) *PolicyRun {
 	cfg := core.Config{
-		Capacity:       capacity,
-		Policy:         pol,
-		Seed:           seed,
-		ExcludeDynamic: opts.ExcludeDynamic,
-		LatencyOf:      opts.LatencyOf,
-		SizeHint:       sizeHint(base, capacity),
+		Capacity:  capacity,
+		Policy:    pol,
+		Seed:      seed,
+		LatencyOf: opts.LatencyOf,
+		SizeHint:  sizeHint(base, capacity),
 	}
 	o := Observer
 	if o != nil {

@@ -38,8 +38,8 @@ func itoa(n int) string {
 
 func TestReplayDailyRates(t *testing.T) {
 	tr := dayTrace(10)
-	cache := core.New(core.Config{Capacity: 0, Seed: 1})
-	rates := Replay(tr, cache, nil)
+	col := tr.Columnar()
+	rates := ReplayColumnar(col, core.NewColumnar(core.Config{Capacity: 0, Seed: 1}, col), nil)
 	raw := rates.HR.Raw()
 	if len(raw) != 10 {
 		t.Fatalf("%d recorded days, want 10", len(raw))
@@ -63,9 +63,9 @@ func TestReplayDailyRates(t *testing.T) {
 
 func TestReplayOnDayEnd(t *testing.T) {
 	tr := dayTrace(5)
-	cache := core.New(core.Config{Capacity: 0, Seed: 1})
+	col := tr.Columnar()
 	var boundaries []int
-	Replay(tr, cache, func(day int) { boundaries = append(boundaries, day) })
+	ReplayColumnar(col, core.NewColumnar(core.Config{Capacity: 0, Seed: 1}, col), func(day int) { boundaries = append(boundaries, day) })
 	if len(boundaries) != 5 {
 		t.Fatalf("day-end callbacks: %v", boundaries)
 	}

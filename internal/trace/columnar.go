@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Columnar is the interned struct-of-arrays view of a trace: one int32
 // URL ID, size, time, day index and document type per request, plus
@@ -16,7 +13,7 @@ import (
 // The view keeps only what a replay reads. The URL → ID map interning
 // needed is dropped once the view is built: no replay looks a URL up,
 // and the map held about two fifths of the view's memory (DESIGN.md
-// §8). ID rebuilds it on first use.
+// §8).
 type Columnar struct {
 	Name  string
 	Start int64 // Unix seconds of the first day's midnight
@@ -34,16 +31,13 @@ type Columnar struct {
 	// §1.1 dynamically-generated test that the string engine re-derives
 	// from the URL on every insert.
 	Dynamic []bool
-
-	// ids is the URL → ID map, built by the first ID call.
-	idsOnce sync.Once
-	ids     map[string]int32
 }
 
 // BuildColumnar interns every URL of tr and materializes the columnar
-// view. hint pre-sizes the interner (expected distinct-URL count); any
-// value yields the same view. The interner's map is dropped on return.
-func BuildColumnar(tr *Trace, hint int) *Columnar {
+// view. The interner is pre-sized for one distinct URL per two
+// requests, about what the synthesized workloads have (DESIGN.md §8
+// times the choice); its map is dropped on return.
+func BuildColumnar(tr *Trace) *Columnar {
 	n := len(tr.Requests)
 	c := &Columnar{
 		Name:  tr.Name,
@@ -54,7 +48,7 @@ func BuildColumnar(tr *Trace, hint int) *Columnar {
 		Day:   make([]int32, n),
 		Types: make([]DocType, n),
 	}
-	in := NewInterner(hint)
+	in := NewInterner(n / 2)
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		c.IDs[i] = in.Intern(r.URL)
@@ -63,8 +57,8 @@ func BuildColumnar(tr *Trace, hint int) *Columnar {
 		c.Day[i] = int32((r.Time - tr.Start) / 86400)
 		c.Types[i] = r.Type
 	}
-	// Copy the table out of the interner: its spare capacity, sized
-	// from hint, would outlive the build (on BR, 15 times the table).
+	// Copy the table out of the interner: its spare capacity would
+	// outlive the build (on BR, over twenty times the table).
 	c.URLs = slices.Clone(in.URLs())
 	c.Dynamic = make([]bool, len(c.URLs))
 	for id, url := range c.URLs {
@@ -79,27 +73,13 @@ func (c *Columnar) Len() int { return len(c.IDs) }
 // NumIDs returns the number of distinct URLs (IDs are 0..NumIDs()-1).
 func (c *Columnar) NumIDs() int { return len(c.URLs) }
 
-// ID returns the interned ID of url, if url appears in the trace. The
-// first call builds the URL → ID map from URLs and keeps it; calls may
-// come from several goroutines sharing the view.
-func (c *Columnar) ID(url string) (int32, bool) {
-	c.idsOnce.Do(func() {
-		c.ids = make(map[string]int32, len(c.URLs))
-		for id, u := range c.URLs {
-			c.ids[u] = int32(id)
-		}
-	})
-	id, ok := c.ids[url]
-	return id, ok
-}
-
 // Columnar returns the interned columnar view of t, built once and
 // shared between replays (safe for concurrent use; the requests must
-// not be mutated afterwards, the same contract as DayIndex). Traces
-// produced by the transform helpers get a fresh view.
+// not be mutated afterwards). Traces produced by the transform helpers
+// get a fresh view.
 func (t *Trace) Columnar() *Columnar {
 	t.colOnce.Do(func() {
-		t.col = BuildColumnar(t, len(t.Requests)/3)
+		t.col = BuildColumnar(t)
 	})
 	return t.col
 }

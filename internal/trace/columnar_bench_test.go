@@ -24,17 +24,16 @@ func BenchmarkBuildColumnar(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			hint := len(tr.Requests) / 3 // as Trace.Columnar
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				trace.BuildColumnar(tr, hint)
+				trace.BuildColumnar(tr)
 			}
 			b.StopTimer()
 
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			col := trace.BuildColumnar(tr, hint)
+			col := trace.BuildColumnar(tr)
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			runtime.KeepAlive(col)

@@ -82,14 +82,15 @@ func TestColumnarMatchesTrace(t *testing.T) {
 			t.Fatalf("req %d: day %d, want %d", i, col.Day[i], r.Day(tr.Start))
 		}
 	}
+	seen := make(map[string]int, len(col.URLs))
 	for id, url := range col.URLs {
 		if col.Dynamic[id] != IsDynamic(url) {
 			t.Fatalf("ID %d: dynamic %v, want %v", id, col.Dynamic[id], IsDynamic(url))
 		}
-		got, ok := col.ID(url)
-		if !ok || got != int32(id) {
-			t.Fatalf("ID(%q) = %d,%v, want %d", url, got, ok, id)
+		if prev, ok := seen[url]; ok {
+			t.Fatalf("IDs %d and %d both map to %q", prev, id, url)
 		}
+		seen[url] = id
 	}
 }
 
@@ -99,20 +100,5 @@ func TestColumnarShared(t *testing.T) {
 	tr := internTestTrace()
 	if a, b := tr.Columnar(), tr.Columnar(); a != b {
 		t.Fatal("Columnar built a second view for the same trace")
-	}
-}
-
-// TestColumnarBuildsURLMapLazily checks that a freshly built view keeps
-// no URL → ID map, and that the first ID call builds a complete one.
-func TestColumnarBuildsURLMapLazily(t *testing.T) {
-	col := BuildColumnar(internTestTrace(), 0)
-	if col.ids != nil {
-		t.Fatalf("fresh view holds a URL map of %d entries", len(col.ids))
-	}
-	if _, ok := col.ID("http://never.seen/x"); ok {
-		t.Fatal("ID found a URL outside the trace")
-	}
-	if len(col.ids) != col.NumIDs() {
-		t.Fatalf("URL map has %d entries after ID, want %d", len(col.ids), col.NumIDs())
 	}
 }

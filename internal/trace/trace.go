@@ -132,32 +132,10 @@ type Trace struct {
 	Start    int64 // Unix seconds of the first day's midnight
 	Requests []Request
 
-	// dayIdx caches per-request day indexes relative to Start, built
-	// lazily by DayIndex. A policy sweep replays the same trace dozens
-	// of times; sharing one index avoids re-dividing every request's
-	// timestamp per replay.
-	dayOnce sync.Once
-	dayIdx  []int32
-
 	// col caches the interned columnar view (Columnar), built lazily
 	// once per trace and shared by every replay of a sweep.
 	colOnce sync.Once
 	col     *Columnar
-}
-
-// DayIndex returns Requests[i].Day(t.Start) for every i, computed once
-// and shared between replays (safe for concurrent use; the requests
-// must not be mutated afterwards). Traces produced by the transform
-// helpers get a fresh index.
-func (t *Trace) DayIndex() []int32 {
-	t.dayOnce.Do(func() {
-		idx := make([]int32, len(t.Requests))
-		for i := range t.Requests {
-			idx[i] = int32(t.Requests[i].Day(t.Start))
-		}
-		t.dayIdx = idx
-	})
-	return t.dayIdx
 }
 
 // Days returns the number of calendar days the trace spans (at least 1
