@@ -331,13 +331,13 @@ func (c *Cache) setNow(now int64) {
 
 // insert stores the requested document, evicting as needed, and
 // reports whether it did. Both modes draw the same RNG sequence; in
-// interned mode url is empty until the document's URL is read from the
-// trace view.
+// interned mode url is empty until it is read from the trace view here.
 func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now int64) bool {
-	if c.cfg.ExcludeDynamic {
-		if c.byID != nil && c.col.Dynamic[id] || c.byID == nil && trace.IsDynamic(url) {
-			return false
-		}
+	if c.byID != nil {
+		url = c.col.URLs[id]
+	}
+	if c.cfg.ExcludeDynamic && trace.IsDynamic(url) {
+		return false
 	}
 	if !c.Infinite() && size > c.cfg.Capacity {
 		// The document can never fit; serve it without caching. The
@@ -357,9 +357,6 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 			}
 			c.evict(v)
 		}
-	}
-	if c.byID != nil {
-		url = c.col.URLs[id]
 	}
 	e := c.pool.Get(url, size, typ, now, c.rnd.Uint64())
 	e.ID = id

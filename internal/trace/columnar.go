@@ -4,10 +4,9 @@ import "slices"
 
 // Columnar is the interned struct-of-arrays view of a trace: one int32
 // URL ID, size, time, day index and document type per request, plus
-// the ID → URL table and a per-ID dynamic-document flag derived from
-// each distinct URL exactly once. The view is built in a single decode
-// pass (Trace.Columnar) and is read-only afterwards, so a policy sweep
-// fans the same view out to every worker and replays it with no string
+// the ID → URL table. The view is built in a single decode pass
+// (Trace.Columnar) and is read-only afterwards, so a policy sweep fans
+// the same view out to every worker and replays it with no string
 // hashing, no day division and no URL re-classification per request.
 //
 // The view keeps only what a replay reads. The URL → ID map interning
@@ -25,12 +24,10 @@ type Columnar struct {
 	Day   []int32   // day index relative to Start
 	Types []DocType // the request's logged media type (drives per-type stats)
 
-	// Per-ID tables, all of length NumIDs(), indexed by interned ID.
-	URLs []string // ID → URL, for reporting and the LatencyOf/ExpiresOf hooks
-	// Dynamic is IsDynamic(URL) computed once per distinct URL: the
-	// §1.1 dynamically-generated test that the string engine re-derives
-	// from the URL on every insert.
-	Dynamic []bool
+	// URLs maps an interned ID to its URL, for reporting, the
+	// LatencyOf/ExpiresOf hooks and the dynamic-document test; it has
+	// NumIDs() entries.
+	URLs []string
 }
 
 // BuildColumnar interns every URL of tr and materializes the columnar
@@ -60,10 +57,6 @@ func BuildColumnar(tr *Trace) *Columnar {
 	// Copy the table out of the interner: its spare capacity would
 	// outlive the build (on BR, over twenty times the table).
 	c.URLs = slices.Clone(in.URLs())
-	c.Dynamic = make([]bool, len(c.URLs))
-	for id, url := range c.URLs {
-		c.Dynamic[id] = IsDynamic(url)
-	}
 	return c
 }
 

@@ -84,9 +84,6 @@ func TestColumnarMatchesTrace(t *testing.T) {
 	}
 	seen := make(map[string]int, len(col.URLs))
 	for id, url := range col.URLs {
-		if col.Dynamic[id] != IsDynamic(url) {
-			t.Fatalf("ID %d: dynamic %v, want %v", id, col.Dynamic[id], IsDynamic(url))
-		}
 		if prev, ok := seen[url]; ok {
 			t.Fatalf("IDs %d and %d both map to %q", prev, id, url)
 		}

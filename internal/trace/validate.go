@@ -53,19 +53,44 @@ func ValidateOwned(raw *Trace) (*Trace, *ValidateStats) {
 	return out, stats
 }
 
-// validate appends the requests of raw that §1.1 keeps to dst. dst may
-// share raw.Requests' array: each request is copied out before its
-// slot can be written, since the write index never passes the read
-// index.
+// validate appends the requests of raw that §1.1 keeps to dst, as one
+// chunk of a Validator.
 func validate(raw *Trace, dst []Request) (*Trace, *ValidateStats) {
-	stats := &ValidateStats{Input: len(raw.Requests)}
+	v := NewValidator(dst, len(raw.Requests))
+	v.Add(raw.Requests)
+	return v.Trace(raw.Name, raw.Start)
+}
+
+// A Validator is §1.1 fed one chunk at a time: Add the raw trace's
+// requests in consecutive chunks, in order, then take the result with
+// Trace. Splitting a trace into chunks, anywhere, changes neither the
+// kept requests nor the statistics. Validate and ValidateOwned add the
+// whole trace as one chunk; workload.GenerateValidated adds each day as
+// soon as it is generated.
+type Validator struct {
+	stats    ValidateStats
+	lastSize map[string]int64
+	kept     []Request
+}
+
+// NewValidator returns a Validator that appends the requests §1.1
+// keeps to dst; n is the expected number of raw requests. dst may share
+// the array of the raw requests when it starts at the first of them
+// (dst = raw[:0]): each request is copied out before its slot can be
+// written, since the write index never passes the read index.
+func NewValidator(dst []Request, n int) *Validator {
 	// About half of a synthesized trace's requests name a new URL (on
 	// BR, 7 %). Of 1024, n/4, n/2 and n entries, n/2 measured fastest
 	// (DESIGN.md §16).
-	lastSize := make(map[string]int64, len(raw.Requests)/2)
+	return &Validator{lastSize: make(map[string]int64, n/2), kept: dst}
+}
 
-	for i := range raw.Requests {
-		r := raw.Requests[i]
+// Add validates the next chunk of the raw trace.
+func (v *Validator) Add(chunk []Request) {
+	stats, lastSize, dst := &v.stats, v.lastSize, v.kept
+	stats.Input += len(chunk)
+	for i := range chunk {
+		r := chunk[i]
 		if r.Status != 200 {
 			stats.DroppedStatus++
 			continue
@@ -91,10 +116,17 @@ func validate(raw *Trace, dst []Request) (*Trace, *ValidateStats) {
 		stats.Kept++
 		dst = append(dst, r)
 	}
-	out := &Trace{Name: raw.Name, Start: raw.Start, Requests: dst}
+	v.kept = dst
+}
+
+// Trace returns the validated trace, named name, and the statistics.
+// A zero start is taken from the first kept request's midnight.
+func (v *Validator) Trace(name string, start int64) (*Trace, *ValidateStats) {
+	out := &Trace{Name: name, Start: start, Requests: v.kept}
 	if len(out.Requests) > 0 && out.Start == 0 {
 		first := out.Requests[0].Time
 		out.Start = first - first%86400
 	}
-	return out, stats
+	stats := v.stats // a copy: the result must not keep the URL map alive
+	return out, &stats
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -39,10 +40,26 @@ func validateReference(raw *Trace) ([]Request, ValidateStats) {
 	return out, stats
 }
 
+// validateChunked runs a Validator in place over a copy of raw's
+// requests, adding them in the chunks that the ascending indices cuts
+// delimit.
+func validateChunked(raw *Trace, cuts []int) (*Trace, *ValidateStats) {
+	reqs := slices.Clone(raw.Requests)
+	v := NewValidator(reqs[:0], len(reqs))
+	lo := 0
+	for _, hi := range cuts {
+		v.Add(reqs[lo:hi])
+		lo = hi
+	}
+	v.Add(reqs[lo:])
+	return v.Trace(raw.Name, raw.Start)
+}
+
 // checkValidateContract runs Validate and ValidateOwned on copies of
-// reqs and fails unless Validate left its input untouched and both
-// returned the reference's requests and statistics.
-func checkValidateContract(t *testing.T, reqs []Request) {
+// reqs, and a Validator fed chunks of chunk requests, and fails unless
+// Validate left its input untouched and all three returned the
+// reference's requests and statistics.
+func checkValidateContract(t *testing.T, reqs []Request, chunk int) {
 	t.Helper()
 	raw := &Trace{Name: "t", Requests: append([]Request(nil), reqs...)}
 	before := append([]Request(nil), raw.Requests...)
@@ -61,6 +78,17 @@ func checkValidateContract(t *testing.T, reqs []Request) {
 		t.Fatalf("ValidateOwned differs from Validate:\n got %+v %+v\nwant %+v %+v", ovalid, *ostats, valid, *stats)
 	}
 
+	var cuts []int
+	for c := chunk; c < len(reqs); c += chunk {
+		cuts = append(cuts, c)
+	}
+	cvalid, cstats := validateChunked(&Trace{Name: "t", Requests: reqs}, cuts)
+	if cvalid.Name != valid.Name || cvalid.Start != valid.Start ||
+		!sameRequests(cvalid.Requests, valid.Requests) || *cstats != *stats {
+		t.Fatalf("in chunks of %d, Validator differs from Validate:\n got %+v %+v\nwant %+v %+v",
+			chunk, cvalid, *cstats, valid, *stats)
+	}
+
 	want, wantStats := validateReference(&Trace{Requests: reqs})
 	if !sameRequests(valid.Requests, want) {
 		t.Fatalf("Validate kept %+v, reference %+v", valid.Requests, want)
@@ -76,7 +104,8 @@ func sameRequests(a, b []Request) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
-// TestValidateContract covers each §1.1 rule for both entry points.
+// TestValidateContract covers each §1.1 rule for both entry points
+// and for a Validator fed every chunk length.
 func TestValidateContract(t *testing.T) {
 	const x, y = "http://a/x.html", "http://a/y.gif"
 	cases := []struct {
@@ -114,18 +143,26 @@ func TestValidateContract(t *testing.T) {
 		{"empty", nil},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkValidateContract(t, c.reqs) })
+		t.Run(c.name, func(t *testing.T) {
+			for chunk := 1; chunk <= len(c.reqs)+1; chunk++ {
+				checkValidateContract(t, c.reqs, chunk)
+			}
+		})
 	}
 }
 
 // FuzzValidateOwned checks the contract on arbitrary request sequences:
 // each three input bytes pick a URL out of four, a status and a size out
 // of four (zero included), so drops, inheritance and size changes
-// interleave freely.
+// interleave freely; the Validator is fed chunks of 1+chunk requests,
+// so a chunk boundary can fall between any two of them.
 func FuzzValidateOwned(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 5, 0, 0, 0, 2})
-	f.Add([]byte{1, 0, 0, 1, 0, 3, 1, 0, 0, 2, 3, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 5, 0, 0, 0, 2}, uint8(0))
+	f.Add([]byte{1, 0, 0, 1, 0, 3, 1, 0, 0, 2, 3, 1}, uint8(1))
+	// Chunks of two: a size first seen at the end of one chunk, inherited
+	// at the start of the next, then changed.
+	f.Add([]byte{0, 2, 1, 2, 0, 3, 2, 0, 0, 2, 1, 2}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		urls := [4]string{"http://a/0.html", "http://a/1.gif", "http://b/2.au", "http://b/3"}
 		statuses := [4]int{200, 200, 304, 404}
 		sizes := [4]int64{0, 100, 200, 300}
@@ -138,6 +175,6 @@ func FuzzValidateOwned(f *testing.F) {
 				Size:   sizes[data[i+2]%4],
 			})
 		}
-		checkValidateContract(t, reqs)
+		checkValidateContract(t, reqs, 1+int(chunk))
 	})
 }

@@ -260,15 +260,3 @@ func All(seed uint64, scale float64) []Config {
 	}
 	return cfgs
 }
-
-// GenerateValidated generates cfg and applies the §1.1 validation,
-// returning the simulator-ready trace and the validation statistics.
-// The raw trace is validated in place.
-func GenerateValidated(cfg Config) (*trace.Trace, *trace.ValidateStats, error) {
-	raw, err := Generate(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	valid, stats := trace.ValidateOwned(raw)
-	return valid, stats, nil
-}

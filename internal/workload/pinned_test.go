@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -123,6 +124,20 @@ func checkPinned(t *testing.T, c pinCase, got [2]uint64) {
 // TestGeneratedTracesPinned fails, naming the workload, if synthesis or
 // validation changes a single field of a single request.
 func TestGeneratedTracesPinned(t *testing.T) {
+	for _, c := range append(smallPins[:len(smallPins):len(smallPins)], pinCase{"U", 0.5}) {
+		got, err := traceDigests(c.config(t))
+		if err != nil {
+			t.Fatalf("workload %v: %v", c, err)
+		}
+		checkPinned(t, c, got)
+	}
+}
+
+// TestGeneratedTracesPinnedOneProc checks every pinned digest with one
+// processor, where the time, client and validation goroutines only run
+// while the generator waits for them.
+func TestGeneratedTracesPinnedOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range append(smallPins[:len(smallPins):len(smallPins)], pinCase{"U", 0.5}) {
 		got, err := traceDigests(c.config(t))
 		if err != nil {

@@ -29,6 +29,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 
 	"webcache/internal/rng"
 	"webcache/internal/trace"
@@ -170,8 +171,51 @@ const (
 // Generate produces the raw synthetic trace (including invalid noise
 // lines). Run trace.Validate (or trace.ValidateOwned, which reuses the
 // raw array) on it before simulation, exactly as the paper validates
-// its logs.
+// its logs; GenerateValidated does both at once.
 func Generate(cfg Config) (*trace.Trace, error) {
+	g, err := newGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return g.run(nil), nil
+}
+
+// GenerateValidated generates cfg and applies the §1.1 validation,
+// returning the simulator-ready trace and the validation statistics.
+// Validation runs on its own goroutine one finished day behind the
+// generator, writing the kept requests over the raw array.
+func GenerateValidated(cfg Config) (*trace.Trace, *trace.ValidateStats, error) {
+	g, err := newGenerator(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Sized to the number of sends: the generator never waits for the
+	// validator.
+	dayEnds := make(chan int, len(g.days))
+	var valid *trace.Trace
+	var stats *trace.ValidateStats
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v := trace.NewValidator(g.reqs[:0], len(g.reqs))
+		lo := 0
+		for hi := range dayEnds {
+			v.Add(g.reqs[lo:hi])
+			lo = hi
+		}
+		valid, stats = v.Trace(cfg.Name, cfg.StartDay)
+	}()
+	raw := g.run(dayEnds)
+	close(dayEnds)
+	<-done
+	// Release the dropped lines' strings still held past the kept prefix.
+	clear(raw.Requests[len(valid.Requests):])
+	return valid, stats, nil
+}
+
+// newGenerator checks cfg, splits its seed into streams, builds the
+// samplers, draws the per-day budget and allocates the raw array.
+func newGenerator(cfg Config) (*generator, error) {
 	if cfg.Days < 1 || cfg.Requests < 1 || cfg.TotalBytes < 1 {
 		return nil, fmt.Errorf("workload %q: need positive Days/Requests/TotalBytes", cfg.Name)
 	}
@@ -226,66 +270,189 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	g := &generator{
 		cfg: &cfg, states: states, typePick: typePick,
 		serverZipf: serverZipf, clientZipf: clientZipf,
-		rDocs: rDocs, rSizes: rSizes, rNoise: rNoise,
-		clients: make([]string, min(max(cfg.Clients, 1), maxClientNames)+1),
+		rDocs: rDocs, rSizes: rSizes, rTimes: rTimes, rNoise: rNoise,
 	}
-
 	// Per-day request budget.
-	dayCounts := splitByDay(cfg, rTimes)
-
-	tr := &trace.Trace{Name: cfg.Name, Start: cfg.StartDay}
 	total := 0
-	for _, n := range dayCounts {
-		total += n
-	}
-	tr.Requests = make([]trace.Request, 0, total+int(float64(total)*cfg.NoiseFrac)+16)
-
-	var times []int64
-	for day, n := range dayCounts {
+	for day, n := range splitByDay(cfg, rTimes) {
 		if n == 0 {
 			continue
 		}
-		nNoise := 0
+		noise := 0
 		if cfg.NoiseFrac > 0 {
-			nNoise = int(float64(n) * cfg.NoiseFrac)
+			noise = int(float64(n) * cfg.NoiseFrac)
 		}
-		times = dayTimes(times[:0], cfg.StartDay, day, n+nNoise, rTimes)
-		boost := 1.0
-		if cfg.NewDocBoost != nil {
-			boost = cfg.NewDocBoost(day)
-		}
-		// Interleave noise uniformly among valid requests.
-		noiseLeft := nNoise
-		for i, ts := range times {
-			remaining := len(times) - i
-			if noiseLeft > 0 && rNoise.Float64() < float64(noiseLeft)/float64(remaining) {
-				tr.Requests = append(tr.Requests, g.noiseRequest(ts))
-				noiseLeft--
-				continue
-			}
-			tr.Requests = append(tr.Requests, g.validRequest(boost, ts))
-		}
+		g.days = append(g.days, dayBudget{day: day, valid: n, noise: noise})
+		total += n + noise
 	}
-	return tr, nil
+	// At its exact length the array never moves, so GenerateValidated's
+	// validator can work in it behind the generator.
+	g.reqs = make([]trace.Request, total)
+	return g, nil
 }
 
-// maxClientNames bounds the per-call client-name table; ranks beyond it
-// (only a configuration with a larger client pool draws them) are
-// formatted on each request.
+// dayBudget is one day's share of the trace: valid requests and noise
+// lines. Days without valid requests have no budget.
+type dayBudget struct {
+	day, valid, noise int
+}
+
+// Stream buffers. A day's times are one chunk, and the time stream
+// runs at most timeChunks days ahead. Client names come in chunks of
+// clientChunk, at most clientChunks of them ahead, so the names in
+// flight take 64 KiB instead of 16 bytes per request. Of 3, 8, 16 and
+// 32 days and chunks of 512, 1,024, 2,048 and 4,096 names, 8 and 1,024
+// set the five workloads up fastest (DESIGN.md §16).
+const (
+	timeChunks   = 8
+	clientChunk  = 1024
+	clientChunks = 4
+)
+
+// run synthesizes the trace into g.reqs and, when dayDone is not nil,
+// sends on it the end index of each day as soon as the day is written.
+// The time and client streams are drawn on their own goroutines, which
+// have ended when run returns.
+func (g *generator) run(dayDone chan<- int) *trace.Trace {
+	times := newPipe[int64](timeChunks)
+	g.names = newPipe[string](clientChunks)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		drawTimes(times, g.days, g.cfg.StartDay, g.rTimes)
+	}()
+	go func() {
+		defer wg.Done()
+		drawClients(g.names, g.clientZipf, g.cfg.Domain, g.cfg.Clients, len(g.reqs))
+	}()
+
+	k := 0
+	for _, d := range g.days {
+		ts := <-times.full
+		boost := 1.0
+		if g.cfg.NewDocBoost != nil {
+			boost = g.cfg.NewDocBoost(d.day)
+		}
+		// Interleave noise uniformly among valid requests.
+		noiseLeft := d.noise
+		for i, t := range ts {
+			remaining := len(ts) - i
+			if noiseLeft > 0 && g.rNoise.Float64() < float64(noiseLeft)/float64(remaining) {
+				g.reqs[k] = g.noiseRequest(t)
+				noiseLeft--
+			} else {
+				g.reqs[k] = g.validRequest(boost, t)
+			}
+			k++
+		}
+		times.free <- ts
+		if dayDone != nil {
+			dayDone <- k
+		}
+	}
+	wg.Wait()
+	return &trace.Trace{Name: g.cfg.Name, Start: g.cfg.StartDay, Requests: g.reqs}
+}
+
+// A pipe carries chunks from one producer goroutine to the generator,
+// in order, and hands their buffers back for reuse. It holds as many
+// buffers as it was made with.
+type pipe[T any] struct {
+	full, free chan []T
+}
+
+func newPipe[T any](buffers int) pipe[T] {
+	p := pipe[T]{full: make(chan []T, buffers), free: make(chan []T, buffers)}
+	for i := 0; i < buffers; i++ {
+		p.free <- nil
+	}
+	return p
+}
+
+// drawTimes draws each budgeted day's request times, in day order, and
+// sends them on p.
+func drawTimes(p pipe[int64], days []dayBudget, start int64, r *rng.Rand) {
+	for _, d := range days {
+		p.full <- dayTimes((<-p.free)[:0], start, d.day, d.valid+d.noise, r)
+	}
+}
+
+// maxClientNames bounds the client-name table; ranks beyond it (only a
+// configuration with a larger client pool draws them) are formatted on
+// each request.
 const maxClientNames = 1 << 16
 
-// generator is the state of one Generate call. Nothing in it is shared
-// between calls, so workloads can be generated concurrently.
+// drawClients draws the client of each of n requests, in emission
+// order, and sends their host names, client<rank>.<domain>, on p. Each
+// name is formatted on the first use of its rank.
+func drawClients(p pipe[string], z *rng.Zipf, domain string, clients, n int) {
+	names := make([]string, min(max(clients, 1), maxClientNames)+1)
+	var buf []byte
+	for n > 0 {
+		chunk := <-p.free
+		if chunk == nil {
+			chunk = make([]string, 0, clientChunk)
+		}
+		chunk = chunk[:0]
+		for len(chunk) < min(n, clientChunk) {
+			rank := z.Rank()
+			if rank < int64(len(names)) && names[rank] != "" {
+				chunk = append(chunk, names[rank])
+				continue
+			}
+			buf = append(buf[:0], "client"...)
+			buf = strconv.AppendInt(buf, rank, 10)
+			buf = append(buf, '.')
+			buf = append(buf, domain...)
+			name := string(buf)
+			if rank < int64(len(names)) {
+				names[rank] = name
+			}
+			chunk = append(chunk, name)
+		}
+		n -= len(chunk)
+		p.full <- chunk
+	}
+}
+
+// generator is the state of one Generate or GenerateValidated call.
+// No call shares any of it with another, so workloads can be generated
+// concurrently. Within a call, three kinds of goroutine use it:
+//   - the caller draws the type, document, size, server and noise
+//     streams and writes reqs;
+//   - the goroutines run starts own rTimes and clientZipf and send
+//     their draws back through pipes;
+//   - GenerateValidated's validator reads and rewrites reqs below the
+//     end of the last day run has reported.
 type generator struct {
 	cfg                    *Config
 	states                 []*typeState
 	typePick               *rng.Categorical
 	serverZipf, clientZipf *rng.Zipf
 	rDocs, rSizes, rNoise  *rng.Rand
-	// clients[rank] is client rank's host name, formatted on first use.
-	clients []string
-	// buf is the scratch space URLs and names are built in.
+	rTimes                 *rng.Rand
+	days                   []dayBudget
+	reqs                   []trace.Request
+	// names carries the client names; chunk[next] is the next one.
+	names pipe[string]
+	chunk []string
+	next  int
+	// buf is the scratch space URLs are built in.
 	buf []byte
+}
+
+// client returns the next request's client name.
+func (g *generator) client() string {
+	if g.next == len(g.chunk) {
+		if g.chunk != nil {
+			g.names.free <- g.chunk
+		}
+		g.chunk, g.next = <-g.names.full, 0
+	}
+	name := g.chunk[g.next]
+	g.next++
+	return name
 }
 
 // validRequest draws one valid (status 200) request at time ts.
@@ -320,7 +487,7 @@ func (g *generator) validRequest(boost float64, ts int64) trace.Request {
 	}
 	return trace.Request{
 		Time:         ts,
-		Client:       g.clientName(),
+		Client:       g.client(),
 		URL:          d.url,
 		Status:       200,
 		Size:         size,
@@ -433,30 +600,11 @@ func (g *generator) noiseRequest(ts int64) trace.Request {
 	url := string(b)
 	return trace.Request{
 		Time:   ts,
-		Client: g.clientName(),
+		Client: g.client(),
 		URL:    url,
 		Status: status,
 		Type:   trace.ClassifyURL(url),
 	}
-}
-
-// clientName draws a client rank and returns its host name,
-// client<rank>.<domain>.
-func (g *generator) clientName() string {
-	rank := g.clientZipf.Rank()
-	if rank < int64(len(g.clients)) && g.clients[rank] != "" {
-		return g.clients[rank]
-	}
-	b := append(g.buf[:0], "client"...)
-	b = strconv.AppendInt(b, rank, 10)
-	b = append(b, '.')
-	b = append(b, g.cfg.Domain...)
-	g.buf = b
-	name := string(b)
-	if rank < int64(len(g.clients)) {
-		g.clients[rank] = name
-	}
-	return name
 }
 
 // splitByDay apportions the valid-request budget across days using

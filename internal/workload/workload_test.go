@@ -2,7 +2,9 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"webcache/internal/sim"
 	"webcache/internal/trace"
@@ -235,6 +237,49 @@ func TestGenerateValidatesConfig(t *testing.T) {
 	cfg.Types = []TypeSpec{{Type: trace.Text, RefShare: 0.5, ByteShare: 1}}
 	if _, err := Generate(cfg); err == nil {
 		t.Error("ref shares summing to 0.5 accepted")
+	}
+}
+
+// TestGenerateGoroutinesEnd requires every goroutine Generate and
+// GenerateValidated start to have ended once they return, and a
+// rejected config to start none.
+func TestGenerateGoroutinesEnd(t *testing.T) {
+	start := runtime.NumGoroutine()
+	bad := BL(1)
+	bad.Types = nil
+	for _, cfg := range []Config{{Name: "bad"}, bad} {
+		if _, err := Generate(cfg); err == nil {
+			t.Fatalf("config %q accepted", cfg.Name)
+		}
+		if _, _, err := GenerateValidated(cfg); err == nil {
+			t.Fatalf("config %q accepted", cfg.Name)
+		}
+		if n := runtime.NumGoroutine(); n > start {
+			t.Fatalf("%d goroutines after rejecting config %q, want at most %d", n, cfg.Name, start)
+		}
+	}
+
+	cfg := C(1)
+	cfg.Scale = 0.01
+	for i := 0; i < 50; i++ {
+		var err error
+		if i%2 == 0 {
+			_, err = Generate(cfg)
+		} else {
+			_, _, err = GenerateValidated(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A goroutine that has signalled its end may take a moment longer
+	// to exit. At most: one an earlier test left may exit meanwhile.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > start {
+		t.Fatalf("%d goroutines after 50 calls, want at most %d", n, start)
 	}
 }
 
