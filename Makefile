@@ -61,7 +61,8 @@ bench-ab:
 # Short fuzzing runs of the policy oracles (the structural backends
 # against the heap, the heap against a sorted slice, and the packed
 # removal key against the key-by-key Less), of in-place §1.1
-# validation against the copying one, of the
+# validation against the copying one, of the common-log-format line
+# parser against its own writer (the one on-disk trace format), of the
 # proxy's upstream client against the standard library's framing, and
 # of its downstream connection loop against net/http.Server.
 FUZZ_TIME ?= 15s
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzEntryHeap$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzValidateOwned$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseCLFLine$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/origin -run '^$$' -fuzz '^FuzzUpstreamResponse$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/proxy -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZ_TIME)
 

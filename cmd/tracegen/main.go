@@ -7,11 +7,6 @@
 //
 //	tracegen -workload BL -scale 0.1 -seed 42 > bl.log
 //	tracegen -config mylab.json > lab.log
-//	tracegen -workload BL -validated -emit-bin bl.wct   # binary trace cache
-//
-// -emit-bin writes the trace in the compact binary format that websim's
-// -trace-cache flag reads back (one decode per corpus instead of one
-// CLF parse per run); nothing is written to stdout in that mode.
 package main
 
 import (
@@ -33,7 +28,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "generation seed")
 		extended = flag.Bool("extended", true, "append Last-Modified extended fields where present")
 		validate = flag.Bool("validated", false, "apply §1.1 validation before writing (drop invalid lines)")
-		emitBin  = flag.String("emit-bin", "", "write the trace to this file in binary form instead of CLF on stdout")
 		version  = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -43,13 +37,13 @@ func main() {
 		return
 	}
 
-	if err := run(*wl, *config, *scale, *seed, *extended, *validate, *emitBin); err != nil {
+	if err := run(*wl, *config, *scale, *seed, *extended, *validate); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, config string, scale float64, seed uint64, extended, validate bool, emitBin string) error {
+func run(wl, config string, scale float64, seed uint64, extended, validate bool) error {
 	var cfg workload.Config
 	var err error
 	if config != "" {
@@ -77,9 +71,6 @@ func run(wl, config string, scale float64, seed uint64, extended, validate bool,
 		var stats *trace.ValidateStats
 		tr, stats = trace.ValidateOwned(tr)
 		fmt.Fprintf(os.Stderr, "tracegen: %d of %d lines valid\n", stats.Kept, stats.Input)
-	}
-	if emitBin != "" {
-		return trace.WriteBinaryFile(emitBin, tr)
 	}
 	w := bufio.NewWriterSize(os.Stdout, 1<<20)
 	if err := trace.WriteCLF(w, tr, extended); err != nil {

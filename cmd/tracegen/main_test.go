@@ -2,10 +2,7 @@ package main
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
-
-	"webcache/internal/trace"
 )
 
 func TestRunWritesCLF(t *testing.T) {
@@ -16,7 +13,7 @@ func TestRunWritesCLF(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run("C", "", 0.005, 7, true, true, "")
+	runErr := run("C", "", 0.005, 7, true, true)
 	w.Close()
 	os.Stdout = old
 	if runErr != nil {
@@ -30,7 +27,7 @@ func TestRunWritesCLF(t *testing.T) {
 }
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if err := run("ZZ", "", 0.01, 1, false, false, ""); err == nil {
+	if err := run("ZZ", "", 0.01, 1, false, false); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -49,7 +46,7 @@ func TestRunWithJSONConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run("", path, 1.0, 1, false, true, "")
+	runErr := run("", path, 1.0, 1, false, true)
 	w.Close()
 	os.Stdout = old
 	if runErr != nil {
@@ -61,42 +58,8 @@ func TestRunWithJSONConfig(t *testing.T) {
 	}
 }
 
-// TestRunEmitBin checks -emit-bin: the binary file round-trips through
-// the trace reader and stdout stays silent.
-func TestRunEmitBin(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.wct")
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run("C", "", 0.005, 7, true, true, path)
-	w.Close()
-	os.Stdout = old
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	buf := make([]byte, 1<<10)
-	if n, _ := r.Read(buf); n != 0 {
-		t.Fatalf("-emit-bin wrote %d bytes to stdout, want none", n)
-	}
-	tr, err := trace.ReadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Requests) == 0 {
-		t.Fatal("binary trace is empty")
-	}
-	for i := range tr.Requests {
-		if tr.Requests[i].Status != 200 {
-			t.Fatal("-validated not applied before -emit-bin")
-		}
-	}
-}
-
 func TestRunWithMissingConfig(t *testing.T) {
-	if err := run("", "/nonexistent/x.json", 1, 1, false, false, ""); err == nil {
+	if err := run("", "/nonexistent/x.json", 1, 1, false, false); err == nil {
 		t.Fatal("missing config accepted")
 	}
 }

@@ -20,11 +20,8 @@
 // the full per-day figure series instead of summaries. -workers fans
 // the independent replays of an experiment across a goroutine pool
 // (default GOMAXPROCS); results are identical for any worker count.
-// -trace-cache DIR caches the validated synthetic workload in DIR as a
-// binary trace (written by the first run, reloaded by later ones), so a
-// multi-invocation study decodes each corpus once. -cpuprofile and
-// -memprofile write pprof profiles of the run, the inputs to
-// hot-path work on the replay engine.
+// -cpuprofile and -memprofile write pprof profiles of the run, the
+// inputs to hot-path work on the replay engine.
 //
 // Observability (internal/obs; overhead only when enabled, zero when
 // off):
@@ -53,7 +50,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -71,7 +67,6 @@ func main() {
 		exp        = flag.String("exp", "1", "experiment: 1, 2, 2s, 2all, classics, 3, 4, 5, 6, table4, tables, all")
 		wl         = flag.String("workload", "BL", "workload: U, G, C, BR, BL")
 		traceFile  = flag.String("trace", "", "run on this common-log-format file instead of a synthetic workload")
-		traceCache = flag.String("trace-cache", "", "cache validated synthetic workloads as binary traces in this directory")
 		fraction   = flag.Float64("fraction", 0.10, "cache size as a fraction of MaxNeeded")
 		scale      = flag.Float64("scale", 1.0, "synthetic workload scale (1.0 = paper volume)")
 		seed       = flag.Uint64("seed", 42, "workload generation seed")
@@ -107,7 +102,7 @@ func main() {
 	}
 
 	err := run(os.Stdout, runConfig{
-		exp: *exp, wl: *wl, traceFile: *traceFile, traceCache: *traceCache,
+		exp: *exp, wl: *wl, traceFile: *traceFile,
 		fraction: *fraction, scale: *scale, seed: *seed, workers: *workers,
 		series: *series, plot: *plot,
 		metricsOut: *metricsOut, progress: *progress, listen: *listen,
@@ -139,11 +134,11 @@ func main() {
 // runConfig carries one invocation's flags; the golden tests drive run
 // directly with it.
 type runConfig struct {
-	exp, wl, traceFile, traceCache string
-	fraction, scale                float64
-	seed                           uint64
-	workers                        int
-	series, plot                   bool
+	exp, wl, traceFile string
+	fraction, scale    float64
+	seed               uint64
+	workers            int
+	series, plot       bool
 	// metricsOut streams per-replay JSONL snapshots to this file;
 	// progress renders a live ticker on progressW (os.Stderr when nil —
 	// tests inject a buffer); listen serves the live introspection
@@ -174,7 +169,7 @@ func run(out io.Writer, rc runConfig) error {
 		return nil
 	}
 
-	tr, err := loadTrace(rc.wl, rc.traceFile, rc.traceCache, rc.scale, seed)
+	tr, err := loadTrace(rc.wl, rc.traceFile, rc.scale, seed)
 	if err != nil {
 		return err
 	}
@@ -382,9 +377,9 @@ func progressFrame(exp string, prog *obs.Progress) any {
 	}
 }
 
-// loadTrace returns the validated trace from a file, the binary trace
-// cache, or a freshly generated synthetic workload.
-func loadTrace(wl, traceFile, traceCache string, scale float64, seed uint64) (*trace.Trace, error) {
+// loadTrace returns the validated trace from a file or a freshly
+// generated synthetic workload.
+func loadTrace(wl, traceFile string, scale float64, seed uint64) (*trace.Trace, error) {
 	if traceFile != "" {
 		raw, stats, err := trace.ReadCLFFile(traceFile, traceFile)
 		if err != nil {
@@ -394,20 +389,10 @@ func loadTrace(wl, traceFile, traceCache string, scale float64, seed uint64) (*t
 			fmt.Fprintf(os.Stderr, "websim: skipped %d malformed lines (first: %v)\n",
 				stats.Malformed, stats.FirstError)
 		}
-		valid, vstats := trace.Validate(raw)
+		valid, vstats := trace.ValidateOwned(raw)
 		fmt.Fprintf(os.Stderr, "websim: %d of %d log lines valid (%.1f%% size changes among re-references)\n",
 			vstats.Kept, vstats.Input, 100*vstats.SizeChangeFraction())
 		return valid, nil
-	}
-	var cachePath string
-	if traceCache != "" {
-		cachePath = filepath.Join(traceCache,
-			fmt.Sprintf("%s_seed%d_scale%g.wct", wl, seed, scale))
-		if tr, err := trace.ReadBinaryFile(cachePath); err == nil {
-			return tr, nil
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "websim: ignoring unreadable trace cache %s: %v\n", cachePath, err)
-		}
 	}
 	cfg, err := workload.ByName(wl, seed)
 	if err != nil {
@@ -415,13 +400,5 @@ func loadTrace(wl, traceFile, traceCache string, scale float64, seed uint64) (*t
 	}
 	cfg.Scale = scale
 	tr, _, err := workload.GenerateValidated(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cachePath != "" {
-		if werr := trace.WriteBinaryFile(cachePath, tr); werr != nil {
-			fmt.Fprintf(os.Stderr, "websim: could not write trace cache %s: %v\n", cachePath, werr)
-		}
-	}
-	return tr, nil
+	return tr, err
 }

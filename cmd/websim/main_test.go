@@ -63,7 +63,7 @@ func TestLoadTraceFromFile(t *testing.T) {
 	}
 	f.Close()
 
-	tr, err := loadTrace("", path, "", 1, 1)
+	tr, err := loadTrace("", path, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,43 +85,8 @@ func TestLoadTraceFromFile(t *testing.T) {
 }
 
 func TestLoadTraceMissingFile(t *testing.T) {
-	if _, err := loadTrace("", "/nonexistent/nope.log", "", 1, 1); err == nil {
+	if _, err := loadTrace("", "/nonexistent/nope.log", 1, 1); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-// TestTraceCache checks the binary trace cache: a cold load writes the
-// cache file, a warm load reads it back to the identical trace, and a
-// corrupt cache falls back to regeneration instead of failing the run.
-func TestTraceCache(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := loadTrace("C", "", dir, 0.01, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "C_seed3_scale0.01.wct")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("cold load did not write the cache: %v", err)
-	}
-	warm, err := loadTrace("C", "", dir, 0.01, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.Requests) != len(cold.Requests) || warm.Name != cold.Name || warm.Start != cold.Start {
-		t.Fatalf("warm load differs: %d reqs %q/%d, want %d reqs %q/%d",
-			len(warm.Requests), warm.Name, warm.Start,
-			len(cold.Requests), cold.Name, cold.Start)
-	}
-	for i := range cold.Requests {
-		if warm.Requests[i] != cold.Requests[i] {
-			t.Fatalf("request %d differs after cache round trip", i)
-		}
-	}
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadTrace("C", "", dir, 0.01, 3); err != nil {
-		t.Fatalf("corrupt cache not ignored: %v", err)
 	}
 }
 

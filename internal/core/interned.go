@@ -1,9 +1,9 @@
 // Interned mode: the cache indexes resident documents by the trace's
 // dense int32 URL IDs instead of by URL string. A policy sweep interns
 // the trace once (trace.Columnar) and every replay then runs map-free:
-// the per-request path is a slice index, not a string hash, and the
-// §1.1 dynamic-document test reads a per-ID table instead of
-// re-classifying the URL. Simulation output is byte-identical to the
+// the per-request path is a slice index, not a string hash. Only an
+// insert reads the URL, from the view's ID → URL table, for the §1.1
+// dynamic-document test. Simulation output is byte-identical to the
 // string-indexed engine — same hit decisions, same RNG call sequence,
 // same eviction order (the equivalence tests here and in internal/sim
 // enforce this).

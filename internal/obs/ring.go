@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"webcache/internal/core"
+	"webcache/internal/policy"
 )
 
 // EventKind labels one cache event in the trace ring.
@@ -78,6 +81,34 @@ func (r *EventRing) Record(ev Event) {
 	r.buf[r.total%uint64(len(r.buf))] = ev
 	r.total++
 	r.mu.Unlock()
+}
+
+// RingHooks builds core event hooks that record every cache event into
+// ring, the event-level trace; a nil ring gets no hooks, so the cache
+// runs unhooked. The per-event work is one ring slot store, the cost
+// internal/sim's BenchmarkReplayObserved prices. A string-indexed
+// cache's entries carry ID -1, and so do its events.
+func RingHooks(ring *EventRing) core.CacheHooks {
+	if ring == nil {
+		return core.CacheHooks{}
+	}
+	return core.CacheHooks{
+		OnHit: func(e *policy.Entry) {
+			// e.ATime was just refreshed to the request time — it is the
+			// event timestamp, no extra plumbing needed.
+			ring.Record(Event{Kind: EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
+		},
+		OnMiss: func(size, now int64) {
+			ring.Record(Event{Kind: EventMiss, Time: now, ID: -1, Size: size})
+		},
+		OnEvict: func(e *policy.Entry, now int64) {
+			ring.Record(Event{Kind: EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
+		},
+		OnAdd: func(e *policy.Entry) {
+			// e.ETime is the insert time by construction.
+			ring.Record(Event{Kind: EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
+		},
+	}
 }
 
 // Cap returns the ring's capacity.

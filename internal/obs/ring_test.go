@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+
+	"webcache/internal/core"
+	"webcache/internal/policy"
+	"webcache/internal/trace"
 )
 
 func TestEventRingRecordAndSnapshot(t *testing.T) {
@@ -273,4 +278,33 @@ func ExampleEventRing_Snapshot() {
 	// Output:
 	// miss t=1 size=100
 	// add t=1 size=100
+}
+
+// TestRingHooks drives a string-indexed LRU cache through one miss and
+// add, one hit, and an eviction, and checks each event RingHooks
+// records; a nil ring gets no hooks.
+func TestRingHooks(t *testing.T) {
+	if h := RingHooks(nil); h.OnHit != nil || h.OnMiss != nil || h.OnEvict != nil || h.OnAdd != nil {
+		t.Fatal("RingHooks(nil) set a hook")
+	}
+	ring := NewEventRing(16)
+	c := core.New(core.Config{Capacity: 150, Policy: policy.NewLRU(), Hooks: RingHooks(ring)})
+	for _, r := range []trace.Request{
+		{Time: 10, URL: "http://s/a", Size: 100},
+		{Time: 20, URL: "http://s/a", Size: 100},
+		{Time: 30, URL: "http://s/b", Size: 100},
+	} {
+		c.Access(&r)
+	}
+	want := []Event{
+		{Kind: EventMiss, Time: 10, ID: -1, Size: 100},
+		{Kind: EventAdd, Time: 10, ID: -1, Size: 100},
+		{Kind: EventHit, Time: 20, ID: -1, Size: 100, NRef: 2},
+		{Kind: EventMiss, Time: 30, ID: -1, Size: 100},
+		{Kind: EventEvict, Time: 30, ID: -1, Size: 100, Age: 20, NRef: 2},
+		{Kind: EventAdd, Time: 30, ID: -1, Size: 100},
+	}
+	if got := ring.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("events\n%+v\nwant\n%+v", got, want)
+	}
 }

@@ -63,11 +63,10 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 
 // StoreHooks builds cache event hooks feeding reg's windowed
 // store.window_* counters and, when ring is non-nil, the event-level
-// trace — the live counterpart of the simulator's hook wiring, so a
-// store's eviction stream carries the same age/NREF detail as a
-// replay's. Live entries are string-indexed, so trace events carry
-// ID -1. The store's lifetime counts are its core.Stats
-// (Store.RegisterMetrics).
+// trace through obs.RingHooks, the simulator's hooks too, so a store's
+// eviction stream carries the same age/NREF detail as a replay's. Live
+// entries are string-indexed, so trace events carry ID -1. The store's
+// lifetime counts are its core.Stats (Store.RegisterMetrics).
 func StoreHooks(reg *obs.Registry, ring *obs.EventRing) core.CacheHooks {
 	// Windowed hit/get counts give the deployed store a recent-window
 	// hit rate alongside the lifetime ratio. The derived rate is
@@ -81,27 +80,21 @@ func StoreHooks(reg *obs.Registry, ring *obs.EventRing) core.CacheHooks {
 		}
 		return int64(float64(winHits.WindowTotal())/float64(gets)*10000 + 0.5)
 	})
-	if ring == nil {
-		return core.CacheHooks{
-			OnHit:  func(*policy.Entry) { winHits.Inc(); winGets.Inc() },
-			OnMiss: func(int64, int64) { winGets.Inc() },
+	// The ring's hooks (none without a ring) plus the windowed counts.
+	h := obs.RingHooks(ring)
+	recordHit, recordMiss := h.OnHit, h.OnMiss
+	h.OnHit = func(e *policy.Entry) {
+		winHits.Inc()
+		winGets.Inc()
+		if recordHit != nil {
+			recordHit(e)
 		}
 	}
-	return core.CacheHooks{
-		OnHit: func(e *policy.Entry) {
-			winHits.Inc()
-			winGets.Inc()
-			ring.Record(obs.Event{Kind: obs.EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
-		},
-		OnMiss: func(size, now int64) {
-			winGets.Inc()
-			ring.Record(obs.Event{Kind: obs.EventMiss, Time: now, ID: -1, Size: size})
-		},
-		OnEvict: func(e *policy.Entry, now int64) {
-			ring.Record(obs.Event{Kind: obs.EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
-		},
-		OnAdd: func(e *policy.Entry) {
-			ring.Record(obs.Event{Kind: obs.EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
-		},
+	h.OnMiss = func(size, now int64) {
+		winGets.Inc()
+		if recordMiss != nil {
+			recordMiss(size, now)
+		}
 	}
+	return h
 }

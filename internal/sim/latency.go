@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"webcache/internal/core"
+	"webcache/internal/obs"
 	"webcache/internal/policy"
 	"webcache/internal/stats"
 	"webcache/internal/trace"
@@ -143,7 +144,7 @@ func Experiment6R(r *Runner, tr *trace.Trace, base *Exp1Result, specs []string, 
 		}
 		o := Observer
 		if o != nil {
-			cfg.Hooks = cacheHooks(o)
+			cfg.Hooks = obs.RingHooks(o.Ring())
 		}
 		cache := core.New(cfg)
 		run := &LatencyRun{Policy: spec}

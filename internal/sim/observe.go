@@ -5,7 +5,6 @@ import (
 
 	"webcache/internal/core"
 	"webcache/internal/obs"
-	"webcache/internal/policy"
 )
 
 // Observer, when non-nil, is the session's observability sink: every
@@ -21,36 +20,6 @@ import (
 // -progress), never mid-run: replays fan out across goroutines and
 // consult it once at start.
 var Observer *obs.Observer
-
-// cacheHooks builds core event hooks feeding o's event ring, the
-// event-level trace; with no ring it returns no hooks, and the replay
-// runs unhooked. The cache.* counters come from each replay's final
-// core.Stats (observeReplay), not from the hooks, so the per-event
-// work is one ring slot store — the cost BenchmarkReplayObserved
-// prices.
-func cacheHooks(o *obs.Observer) core.CacheHooks {
-	ring := o.Ring()
-	if ring == nil {
-		return core.CacheHooks{}
-	}
-	return core.CacheHooks{
-		OnHit: func(e *policy.Entry) {
-			// e.ATime was just refreshed to the request time — it is the
-			// event timestamp, no extra plumbing needed.
-			ring.Record(obs.Event{Kind: obs.EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
-		},
-		OnMiss: func(size, now int64) {
-			ring.Record(obs.Event{Kind: obs.EventMiss, Time: now, ID: -1, Size: size})
-		},
-		OnEvict: func(e *policy.Entry, now int64) {
-			ring.Record(obs.Event{Kind: obs.EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
-		},
-		OnAdd: func(e *policy.Entry) {
-			// e.ETime is the insert time by construction.
-			ring.Record(obs.Event{Kind: obs.EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
-		},
-	}
-}
 
 // observeReplay runs fn (one whole-trace replay) under pprof labels and
 // emits its snapshot: fn's wall time plus the cache's final counters,

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"webcache/internal/core"
+	"webcache/internal/obs"
 	"webcache/internal/policy"
 	"webcache/internal/stats"
 	"webcache/internal/trace"
@@ -115,7 +116,7 @@ func Experiment1(tr *trace.Trace, seed uint64) *Exp1Result {
 	o := Observer
 	if o != nil {
 		o.AddReplays(1)
-		cfg.Hooks = cacheHooks(o)
+		cfg.Hooks = obs.RingHooks(o.Ring())
 	}
 	var cache *core.Cache
 	var rates DailyRates
@@ -187,7 +188,7 @@ func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity in
 	}
 	o := Observer
 	if o != nil {
-		cfg.Hooks = cacheHooks(o)
+		cfg.Hooks = obs.RingHooks(o.Ring())
 	}
 	var cache *core.Cache
 	var rates DailyRates

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -375,5 +376,35 @@ func TestExperiment6Runs(t *testing.T) {
 	}
 	if _, err := Experiment6(tr, base, []string{"BOGUS"}, 0.1, nil, 1); err == nil {
 		t.Error("bad policy spec accepted")
+	}
+}
+
+// TestExperiment1OutOfOrderLog replays a log whose lines a proxy wrote
+// in completion order, crossing midnight out of time order: ReadCLF
+// must hand Experiment1 the time-ordered trace (it would otherwise add
+// day 0 after day 1 and panic), the same as the pre-sorted log's.
+func TestExperiment1OutOfOrderLog(t *testing.T) {
+	line := func(stamp, url string) string {
+		return `c1 - - [` + stamp + ` +0000] "GET ` + url + ` HTTP/1.0" 200 100` + "\n"
+	}
+	l1 := line("17/Sep/1995:23:59:58", "http://s/a.gif")
+	l2 := line("18/Sep/1995:00:00:01", "http://s/b.html")
+	l3 := line("17/Sep/1995:23:59:59", "http://s/a.gif")
+	l4 := line("18/Sep/1995:00:00:05", "http://s/b.html")
+	exp1 := func(log string) *Exp1Result {
+		raw, _, err := trace.ReadCLF(strings.NewReader(log), "log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid, _ := trace.Validate(raw)
+		return Experiment1(valid, 1)
+	}
+	got := exp1(l1 + l2 + l3 + l4)
+	want := exp1(l1 + l3 + l2 + l4)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("out-of-order log: %+v, want the sorted log's %+v", got, want)
+	}
+	if got.Final.Hits != 2 {
+		t.Fatalf("%d hits, want 2", got.Final.Hits)
 	}
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -74,6 +76,11 @@ func truncate(s string, n int) string {
 // are skipped but counted; the first malformed line's error is returned
 // in *ReadStats for diagnosis. Name and Start of the returned trace are
 // set from name and the first request's midnight.
+//
+// A Trace is in time order, but a proxy logs a request when it
+// completes, so a real log can be out of order by a few seconds. Such
+// a log is sorted stably by Time (lines with equal times keep their
+// file order); a sorted log is left as read.
 func ReadCLF(r io.Reader, name string) (*Trace, *ReadStats, error) {
 	stats := &ReadStats{}
 	t := &Trace{Name: name}
@@ -99,6 +106,10 @@ func ReadCLF(r io.Reader, name string) (*Trace, *ReadStats, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, stats, fmt.Errorf("trace: reading log: %w", err)
+	}
+	byTime := func(a, b Request) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(t.Requests, byTime) {
+		slices.SortStableFunc(t.Requests, byTime)
 	}
 	if len(t.Requests) > 0 {
 		first := t.Requests[0].Time
@@ -143,6 +154,11 @@ func ParseCLFLine(line string) (Request, error) {
 	ts, err := time.Parse(clfTimeLayout, rest[1:end])
 	if err != nil {
 		return req, fmt.Errorf("bad timestamp: %w", err)
+	}
+	// WriteCLF renders the time in UTC with a four-digit year; an
+	// offset that carries it out of 0000–9999 could not be written back.
+	if y := ts.UTC().Year(); y < 0 || y > 9999 {
+		return req, fmt.Errorf("bad timestamp: year %d in UTC", y)
 	}
 	req.Time = ts.Unix()
 	rest = rest[end+1:]

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -157,6 +158,32 @@ func TestReadCLFSkipsMalformed(t *testing.T) {
 	}
 	if len(tr.Requests) != 2 {
 		t.Fatalf("%d requests", len(tr.Requests))
+	}
+}
+
+// TestReadCLFSortsByTime checks that an out-of-order log comes back in
+// time order, lines with equal times in file order, with Start at the
+// earliest request's midnight.
+func TestReadCLFSortsByTime(t *testing.T) {
+	log := strings.Join([]string{
+		`c1 - - [18/Sep/1995:00:00:01 +0000] "GET http://s/a HTTP/1.0" 200 1`,
+		`c2 - - [17/Sep/1995:23:59:59 +0000] "GET http://s/b HTTP/1.0" 200 2`,
+		`c3 - - [18/Sep/1995:00:00:01 +0000] "GET http://s/c HTTP/1.0" 200 3`,
+		`c4 - - [17/Sep/1995:23:59:59 +0000] "GET http://s/d HTTP/1.0" 200 4`,
+	}, "\n")
+	tr, _, err := ReadCLF(strings.NewReader(log), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range tr.Requests {
+		got = append(got, r.Client)
+	}
+	if want := []string{"c2", "c4", "c1", "c3"}; !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+	if want := tr.Requests[0].Time - tr.Requests[0].Time%86400; tr.Start != want {
+		t.Fatalf("Start = %d, want %d", tr.Start, want)
 	}
 }
 

@@ -31,9 +31,13 @@ type Columnar struct {
 }
 
 // BuildColumnar interns every URL of tr and materializes the columnar
-// view. The interner is pre-sized for one distinct URL per two
-// requests, about what the synthesized workloads have (DESIGN.md §8
-// times the choice); its map is dropped on return.
+// view. IDs are dense, in first-appearance order: the i-th distinct URL
+// gets ID i. The §1.1 hit rule (URL *and* size match) survives
+// interning because the URL ↔ ID mapping is a bijection, so ID equality
+// is URL equality (FuzzInterner pins this). The URL → ID map is
+// pre-sized for one distinct URL per two requests, about what the
+// synthesized workloads have (DESIGN.md §8 times the choice), and is
+// dropped on return.
 func BuildColumnar(tr *Trace) *Columnar {
 	n := len(tr.Requests)
 	c := &Columnar{
@@ -45,18 +49,26 @@ func BuildColumnar(tr *Trace) *Columnar {
 		Day:   make([]int32, n),
 		Types: make([]DocType, n),
 	}
-	in := NewInterner(n / 2)
+	ids := make(map[string]int32, n/2)
+	urls := make([]string, 0, n/2)
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
-		c.IDs[i] = in.Intern(r.URL)
+		id, ok := ids[r.URL]
+		if !ok {
+			id = int32(len(urls))
+			ids[r.URL] = id
+			urls = append(urls, r.URL)
+		}
+		c.IDs[i] = id
 		c.Sizes[i] = r.Size
 		c.Times[i] = r.Time
 		c.Day[i] = int32((r.Time - tr.Start) / 86400)
 		c.Types[i] = r.Type
 	}
-	// Copy the table out of the interner: its spare capacity would
-	// outlive the build (on BR, over twenty times the table).
-	c.URLs = slices.Clone(in.URLs())
+	// Copy the table out at its exact length: the presized spare
+	// capacity would outlive the build (on BR, over twenty times the
+	// table).
+	c.URLs = slices.Clone(urls)
 	return c
 }
 

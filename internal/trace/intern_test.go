@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -28,31 +29,23 @@ func internTestTrace() *Trace {
 	return tr
 }
 
-// TestInternerDenseRoundTrip checks that IDs are dense, stable, and
-// bijective with URLs.
+// TestInternerDenseRoundTrip checks that BuildColumnar's IDs are dense
+// in first-appearance order, stable across re-references, and bijective
+// with URLs.
 func TestInternerDenseRoundTrip(t *testing.T) {
-	in := NewInterner(0)
-	urls := []string{"a", "b", "c", "a", "b", "d"}
-	want := []int32{0, 1, 2, 0, 1, 3}
-	for i, u := range urls {
-		if id := in.Intern(u); id != want[i] {
-			t.Fatalf("Intern(%q) = %d, want %d", u, id, want[i])
-		}
+	tr := &Trace{}
+	for _, u := range []string{"a", "b", "c", "a", "b", "d"} {
+		tr.Requests = append(tr.Requests, Request{URL: u})
 	}
-	if in.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", in.Len())
+	col := BuildColumnar(tr)
+	if want := []int32{0, 1, 2, 0, 1, 3}; !slices.Equal(col.IDs, want) {
+		t.Fatalf("IDs = %v, want %v", col.IDs, want)
 	}
-	for _, u := range []string{"a", "b", "c", "d"} {
-		id, ok := in.Lookup(u)
-		if !ok {
-			t.Fatalf("Lookup(%q) missed", u)
-		}
-		if got := in.URL(id); got != u {
-			t.Fatalf("URL(%d) = %q, want %q", id, got, u)
-		}
+	if want := []string{"a", "b", "c", "d"}; !slices.Equal(col.URLs, want) {
+		t.Fatalf("URLs = %q, want %q", col.URLs, want)
 	}
-	if _, ok := in.Lookup("missing"); ok {
-		t.Fatal("Lookup found a never-interned URL")
+	if cap(col.URLs) != len(col.URLs) {
+		t.Fatalf("URLs cap %d, want its length %d", cap(col.URLs), len(col.URLs))
 	}
 }
 
