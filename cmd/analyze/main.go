@@ -47,7 +47,7 @@ func load(traceFile, wl string, scale float64, seed uint64) (*trace.Trace, error
 		if rstats.Malformed > 0 {
 			fmt.Fprintf(os.Stderr, "analyze: skipped %d malformed lines\n", rstats.Malformed)
 		}
-		valid, vstats := trace.Validate(raw)
+		valid, vstats := trace.ValidateOwned(raw)
 		fmt.Fprintf(os.Stderr, "analyze: %d of %d lines valid\n", vstats.Kept, vstats.Input)
 		return valid, nil
 	case wl != "":

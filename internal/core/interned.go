@@ -11,45 +11,32 @@
 package core
 
 import (
-	"sync"
-
 	"webcache/internal/policy"
 	"webcache/internal/trace"
 )
 
-// tablePool holds the entry tables of released interned caches, every
-// slot up to capacity nil.
-var tablePool sync.Pool
-
 // NewColumnar returns a cache over the interned columnar trace view.
-// The entry table is pre-sized to col.NumIDs() — exact, not a hint —
-// so steady-state replay in this mode allocates nothing; a table a
-// released cache left behind is reused when it is large enough.
+// The entry table has col.NumIDs() slots — exact, not a hint — so
+// steady-state replay in this mode allocates nothing; its array comes
+// from policy.GetEntries, which reuses one a released cache left behind.
 // Requests are fed with AccessIndex; Access panics in this mode.
 func NewColumnar(cfg Config, col *trace.Columnar) *Cache {
 	c := newCache(cfg)
 	c.col = col
-	n := col.NumIDs()
-	if t, _ := tablePool.Get().(*[]*policy.Entry); t != nil && cap(*t) >= n {
-		c.byID = (*t)[:n]
-	} else {
-		c.byID = make([]*policy.Entry, n)
-	}
+	c.byID = policy.GetEntries(col.NumIDs())
 	return c
 }
 
-// Release hands the cache's entry memory to caches built after it: the
-// entry pool's slabs and, in interned mode, the cleared ID table. Call
-// it once the statistics have been read. Afterwards the cache, its
-// policy and every entry the cache handed out are invalid and must not
-// be used.
+// Release hands the cache's memory to caches built after it: the entry
+// pool's slabs and free slice, the policy's arrays (policy.Release)
+// and, in interned mode, the ID table. Call it once the statistics
+// have been read. Afterwards the cache, its policy and every entry the
+// cache handed out are invalid and must not be used.
 func (c *Cache) Release() {
 	c.pool.Release()
-	if t := c.byID; t != nil {
-		clear(t)
-		tablePool.Put(&t)
-		c.byID = nil
-	}
+	policy.Release(c.cfg.Policy)
+	policy.PutEntries(c.byID)
+	c.byID = nil
 }
 
 // AccessIndex processes request i of the attached columnar view and

@@ -5,7 +5,8 @@ package policy
 // own slot index (heapIdx), so Fix and Remove find it in O(1) and
 // re-sift it in O(log n) when a touch changes its key. Sifts move a
 // hole instead of swapping, writing each moved entry once per level.
-// The zero value is an empty heap.
+// The zero value is an empty heap. Its backing array comes from the
+// entry-array free lists and goes back there on release.
 //
 // Removing the root — every eviction — is a bottom-up pop (popRoot).
 // Its comparison sequence differs from a top-down sift's, but the
@@ -16,17 +17,21 @@ type entryHeap struct {
 }
 
 // Grow pre-sizes the backing array to hold at least n entries.
-func (h *entryHeap) Grow(n int) {
-	if cap(h.items) < n {
-		items := make([]*Entry, len(h.items), n)
-		copy(items, h.items)
-		h.items = items
-	}
+func (h *entryHeap) Grow(n int) { h.items = growEntries(h.items, n) }
+
+// release puts the backing array back on its free list and leaves the
+// heap empty.
+func (h *entryHeap) release() {
+	PutEntries(h.items)
+	h.items = nil
 }
 
 func (h *entryHeap) Len() int { return len(h.items) }
 
 func (h *entryHeap) Push(e *Entry) {
+	if len(h.items) == cap(h.items) {
+		h.items = growEntries(h.items, len(h.items)+1)
+	}
 	h.items = append(h.items, e)
 	i := len(h.items) - 1
 	e.heapIdx = i

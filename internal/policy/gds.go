@@ -88,6 +88,8 @@ func (g *GreedyDualSize) Len() int { return g.heap.Len() }
 // Reserve implements Reserver.
 func (g *GreedyDualSize) Reserve(n int) { g.heap.Grow(n) }
 
+func (g *GreedyDualSize) release() { g.heap.release() }
+
 // NewGDSLatency returns GD-Size with miss cost equal to the document's
 // estimated refetch latency (H = L + latency/size): the principled way
 // to optimize the paper's third criterion, blending the §5 refetch-

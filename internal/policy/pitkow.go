@@ -58,6 +58,8 @@ func (p *PitkowRecker) Touch(e *Entry) {
 // Reserve implements Reserver.
 func (p *PitkowRecker) Reserve(n int) { p.heap.Grow(n) }
 
+func (p *PitkowRecker) release() { p.heap.release() }
+
 // Remove implements Policy.
 func (p *PitkowRecker) Remove(e *Entry) { p.heap.Remove(e) }
 

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -62,6 +64,92 @@ func TestEntryPoolRelease(t *testing.T) {
 			t.Fatalf("entry %d after Release = %+v, want %+v", i, got, want)
 		}
 	}
+}
+
+// TestEntryArrays checks the capacity classes: GetEntries returns n
+// nil slots at a power-of-two capacity, an array put back dirty comes
+// out all nil, and a request for a larger class never gets it.
+func TestEntryArrays(t *testing.T) {
+	ResetFreeLists()
+	defer ResetFreeLists()
+	for _, n := range []int{0, 1, 8, 9, 100, 1024, 1025} {
+		s := GetEntries(n)
+		if len(s) != n || cap(s) < n || cap(s)&(cap(s)-1) != 0 {
+			t.Fatalf("GetEntries(%d): len %d cap %d", n, len(s), cap(s))
+		}
+	}
+	e := NewEntry("http://s/x", 1, trace.Text, 0, 0)
+	s := GetEntries(100)
+	for i := range s {
+		s[i] = e
+	}
+	s = append(s, e)
+	PutEntries(s)
+	if got := GetEntries(129); cap(got) == cap(s) {
+		t.Fatal("a class-7 array served a request for 129 slots")
+	}
+	got := GetEntries(65)
+	if cap(got) != cap(s) {
+		t.Fatalf("GetEntries(65) has capacity %d, want the released array's %d", cap(got), cap(s))
+	}
+	for i, x := range got[:cap(got)] {
+		if x != nil {
+			t.Fatalf("slot %d of a reused array is not nil", i)
+		}
+	}
+}
+
+// TestFreeListsConcurrent drains a size-bucketed, a heap-backed and a
+// GD-Size policy on several goroutines at once, each releasing its
+// arrays and slabs for the others, and requires every drain to match
+// one run alone. Under the race detector it also catches two
+// goroutines handed the same buffer.
+func TestFreeListsConcurrent(t *testing.T) {
+	drain := func() []int64 {
+		var victims []int64
+		for _, p := range []Policy{NewSorted([]Key{KeySize, KeyNRef}, 0), NewLFU(), NewGDS1()} {
+			var pool EntryPool
+			for i := 0; i < 700; i++ {
+				e := pool.Get("http://s/x", int64(1+i*7919%5000), trace.Text, int64(i), uint64(i))
+				p.Add(e)
+				if i%5 == 0 {
+					p.Touch(e)
+				}
+			}
+			for p.Len() > 0 {
+				e := p.Victim(0)
+				p.Remove(e)
+				victims = append(victims, e.Size)
+				pool.Put(e)
+			}
+			Release(p)
+			pool.Release()
+			table := GetEntries(3000)
+			for _, x := range table {
+				if x != nil {
+					t.Error("GetEntries returned a slot that is not nil")
+					break
+				}
+			}
+			PutEntries(table)
+		}
+		return victims
+	}
+	want := drain()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				if got := drain(); !slices.Equal(got, want) {
+					t.Error("a drain on shared free lists differs from one alone")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEntrySize bounds the size of an Entry, which the pool's slabs

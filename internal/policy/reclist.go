@@ -45,6 +45,7 @@ func newRecencyList(mode touchMode) *recencyList {
 func (l *recencyList) kind() string { return "list" }
 func (l *recencyList) Len() int     { return l.n }
 func (l *recencyList) Grow(int)     {}
+func (l *recencyList) release()     {}
 func (l *recencyList) Peek() *Entry { return l.head }
 
 func (l *recencyList) Add(e *Entry) {

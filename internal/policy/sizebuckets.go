@@ -30,6 +30,12 @@ func (s *sizeBuckets) kind() string { return "size" }
 func (s *sizeBuckets) Len() int     { return s.n }
 func (s *sizeBuckets) Grow(int)     {}
 
+func (s *sizeBuckets) release() {
+	for i := range s.buckets {
+		s.buckets[i].release()
+	}
+}
+
 func (s *sizeBuckets) Add(e *Entry) {
 	i := log2Floor(e.Size)
 	s.buckets[i].Push(e)

@@ -83,6 +83,8 @@ func (p *Sorted) Reserve(n int) { p.ord.Grow(n) }
 // Remove implements Policy.
 func (p *Sorted) Remove(e *Entry) { p.ord.Remove(e) }
 
+func (p *Sorted) release() { p.ord.release() }
+
 // Victim implements Policy: the head of the removal order, regardless of
 // the incoming document's size.
 func (p *Sorted) Victim(int64) *Entry { return p.ord.Peek() }

@@ -45,6 +45,8 @@ type order interface {
 	Len() int
 	Grow(n int)
 	kind() string
+	// release hands the backend's arrays back to the free lists.
+	release()
 }
 
 // newOrder picks the cheapest backend that provably reproduces the
@@ -129,6 +131,7 @@ func (o heapOrder) Remove(e *Entry) { o.h.Remove(e) }
 func (o heapOrder) Len() int        { return o.h.Len() }
 func (o heapOrder) Grow(n int)      { o.h.Grow(n) }
 func (o heapOrder) kind() string    { return "heap" }
+func (o heapOrder) release()        { o.h.release() }
 
 func (o heapOrder) Peek() *Entry {
 	e, _ := o.h.Peek()

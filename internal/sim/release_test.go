@@ -3,7 +3,7 @@ package sim
 import (
 	"reflect"
 	"runtime"
-	"runtime/debug"
+	"slices"
 	"testing"
 
 	"webcache/internal/policy"
@@ -11,31 +11,24 @@ import (
 )
 
 // The sweep-level reuse contract: RunPolicy releases its cache's entry
-// slabs and ID table for the next run, that run allocates only what is
-// not reused, and a run on reused memory is deeply equal to one on
-// fresh memory.
+// slabs, free slice, ID table and policy arrays for the next run, that
+// run allocates only what is not reused, a run on reused memory is
+// deeply equal to one on fresh memory, and the free lists hold no more
+// after a repeated sweep than after the first.
 
-// emptyPools drops whatever earlier replays released: a sync.Pool keeps
-// an item through at most two collections.
+// emptyPools drops whatever earlier replays released, so the next
+// replay allocates its buffers afresh.
 func emptyPools() {
-	runtime.GC()
-	runtime.GC()
+	policy.ResetFreeLists()
 }
 
 // TestRunPolicyReusesReleasedMemory pins the allocation win: a second
 // RunPolicy with the same trace, combo and capacity allocates under a
-// tenth of the first run's bytes. Only entries and the ID table are
-// reused; the policy's own arrays and the daily series are allocated
-// afresh, so the test uses an ATIME heap, which the size hint reserves
-// in one step, on a trace large enough for entries to dominate
-// (measured: 5 %).
+// tenth of the first run's bytes, on an ATIME recency list, on SIZE
+// buckets (64 heaps grown from empty) and on an NREF heap (reserved
+// from the size hint). Only the daily series, the results and the
+// policy itself are allocated afresh.
 func TestRunPolicyReusesReleasedMemory(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a share of its Puts")
-	}
-	// No collection may run between the two replays: two would empty
-	// the pools the second one draws from.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := workload.BL(5)
 	cfg.Scale = 0.1
 	tr, _, err := workload.GenerateValidated(cfg)
@@ -43,20 +36,23 @@ func TestRunPolicyReusesReleasedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Experiment1(tr, 1)
-	combo := policy.Combo{Primary: policy.KeyATime, Secondary: policy.KeyRandom}
 	capacity := base.MaxNeeded / 2
-	allocated := func() uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		RunPolicy(tr, base, combo.New(tr.Start), capacity, 3, RunOptions{})
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
-	}
-	emptyPools()
-	first := allocated()
-	second := allocated()
-	if second*10 >= first {
-		t.Errorf("second run allocated %d bytes, first %d: want under 10%%", second, first)
+	for _, primary := range []policy.Key{policy.KeyATime, policy.KeySize, policy.KeyNRef} {
+		combo := policy.Combo{Primary: primary, Secondary: policy.KeyRandom}
+		allocated := func() uint64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			RunPolicy(tr, base, combo.New(tr.Start), capacity, 3, RunOptions{})
+			runtime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		emptyPools()
+		first := allocated()
+		second := allocated()
+		t.Logf("%v: first run %d bytes, second %d", combo, first, second)
+		if second*10 >= first {
+			t.Errorf("%v: second run allocated %d bytes, first %d: want under 10%%", combo, second, first)
+		}
 	}
 }
 
@@ -76,5 +72,29 @@ func TestRunPolicyOnReleasedMemory(t *testing.T) {
 	reused := RunPolicy(tr, base, b.New(tr.Start), capacity, 3, RunOptions{})
 	if !reflect.DeepEqual(fresh, reused) {
 		t.Error("run on released memory differs from run on fresh memory")
+	}
+}
+
+// TestFreeListsBounded checks that the free lists keep only what
+// replays released: a second identical Experiment 2 over every combo
+// finds all it needs on them and leaves no list longer than the first
+// one did. The runner is sequential, so each run's demand, and the
+// lists after it, do not depend on scheduling.
+func TestFreeListsBounded(t *testing.T) {
+	tr := detTrace(t, "BL", 3)
+	base := Experiment1(tr, 1)
+	r := NewRunner(RunnerConfig{Workers: 1})
+	emptyPools()
+	Experiment2R(r, tr, base, policy.AllCombos(), 0.1, 5)
+	first := policy.FreeListLens()
+	Experiment2R(r, tr, base, policy.AllCombos(), 0.1, 5)
+	second := policy.FreeListLens()
+	if slices.Equal(first, make([]int, len(first))) {
+		t.Fatal("no buffer went back on a free list")
+	}
+	for i := range first {
+		if second[i] > first[i] {
+			t.Errorf("free list %d holds %d buffers after the second sweep, %d after the first", i, second[i], first[i])
+		}
 	}
 }

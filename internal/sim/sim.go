@@ -75,9 +75,15 @@ func (st *replayState) flush() {
 // ablation). Every per-request field (ID, size, time, day, type) is a
 // column read, and the cache's entry lookup is a slice index; the day
 // column is shared by every replay of a sweep, so no replay divides a
-// timestamp, and the loop allocates only the returned daily series.
+// timestamp, and the loop allocates only the returned daily series,
+// each sized up front for the view's span of days.
 func ReplayColumnar(col *trace.Columnar, cache *core.Cache, onDayEnd func(day int)) DailyRates {
 	st := newReplayState()
+	if n := len(col.Day); n > 0 {
+		days := int(col.Day[n-1]-col.Day[0]) + 1
+		st.rates.HR.Grow(days)
+		st.rates.WHR.Grow(days)
+	}
 	prevDay := -1
 	for i := range col.IDs {
 		day := int(col.Day[i])

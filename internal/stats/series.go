@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -44,6 +45,9 @@ func (s *DailySeries) Add(day int, value float64) {
 	}
 	s.points = append(s.points, DayPoint{Day: day, Value: value})
 }
+
+// Grow makes room for n more recorded days without reallocating.
+func (s *DailySeries) Grow(n int) { s.points = slices.Grow(s.points, n) }
 
 // Raw returns the recorded daily points.
 func (s *DailySeries) Raw() []DayPoint { return s.points }
@@ -108,17 +112,39 @@ func (s *DailySeries) RatioTo(base *DailySeries) []DayPoint {
 }
 
 // MeanRatioTo returns the mean of RatioTo — a single-number summary of
-// how close a policy runs to the infinite-cache bound.
+// how close a policy runs to the infinite-cache bound. It walks both
+// series once, keeping each moving-average window as a running sum
+// updated in RatioTo's order, so the result is bit-identical to the
+// mean of RatioTo's points, and it allocates nothing.
 func (s *DailySeries) MeanRatioTo(base *DailySeries) float64 {
-	r := s.RatioTo(base)
-	if len(r) == 0 {
+	const n = 7
+	sum, count := 0.0, 0
+	ssum, bsum := 0.0, 0.0
+	j := 0
+	for i, p := range s.points {
+		ssum += p.Value
+		if i >= n {
+			ssum -= s.points[i-n].Value
+		}
+		for ; j < len(base.points) && base.points[j].Day <= p.Day; j++ {
+			bsum += base.points[j].Value
+			if j >= n {
+				bsum -= base.points[j-n].Value
+			}
+		}
+		// base.points[j-1] is base's last day up to p.Day.
+		if i < n-1 || j < n || base.points[j-1].Day != p.Day {
+			continue
+		}
+		if b := bsum / n; b != 0 {
+			sum += ssum / n / b
+			count++
+		}
+	}
+	if count == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, p := range r {
-		sum += p.Value
-	}
-	return sum / float64(len(r))
+	return sum / float64(count)
 }
 
 // Summary holds basic order statistics of a sample.

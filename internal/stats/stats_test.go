@@ -103,6 +103,47 @@ func TestRatioTo(t *testing.T) {
 	}
 }
 
+// TestMeanRatioToMatchesRatioTo checks the one-pass MeanRatioTo, as
+// float64 bits, against the mean of RatioTo's points on random series
+// with gaps, days only one series records, zero days and short series.
+func TestMeanRatioToMatchesRatioTo(t *testing.T) {
+	r := rng.New(11)
+	randomSeries := func() *DailySeries {
+		var s DailySeries
+		day := r.Intn(3)
+		for n := r.Intn(40); n > 0; n-- {
+			v := r.Float64()
+			if r.Intn(4) == 0 {
+				v = 0
+			}
+			s.Add(day, v)
+			day += 1 + r.Intn(3)
+		}
+		return &s
+	}
+	for i := 0; i < 2000; i++ {
+		num, den := randomSeries(), randomSeries()
+		want := 0.0
+		if ratios := num.RatioTo(den); len(ratios) > 0 {
+			for _, p := range ratios {
+				want += p.Value
+			}
+			want /= float64(len(ratios))
+		}
+		if got := num.MeanRatioTo(den); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d: MeanRatioTo = %v, mean of RatioTo = %v\nnum %v\nden %v", i, got, want, num.Raw(), den.Raw())
+		}
+	}
+	var num, den DailySeries
+	for d := 0; d < 30; d++ {
+		num.Add(d, 0.5)
+		den.Add(d, 1)
+	}
+	if a := testing.AllocsPerRun(10, func() { num.MeanRatioTo(&den) }); a != 0 {
+		t.Errorf("MeanRatioTo allocated %v times per call, want 0", a)
+	}
+}
+
 func TestRatioSkipsZeroBase(t *testing.T) {
 	var num, den DailySeries
 	for d := 0; d < 10; d++ {
