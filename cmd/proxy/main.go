@@ -69,10 +69,8 @@ type options struct {
 
 	// shadow lists candidate removal policies (comma-separated specs)
 	// to run as metadata-only ghost caches beside the deployed store;
-	// empty runs no fleet. shadowQueue sizes the fleet's lossy event
-	// ring (0 = proxy.DefaultShadowQueueSlots).
-	shadow      string
-	shadowQueue int
+	// empty runs no fleet.
+	shadow string
 
 	// traceSample enables request-lifecycle tracing: every nth request
 	// is recorded as a per-phase span timeline and the tail reservoir
@@ -184,10 +182,9 @@ func buildApp(o options) (*app, error) {
 			}
 		}
 		a.fleet, err = proxy.NewShadowFleet(proxy.ShadowOptions{
-			Policies:   specs,
-			Capacity:   o.capacity,
-			QueueSlots: o.shadowQueue,
-			DayStart:   dayStart,
+			Policies: specs,
+			Capacity: o.capacity,
+			DayStart: dayStart,
 		})
 		if err != nil {
 			a.Close()
@@ -332,8 +329,7 @@ func main() {
 		logSample = flag.Int("log-sample", 1, "log every nth request (1 = all); a sampled log (n > 1) is not a trace of the traffic and must not be replayed through the simulator as one")
 		adminAddr = flag.String("admin", "", "serve the introspection endpoints on this address (e.g. :8081)")
 
-		shadowSpec  = flag.String("shadow", "", "comma-separated candidate policies to run as ghost caches (e.g. \"LRU,SIZE,LFU\"); /shadow on the admin address reports their window HR/WHR and regret")
-		shadowQueue = flag.Int("shadow-queue", 0, "shadow fleet event-ring slots (0 = default)")
+		shadowSpec = flag.String("shadow", "", "comma-separated candidate policies to run as ghost caches (e.g. \"LRU,SIZE,LFU\"); /shadow on the admin address reports their window HR/WHR and regret")
 
 		traceSample  = flag.Int("trace-sample", 0, "trace every nth request's phase timeline (0 = off); /requests on the admin address shows the kept tail")
 		traceSlowest = flag.Int("trace-slowest", 16, "keep this many slowest traced requests per window (plus every errored/missed/evicting one)")
@@ -361,8 +357,7 @@ func main() {
 		logSample: *logSample,
 		admin:     *adminAddr != "",
 
-		shadow:      *shadowSpec,
-		shadowQueue: *shadowQueue,
+		shadow: *shadowSpec,
 
 		traceSample:  *traceSample,
 		traceSlowest: *traceSlowest,

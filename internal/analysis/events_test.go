@@ -54,8 +54,8 @@ func TestProfileEvents(t *testing.T) {
 
 func TestAnalyzeEventsFromRing(t *testing.T) {
 	ring := obs.NewEventRing(16)
-	ring.Record(obs.Event{Kind: obs.EventAdd, Time: 1, ID: 1, Size: 50})
-	ring.Record(obs.Event{Kind: obs.EventEvict, Time: 9, ID: 1, Size: 50, Age: 8, NRef: 3})
+	ring.Add(obs.Event{Kind: obs.EventAdd, Time: 1, ID: 1, Size: 50})
+	ring.Add(obs.Event{Kind: obs.EventEvict, Time: 9, ID: 1, Size: 50, Age: 8, NRef: 3})
 	p := AnalyzeEvents(ring)
 	if p.Adds != 1 || p.Evictions != 1 {
 		t.Fatalf("profile = %+v, want 1 add / 1 eviction", p)
@@ -103,9 +103,9 @@ func TestAnalyzeEventsEmptyRing(t *testing.T) {
 // the profile covers the entire stream in insertion order.
 func TestAnalyzeEventsUnwrappedRing(t *testing.T) {
 	ring := obs.NewEventRing(16)
-	ring.Record(obs.Event{Kind: obs.EventMiss, Time: 5, ID: -1, Size: 200})
-	ring.Record(obs.Event{Kind: obs.EventAdd, Time: 5, ID: 4, Size: 200})
-	ring.Record(obs.Event{Kind: obs.EventHit, Time: 8, ID: 4, Size: 200, NRef: 2})
+	ring.Add(obs.Event{Kind: obs.EventMiss, Time: 5, ID: -1, Size: 200})
+	ring.Add(obs.Event{Kind: obs.EventAdd, Time: 5, ID: 4, Size: 200})
+	ring.Add(obs.Event{Kind: obs.EventHit, Time: 8, ID: 4, Size: 200, NRef: 2})
 	p := AnalyzeEvents(ring)
 	if p.Events != 3 || p.Misses != 1 || p.Adds != 1 || p.Hits != 1 || p.Evictions != 0 {
 		t.Fatalf("profile = %+v, want the full 3-event stream", p)

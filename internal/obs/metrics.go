@@ -23,39 +23,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value that also tracks its high
-// water mark.
-type Gauge struct{ v, max atomic.Int64 }
-
-// Set records a new value and raises the high water mark if exceeded.
-func (g *Gauge) Set(v int64) {
-	g.v.Store(v)
-	for {
-		m := g.max.Load()
-		if v <= m || g.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
-// Add shifts the value by delta and raises the high water mark if the
-// result exceeds it.
-func (g *Gauge) Add(delta int64) {
-	v := g.v.Add(delta)
-	for {
-		m := g.max.Load()
-		if v <= m || g.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Max returns the high water mark.
-func (g *Gauge) Max() int64 { return g.max.Load() }
-
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. bucket 0 holds
 // v<=0, bucket i holds [2^(i-1), 2^i).
@@ -180,7 +147,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 // one metric of one kind: asking for it as another kind panics.
 type Registry struct {
 	mu sync.Mutex
-	// metrics holds a *Counter, *Gauge, *Histogram, *WindowedCounter or
+	// metrics holds a *Counter, *Histogram, *WindowedCounter or
 	// computed gauge (func() int64) per name.
 	metrics map[string]any
 }
@@ -209,11 +176,6 @@ func lookup[M any](r *Registry, name string, mk func() M) M {
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	return lookup(r, name, func() *Counter { return &Counter{} })
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return lookup(r, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -246,11 +208,11 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.metrics[name] = fn
 }
 
-// Snapshot returns every counter and gauge as a flat name→value map;
-// gauges contribute both their value and a "name.max" high water mark,
-// windowed counters their recent-window total under the bare name
-// (lifetime totals live in the plain counters alongside them), and
-// computed gauges their function's value at snapshot time.
+// Snapshot returns every counter and gauge as a flat name→value map:
+// counters contribute their value, windowed counters their
+// recent-window total under the bare name (lifetime totals live in the
+// plain counters alongside them), and computed gauges their function's
+// value at snapshot time.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -259,9 +221,6 @@ func (r *Registry) Snapshot() map[string]any {
 		switch m := m.(type) {
 		case *Counter:
 			out[name] = m.Load()
-		case *Gauge:
-			out[name] = m.Load()
-			out[name+".max"] = m.Max()
 		case *WindowedCounter:
 			out[name] = m.WindowTotal()
 		case func() int64:

@@ -33,45 +33,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeHighWater(t *testing.T) {
-	var g Gauge
-	g.Set(5)
-	g.Set(17)
-	g.Set(3)
-	if got := g.Load(); got != 3 {
-		t.Fatalf("gauge = %d, want 3", got)
-	}
-	if got := g.Max(); got != 17 {
-		t.Fatalf("gauge max = %d, want 17", got)
-	}
-	g.Add(20)
-	if got, max := g.Load(), g.Max(); got != 23 || max != 23 {
-		t.Fatalf("after Add: value %d max %d, want 23/23", got, max)
-	}
-	g.Add(-10)
-	if got, max := g.Load(), g.Max(); got != 13 || max != 23 {
-		t.Fatalf("after negative Add: value %d max %d, want 13/23", got, max)
-	}
-}
-
-func TestGaugeConcurrentMax(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				g.Set(int64(w*1000 + i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := g.Max(); got != 7499 {
-		t.Fatalf("concurrent gauge max = %d, want 7499", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{0, 1, 1, 3, 500, -2} {
@@ -236,16 +197,11 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Counter("cache.misses") == c1 {
 		t.Fatal("distinct names share a counter")
 	}
-	g := r.Gauge("cache.docs")
-	g.Set(12)
 	r.Histogram("replay.ns").Observe(100)
 
 	snap := r.Snapshot()
 	if snap["cache.hits"] != int64(7) {
 		t.Fatalf("snapshot cache.hits = %v, want 7", snap["cache.hits"])
-	}
-	if snap["cache.docs"] != int64(12) || snap["cache.docs.max"] != int64(12) {
-		t.Fatalf("snapshot gauge entries = %v / %v", snap["cache.docs"], snap["cache.docs.max"])
 	}
 	hs := r.HistogramSnapshot()
 	if _, ok := hs["replay.ns"]; !ok {
@@ -265,17 +221,15 @@ func TestRegistryRefusesNameUnderTwoKinds(t *testing.T) {
 		t.Fatalf("re-registered computed gauge reads %v, want 2", got)
 	}
 	r.Counter("c")
-	r.Gauge("g")
 	r.Histogram("h")
 	r.Windowed("w", 0, 0)
 	register := map[string]func(name string){
 		"Counter":   func(name string) { r.Counter(name) },
-		"Gauge":     func(name string) { r.Gauge(name) },
 		"Histogram": func(name string) { r.Histogram(name) },
 		"Windowed":  func(name string) { r.Windowed(name, 0, 0) },
 		"GaugeFunc": func(name string) { r.GaugeFunc(name, func() int64 { return 0 }) },
 	}
-	owner := map[string]string{"c": "Counter", "g": "Gauge", "h": "Histogram", "w": "Windowed", "store.hits": "GaugeFunc"}
+	owner := map[string]string{"c": "Counter", "h": "Histogram", "w": "Windowed", "store.hits": "GaugeFunc"}
 	for name, kind := range owner {
 		for other, reg := range register {
 			if other == kind {

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
 	"webcache/internal/core"
@@ -55,33 +54,76 @@ type Event struct {
 	NRef int64 `json:"nref,omitempty"`
 }
 
-// EventRing is a bounded ring buffer of cache events. Recording is a
-// short uncontended mutex section (one slot store and one counter
-// bump, no allocation), cheap enough to hang off core.CacheHooks on
-// the replay hot path; internal/sim's BenchmarkReplayObserved prices
-// exactly this enabled path. When the ring wraps, the oldest events are
-// overwritten — readers always see the most recent window.
-type EventRing struct {
+// Ring is a bounded buffer that overwrites its oldest value when full,
+// so readers always see the most recent window. Adding is a short
+// uncontended mutex section (one slot store and one counter bump, no
+// allocation), cheap enough to hang off core.CacheHooks on the replay
+// hot path; internal/sim's BenchmarkReplayObserved prices exactly this
+// path for the event ring.
+type Ring[T any] struct {
 	mu    sync.Mutex
-	buf   []Event
+	buf   []T
 	total uint64
 }
 
-// NewEventRing returns a ring retaining the last capacity events.
-func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]Event, capacity)}
+// NewRing returns a ring retaining the last capacity values (at least
+// one).
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, max(capacity, 1))}
 }
 
-// Record appends one event, overwriting the oldest when full.
-func (r *EventRing) Record(ev Event) {
+// Add appends v, overwriting the oldest value when the ring is full,
+// and returns the value it overwrote: the zero value until Cap values
+// have been added.
+func (r *Ring[T]) Add(v T) (old T) {
 	r.mu.Lock()
-	r.buf[r.total%uint64(len(r.buf))] = ev
+	i := r.total % uint64(len(r.buf))
+	old, r.buf[i] = r.buf[i], v
 	r.total++
 	r.mu.Unlock()
+	return old
 }
+
+// Cap returns the ring's capacity.
+func (r *Ring[T]) Cap() int { return len(r.buf) }
+
+// Len returns the number of values currently retained.
+func (r *Ring[T]) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return int(min(r.total, uint64(len(r.buf))))
+}
+
+// Total returns the number of values ever added, including the ones
+// the ring has already overwritten.
+func (r *Ring[T]) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
+}
+
+// Snapshot copies the retained values out, oldest first.
+func (r *Ring[T]) Snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := uint64(len(r.buf))
+	if r.total < n {
+		out := make([]T, r.total)
+		copy(out, r.buf[:r.total])
+		return out
+	}
+	out := make([]T, n)
+	head := r.total % n // oldest slot
+	copy(out, r.buf[head:])
+	copy(out[n-head:], r.buf[:head])
+	return out
+}
+
+// EventRing is the bounded trace of cache events.
+type EventRing = Ring[Event]
+
+// NewEventRing returns a ring retaining the last capacity events.
+func NewEventRing(capacity int) *EventRing { return NewRing[Event](capacity) }
 
 // RingHooks builds core event hooks that record every cache event into
 // ring, the event-level trace; a nil ring gets no hooks, so the cache
@@ -96,57 +138,19 @@ func RingHooks(ring *EventRing) core.CacheHooks {
 		OnHit: func(e *policy.Entry) {
 			// e.ATime was just refreshed to the request time — it is the
 			// event timestamp, no extra plumbing needed.
-			ring.Record(Event{Kind: EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
+			ring.Add(Event{Kind: EventHit, Time: e.ATime, ID: e.ID, Size: e.Size, NRef: e.NRef})
 		},
 		OnMiss: func(size, now int64) {
-			ring.Record(Event{Kind: EventMiss, Time: now, ID: -1, Size: size})
+			ring.Add(Event{Kind: EventMiss, Time: now, ID: -1, Size: size})
 		},
 		OnEvict: func(e *policy.Entry, now int64) {
-			ring.Record(Event{Kind: EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
+			ring.Add(Event{Kind: EventEvict, Time: now, ID: e.ID, Size: e.Size, Age: now - e.ETime, NRef: e.NRef})
 		},
 		OnAdd: func(e *policy.Entry) {
 			// e.ETime is the insert time by construction.
-			ring.Record(Event{Kind: EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
+			ring.Add(Event{Kind: EventAdd, Time: e.ETime, ID: e.ID, Size: e.Size})
 		},
 	}
-}
-
-// Cap returns the ring's capacity.
-func (r *EventRing) Cap() int { return len(r.buf) }
-
-// Len returns the number of events currently retained.
-func (r *EventRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total < uint64(len(r.buf)) {
-		return int(r.total)
-	}
-	return len(r.buf)
-}
-
-// Total returns the number of events ever recorded, including the ones
-// the ring has already overwritten.
-func (r *EventRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Snapshot copies the retained events out, oldest first.
-func (r *EventRing) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.total < n {
-		out := make([]Event, r.total)
-		copy(out, r.buf[:r.total])
-		return out
-	}
-	out := make([]Event, n)
-	head := r.total % n // oldest slot
-	copy(out, r.buf[head:])
-	copy(out[n-head:], r.buf[:head])
-	return out
 }
 
 // traceEvent is one Chrome trace-event record (the "JSON Array Format"
@@ -163,22 +167,15 @@ type traceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace renders the retained events as Chrome trace-event
-// JSON. Hits, misses and adds become instant events ("ph":"i");
-// evictions become complete events ("ph":"X") spanning the victim's
-// residency window ([Time-Age, Time]), so a policy's eviction-age
-// behaviour reads directly as span lengths on the timeline. Timestamps
-// are microseconds as the format requires; each kind gets its own tid
-// track so the four event classes separate visually.
-func (r *EventRing) WriteChromeTrace(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.traceEvents())
-}
-
-// traceEvents renders the retained events as trace-event records, the
-// shared building block of WriteChromeTrace and the combined ring +
-// request-tracer export (WriteCombinedChromeTrace).
-func (r *EventRing) traceEvents() []traceEvent {
+// ringTraceEvents renders the retained events as trace-event records
+// for WriteCombinedChromeTrace. Hits, misses and adds become instant
+// events ("ph":"i"); evictions become complete events ("ph":"X")
+// spanning the victim's residency window ([Time-Age, Time]), so a
+// policy's eviction-age behaviour reads directly as span lengths on
+// the timeline. Timestamps are microseconds as the format requires;
+// each kind gets its own tid track so the four event classes separate
+// visually.
+func ringTraceEvents(r *EventRing) []traceEvent {
 	events := r.Snapshot()
 	out := make([]traceEvent, 0, len(events))
 	for _, ev := range events {

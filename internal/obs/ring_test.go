@@ -13,35 +13,32 @@ import (
 	"webcache/internal/trace"
 )
 
-func TestEventRingRecordAndSnapshot(t *testing.T) {
-	r := NewEventRing(4)
+func TestRingAddAndSnapshot(t *testing.T) {
+	r := NewRing[int](4)
 	if got := r.Cap(); got != 4 {
 		t.Fatalf("Cap() = %d, want 4", got)
 	}
 	if got := r.Len(); got != 0 {
 		t.Fatalf("Len() on empty ring = %d, want 0", got)
 	}
+	if snap := r.Snapshot(); snap == nil || len(snap) != 0 {
+		t.Fatalf("Snapshot() on empty ring = %#v, want an empty slice", snap)
+	}
 	for i := 0; i < 3; i++ {
-		r.Record(Event{Kind: EventMiss, Time: int64(i), Size: int64(10 * i)})
+		r.Add(i)
 	}
-	if got := r.Len(); got != 3 {
-		t.Fatalf("Len() = %d, want 3", got)
+	if got, total := r.Len(), r.Total(); got != 3 || total != 3 {
+		t.Fatalf("Len(), Total() = %d, %d, want 3, 3", got, total)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("Snapshot() len = %d, want 3", len(snap))
-	}
-	for i, ev := range snap {
-		if ev.Time != int64(i) {
-			t.Errorf("snapshot[%d].Time = %d, want %d (oldest first)", i, ev.Time, i)
-		}
+	if snap := r.Snapshot(); !slices.Equal(snap, []int{0, 1, 2}) {
+		t.Fatalf("Snapshot() = %v, want [0 1 2] (oldest first)", snap)
 	}
 }
 
-func TestEventRingWrapKeepsNewest(t *testing.T) {
-	r := NewEventRing(4)
+func TestRingWrapKeepsNewest(t *testing.T) {
+	r := NewRing[int](4)
 	for i := 0; i < 10; i++ {
-		r.Record(Event{Kind: EventHit, Time: int64(i)})
+		r.Add(i)
 	}
 	if got := r.Len(); got != 4 {
 		t.Fatalf("Len() after wrap = %d, want 4", got)
@@ -49,79 +46,62 @@ func TestEventRingWrapKeepsNewest(t *testing.T) {
 	if got := r.Total(); got != 10 {
 		t.Fatalf("Total() = %d, want 10", got)
 	}
-	snap := r.Snapshot()
-	want := []int64{6, 7, 8, 9}
-	for i, ev := range snap {
-		if ev.Time != want[i] {
-			t.Errorf("snapshot[%d].Time = %d, want %d", i, ev.Time, want[i])
+	if snap := r.Snapshot(); !slices.Equal(snap, []int{6, 7, 8, 9}) {
+		t.Fatalf("Snapshot() = %v, want [6 7 8 9]", snap)
+	}
+}
+
+// TestRingAddReturnsDisplaced pins what the tracer's rings rely on to
+// recycle traces: Add returns the zero value while the ring fills, and
+// from the Cap()+1-th add on exactly the value it overwrote, oldest
+// first.
+func TestRingAddReturnsDisplaced(t *testing.T) {
+	r := NewRing[*int](3)
+	vals := make([]int, 8)
+	for i := range vals {
+		vals[i] = i
+		old := r.Add(&vals[i])
+		if i < r.Cap() {
+			if old != nil {
+				t.Fatalf("add %d displaced %d from a ring that was not full", i+1, *old)
+			}
+			continue
+		}
+		if want := &vals[i-r.Cap()]; old != want {
+			t.Fatalf("add %d displaced %v, want the pointer to %d", i+1, old, *want)
 		}
 	}
 }
 
-// kindCounts counts events by kind.
-func kindCounts(evs []Event) (n [numEventKinds]int64) {
-	for _, ev := range evs {
-		n[ev.Kind]++
-	}
-	return n
-}
-
-func TestEventRingCounts(t *testing.T) {
-	r := NewEventRing(2) // smaller than the event stream: the total survives wrap
-	r.Record(Event{Kind: EventHit})
-	r.Record(Event{Kind: EventHit})
-	r.Record(Event{Kind: EventMiss})
-	r.Record(Event{Kind: EventEvict})
-	r.Record(Event{Kind: EventAdd})
-	r.Record(Event{Kind: EventAdd})
-	r.Record(Event{Kind: EventAdd})
-	if got := r.Total(); got != 7 {
-		t.Fatalf("Total() = %d, want 7", got)
-	}
-	if got := kindCounts(r.Snapshot()); got != [numEventKinds]int64{0, 0, 0, 2} {
-		t.Fatalf("retained kinds (hit, miss, evict, add) = %v, want the newest two adds", got)
+func TestRingMinCapacity(t *testing.T) {
+	for _, capacity := range []int{0, -5, 1} {
+		r := NewRing[string](capacity)
+		if r.Cap() != 1 {
+			t.Fatalf("NewRing(%d).Cap() = %d, want 1", capacity, r.Cap())
+		}
+		if old := r.Add("a"); old != "" {
+			t.Fatalf("first Add displaced %q", old)
+		}
+		if old := r.Add("b"); old != "a" {
+			t.Fatalf("second Add displaced %q, want \"a\"", old)
+		}
+		if snap := r.Snapshot(); !slices.Equal(snap, []string{"b"}) || r.Len() != 1 || r.Total() != 2 {
+			t.Fatalf("Snapshot() = %q, Len() = %d, Total() = %d; want [b], 1, 2", snap, r.Len(), r.Total())
+		}
 	}
 }
 
-func TestEventRingMinCapacity(t *testing.T) {
-	r := NewEventRing(0)
-	if r.Cap() != 1 {
-		t.Fatalf("Cap() = %d, want 1 (clamped)", r.Cap())
-	}
-	r.Record(Event{Kind: EventMiss, Time: 42})
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].Time != 42 {
-		t.Fatalf("Snapshot() = %+v, want single event with Time 42", snap)
-	}
-}
-
-func TestEventRingConcurrentRecord(t *testing.T) {
-	r := NewEventRing(64)
-	const writers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Record(Event{Kind: EventKind(i % 4), Time: int64(i)})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Total(); got != writers*per {
-		t.Fatalf("Total() = %d, want %d", got, writers*per)
-	}
-}
-
-// TestEventRingConcurrentWrap hammers a ring much smaller than the
-// event stream: the total must be exact despite every
-// writer wrapping the buffer many times over, and the retained window
-// must hold only intact events (a torn slot would surface as a payload
-// that no writer produced).
-func TestEventRingConcurrentWrap(t *testing.T) {
+// TestRingConcurrentAdd hammers a ring much smaller than the stream
+// (run it under -race): the total must be exact despite every writer
+// wrapping the buffer many times over, the retained window must hold
+// only intact values (a torn slot would surface as a pair that no
+// writer produced), and every value added must come back exactly once,
+// either displaced by Add or retained in the final snapshot.
+func TestRingConcurrentAdd(t *testing.T) {
 	const capacity, writers, per = 32, 8, 2000
-	r := NewEventRing(capacity)
+	type pair struct{ seq, check int64 }
+	r := NewRing[pair](capacity)
+	displaced := make([][]pair, writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -129,9 +109,9 @@ func TestEventRingConcurrentWrap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				seq := int64(w*per + i)
-				// Size is derived from Time, so a reader can verify a
-				// snapshot event was written atomically.
-				r.Record(Event{Kind: EventKind(i % 4), Time: seq, Size: seq * 3})
+				if old := r.Add(pair{seq, seq * 3}); old != (pair{}) {
+					displaced[w] = append(displaced[w], old)
+				}
 			}
 		}(w)
 	}
@@ -142,13 +122,22 @@ func TestEventRingConcurrentWrap(t *testing.T) {
 	if got := r.Len(); got != capacity {
 		t.Fatalf("Len() after heavy wrap = %d, want %d", got, capacity)
 	}
-	snap := r.Snapshot()
-	if len(snap) != capacity {
-		t.Fatalf("Snapshot() len = %d, want %d", len(snap), capacity)
+	seen := make([]int, writers*per)
+	all := r.Snapshot()
+	for _, d := range displaced {
+		all = append(all, d...)
 	}
-	for i, ev := range snap {
-		if ev.Time < 0 || ev.Time >= writers*per || ev.Size != ev.Time*3 {
-			t.Errorf("snapshot[%d] = %+v: torn or fabricated event", i, ev)
+	for _, p := range all {
+		if p.seq < 0 || p.seq >= writers*per || p.check != p.seq*3 {
+			t.Fatalf("value %+v: torn or fabricated", p)
+		}
+		seen[p.seq]++
+	}
+	for seq, n := range seen {
+		// Sequence 0 is the zero pair, which Add's zero displacement
+		// hides; every other value comes back exactly once.
+		if seq > 0 && n != 1 {
+			t.Fatalf("value %d came back %d times, want once", seq, n)
 		}
 	}
 }
@@ -177,14 +166,14 @@ func TestEventKindString(t *testing.T) {
 // spanning the victim's residency window, and the rest are instants.
 func TestChromeTraceGolden(t *testing.T) {
 	r := NewEventRing(16)
-	r.Record(Event{Kind: EventMiss, Time: 100, ID: -1, Size: 2048})
-	r.Record(Event{Kind: EventAdd, Time: 100, ID: 7, Size: 2048})
-	r.Record(Event{Kind: EventHit, Time: 160, ID: 7, Size: 2048, NRef: 2})
-	r.Record(Event{Kind: EventEvict, Time: 400, ID: 7, Size: 2048, Age: 300, NRef: 2})
+	r.Add(Event{Kind: EventMiss, Time: 100, ID: -1, Size: 2048})
+	r.Add(Event{Kind: EventAdd, Time: 100, ID: 7, Size: 2048})
+	r.Add(Event{Kind: EventHit, Time: 160, ID: 7, Size: 2048, NRef: 2})
+	r.Add(Event{Kind: EventEvict, Time: 400, ID: 7, Size: 2048, Age: 300, NRef: 2})
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	if err := WriteCombinedChromeTrace(&buf, r, nil); err != nil {
+		t.Fatalf("WriteCombinedChromeTrace: %v", err)
 	}
 
 	var records []map[string]any
@@ -247,8 +236,8 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewEventRing(4).WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("WriteChromeTrace on empty ring: %v", err)
+	if err := WriteCombinedChromeTrace(&buf, NewEventRing(4), nil); err != nil {
+		t.Fatalf("WriteCombinedChromeTrace on empty ring: %v", err)
 	}
 	var records []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &records); err != nil {
@@ -264,14 +253,14 @@ func BenchmarkEventRingRecord(b *testing.B) {
 	ev := Event{Kind: EventHit, Time: 1, ID: 7, Size: 1024, NRef: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Record(ev)
+		r.Add(ev)
 	}
 }
 
 func ExampleEventRing_Snapshot() {
 	r := NewEventRing(8)
-	r.Record(Event{Kind: EventMiss, Time: 1, ID: -1, Size: 100})
-	r.Record(Event{Kind: EventAdd, Time: 1, ID: 3, Size: 100})
+	r.Add(Event{Kind: EventMiss, Time: 1, ID: -1, Size: 100})
+	r.Add(Event{Kind: EventAdd, Time: 1, ID: 3, Size: 100})
 	for _, ev := range r.Snapshot() {
 		fmt.Printf("%s t=%d size=%d\n", ev.Kind, ev.Time, ev.Size)
 	}

@@ -114,7 +114,7 @@ func TestServerBuildinfo(t *testing.T) {
 
 func TestServerTrace(t *testing.T) {
 	ring := NewEventRing(8)
-	ring.Record(Event{Kind: EventEvict, Time: 50, ID: 3, Size: 512, Age: 20, NRef: 4})
+	ring.Add(Event{Kind: EventEvict, Time: 50, ID: 3, Size: 512, Age: 20, NRef: 4})
 	s := NewServer(ServerOptions{Ring: ring})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -159,7 +159,7 @@ func TestServerRequests(t *testing.T) {
 	tr.End(rt)
 
 	ring := NewEventRing(8)
-	ring.Record(Event{Kind: EventAdd, Time: 10, ID: 1, Size: 64})
+	ring.Add(Event{Kind: EventAdd, Time: 10, ID: 1, Size: 64})
 
 	s := NewServer(ServerOptions{Ring: ring, Tracer: tr})
 	defer s.Close()

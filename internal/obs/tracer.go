@@ -252,8 +252,6 @@ type Tracer struct {
 	sampleEvery uint64
 	slowestK    int
 	window      time.Duration
-	flaggedCap  int
-	recentCap   int
 	clock       func() time.Time // nil = real time (monotonic durations)
 
 	seq  atomic.Uint64 // requests observed (sampling decision)
@@ -268,11 +266,9 @@ type Tracer struct {
 
 	mu          sync.Mutex
 	windowStart time.Time
-	slow        []*ReqTrace // current window's K slowest, min-heap by Total
-	flaggedRing []*ReqTrace // always-keep ring, oldest overwritten
-	flaggedNext int
-	recent      []*ReqTrace // previous windows' slowest, oldest overwritten
-	recentNext  int
+	slow        []*ReqTrace      // current window's K slowest, min-heap by Total
+	flaggedRing *Ring[*ReqTrace] // always-keep ring, oldest overwritten
+	recent      *Ring[*ReqTrace] // previous windows' slowest, oldest overwritten
 }
 
 // NewTracer returns a tracer with the given options.
@@ -296,12 +292,10 @@ func NewTracer(o TracerOptions) *Tracer {
 		sampleEvery: uint64(o.SampleEvery),
 		slowestK:    o.SlowestK,
 		window:      o.Window,
-		flaggedCap:  o.FlaggedCap,
-		recentCap:   o.RecentCap,
 		clock:       o.Clock,
 		slow:        make([]*ReqTrace, 0, o.SlowestK),
-		flaggedRing: make([]*ReqTrace, o.FlaggedCap),
-		recent:      make([]*ReqTrace, o.RecentCap),
+		flaggedRing: NewRing[*ReqTrace](o.FlaggedCap),
+		recent:      NewRing[*ReqTrace](o.RecentCap),
 	}
 	t.pool.New = func() any { return new(ReqTrace) }
 	t.windowStart = t.now()
@@ -367,11 +361,7 @@ func (t *Tracer) End(rt *ReqTrace) {
 	case isFlagged:
 		t.flagged.Add(1)
 		t.kept.Add(1)
-		if old := t.flaggedRing[t.flaggedNext]; old != nil {
-			t.recycle(old)
-		}
-		t.flaggedRing[t.flaggedNext] = rt
-		t.flaggedNext = (t.flaggedNext + 1) % t.flaggedCap
+		t.recycle(t.flaggedRing.Add(rt))
 	case len(t.slow) < t.slowestK:
 		t.kept.Add(1)
 		t.slowPushLocked(rt)
@@ -386,8 +376,12 @@ func (t *Tracer) End(rt *ReqTrace) {
 	t.mu.Unlock()
 }
 
-// recycle returns a displaced trace to the pool.
+// recycle returns a displaced trace to the pool; nil (a ring slot
+// that held nothing yet) is a no-op.
 func (t *Tracer) recycle(rt *ReqTrace) {
+	if rt == nil {
+		return
+	}
 	rt.URL = "" // drop the string reference now, not at reuse
 	t.pool.Put(rt)
 }
@@ -396,11 +390,7 @@ func (t *Tracer) recycle(rt *ReqTrace) {
 // recent ring. Caller holds t.mu.
 func (t *Tracer) rotateLocked() {
 	for _, rt := range t.slow {
-		if old := t.recent[t.recentNext]; old != nil {
-			t.recycle(old)
-		}
-		t.recent[t.recentNext] = rt
-		t.recentNext = (t.recentNext + 1) % t.recentCap
+		t.recycle(t.recent.Add(rt))
 	}
 	t.slow = t.slow[:0]
 }
@@ -537,19 +527,10 @@ func (rt *ReqTrace) record() RequestRecord {
 // first (the /requests ordering).
 func (t *Tracer) Snapshot() []RequestRecord {
 	t.mu.Lock()
-	out := make([]RequestRecord, 0, len(t.slow)+t.flaggedCap+t.recentCap)
-	for _, rt := range t.slow {
-		out = append(out, rt.record())
-	}
-	for _, rt := range t.flaggedRing {
-		if rt != nil {
-			out = append(out, rt.record())
-		}
-	}
-	for _, rt := range t.recent {
-		if rt != nil {
-			out = append(out, rt.record())
-		}
+	kept := append(append(t.flaggedRing.Snapshot(), t.recent.Snapshot()...), t.slow...)
+	out := make([]RequestRecord, len(kept))
+	for i, rt := range kept {
+		out[i] = rt.record()
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -684,13 +665,6 @@ func (t *Tracer) traceEvents() []traceEvent {
 	return out
 }
 
-// WriteChromeTrace renders the kept requests alone as Chrome
-// trace-event JSON. For the combined ring + tracer view use
-// WriteCombinedChromeTrace.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return json.NewEncoder(w).Encode(t.traceEvents())
-}
-
 // WriteCombinedChromeTrace merges the event ring's residency spans
 // (pid 1) and the tracer's request span trees (pid 2) into one Chrome
 // trace-event JSON array — the /trace admin endpoint's export when
@@ -698,7 +672,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 func WriteCombinedChromeTrace(w io.Writer, ring *EventRing, tracer *Tracer) error {
 	out := make([]traceEvent, 0)
 	if ring != nil {
-		out = append(out, ring.traceEvents()...)
+		out = append(out, ringTraceEvents(ring)...)
 	}
 	if tracer != nil {
 		out = append(out, tracer.traceEvents()...)

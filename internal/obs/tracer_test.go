@@ -240,7 +240,7 @@ func TestTracerChromeTraceGolden(t *testing.T) {
 	tr.End(rt)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteCombinedChromeTrace(&buf, nil, tr); err != nil {
 		t.Fatal(err)
 	}
 	want := `[{"name":"request","ph":"X","ts":1700000000000000,"dur":6000,"pid":2,"tid":1,"args":{"bytes":2048,"evictions":1,"flag":"evict","status":200,"trace":"00000001","url":"http://e.com/a","verdict":"MISS"}},{"name":"parse","ph":"X","ts":1700000000000000,"dur":1000,"pid":2,"tid":1},{"name":"store.get","ph":"X","ts":1700000000001000,"dur":2000,"pid":2,"tid":1},{"name":"admit","ph":"X","ts":1700000000003000,"dur":2000,"pid":2,"tid":1,"args":{"arg":1}},{"name":"evict","ph":"X","ts":1700000000003000,"dur":1000,"pid":2,"tid":1,"args":{"arg":512}}]` + "\n"
@@ -263,8 +263,8 @@ func TestWriteCombinedChromeTrace(t *testing.T) {
 
 	c := newTracerClock()
 	ring := NewEventRing(16)
-	ring.Record(Event{Kind: EventAdd, Time: c.t.Unix(), ID: -1, Size: 100})
-	ring.Record(Event{Kind: EventHit, Time: c.t.Unix() + 1, ID: -1, Size: 100})
+	ring.Add(Event{Kind: EventAdd, Time: c.t.Unix(), ID: -1, Size: 100})
+	ring.Add(Event{Kind: EventHit, Time: c.t.Unix() + 1, ID: -1, Size: 100})
 
 	tr := NewTracer(TracerOptions{Clock: c.now})
 	rt := tr.Begin()

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"webcache/internal/obs"
 )
 
 // recentLines is how many emitted log lines the logger retains for the
@@ -29,13 +31,11 @@ type AccessLogger struct {
 	next http.Handler
 	seen atomic.Uint64 // requests observed, pre-sampling
 
-	mu      sync.Mutex
-	w       *bufio.Writer // nil: retain-only mode (no log sink)
-	now     func() time.Time
-	every   uint64 // log every nth request; 1 = all
-	lines   uint64 // lines actually emitted
-	recent  [recentLines]string
-	recentN uint64
+	mu     sync.Mutex
+	w      *bufio.Writer // nil: retain-only mode (no log sink)
+	now    func() time.Time
+	every  uint64            // log every nth request; 1 = all
+	recent *obs.Ring[string] // emitted lines; its Total counts them all
 }
 
 // NewAccessLogger returns the wrapping handler; log lines go to w. A
@@ -43,7 +43,7 @@ type AccessLogger struct {
 // into the recent-lines buffer (the admin /accesslog view) but no
 // stream is written.
 func NewAccessLogger(next http.Handler, w io.Writer) *AccessLogger {
-	l := &AccessLogger{next: next, now: time.Now, every: 1}
+	l := &AccessLogger{next: next, now: time.Now, every: 1, recent: obs.NewRing[string](recentLines)}
 	if w != nil {
 		l.w = bufio.NewWriterSize(w, 32*1024)
 	}
@@ -71,27 +71,10 @@ func (l *AccessLogger) SetSample(n int) {
 }
 
 // Lines returns the number of log lines emitted (post-sampling).
-func (l *AccessLogger) Lines() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lines
-}
+func (l *AccessLogger) Lines() uint64 { return l.recent.Total() }
 
 // Recent returns the most recent emitted lines, oldest first.
-func (l *AccessLogger) Recent() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.recentN
-	if n > recentLines {
-		n = recentLines
-	}
-	out := make([]string, 0, n)
-	start := l.recentN - n
-	for i := start; i < l.recentN; i++ {
-		out = append(out, l.recent[i%recentLines])
-	}
-	return out
-}
+func (l *AccessLogger) Recent() []string { return l.recent.Snapshot() }
 
 // Handler serves the recent sampled lines as plain text — mounted on
 // the admin mux at /accesslog.
@@ -184,9 +167,7 @@ func (l *AccessLogger) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		client,
 		l.now().UTC().Format("02/Jan/2006:15:04:05 -0700"),
 		r.Method, url, rec.status, rec.bytes, traceField)
-	l.lines++
-	l.recent[l.recentN%recentLines] = line
-	l.recentN++
+	l.recent.Add(line)
 	if l.w != nil {
 		l.w.WriteString(line)
 	}

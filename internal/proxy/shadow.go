@@ -9,9 +9,9 @@ package proxy
 // metadata-only ghost caches (URL + size entries, no bodies — each a
 // core.Cache at the deployed capacity running a candidate policy) and
 // feeds them asynchronously off the live request stream: the serving
-// path pays exactly one non-blocking enqueue per request into a lossy
-// ring (drops are counted, never block),
-// and a single worker goroutine replays the stream into every shadow.
+// path pays exactly one non-blocking send per request into a bounded
+// channel (a full channel drops the event, counted, never blocks), and
+// a single worker goroutine replays the stream into every shadow.
 //
 // Each shadow reports lifetime and sliding-window HR/WHR plus
 // *regret*: the deployed policy's window hit rate minus the shadow's.
@@ -44,71 +44,18 @@ import (
 	"webcache/internal/trace"
 )
 
-// DefaultShadowQueueSlots sizes the fleet's lossy event ring when the
+// DefaultShadowQueueSlots sizes the fleet's event channel when the
 // options leave it zero: large enough that a worker keeping pace never
-// drops, small enough to bound memory at a few hundred KB.
+// drops, small enough to bound memory at well under a megabyte.
 const DefaultShadowQueueSlots = 1 << 14
 
 // shadowEvent is one observed request outcome: what was asked for and
-// whether the deployed store had it. Events are pooled; the drain
-// returns them after replay.
+// whether the deployed store had it.
 type shadowEvent struct {
 	url  string
 	size int64
 	at   int64
 	hit  bool
-}
-
-var shadowEventPool = sync.Pool{New: func() any { return new(shadowEvent) }}
-
-// shadowRing is the fleet's lossy MPSC queue over request events. A
-// writer reserves a ticket only while the ring has a free slot (a CAS
-// on head against the drained tail), so every ticket's slot is empty
-// and every ticket is published; a full ring drops the event instead.
-// The drain applies tickets in order and stops at the first one whose
-// writer is still between reserving and publishing, so no event is
-// ever skipped.
-type shadowRing struct {
-	slots   []atomic.Pointer[shadowEvent]
-	head    atomic.Uint64 // tickets reserved; each is published
-	tail    atomic.Uint64 // tickets drained; advanced only by the drain
-	dropped atomic.Int64  // events lost to a full ring
-}
-
-// full reports whether the ring has no free slots. The answer can be
-// stale by a concurrent drain or enqueue — the CAS in record stays the
-// authority — but it lets an overloaded hot path drop in two atomic
-// loads instead of a pool round-trip. Tail is read first: it never
-// passes head, so the difference cannot wrap.
-func (b *shadowRing) full() bool {
-	tail := b.tail.Load()
-	return b.head.Load()-tail >= uint64(len(b.slots))
-}
-
-// record enqueues one event, or counts a drop when the ring is full.
-// Never blocks.
-func (b *shadowRing) record(ev *shadowEvent) bool {
-	n := uint64(len(b.slots))
-	for {
-		tail := b.tail.Load() // before head, as in full
-		t := b.head.Load()
-		if t-tail >= n {
-			ev.url = ""
-			shadowEventPool.Put(ev)
-			b.dropped.Add(1)
-			return false
-		}
-		if b.head.CompareAndSwap(t, t+1) {
-			// Ticket t-n was drained (tail passed it), so its slot is
-			// empty.
-			b.slots[t%n].Store(ev)
-			return true
-		}
-	}
-}
-
-func (b *shadowRing) pending() int64 {
-	return int64(b.head.Load() - b.tail.Load())
 }
 
 // shadow is one ghost cache: a candidate policy simulated at deployed
@@ -128,7 +75,8 @@ type ShadowOptions struct {
 	// Capacity is each ghost cache's byte capacity; normally the
 	// deployed store's capacity so the comparison is like-for-like.
 	Capacity int64
-	// QueueSlots sizes the lossy event ring (0 = DefaultShadowQueueSlots).
+	// QueueSlots sizes the lossy event channel (0 =
+	// DefaultShadowQueueSlots).
 	// For a drop-free deterministic run, size it to the trace.
 	QueueSlots int
 	// DayStart anchors day-based policy keys (DAY(ATIME), Pitkow/Recker).
@@ -160,12 +108,16 @@ type ShadowFleet struct {
 	// notion of "now" is exact.
 	stampOnDrain bool
 
-	ring   *shadowRing
+	// events is the lossy queue: Observe sends without blocking and
+	// counts a drop when it is full; only drainLocked receives, under
+	// mu, so events apply in send order.
+	events chan shadowEvent
 	notify chan struct{}
 	stop   chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
 
+	dropped   atomic.Int64 // events lost to a full channel
 	processed atomic.Int64
 
 	// mu serializes the drain (worker or Flush) with report snapshots;
@@ -200,7 +152,7 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 		capacity:     opts.Capacity,
 		clock:        clock,
 		stampOnDrain: stampOnDrain,
-		ring:         &shadowRing{slots: make([]atomic.Pointer[shadowEvent], slots)},
+		events:       make(chan shadowEvent, slots),
 		notify:       make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
@@ -249,43 +201,38 @@ func (f *ShadowFleet) Window() time.Duration { return f.window }
 
 // Observe records one request outcome: the URL and response size, and
 // whether the deployed store served it as a hit. This is the hot-path
-// entry point — one pooled event, one atomic ticket, one CAS publish,
-// one channel nudge; a full ring drops the event (counted) rather than
-// block the request. In wall-clock mode the timestamp is deferred to
-// the drain, so the serving path never reads the clock.
+// entry point — one non-blocking channel send and one nudge; a full
+// channel drops the event (counted) rather than block the request. In
+// wall-clock mode the timestamp is deferred to the drain, so the
+// serving path never reads the clock.
 func (f *ShadowFleet) Observe(url string, size int64, deployedHit bool) {
 	if f.closed.Load() {
 		return
 	}
-	if f.ring.full() {
-		// Saturated fleet: drop before paying for a pooled event or a
-		// ticket, so shadowing that has fallen behind costs the serving
-		// path almost nothing.
-		f.ring.dropped.Add(1)
-		return
-	}
-	ev := shadowEventPool.Get().(*shadowEvent)
 	var at int64
 	if !f.stampOnDrain {
 		at = f.clock()
 	}
-	ev.url, ev.size, ev.at, ev.hit = url, size, at, deployedHit
-	if f.ring.record(ev) {
-		select {
-		case f.notify <- struct{}{}:
-		default: // worker already has a wakeup pending
-		}
+	select {
+	case f.events <- shadowEvent{url: url, size: size, at: at, hit: deployedHit}:
+	default:
+		f.dropped.Add(1)
+		return
+	}
+	select {
+	case f.notify <- struct{}{}:
+	default: // worker already has a wakeup pending
 	}
 }
 
-// enqueuedCount derives the successful-enqueue total from the ring:
-// every reserved ticket is published, so no separate hot-path counter
-// is needed.
-func (f *ShadowFleet) enqueuedCount() int64 {
-	return int64(f.ring.head.Load())
+// enqueuedLocked counts the events that entered the channel: every one
+// is either applied or still pending, and only the drain, under f.mu,
+// moves one from pending to applied. Caller holds f.mu.
+func (f *ShadowFleet) enqueuedLocked() int64 {
+	return f.processed.Load() + int64(len(f.events))
 }
 
-// worker drains the ring whenever nudged, until Close.
+// worker drains the channel whenever nudged, until Close.
 func (f *ShadowFleet) worker() {
 	defer close(f.done)
 	for {
@@ -307,28 +254,19 @@ func (f *ShadowFleet) Flush() int {
 	return f.drainLocked()
 }
 
-// drainLocked replays pending events in ticket order. Caller holds
-// f.mu. It stops at the first slot whose writer is still mid-publish;
-// that writer's wakeup runs the next drain, which resumes there.
+// drainLocked replays the events pending when it starts, in send
+// order. Caller holds f.mu.
 func (f *ShadowFleet) drainLocked() int {
-	b := f.ring
-	head := b.head.Load()
-	tail := b.tail.Load()
-	if tail == head {
+	n := len(f.events)
+	if n == 0 {
 		return 0
 	}
-	n := uint64(len(b.slots))
-	applied := 0
 	var batchAt int64
 	if f.stampOnDrain {
 		batchAt = f.clock()
 	}
-	t := tail
-	for ; t != head; t++ {
-		ev := b.slots[t%n].Swap(nil)
-		if ev == nil {
-			break
-		}
+	for i := 0; i < n; i++ {
+		ev := <-f.events
 		if f.stampOnDrain {
 			// One clock read per batch: events drained together share a
 			// timestamp, which at the trace's one-second resolution is the
@@ -336,18 +274,14 @@ func (f *ShadowFleet) drainLocked() int {
 			ev.at = batchAt
 		}
 		f.applyLocked(ev)
-		ev.url = ""
-		shadowEventPool.Put(ev)
-		applied++
 	}
-	b.tail.Store(t)
-	f.processed.Add(int64(applied))
-	return applied
+	f.processed.Add(int64(n))
+	return n
 }
 
 // applyLocked feeds one event to the deployed window rates and every
 // ghost cache.
-func (f *ShadowFleet) applyLocked(ev *shadowEvent) {
+func (f *ShadowFleet) applyLocked(ev shadowEvent) {
 	f.depHR.Observe(ev.hit)
 	if ev.hit {
 		f.depWHR.Record(ev.size, ev.size)
@@ -434,10 +368,10 @@ func (f *ShadowFleet) Report() ShadowReport {
 	rep := ShadowReport{
 		Capacity:  f.capacity,
 		WindowSec: f.window.Seconds(),
-		Enqueued:  f.enqueuedCount(),
+		Enqueued:  f.enqueuedLocked(),
 		Processed: f.processed.Load(),
-		Dropped:   f.ring.dropped.Load(),
-		Pending:   f.ring.pending(),
+		Dropped:   f.dropped.Load(),
+		Pending:   int64(len(f.events)),
 		Deployed: ShadowDeployed{
 			WindowHR:  f.depHR.Rate(),
 			WindowWHR: f.depWHR.Rate(),
@@ -483,9 +417,13 @@ func bp(rate float64) int64 { return int64(rate*10000 + 0.5) }
 // functions while holding its own mutex, and the fleet never calls
 // into the registry, so the lock order is always registry → fleet.
 func (f *ShadowFleet) RegisterMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("store.shadow.drops", func() int64 { return f.ring.dropped.Load() })
-	reg.GaugeFunc("store.shadow.pending", func() int64 { return f.ring.pending() })
-	reg.GaugeFunc("store.shadow.enqueued", func() int64 { return f.enqueuedCount() })
+	reg.GaugeFunc("store.shadow.drops", f.dropped.Load)
+	reg.GaugeFunc("store.shadow.pending", func() int64 { return int64(len(f.events)) })
+	reg.GaugeFunc("store.shadow.enqueued", func() int64 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.enqueuedLocked()
+	})
 	reg.GaugeFunc("store.shadow.processed", func() int64 { return f.processed.Load() })
 	for _, sh := range f.shadows {
 		sh := sh

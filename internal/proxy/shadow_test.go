@@ -143,7 +143,7 @@ func TestShadowFleetLossyQueue(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		fleet.Observe(fmt.Sprintf("http://x.test/%d", i), 100, false)
 	}
-	dropped := fleet.ring.dropped.Load()
+	dropped := fleet.dropped.Load()
 	fleet.mu.Unlock()
 
 	if dropped < 60 {
@@ -193,6 +193,79 @@ func TestShadowFleetConcurrentObserve(t *testing.T) {
 		t.Fatalf("Observe after Close enqueued an event: %d != %d", got, rep.Enqueued)
 	}
 	fleet.Close() // idempotent
+}
+
+// TestShadowFleetFlushDuringObserve pins the send-order property: one
+// producer Observes a trace while another goroutine Flushes in a loop,
+// racing the worker for every batch. After Close, each shadow must
+// equal a sequential core.Cache replay of the same stream. The stream
+// asks for each document twice in a row, and a cache holds one, so
+// the sequential replay hits every second request and any drain that
+// applies an event ahead of an earlier one loses a hit.
+func TestShadowFleetFlushDuringObserve(t *testing.T) {
+	const capacity, seed = 1500, 7
+	reqs := make([]trace.Request, 20000)
+	for i := range reqs {
+		reqs[i] = trace.Request{
+			Time: int64(1000 + i),
+			URL:  fmt.Sprintf("http://origin.test/pair/%d", i/2),
+			Size: 1000,
+			Type: trace.Text,
+		}
+	}
+	specs := []string{"LRU", "SIZE", "LFU"}
+	var now int64
+	fleet, err := NewShadowFleet(ShadowOptions{
+		Policies:   specs,
+		Capacity:   capacity,
+		QueueSlots: len(reqs), // drop-free
+		Seed:       seed,
+		Clock:      func() int64 { return now }, // read by the producer only
+	})
+	if err != nil {
+		t.Fatalf("NewShadowFleet: %v", err)
+	}
+	stop := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				fleet.Flush()
+			}
+		}
+	}()
+	for i := range reqs {
+		now = reqs[i].Time
+		fleet.Observe(reqs[i].URL, reqs[i].Size, false)
+	}
+	close(stop)
+	<-flushed
+	fleet.Close()
+	rep := fleet.Report()
+	if rep.Dropped != 0 || rep.Processed != int64(len(reqs)) {
+		t.Fatalf("dropped %d, processed %d; want 0 and %d", rep.Dropped, rep.Processed, len(reqs))
+	}
+	for i, spec := range specs {
+		pol, err := policy.Parse(spec, 0)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		sim := core.New(core.Config{Capacity: capacity, Policy: pol, Seed: seed, ExcludeDynamic: true})
+		for j := range reqs {
+			sim.Access(&reqs[j])
+		}
+		st, sh := sim.Stats(), rep.Shadows[i]
+		if sh.Requests != st.Requests || sh.Hits != st.Hits || sh.Evictions != st.Evictions ||
+			sh.UsedBytes != st.Used || sh.Docs != st.Docs {
+			t.Errorf("%s: shadow (%d req, %d hits, %d ev, %d bytes, %d docs) != sequential replay (%d, %d, %d, %d, %d)",
+				spec, sh.Requests, sh.Hits, sh.Evictions, sh.UsedBytes, sh.Docs,
+				st.Requests, st.Hits, st.Evictions, st.Used, st.Docs)
+		}
+	}
 }
 
 func TestShadowFleetHandler(t *testing.T) {
