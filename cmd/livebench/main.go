@@ -258,7 +258,8 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	if reg != nil {
 		srv.RegisterMetrics(reg)
 		store.RegisterMetrics(reg)
-		store.SetHooks(proxy.StoreHooks(reg, ring))
+		hooks, _ := proxy.StoreHooks(reg, ring)
+		store.SetHooks(hooks)
 	}
 	srv.FreshFor = 100 * 365 * 24 * time.Hour // never revalidate
 	srv.MaxObjectBytes = 64 << 20

@@ -92,6 +92,7 @@ type app struct {
 
 	reg    *obs.Registry      // nil unless admin
 	ring   *obs.EventRing     // nil unless admin
+	window *obs.WindowedRate  // the store's recent-window hit rate; nil unless admin
 	tracer *obs.Tracer        // nil unless -trace-sample > 0
 	admin  *obs.Server        // nil unless admin; caller Starts/Closes
 	fleet  *proxy.ShadowFleet // nil unless -shadow
@@ -214,7 +215,9 @@ func buildApp(o options) (*app, error) {
 		a.ring = obs.NewEventRing(eventRingSize)
 		a.srv.RegisterMetrics(a.reg)
 		a.store.RegisterMetrics(a.reg)
-		a.store.SetHooks(proxy.StoreHooks(a.reg, a.ring))
+		hooks, window := proxy.StoreHooks(a.reg, a.ring)
+		a.store.SetHooks(hooks)
+		a.window = window
 		registerMemoryGauges(a.reg)
 		extra := map[string]http.Handler{
 			"/accesslog": a.logger.Handler(),
@@ -268,12 +271,11 @@ func (a *app) snapshot() any {
 		"store":  a.store.Stats(),
 		"memory": readMemory(),
 	}
-	if a.reg != nil {
+	if a.window != nil {
 		// Recent-window hit rate for the deployed store: the store.*
 		// lifetime counters tell you since-boot; this is the last
 		// minute.
-		gets := a.reg.Windowed("store.window_gets", 0, 0).WindowTotal()
-		hits := a.reg.Windowed("store.window_hits", 0, 0).WindowTotal()
+		hits, gets := a.window.WindowCounts()
 		hr := 0.0
 		if gets > 0 {
 			hr = float64(hits) / float64(gets)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -147,8 +146,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 // one metric of one kind: asking for it as another kind panics.
 type Registry struct {
 	mu sync.Mutex
-	// metrics holds a *Counter, *Histogram, *WindowedCounter or
-	// computed gauge (func() int64) per name.
+	// metrics holds a *Counter, *Histogram or computed gauge
+	// (func() int64) per name.
 	metrics map[string]any
 }
 
@@ -183,14 +182,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return lookup(r, name, func() *Histogram { return &Histogram{} })
 }
 
-// Windowed returns the named windowed counter, creating it with the
-// given window geometry on first use (zero values pick the package
-// defaults). The geometry is fixed at creation: later calls return the
-// existing counter regardless of the arguments.
-func (r *Registry) Windowed(name string, window time.Duration, buckets int) *WindowedCounter {
-	return lookup(r, name, func() *WindowedCounter { return NewWindowedCounter(window, buckets) })
-}
-
 // GaugeFunc registers a computed gauge: fn is evaluated at every
 // snapshot/scrape rather than pushed to. Use it for values derived
 // from other state (a windowed hit rate, a queue depth) so the surface
@@ -209,9 +200,7 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 }
 
 // Snapshot returns every counter and gauge as a flat name→value map:
-// counters contribute their value, windowed counters their
-// recent-window total under the bare name (lifetime totals live in the
-// plain counters alongside them), and computed gauges their function's
+// counters contribute their value and computed gauges their function's
 // value at snapshot time.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
@@ -221,8 +210,6 @@ func (r *Registry) Snapshot() map[string]any {
 		switch m := m.(type) {
 		case *Counter:
 			out[name] = m.Load()
-		case *WindowedCounter:
-			out[name] = m.WindowTotal()
 		case func() int64:
 			out[name] = m()
 		}

@@ -222,14 +222,12 @@ func TestRegistryRefusesNameUnderTwoKinds(t *testing.T) {
 	}
 	r.Counter("c")
 	r.Histogram("h")
-	r.Windowed("w", 0, 0)
 	register := map[string]func(name string){
 		"Counter":   func(name string) { r.Counter(name) },
 		"Histogram": func(name string) { r.Histogram(name) },
-		"Windowed":  func(name string) { r.Windowed(name, 0, 0) },
 		"GaugeFunc": func(name string) { r.GaugeFunc(name, func() int64 { return 0 }) },
 	}
-	owner := map[string]string{"c": "Counter", "h": "Histogram", "w": "Windowed", "store.hits": "GaugeFunc"}
+	owner := map[string]string{"c": "Counter", "h": "Histogram", "store.hits": "GaugeFunc"}
 	for name, kind := range owner {
 		for other, reg := range register {
 			if other == kind {

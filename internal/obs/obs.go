@@ -14,7 +14,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -26,7 +25,7 @@ const SchemaVersion = "webcache-metrics/1"
 
 // ReplaySnapshot is the per-replay metric record: one finite- or
 // infinite-cache replay's outcome counters and timing, emitted as a
-// JSONL line and retained in memory for aggregation. Every counter is
+// JSONL line and published to the event stream. Every counter is
 // copied out of core.Stats after the replay finishes, so emitting a
 // snapshot can never perturb the simulation it describes.
 type ReplaySnapshot struct {
@@ -85,9 +84,8 @@ type Observer struct {
 	events   *Broadcaster
 
 	mu         sync.Mutex
-	sink       io.Writer // JSONL metric stream; nil = in-memory only
-	enc        *json.Encoder
-	snapshots  []ReplaySnapshot
+	enc        *json.Encoder // JSONL metric stream; nil = none
+	replays    int
 	experiment string
 }
 
@@ -123,10 +121,9 @@ func New(opts Options) *Observer {
 		progress: opts.Progress,
 		ring:     opts.Ring,
 		events:   opts.Events,
-		sink:     opts.Metrics,
 	}
-	if o.sink != nil {
-		o.enc = json.NewEncoder(o.sink)
+	if opts.Metrics != nil {
+		o.enc = json.NewEncoder(opts.Metrics)
 		header := map[string]any{
 			"record": "header",
 			"schema": SchemaVersion,
@@ -147,9 +144,6 @@ func (o *Observer) Registry() *Registry { return o.reg }
 
 // Ring returns the event trace ring, nil when event tracing is off.
 func (o *Observer) Ring() *EventRing { return o.ring }
-
-// Events returns the snapshot broadcaster, nil when none is attached.
-func (o *Observer) Events() *Broadcaster { return o.events }
 
 // SetExperiment records the experiment name stamped on subsequent
 // snapshots and pprof spans.
@@ -173,16 +167,16 @@ func (o *Observer) AddReplays(n int) {
 	}
 }
 
-// EmitReplay records one replay's snapshot: it is retained in memory,
-// streamed as a JSONL line when a sink is attached, and counted toward
-// progress.
+// EmitReplay records one replay's snapshot: it is counted, streamed as
+// a JSONL line when a sink is attached, advances progress and is
+// published to the event stream.
 func (o *Observer) EmitReplay(s ReplaySnapshot) {
 	s.Record = "replay"
 	if s.Experiment == "" {
 		s.Experiment = o.Experiment()
 	}
 	o.mu.Lock()
-	o.snapshots = append(o.snapshots, s)
+	o.replays++
 	if o.enc != nil {
 		o.enc.Encode(s)
 	}
@@ -195,16 +189,6 @@ func (o *Observer) EmitReplay(s ReplaySnapshot) {
 	}
 }
 
-// Snapshots returns a copy of every emitted replay snapshot, in
-// emission order.
-func (o *Observer) Snapshots() []ReplaySnapshot {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]ReplaySnapshot, len(o.snapshots))
-	copy(out, o.snapshots)
-	return out
-}
-
 // Close writes the end-of-run summary record (runner accounting plus
 // the registry's counters) and stops the progress surface. runner may
 // be nil when no parallel pool was involved.
@@ -215,40 +199,11 @@ func (o *Observer) Close(sum RunSummary) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	sum.Record = "summary"
-	sum.Replays = len(o.snapshots)
+	sum.Replays = o.replays
 	sum.Metrics, sum.Histograms = o.reg.Snapshot(), o.reg.HistogramSnapshot()
 	sum.Generated = time.Now().UTC().Format(time.RFC3339)
 	if o.enc != nil {
 		return o.enc.Encode(sum)
 	}
 	return nil
-}
-
-// WriteText renders the registry in sorted "name value" lines — the
-// human-readable exposition, handy in tests and ad-hoc dumps.
-func (o *Observer) WriteText(w io.Writer) error {
-	return o.reg.WriteText(w)
-}
-
-// MeanNsPerRequest averages ns/request over all emitted snapshots,
-// weighted by request count.
-func (o *Observer) MeanNsPerRequest() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var ns, reqs int64
-	for i := range o.snapshots {
-		ns += o.snapshots[i].ReplayNs
-		reqs += o.snapshots[i].Requests
-	}
-	if reqs == 0 {
-		return 0
-	}
-	return float64(ns) / float64(reqs)
-}
-
-// String summarizes the observer for debugging.
-func (o *Observer) String() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return fmt.Sprintf("obs.Observer{experiment=%q, snapshots=%d}", o.experiment, len(o.snapshots))
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -30,28 +29,23 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// MarshalJSON encodes the kind as its name.
-func (k EventKind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(k.String())
-}
-
 // Event is one cache event: the removal-policy engine's per-request
 // outcome at full resolution, the raw material for the eviction-age and
 // occupancy distributions the analysis layer computes (the per-policy
 // views §3–4 of the paper aggregate into daily HR/WHR curves).
 type Event struct {
-	Kind EventKind `json:"kind"`
+	Kind EventKind
 	// Time is the event time in Unix seconds — simulation time on the
 	// trace-driven engine, wall clock on the live proxy store.
-	Time int64 `json:"time"`
+	Time int64
 	// ID is the interned URL ID; -1 when the cache indexes by string
 	// (the live proxy) or the document is unknown (misses).
-	ID   int32 `json:"id"`
-	Size int64 `json:"size"`
+	ID   int32
+	Size int64
 	// Age is set on evictions: seconds the victim was resident.
-	Age int64 `json:"age,omitempty"`
+	Age int64
 	// NRef is set on hits and evictions: the entry's reference count.
-	NRef int64 `json:"nref,omitempty"`
+	NRef int64
 }
 
 // Ring is a bounded buffer that overwrites its oldest value when full,

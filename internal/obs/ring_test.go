@@ -154,10 +154,6 @@ func TestEventKindString(t *testing.T) {
 			t.Errorf("EventKind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
-	b, err := json.Marshal(EventEvict)
-	if err != nil || string(b) != `"evict"` {
-		t.Errorf("Marshal(EventEvict) = %s, %v; want \"evict\"", b, err)
-	}
 }
 
 // TestChromeTraceGolden validates the Chrome trace-event export against

@@ -65,13 +65,6 @@ func (b *Broadcaster) Subscribe(buffer int) (<-chan any, func()) {
 	return ch, cancel
 }
 
-// Subscribers returns the number of active subscriptions.
-func (b *Broadcaster) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // ServerOptions configures an introspection Server. Every field is
 // optional; endpoints whose backing source is absent answer 404.
 type ServerOptions struct {
@@ -94,9 +87,6 @@ type ServerOptions struct {
 	Snapshot func() any
 	// SnapshotInterval is the poll period for Snapshot (default 1s).
 	SnapshotInterval time.Duration
-	// Healthz, when non-nil, lets /healthz report degraded state: a
-	// non-nil error answers 503 with the message.
-	Healthz func() error
 	// BuildMeta is merged into the /buildinfo document (e.g. the
 	// command name and flags), alongside the binary's build stamp.
 	BuildMeta map[string]any
@@ -197,12 +187,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Healthz != nil {
-		if err := s.opts.Healthz(); err != nil {
-			http.Error(w, fmt.Sprintf("unhealthy: %v", err), http.StatusServiceUnavailable)
-			return
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
 }

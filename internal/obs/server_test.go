@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -22,18 +21,6 @@ func TestServerHealthz(t *testing.T) {
 	body, status := get(t, srv.URL+"/healthz")
 	if status != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("healthz = %d %q, want 200 ok", status, body)
-	}
-}
-
-func TestServerHealthzDegraded(t *testing.T) {
-	s := NewServer(ServerOptions{Healthz: func() error { return fmt.Errorf("store offline") }})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	body, status := get(t, srv.URL+"/healthz")
-	if status != http.StatusServiceUnavailable || !strings.Contains(body, "store offline") {
-		t.Fatalf("degraded healthz = %d %q, want 503 with reason", status, body)
 	}
 }
 
@@ -269,7 +256,7 @@ func TestServerEventsPush(t *testing.T) {
 
 	// The subscription registers during handler startup; wait for it so
 	// the publish cannot race ahead of Subscribe.
-	waitFor(t, func() bool { return b.Subscribers() == 1 })
+	waitFor(t, func() bool { return subscribers(b) == 1 })
 	b.Publish(ReplaySnapshot{Policy: "SIZE", Workload: "U", Hits: 42})
 
 	frame := readSSEFrame(t, bufio.NewReader(resp.Body))
@@ -298,7 +285,7 @@ func TestServerEventsNoLostFrames(t *testing.T) {
 		t.Fatalf("GET /events: %v", err)
 	}
 	defer resp.Body.Close()
-	if n := b.Subscribers(); n != 1 {
+	if n := subscribers(b); n != 1 {
 		t.Fatalf("%d subscribers once the headers arrived, want 1", n)
 	}
 	const published = 32 // inside the subscription's 64-frame buffer
@@ -377,7 +364,7 @@ func TestServerEventsNoGoroutineLeak(t *testing.T) {
 		readSSEFrame(t, bufio.NewReader(resp.Body))
 		resps = append(resps, resp)
 	}
-	waitFor(t, func() bool { return b.Subscribers() == 3 })
+	waitFor(t, func() bool { return subscribers(b) == 3 })
 
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -388,7 +375,7 @@ func TestServerEventsNoGoroutineLeak(t *testing.T) {
 	}
 
 	// Handlers must have unsubscribed on the way out.
-	waitFor(t, func() bool { return b.Subscribers() == 0 })
+	waitFor(t, func() bool { return subscribers(b) == 0 })
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
@@ -477,6 +464,13 @@ func TestServerPprofIndex(t *testing.T) {
 	}
 }
 
+// subscribers returns the number of b's active subscriptions.
+func subscribers(b *Broadcaster) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}
+
 func TestBroadcasterDropsOnFullBuffer(t *testing.T) {
 	b := NewBroadcaster()
 	ch, cancel := b.Subscribe(1)
@@ -493,8 +487,8 @@ func TestBroadcasterDropsOnFullBuffer(t *testing.T) {
 	}
 	cancel()
 	cancel() // idempotent
-	if n := b.Subscribers(); n != 0 {
-		t.Fatalf("Subscribers() after cancel = %d, want 0", n)
+	if n := subscribers(b); n != 0 {
+		t.Fatalf("subscribers after cancel = %d, want 0", n)
 	}
 }
 
@@ -502,8 +496,8 @@ func TestObserverPublishesToBroadcaster(t *testing.T) {
 	b := NewBroadcaster()
 	ring := NewEventRing(8)
 	o := New(Options{Events: b, Ring: ring})
-	if o.Events() != b || o.Ring() != ring {
-		t.Fatal("accessors do not return the attached ring/broadcaster")
+	if o.Ring() != ring {
+		t.Fatal("Ring does not return the attached ring")
 	}
 	ch, cancel := b.Subscribe(4)
 	defer cancel()

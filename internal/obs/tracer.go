@@ -226,23 +226,23 @@ type TracerOptions struct {
 	// every request. The decision is deterministic over arrival order,
 	// like AccessLogger.SetSample.
 	SampleEvery int
-	// SlowestK is how many of the slowest requests per window the
-	// reservoir keeps regardless of outcome (default 16).
+	// SlowestK is how many of the slowest requests per DefaultWindow
+	// the reservoir keeps regardless of outcome (default 16).
 	SlowestK int
-	// Window is the slowest-K rotation period (default 1 minute).
-	Window time.Duration
-	// FlaggedCap bounds the always-keep ring of errored / missed /
-	// evicting requests (default 64); oldest flagged traces are
-	// recycled first.
-	FlaggedCap int
-	// RecentCap bounds how many previous-window slowest traces stay
-	// visible after rotation (default 64).
-	RecentCap int
 	// Clock overrides the time source (tests). The default is
 	// time.Now, whose monotonic reading makes span durations immune to
 	// wall-clock steps.
 	Clock func() time.Time
 }
+
+// flaggedCap bounds the always-keep ring of errored / missed /
+// evicting requests, and recentCap the previous windows' slowest
+// traces that stay visible after rotation; each ring recycles its
+// oldest trace first.
+const (
+	flaggedCap = 64
+	recentCap  = 64
+)
 
 // Tracer samples requests into pooled ReqTraces and keeps the tail
 // worth inspecting. All hot-path state is atomic; the mutex guards
@@ -251,7 +251,6 @@ type TracerOptions struct {
 type Tracer struct {
 	sampleEvery uint64
 	slowestK    int
-	window      time.Duration
 	clock       func() time.Time // nil = real time (monotonic durations)
 
 	seq  atomic.Uint64 // requests observed (sampling decision)
@@ -279,23 +278,13 @@ func NewTracer(o TracerOptions) *Tracer {
 	if o.SlowestK <= 0 {
 		o.SlowestK = 16
 	}
-	if o.Window <= 0 {
-		o.Window = time.Minute
-	}
-	if o.FlaggedCap <= 0 {
-		o.FlaggedCap = 64
-	}
-	if o.RecentCap <= 0 {
-		o.RecentCap = 64
-	}
 	t := &Tracer{
 		sampleEvery: uint64(o.SampleEvery),
 		slowestK:    o.SlowestK,
-		window:      o.Window,
 		clock:       o.Clock,
 		slow:        make([]*ReqTrace, 0, o.SlowestK),
-		flaggedRing: NewRing[*ReqTrace](o.FlaggedCap),
-		recent:      NewRing[*ReqTrace](o.RecentCap),
+		flaggedRing: NewRing[*ReqTrace](flaggedCap),
+		recent:      NewRing[*ReqTrace](recentCap),
 	}
 	t.pool.New = func() any { return new(ReqTrace) }
 	t.windowStart = t.now()
@@ -353,7 +342,7 @@ func (t *Tracer) End(rt *ReqTrace) {
 
 	t.mu.Lock()
 	now := t.now()
-	if now.Sub(t.windowStart) >= t.window {
+	if now.Sub(t.windowStart) >= DefaultWindow {
 		t.rotateLocked()
 		t.windowStart = now
 	}

@@ -132,7 +132,7 @@ func Snapshot2IDs(tr *Tracer) []uint64 {
 // the flagged ring recycles oldest-first at its cap.
 func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 1, FlaggedCap: 2, Clock: c.now})
+	tr := NewTracer(TracerOptions{SlowestK: 1, Clock: c.now})
 
 	// Fill the slow heap with one genuinely slow request.
 	finish(tr, c, time.Second, "HIT") // ID 1
@@ -147,10 +147,18 @@ func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 	rt.CountEviction()
 	rt.SetOutcome("HIT", 200, 1)
 	tr.End(rt)
+	// Fill the ring one past its cap: IDs 5 .. flaggedCap+2.
+	for i := 3; i <= flaggedCap; i++ {
+		finish(tr, c, 0, "MISS")
+	}
 
-	// Cap is 2: ID 2 (oldest flagged) was recycled to admit ID 4.
-	if got := fmt.Sprint(Snapshot2IDs(tr)); got != "[1 3 4]" {
-		t.Fatalf("kept %v, want [1 3 4]", got)
+	// ID 2 (oldest flagged) was recycled to admit the last one.
+	want := []uint64{1}
+	for id := uint64(3); id <= flaggedCap+2; id++ {
+		want = append(want, id)
+	}
+	if got := fmt.Sprint(Snapshot2IDs(tr)); got != fmt.Sprint(want) {
+		t.Fatalf("kept %v, want %v", got, want)
 	}
 	flags := map[uint64]string{}
 	for _, rec := range tr.Snapshot() {
@@ -159,8 +167,8 @@ func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 	if flags[3] != "error" || flags[4] != "evict" {
 		t.Fatalf("flags = %v, want 3:error 4:evict", flags)
 	}
-	if st := tr.Stats(); st.Flagged != 3 {
-		t.Fatalf("Flagged = %d, want 3", st.Flagged)
+	if st := tr.Stats(); st.Flagged != flaggedCap+1 {
+		t.Fatalf("Flagged = %d, want %d", st.Flagged, flaggedCap+1)
 	}
 }
 
@@ -169,10 +177,10 @@ func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 // in the snapshot — and starts a fresh slowness competition.
 func TestReservoirWindowRotation(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 1, Window: time.Minute, Clock: c.now})
+	tr := NewTracer(TracerOptions{SlowestK: 1, Clock: c.now})
 
 	finish(tr, c, 50*time.Millisecond, "HIT") // ID 1: window 1's slowest
-	c.advance(2 * time.Minute)
+	c.advance(2 * DefaultWindow)
 	// ID 2 is much faster, but lands in a fresh window: it must be kept
 	// rather than compared against ID 1.
 	finish(tr, c, time.Millisecond, "HIT")

@@ -18,66 +18,41 @@ import (
 	"time"
 )
 
-// DefaultWindow is the sliding-window length used where a caller does
-// not choose one: long enough to smooth request-level noise, short
-// enough that a policy or workload shift is visible within a minute.
+// DefaultWindow is the sliding-window length of every windowed
+// metric: long enough to smooth request-level noise, short enough that
+// a policy or workload shift is visible within a minute.
 const DefaultWindow = time.Minute
 
-// DefaultWindowBuckets is the default bucket count per window; 12
-// buckets give 5-second resolution on the default one-minute window.
+// DefaultWindowBuckets is the bucket count per window: 12 buckets give
+// 5-second resolution on the one-minute window.
 const DefaultWindowBuckets = 12
 
-// WindowedCounter counts events into a ring of time buckets, giving
+// bucketNs is one bucket's span in nanoseconds.
+const bucketNs = int64(DefaultWindow) / DefaultWindowBuckets
+
+// windowedCounter counts events into a ring of time buckets, giving
 // both a lifetime total and the total over the most recent window.
 // Add and the readers are lock-free; concurrent adds racing a bucket's
 // reuse (the ring coming back around to a stale epoch) may lose the
 // few counts that land during the reset — bounded by one bucket
 // rotation, an accepted imprecision for an observability rate. With a
 // single writer (or a test's fake clock) the counts are exact.
-type WindowedCounter struct {
-	bucketNs int64
-	epochs   []atomic.Int64 // bucket-epoch stamp per slot
-	counts   []atomic.Int64
-	total    atomic.Int64
-	nowNs    func() int64
+type windowedCounter struct {
+	epochs [DefaultWindowBuckets]atomic.Int64 // bucket-epoch stamp per slot
+	counts [DefaultWindowBuckets]atomic.Int64
+	total  atomic.Int64
+	nowNs  func() int64
 }
 
-// NewWindowedCounter returns a counter whose WindowTotal covers the
-// given window at the given bucket resolution. Non-positive arguments
-// fall back to DefaultWindow / DefaultWindowBuckets.
-func NewWindowedCounter(window time.Duration, buckets int) *WindowedCounter {
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	if buckets < 1 {
-		buckets = DefaultWindowBuckets
-	}
-	bucketNs := int64(window) / int64(buckets)
-	if bucketNs < 1 {
-		bucketNs = 1
-	}
-	return &WindowedCounter{
-		bucketNs: bucketNs,
-		epochs:   make([]atomic.Int64, buckets),
-		counts:   make([]atomic.Int64, buckets),
-		nowNs:    func() int64 { return time.Now().UnixNano() },
-	}
-}
-
-// SetClock overrides the counter's time source with a nanosecond
-// clock (tests). Call before the first Add.
-func (w *WindowedCounter) SetClock(nowNs func() int64) { w.nowNs = nowNs }
-
-// Window returns the sliding-window length the counter covers.
-func (w *WindowedCounter) Window() time.Duration {
-	return time.Duration(w.bucketNs * int64(len(w.counts)))
+func newWindowedCounter() *windowedCounter {
+	return &windowedCounter{nowNs: func() int64 { return time.Now().UnixNano() }}
 }
 
 // Add counts n into the current time bucket and the lifetime total.
-func (w *WindowedCounter) Add(n int64) {
+func (w *windowedCounter) Add(n int64) {
 	w.total.Add(n)
-	ep := w.nowNs() / w.bucketNs
-	i := int(ep % int64(len(w.counts)))
+	ep := w.nowNs() / bucketNs
+	i := int(ep % DefaultWindowBuckets)
 	if w.epochs[i].Load() != ep {
 		// The slot still holds a previous rotation; claim it for this
 		// epoch. Only the goroutine that wins the swap resets the count,
@@ -90,17 +65,14 @@ func (w *WindowedCounter) Add(n int64) {
 	w.counts[i].Add(n)
 }
 
-// Inc counts one event.
-func (w *WindowedCounter) Inc() { w.Add(1) }
-
 // Total returns the lifetime total.
-func (w *WindowedCounter) Total() int64 { return w.total.Load() }
+func (w *windowedCounter) Total() int64 { return w.total.Load() }
 
 // WindowTotal returns the total counted over the most recent window:
 // the sum of every bucket whose epoch is still inside it.
-func (w *WindowedCounter) WindowTotal() int64 {
-	ep := w.nowNs() / w.bucketNs
-	lo := ep - int64(len(w.counts)) + 1
+func (w *windowedCounter) WindowTotal() int64 {
+	ep := w.nowNs() / bucketNs
+	lo := ep - DefaultWindowBuckets + 1
 	var sum int64
 	for i := range w.counts {
 		if e := w.epochs[i].Load(); e >= lo && e <= ep {
@@ -112,26 +84,22 @@ func (w *WindowedCounter) WindowTotal() int64 {
 
 // WindowedRate tracks a part/whole pair over a sliding window — a hit
 // rate (part = hits, whole = requests), a weighted hit rate (part =
-// bytes served from cache, whole = bytes requested), a drop rate. Both
-// components share the window geometry, so the ratio compares
-// like-for-like time spans.
+// bytes served from cache, whole = bytes requested). Both components
+// cover the same buckets, so the ratio compares like-for-like time
+// spans.
 type WindowedRate struct {
-	part, whole *WindowedCounter
+	part, whole *windowedCounter
 }
 
-// NewWindowedRate returns a rate over the given window and bucket
-// count (zero values pick the defaults, as in NewWindowedCounter).
-func NewWindowedRate(window time.Duration, buckets int) *WindowedRate {
-	return &WindowedRate{
-		part:  NewWindowedCounter(window, buckets),
-		whole: NewWindowedCounter(window, buckets),
-	}
+// NewWindowedRate returns a rate over the last DefaultWindow.
+func NewWindowedRate() *WindowedRate {
+	return &WindowedRate{part: newWindowedCounter(), whole: newWindowedCounter()}
 }
 
-// SetClock overrides both components' time source (tests).
+// SetClock overrides both components' time source (tests). Call
+// before the first Record.
 func (r *WindowedRate) SetClock(nowNs func() int64) {
-	r.part.SetClock(nowNs)
-	r.whole.SetClock(nowNs)
+	r.part.nowNs, r.whole.nowNs = nowNs, nowNs
 }
 
 // Record counts one observation: part of whole (e.g. Record(size, size)
@@ -170,15 +138,7 @@ func (r *WindowedRate) LifetimeRate() float64 {
 	return float64(r.part.Total()) / float64(whole)
 }
 
-// Window returns the sliding-window length the rate covers.
-func (r *WindowedRate) Window() time.Duration { return r.part.Window() }
-
 // WindowCounts returns the windowed (part, whole) totals.
 func (r *WindowedRate) WindowCounts() (part, whole int64) {
 	return r.part.WindowTotal(), r.whole.WindowTotal()
-}
-
-// LifetimeCounts returns the lifetime (part, whole) totals.
-func (r *WindowedRate) LifetimeCounts() (part, whole int64) {
-	return r.part.Total(), r.whole.Total()
 }

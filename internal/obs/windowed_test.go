@@ -16,17 +16,19 @@ func (f *fakeNs) now() int64      { return f.v.Load() }
 func (f *fakeNs) set(ns int64)    { f.v.Store(ns) }
 func (f *fakeNs) advance(d int64) { f.v.Add(d) }
 
+// newTestCounter returns a windowed counter on the fake clock.
+func newTestCounter(clk *fakeNs) *windowedCounter {
+	w := newWindowedCounter()
+	w.nowNs = clk.now
+	return w
+}
+
 func TestWindowedCounterSlidesOut(t *testing.T) {
 	clk := &fakeNs{}
-	// 10-bucket window of 100ns → 10ns buckets.
-	w := NewWindowedCounter(100, 10)
-	w.SetClock(clk.now)
-	if got := w.Window(); got != 100 {
-		t.Fatalf("Window() = %v, want 100ns", got)
-	}
+	w := newTestCounter(clk)
 
 	w.Add(3) // bucket epoch 0
-	clk.set(55)
+	clk.set(5*bucketNs + 1)
 	w.Add(4) // bucket epoch 5
 	if got := w.WindowTotal(); got != 7 {
 		t.Fatalf("WindowTotal with both buckets live = %d, want 7", got)
@@ -35,15 +37,15 @@ func TestWindowedCounterSlidesOut(t *testing.T) {
 		t.Fatalf("Total = %d, want 7", got)
 	}
 
-	// Advance so epoch 0 falls outside the 10-bucket window but epoch 5
-	// is still inside.
-	clk.set(105) // epoch 10; window covers epochs 1..10
+	// Advance so epoch 0 falls outside the window but epoch 5 is still
+	// inside.
+	clk.set(DefaultWindowBuckets*bucketNs + 1) // the window covers epochs 1..12
 	if got := w.WindowTotal(); got != 4 {
 		t.Fatalf("WindowTotal after first bucket expired = %d, want 4", got)
 	}
 
 	// Advance past everything: window empty, lifetime intact.
-	clk.set(1000)
+	clk.set(100 * bucketNs)
 	if got := w.WindowTotal(); got != 0 {
 		t.Fatalf("WindowTotal after window passed = %d, want 0", got)
 	}
@@ -54,13 +56,12 @@ func TestWindowedCounterSlidesOut(t *testing.T) {
 
 func TestWindowedCounterBucketReuse(t *testing.T) {
 	clk := &fakeNs{}
-	w := NewWindowedCounter(100, 10)
-	w.SetClock(clk.now)
+	w := newTestCounter(clk)
 
 	w.Add(5) // epoch 0, slot 0
-	// Come all the way around the ring to epoch 10, which reuses slot 0:
+	// Come all the way around the ring to epoch 12, which reuses slot 0:
 	// the old count must be discarded, not added to.
-	clk.set(100)
+	clk.set(DefaultWindowBuckets * bucketNs)
 	w.Add(2)
 	if got := w.WindowTotal(); got != 2 {
 		t.Fatalf("WindowTotal after slot reuse = %d, want 2 (stale count leaked)", got)
@@ -70,17 +71,29 @@ func TestWindowedCounterBucketReuse(t *testing.T) {
 	}
 }
 
+// TestWindowedCounterDefaults pins the one geometry: a count stays in
+// the window until DefaultWindow has passed since its bucket began,
+// at DefaultWindowBuckets buckets.
 func TestWindowedCounterDefaults(t *testing.T) {
-	w := NewWindowedCounter(0, 0)
-	if got := w.Window(); got != DefaultWindow {
-		t.Fatalf("default Window() = %v, want %v", got, DefaultWindow)
+	if got := time.Duration(bucketNs * DefaultWindowBuckets); got != DefaultWindow {
+		t.Fatalf("%d buckets of %v cover %v, want %v", DefaultWindowBuckets, time.Duration(bucketNs), got, DefaultWindow)
 	}
-	w.Inc()
-	if got, want := w.Total(), int64(1); got != want {
-		t.Fatalf("Total = %d, want %d", got, want)
-	}
+	clk := &fakeNs{}
+	w := newTestCounter(clk)
+	w.Add(1)
 	if got := w.WindowTotal(); got != 1 {
-		t.Fatalf("WindowTotal immediately after Inc = %d, want 1", got)
+		t.Fatalf("WindowTotal immediately after Add = %d, want 1", got)
+	}
+	clk.set(int64(DefaultWindow) - 1)
+	if got := w.WindowTotal(); got != 1 {
+		t.Fatalf("WindowTotal just inside the window = %d, want 1", got)
+	}
+	clk.set(int64(DefaultWindow))
+	if got := w.WindowTotal(); got != 0 {
+		t.Fatalf("WindowTotal one window later = %d, want 0", got)
+	}
+	if got := w.Total(); got != 1 {
+		t.Fatalf("Total = %d, want 1", got)
 	}
 }
 
@@ -88,8 +101,7 @@ func TestWindowedCounterConcurrentAdds(t *testing.T) {
 	// Under a fixed clock there is no bucket rotation, so concurrent
 	// adds must be exact in both totals.
 	clk := &fakeNs{}
-	w := NewWindowedCounter(time.Second, 4)
-	w.SetClock(clk.now)
+	w := newTestCounter(clk)
 
 	const writers = 8
 	const perWriter = 5000
@@ -99,7 +111,7 @@ func TestWindowedCounterConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWriter; j++ {
-				w.Inc()
+				w.Add(1)
 			}
 		}()
 	}
@@ -114,7 +126,7 @@ func TestWindowedCounterConcurrentAdds(t *testing.T) {
 
 func TestWindowedRate(t *testing.T) {
 	clk := &fakeNs{}
-	r := NewWindowedRate(100, 10)
+	r := NewWindowedRate()
 	r.SetClock(clk.now)
 
 	// Three hits out of four requests in the first bucket.
@@ -131,7 +143,7 @@ func TestWindowedRate(t *testing.T) {
 
 	// A later bucket of all misses drags the window down; lifetime
 	// follows a different trajectory.
-	clk.set(55)
+	clk.set(5*bucketNs + 1)
 	r.Observe(false)
 	r.Observe(false)
 	part, whole := r.WindowCounts()
@@ -141,20 +153,16 @@ func TestWindowedRate(t *testing.T) {
 
 	// Slide the hit-heavy bucket out: the window is all misses now even
 	// though lifetime still remembers the hits.
-	clk.set(105)
+	clk.set(DefaultWindowBuckets*bucketNs + 1)
 	if got := r.Rate(); got != 0 {
 		t.Fatalf("Rate after hit bucket expired = %v, want 0", got)
 	}
 	if got := r.LifetimeRate(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("LifetimeRate = %v, want 0.5", got)
 	}
-	lp, lw := r.LifetimeCounts()
-	if lp != 3 || lw != 6 {
-		t.Fatalf("LifetimeCounts = (%d, %d), want (3, 6)", lp, lw)
-	}
 
 	// Empty window and empty lifetime both report 0, not NaN.
-	empty := NewWindowedRate(0, 0)
+	empty := NewWindowedRate()
 	if got := empty.Rate(); got != 0 {
 		t.Fatalf("empty Rate = %v, want 0", got)
 	}
@@ -165,7 +173,7 @@ func TestWindowedRate(t *testing.T) {
 
 func TestWindowedRateWeighted(t *testing.T) {
 	clk := &fakeNs{}
-	r := NewWindowedRate(time.Second, 4)
+	r := NewWindowedRate()
 	r.SetClock(clk.now)
 	r.Record(1000, 1000) // byte hit
 	r.Record(0, 3000)    // byte miss
@@ -174,15 +182,19 @@ func TestWindowedRateWeighted(t *testing.T) {
 	}
 }
 
+// TestRegistryWindowedAndGaugeFunc publishes a windowed rate's counts
+// as computed gauges, the way the proxy publishes its store's window,
+// and checks the snapshot and the text exposition read the window at
+// scrape time.
 func TestRegistryWindowedAndGaugeFunc(t *testing.T) {
 	reg := NewRegistry()
 	clk := &fakeNs{}
-	w := reg.Windowed("store.window_gets", 100, 10)
-	w.SetClock(clk.now)
-	if again := reg.Windowed("store.window_gets", time.Hour, 2); again != w {
-		t.Fatal("Windowed did not return the existing counter on second lookup")
+	r := NewWindowedRate()
+	r.SetClock(clk.now)
+	reg.GaugeFunc("store.window_gets", func() int64 { _, whole := r.WindowCounts(); return whole })
+	for i := 0; i < 6; i++ {
+		r.Observe(false)
 	}
-	w.Add(6)
 
 	reg.GaugeFunc("store.window_hr_bp", func() int64 { return 1234 })
 
@@ -195,7 +207,7 @@ func TestRegistryWindowedAndGaugeFunc(t *testing.T) {
 	}
 
 	// The window slides out of the snapshot too.
-	clk.set(1000)
+	clk.set(100 * bucketNs)
 	if got := reg.Snapshot()["store.window_gets"]; got != int64(0) {
 		t.Fatalf("snapshot windowed value after expiry = %v, want 0", got)
 	}

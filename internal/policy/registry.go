@@ -137,24 +137,3 @@ func Parse(spec string, dayStart int64) (Policy, error) {
 	}
 	return NewSorted(keys, dayStart), nil
 }
-
-// Factory validates a specification string once and returns a
-// constructor producing fresh, independent Policy instances for it —
-// the registry lookup callers use when they need several caches
-// running the same policy (one per shadow cache) or want
-// flag errors surfaced at startup rather than at first use. The
-// returned name is the canonical spelling (Policy.Name of a probe
-// instance), stable across equivalent spellings of spec.
-func Factory(spec string, dayStart int64) (name string, make func() Policy, err error) {
-	probe, err := Parse(spec, dayStart)
-	if err != nil {
-		return "", nil, err
-	}
-	// Parse validated spec; re-parsing cannot fail, so the constructor
-	// swallows the impossible error instead of making callers re-handle
-	// it on every instantiation.
-	return probe.Name(), func() Policy {
-		p, _ := Parse(spec, dayStart)
-		return p
-	}, nil
-}

@@ -5,20 +5,17 @@ import (
 	"testing"
 )
 
-func TestFactoryProducesIndependentInstances(t *testing.T) {
-	name, make, err := Factory("SIZE/NREF", 0)
+func TestParseProducesIndependentInstances(t *testing.T) {
+	a, err := Parse("SIZE/NREF", 0)
 	if err != nil {
-		t.Fatalf("Factory: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
-	if name != "SIZE/NREF" {
-		t.Fatalf("canonical name = %q, want SIZE/NREF", name)
-	}
-	a, b := make(), make()
+	b, _ := Parse("SIZE/NREF", 0)
 	if a == b {
-		t.Fatal("Factory returned the same instance twice")
+		t.Fatal("Parse returned the same instance twice")
 	}
-	if a.Name() != name || b.Name() != name {
-		t.Fatalf("instance names %q / %q, want %q", a.Name(), b.Name(), name)
+	if a.Name() != "SIZE/NREF" || b.Name() != "SIZE/NREF" {
+		t.Fatalf("instance names %q / %q, want SIZE/NREF", a.Name(), b.Name())
 	}
 	// Instances must not share state: filling one leaves the other empty.
 	e := NewEntry("http://a.test/x", 100, 0, 1, 1)
@@ -28,36 +25,36 @@ func TestFactoryProducesIndependentInstances(t *testing.T) {
 	}
 }
 
-func TestFactoryCanonicalizesSpellings(t *testing.T) {
+func TestParseCanonicalizesSpellings(t *testing.T) {
 	for spec, want := range map[string]string{
 		"lru":           "LRU",
 		"LRU":           "LRU",
 		"HYPERG":        "Hyper-G",
 		"PITKOW-RECKER": "Pitkow/Recker",
 	} {
-		name, _, err := Factory(spec, 0)
+		p, err := Parse(spec, 0)
 		if err != nil {
-			t.Errorf("Factory(%q): %v", spec, err)
+			t.Errorf("Parse(%q): %v", spec, err)
 			continue
 		}
-		if name != want {
-			t.Errorf("Factory(%q) name = %q, want %q", spec, name, want)
+		if name := p.Name(); name != want {
+			t.Errorf("Parse(%q) name = %q, want %q", spec, name, want)
 		}
 	}
 }
 
-func TestFactoryRejectsBadSpec(t *testing.T) {
+func TestParseRejectsBadSpec(t *testing.T) {
 	for _, spec := range []string{"", "NOSUCH", "SIZE/NOSUCH"} {
-		if _, _, err := Factory(spec, 0); err == nil {
-			t.Errorf("Factory(%q): want error", spec)
+		if _, err := Parse(spec, 0); err == nil {
+			t.Errorf("Parse(%q): want error", spec)
 		}
 	}
 }
 
 // TestParseBoundsKeyCount pins the removal key's width at the input
 // edge: a spec may name at most three keys once a trailing RANDOM is
-// dropped. Parse and Factory report a longer one as an error naming
-// the spec; NewSorted panics on it.
+// dropped. Parse reports a longer one as an error naming the spec;
+// NewSorted panics on it.
 func TestParseBoundsKeyCount(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
@@ -75,9 +72,6 @@ func TestParseBoundsKeyCount(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), tc.spec) {
 			t.Errorf("Parse(%q) error %q does not name the spec", tc.spec, err)
-		}
-		if _, _, ferr := Factory(tc.spec, 0); (ferr == nil) != tc.ok {
-			t.Errorf("Factory(%q) error = %v, want ok=%v", tc.spec, ferr, tc.ok)
 		}
 	}
 	defer func() {

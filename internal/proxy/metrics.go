@@ -61,40 +61,33 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	})
 }
 
-// StoreHooks builds cache event hooks feeding reg's windowed
-// store.window_* counters and, when ring is non-nil, the event-level
+// StoreHooks builds cache event hooks feeding the store's recent-window
+// hit rate, which it returns and publishes on reg as store.window_hits,
+// store.window_gets and store.window_hr_bp (basis points), each read at
+// scrape time; when ring is non-nil the hooks also feed the event-level
 // trace through obs.RingHooks, the simulator's hooks too, so a store's
 // eviction stream carries the same age/NREF detail as a replay's. Live
 // entries are string-indexed, so trace events carry ID -1. The store's
 // lifetime counts are its core.Stats (Store.RegisterMetrics).
-func StoreHooks(reg *obs.Registry, ring *obs.EventRing) core.CacheHooks {
-	// Windowed hit/get counts give the deployed store a recent-window
-	// hit rate alongside the lifetime ratio. The derived rate is
-	// computed at scrape time, in basis points.
-	winHits := reg.Windowed("store.window_hits", 0, 0)
-	winGets := reg.Windowed("store.window_gets", 0, 0)
-	reg.GaugeFunc("store.window_hr_bp", func() int64 {
-		gets := winGets.WindowTotal()
-		if gets == 0 {
-			return 0
-		}
-		return int64(float64(winHits.WindowTotal())/float64(gets)*10000 + 0.5)
-	})
-	// The ring's hooks (none without a ring) plus the windowed counts.
+func StoreHooks(reg *obs.Registry, ring *obs.EventRing) (core.CacheHooks, *obs.WindowedRate) {
+	window := obs.NewWindowedRate()
+	reg.GaugeFunc("store.window_hits", func() int64 { hits, _ := window.WindowCounts(); return hits })
+	reg.GaugeFunc("store.window_gets", func() int64 { _, gets := window.WindowCounts(); return gets })
+	reg.GaugeFunc("store.window_hr_bp", func() int64 { return bp(window.Rate()) })
+	// The ring's hooks (none without a ring) plus the window.
 	h := obs.RingHooks(ring)
 	recordHit, recordMiss := h.OnHit, h.OnMiss
 	h.OnHit = func(e *policy.Entry) {
-		winHits.Inc()
-		winGets.Inc()
+		window.Observe(true)
 		if recordHit != nil {
 			recordHit(e)
 		}
 	}
 	h.OnMiss = func(size, now int64) {
-		winGets.Inc()
+		window.Observe(false)
 		if recordMiss != nil {
 			recordMiss(size, now)
 		}
 	}
-	return h
+	return h, window
 }

@@ -16,7 +16,8 @@ func TestStoreHooksFireOnStore(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewEventRing(64)
 	st := NewStore(250, nil)
-	st.SetHooks(StoreHooks(reg, ring))
+	hooks, window := StoreHooks(reg, ring)
+	st.SetHooks(hooks)
 	st.RegisterMetrics(reg)
 
 	obj := func(n int) *Object { return &Object{Body: bytes.Repeat([]byte("x"), n)} }
@@ -41,10 +42,15 @@ func TestStoreHooksFireOnStore(t *testing.T) {
 		"store.evicted_bytes": 100,
 		"store.window_gets":   2,
 		"store.window_hits":   1,
+		"store.window_hr_bp":  5000,
 	} {
 		if got := snap[name]; got != want {
 			t.Errorf("%s = %v, want %d", name, got, want)
 		}
+	}
+
+	if hits, gets := window.WindowCounts(); hits != 1 || gets != 2 {
+		t.Errorf("returned window counts (hits %d, gets %d), want (1, 2)", hits, gets)
 	}
 
 	// The ring has not wrapped, so it holds every event the hooks saw.

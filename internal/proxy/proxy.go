@@ -246,7 +246,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.SetURL(key)
 	rt.EndSpan(parse)
 
-	if obj, ok := s.storeGet(key, rt); ok && !noCache {
+	// A client's reload skips the lookup: it is no store request, so it
+	// neither counts nor re-ranks the resident copy it replaces.
+	if noCache {
+		s.fetchAndServe(w, r, key, rt)
+		return
+	}
+	if obj, ok := s.storeGet(key, rt); ok {
 		age := time.Since(obj.StoredAt)
 		if age <= s.FreshFor {
 			s.serveObject(w, obj, xCacheHit, rt)

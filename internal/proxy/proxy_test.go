@@ -283,12 +283,18 @@ func TestProxyPragmaNoCache(t *testing.T) {
 	ots := httptest.NewServer(origin.handler())
 	defer ots.Close()
 
-	_, pts := newProxyServer(t, time.Hour)
+	srv, pts := newProxyServer(t, time.Hour)
 	target := ots.URL + "/page.html"
 	proxyGet(t, pts.URL, target, nil)
+	before := srv.Store().Stats()
 	resp, _ := proxyGet(t, pts.URL, target, http.Header{"Pragma": []string{"no-cache"}})
 	if resp.Header.Get("X-Cache") == "HIT" {
 		t.Fatal("Pragma: no-cache served from cache")
+	}
+	// The reload is no store request: it neither counts a get nor a hit.
+	if after := srv.Store().Stats(); after.Gets != before.Gets || after.Hits != before.Hits {
+		t.Fatalf("no-cache reload moved the store: gets %d -> %d, hits %d -> %d",
+			before.Gets, after.Gets, before.Hits, after.Hits)
 	}
 }
 

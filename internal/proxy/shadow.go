@@ -85,10 +85,6 @@ type ShadowOptions struct {
 	// shadow gets the same seed, so policies draw identical random
 	// sequences per insert — the simulator's arrangement.
 	Seed uint64
-	// Window and Buckets set the sliding-window geometry for HR/WHR and
-	// regret (zero = obs.DefaultWindow / obs.DefaultWindowBuckets).
-	Window  time.Duration
-	Buckets int
 	// Clock supplies event timestamps in Unix seconds; livebench injects
 	// the simulated trace clock. Nil = wall clock.
 	Clock func() int64
@@ -99,7 +95,6 @@ type ShadowOptions struct {
 // goroutine or under its mutex.
 type ShadowFleet struct {
 	capacity int64
-	window   time.Duration
 	clock    func() int64
 	// stampOnDrain moves the clock read off the hot path: with no
 	// injected Clock, Observe leaves events unstamped and the drain
@@ -156,16 +151,16 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 		notify:       make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
-		depHR:        obs.NewWindowedRate(opts.Window, opts.Buckets),
-		depWHR:       obs.NewWindowedRate(opts.Window, opts.Buckets),
+		depHR:        obs.NewWindowedRate(),
+		depWHR:       obs.NewWindowedRate(),
 	}
-	f.window = f.depHR.Window()
 	seen := make(map[string]bool, len(opts.Policies))
 	for _, spec := range opts.Policies {
-		name, newPolicy, err := policy.Factory(spec, opts.DayStart)
+		pol, err := policy.Parse(spec, opts.DayStart)
 		if err != nil {
 			return nil, fmt.Errorf("proxy: shadow policy %q: %w", spec, err)
 		}
+		name := pol.Name()
 		if seen[name] {
 			return nil, fmt.Errorf("proxy: duplicate shadow policy %q", name)
 		}
@@ -174,12 +169,12 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 			name: name,
 			cache: core.New(core.Config{
 				Capacity:       opts.Capacity,
-				Policy:         newPolicy(),
+				Policy:         pol,
 				Seed:           opts.Seed,
 				ExcludeDynamic: true,
 			}),
-			hr:  obs.NewWindowedRate(opts.Window, opts.Buckets),
-			whr: obs.NewWindowedRate(opts.Window, opts.Buckets),
+			hr:  obs.NewWindowedRate(),
+			whr: obs.NewWindowedRate(),
 		})
 	}
 	go f.worker()
@@ -195,9 +190,6 @@ func (f *ShadowFleet) Policies() []string {
 	}
 	return names
 }
-
-// Window returns the sliding-window length the fleet's rates cover.
-func (f *ShadowFleet) Window() time.Duration { return f.window }
 
 // Observe records one request outcome: the URL and response size, and
 // whether the deployed store served it as a hit. This is the hot-path
@@ -326,7 +318,7 @@ type ShadowSnapshot struct {
 	// Lifetime rates, in [0, 1].
 	HR  float64 `json:"hr"`
 	WHR float64 `json:"whr"`
-	// Window rates over the fleet's sliding window.
+	// Window rates over the last obs.DefaultWindow.
 	WindowHR  float64 `json:"window_hr"`
 	WindowWHR float64 `json:"window_whr"`
 	// Regret = deployed window rate − shadow window rate: negative means
@@ -367,7 +359,7 @@ func (f *ShadowFleet) Report() ShadowReport {
 	f.drainLocked()
 	rep := ShadowReport{
 		Capacity:  f.capacity,
-		WindowSec: f.window.Seconds(),
+		WindowSec: obs.DefaultWindow.Seconds(),
 		Enqueued:  f.enqueuedLocked(),
 		Processed: f.processed.Load(),
 		Dropped:   f.dropped.Load(),
@@ -485,7 +477,7 @@ func (f *ShadowFleet) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "shadow fleet: %d policies at capacity %d, window %s\n",
-			len(rep.Shadows), rep.Capacity, f.window)
+			len(rep.Shadows), rep.Capacity, obs.DefaultWindow)
 		fmt.Fprintf(w, "queue: enqueued %d  processed %d  dropped %d  pending %d\n",
 			rep.Enqueued, rep.Processed, rep.Dropped, rep.Pending)
 		fmt.Fprintf(w, "deployed: window HR %.2f%%  window WHR %.2f%%  lifetime HR %.2f%%  WHR %.2f%%\n\n",

@@ -3,6 +3,7 @@ package proxy
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -362,10 +363,74 @@ func TestShadowFleetWindowDefaults(t *testing.T) {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
 	defer fleet.Close()
-	if got := fleet.Window(); got != obs.DefaultWindow {
-		t.Fatalf("default Window = %v, want %v", got, obs.DefaultWindow)
+	if got := fleet.Report().WindowSec; got != obs.DefaultWindow.Seconds() {
+		t.Fatalf("report window = %vs, want %v", got, obs.DefaultWindow)
 	}
 	if got := fleet.Policies(); len(got) != 1 || got[0] != "LRU" {
 		t.Fatalf("Policies = %v", got)
+	}
+}
+
+// TestShadowDeployedRowVersusStore pins how the deployed policy's own
+// shadow row differs from the store on one stream. The shadows see
+// every successful GET through Access; the store sees only the
+// lookups of cacheable requests. So an uncacheable query-string GET
+// and a Pragma: no-cache reload each add a shadow request and no store
+// get, and the reload of a resident URL is a shadow hit.
+func TestShadowDeployedRowVersusStore(t *testing.T) {
+	ots := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "body of "+r.URL.Path)
+	}))
+	defer ots.Close()
+
+	const capacity = 1 << 20
+	srv := New(NewStore(capacity, nil)) // SIZE
+	fleet, err := NewShadowFleet(ShadowOptions{Policies: []string{"SIZE"}, Capacity: capacity})
+	if err != nil {
+		t.Fatalf("NewShadowFleet: %v", err)
+	}
+	defer fleet.Close()
+	srv.Shadow = fleet
+
+	get := func(path string, hdr http.Header) string {
+		req := httptest.NewRequest(http.MethodGet, ots.URL+path, nil)
+		for k, vs := range hdr {
+			req.Header[k] = vs
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		return rec.Header().Get("X-Cache")
+	}
+	for _, step := range []struct {
+		path  string
+		hdr   http.Header
+		cache string
+	}{
+		{"/a", nil, "MISS"},
+		{"/a", nil, "HIT"},
+		{"/b", nil, "MISS"},
+		{"/b", nil, "HIT"},
+		{"/q?x=1", nil, "MISS"}, // uncacheable
+		{"/a", http.Header{"Pragma": []string{"no-cache"}}, "MISS"}, // reload of a resident URL
+	} {
+		if got := get(step.path, step.hdr); got != step.cache {
+			t.Fatalf("GET %s: X-Cache %q, want %q", step.path, got, step.cache)
+		}
+	}
+
+	st := srv.Store().Stats()
+	rep := fleet.Report()
+	row := rep.Shadows[0]
+	if st.Gets != 4 || st.Hits != 2 {
+		t.Fatalf("store gets %d, hits %d; want 4, 2", st.Gets, st.Hits)
+	}
+	if row.Requests != st.Gets+2 {
+		t.Errorf("shadow requests %d, want store gets %d + 2", row.Requests, st.Gets)
+	}
+	if row.Hits != st.Hits+1 {
+		t.Errorf("shadow hits %d, want store hits %d + 1", row.Hits, st.Hits)
 	}
 }

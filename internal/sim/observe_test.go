@@ -28,6 +28,24 @@ func stripTiming(s obs.ReplaySnapshot) obs.ReplaySnapshot {
 	return s
 }
 
+// replaySnapshots decodes the replay records of a JSONL metric stream,
+// in emission order.
+func replaySnapshots(t *testing.T, buf *bytes.Buffer) []obs.ReplaySnapshot {
+	t.Helper()
+	var out []obs.ReplaySnapshot
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	for dec.More() {
+		var s obs.ReplaySnapshot
+		if err := dec.Decode(&s); err != nil {
+			t.Fatalf("bad JSONL record: %v", err)
+		}
+		if s.Record == "replay" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // sortSnaps orders snapshots by policy name: parallel runs emit in
 // completion order, which is not deterministic.
 func sortSnaps(snaps []obs.ReplaySnapshot) {
@@ -39,7 +57,8 @@ func sortSnaps(snaps []obs.ReplaySnapshot) {
 func TestObserverSnapshotsMatchStats(t *testing.T) {
 	tr := dayTrace(30)
 	base := Experiment1(tr, 1)
-	o := obs.New(obs.Options{})
+	var buf bytes.Buffer
+	o := obs.New(obs.Options{Metrics: &buf})
 	o.SetExperiment("2")
 	withObserver(t, o)
 
@@ -47,7 +66,7 @@ func TestObserverSnapshotsMatchStats(t *testing.T) {
 	combos := policy.PrimaryCombos()[:4]
 	res := Experiment2R(r, tr, base, combos, 0.25, 5)
 
-	snaps := o.Snapshots()
+	snaps := replaySnapshots(t, &buf)
 	if len(snaps) != len(combos) {
 		t.Fatalf("%d snapshots for %d replays", len(snaps), len(combos))
 	}
@@ -91,11 +110,11 @@ func TestObserverSnapshotsWorkerInvariant(t *testing.T) {
 	combos := policy.PrimaryCombos()
 
 	runOnce := func(workers int) []obs.ReplaySnapshot {
-		o := obs.New(obs.Options{})
-		withObserver(t, o)
+		var buf bytes.Buffer
+		withObserver(t, obs.New(obs.Options{Metrics: &buf}))
 		r := NewRunner(RunnerConfig{Workers: workers})
 		Experiment2R(r, tr, base, combos, 0.25, 5)
-		snaps := o.Snapshots()
+		snaps := replaySnapshots(t, &buf)
 		for i := range snaps {
 			snaps[i] = stripTiming(snaps[i])
 		}

@@ -8,8 +8,11 @@
 //	go run ./internal/tools/benchab -parent HEAD~1 -workload proxy-large -pairs 10
 //
 // The parent is unpacked with `git archive` into a temporary directory
-// that is removed on exit. Only the benchmark's stdout line is read; the
-// benchmark itself writes under bench/out/, which git ignores.
+// that is removed on exit. Each side's benchmark program is built once,
+// before the first pair, so every run of a side starts the same binary
+// and no run pays for (or varies with) a compile. Only the benchmark's
+// stdout line is read; the benchmark itself writes under bench/out/,
+// which git ignores.
 package main
 
 import (
@@ -75,17 +78,31 @@ func run(parent, workload string, pairs, seconds int) error {
 		return err
 	}
 
+	binDir, err := os.MkdirTemp("", "benchab-bin-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(binDir)
+
 	sides := [2]struct {
-		name, dir string
-		runs      []benchLine
+		name, dir, bin string
+		runs           []benchLine
 	}{{name: "parent", dir: parentDir}, {name: "change", dir: root}}
+	for k := range sides {
+		sides[k].bin = filepath.Join(binDir, "bench-"+sides[k].name)
+		build := exec.Command("go", "build", "-C", filepath.Join(sides[k].dir, "bench"), "-o", sides[k].bin, ".")
+		build.Stdout, build.Stderr = os.Stderr, os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("building the %s benchmark: %w", sides[k].name, err)
+		}
+	}
 	for i := 1; i <= pairs; i++ {
 		order := [2]int{0, 1}
 		if i%2 == 0 {
 			order = [2]int{1, 0} // alternate which side runs first
 		}
 		for _, k := range order {
-			line, err := bench(sides[k].dir, workload, i, seconds)
+			line, err := bench(sides[k].bin, sides[k].dir, workload, i, seconds)
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", i, sides[k].name, err)
 			}
@@ -176,9 +193,10 @@ func unpack(root, rev, dir string) error {
 	return untar.Wait()
 }
 
-// bench runs the benchmark once in dir and parses its stdout line.
-func bench(dir, workload string, seed, seconds int) (benchLine, error) {
-	cmd := exec.Command("go", "run", "-C", "bench", "webcache/bench",
+// bench runs the benchmark binary once with dir, the tree it measures,
+// as its working directory, and parses its stdout line.
+func bench(bin, dir, workload string, seed, seconds int) (benchLine, error) {
+	cmd := exec.Command(bin,
 		"--workload", workload, "--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
