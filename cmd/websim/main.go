@@ -28,7 +28,6 @@
 //
 //	websim -exp 2all -metrics-out exp2.jsonl   # per-replay metric snapshots (JSONL)
 //	websim -exp 2all -progress                 # live replays-completed/ETA on stderr
-//	websim -exp 2all -listen :8082             # live introspection endpoints
 //	websim -version                            # build/revision stamp
 //
 // -metrics-out streams one JSONL record per replay (hits, misses,
@@ -37,18 +36,16 @@
 // end-of-run summary (runner speedup, queue wait, aggregate event
 // counters). With observability on, replays also run under pprof
 // labels (policy=, workload=, experiment=), so -cpuprofile samples
-// attribute per policy. -listen serves the live introspection surface
-// while experiments run: /metrics, /events (SSE progress frames and
-// replay snapshots), /trace (Chrome trace-event JSON of recent cache
-// events), /buildinfo and /debug/pprof/. Simulation output on stdout
-// is byte-identical with observability on or off.
+// attribute per policy. Replays run without cache event hooks either
+// way: an observed replay pays only for its per-replay snapshot.
+// Simulation output on stdout is byte-identical with observability on
+// or off.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -77,7 +74,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 		metricsOut = flag.String("metrics-out", "", "stream per-replay metric snapshots to this file as JSONL")
 		progress   = flag.Bool("progress", false, "show a live replays-completed/ETA ticker on stderr")
-		listen     = flag.String("listen", "", "serve live introspection endpoints on this address (e.g. :8082)")
 		version    = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -105,7 +101,7 @@ func main() {
 		exp: *exp, wl: *wl, traceFile: *traceFile,
 		fraction: *fraction, scale: *scale, seed: *seed, workers: *workers,
 		series: *series, plot: *plot,
-		metricsOut: *metricsOut, progress: *progress, listen: *listen,
+		metricsOut: *metricsOut, progress: *progress,
 	})
 
 	if *memprofile != "" {
@@ -141,19 +137,15 @@ type runConfig struct {
 	series, plot       bool
 	// metricsOut streams per-replay JSONL snapshots to this file;
 	// progress renders a live ticker on progressW (os.Stderr when nil —
-	// tests inject a buffer); listen serves the live introspection
-	// endpoints (metrics, SSE replay stream, Chrome trace, pprof) on an
-	// address. Any of the three enables the observability layer.
+	// tests inject a buffer). Either enables the observability layer.
 	metricsOut string
 	progress   bool
 	progressW  io.Writer
-	listen     string
-	onListen   func(net.Addr) // test hook: called with the bound introspection address
 }
 
 func run(out io.Writer, rc runConfig) error {
 	runner := sim.NewRunner(sim.RunnerConfig{Workers: rc.workers})
-	if rc.metricsOut != "" || rc.progress || rc.listen != "" {
+	if rc.metricsOut != "" || rc.progress {
 		stop, err := enableObservability(runner, rc)
 		if err != nil {
 			return err
@@ -260,16 +252,11 @@ func run(out io.Writer, rc runConfig) error {
 	return nil
 }
 
-// eventRingSize is the live trace window when -listen is set: the most
-// recent cache events retained for /trace and eviction-age profiling.
-const eventRingSize = 1 << 16
-
 // enableObservability wires the sim-wide observer from the run's
 // flags: a JSONL metric stream (header stamped with git_rev and the
-// invocation), a stderr progress ticker, a live introspection server,
-// or any combination. The returned stop function emits the end-of-run
-// summary, detaches the observer, and closes the metrics file and the
-// server.
+// invocation), a stderr progress ticker, or both. The returned stop
+// function emits the end-of-run summary, detaches the observer, and
+// closes the metrics file.
 func enableObservability(runner *sim.Runner, rc runConfig) (stop func(), err error) {
 	var f *os.File
 	var mw io.Writer
@@ -281,24 +268,13 @@ func enableObservability(runner *sim.Runner, rc runConfig) (stop func(), err err
 		mw = f
 	}
 	var prog *obs.Progress
-	switch {
-	case rc.progress:
+	if rc.progress {
 		pw := rc.progressW
 		if pw == nil {
 			pw = os.Stderr
 		}
 		prog = obs.NewProgress(pw, "websim", time.Second)
 		prog.Start()
-	case rc.listen != "":
-		// Counter-only progress: feeds the live /events poll frame but
-		// renders nothing (nil writer, ticker never started).
-		prog = obs.NewProgress(nil, "websim", time.Second)
-	}
-	var ring *obs.EventRing
-	var events *obs.Broadcaster
-	if rc.listen != "" {
-		ring = obs.NewEventRing(eventRingSize)
-		events = obs.NewBroadcaster()
 	}
 	o := obs.New(obs.Options{
 		Metrics: mw,
@@ -313,49 +289,12 @@ func enableObservability(runner *sim.Runner, rc runConfig) (stop func(), err err
 			"workers":  runner.Workers(),
 		},
 		Progress: prog,
-		Ring:     ring,
-		Events:   events,
 	})
 	o.SetExperiment(rc.exp)
-
-	var srv *obs.Server
-	if rc.listen != "" {
-		srv = obs.NewServer(obs.ServerOptions{
-			Registry:         o.Registry(),
-			Ring:             ring,
-			Events:           events,
-			Snapshot:         func() any { return progressFrame(rc.exp, prog) },
-			SnapshotInterval: time.Second,
-			BuildMeta: map[string]any{
-				"cmd":      "websim",
-				"exp":      rc.exp,
-				"workload": rc.wl,
-			},
-		})
-		addr, err := srv.Start(rc.listen)
-		if err != nil {
-			if prog != nil {
-				prog.Stop()
-			}
-			if f != nil {
-				f.Close()
-			}
-			return nil, err
-		}
-		// Stderr, like the progress ticker: stdout carries the
-		// experiment tables and must stay byte-identical.
-		fmt.Fprintf(os.Stderr, "websim: introspection endpoints on http://%s/ (metrics, events, trace, pprof)\n", addr)
-		if rc.onListen != nil {
-			rc.onListen(addr)
-		}
-	}
 	sim.Observer = o
 	return func() {
 		if err := sim.CloseObserver(runner); err != nil {
 			fmt.Fprintln(os.Stderr, "websim: writing metrics summary:", err)
-		}
-		if srv != nil {
-			srv.Close()
 		}
 		if f != nil {
 			if err := f.Close(); err != nil {
@@ -363,18 +302,6 @@ func enableObservability(runner *sim.Runner, rc runConfig) (stop func(), err err
 			}
 		}
 	}, nil
-}
-
-// progressFrame is the /events poll payload: the experiment name and
-// the replays-completed counters the progress surface tracks.
-func progressFrame(exp string, prog *obs.Progress) any {
-	done, total := prog.Counts()
-	return map[string]any{
-		"exp":           exp,
-		"replays_done":  done,
-		"replays_total": total,
-		"progress":      prog.Line(),
-	}
 }
 
 // loadTrace returns the validated trace from a file or a freshly

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,10 +115,9 @@ func TestGoldenExperiments(t *testing.T) {
 }
 
 // TestGoldenWithObservability replays the nine experiments with the
-// observability layer fully on (-metrics-out, -progress and -listen,
-// so the event ring and SSE broadcaster ride along): stdout must stay
-// byte-identical to the goldens, and the metrics file must be a
-// well-formed JSONL stream — header, per-replay records, summary.
+// observability layer fully on (-metrics-out and -progress): stdout
+// must stay byte-identical to the goldens, and the metrics file must be
+// a well-formed JSONL stream — header, per-replay records, summary.
 func TestGoldenWithObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden replay is a full nine-experiment run")
@@ -137,7 +133,6 @@ func TestGoldenWithObservability(t *testing.T) {
 			exp: exp, wl: "BL", fraction: 0.10, scale: 0.05,
 			seed: 42, workers: 1,
 			metricsOut: metrics, progress: true, progressW: &progress,
-			listen: "127.0.0.1:0",
 		}
 		if err := run(&buf, cfg); err != nil {
 			t.Fatalf("exp %s with observability: %v", exp, err)
@@ -192,80 +187,5 @@ func TestGoldenWithObservability(t *testing.T) {
 		if got := int(summary["replays"].(float64)); got != replays {
 			t.Errorf("exp %s: summary counts %d replays, stream has %d", exp, got, replays)
 		}
-	}
-}
-
-// TestListenServesLiveEndpoints runs an experiment with -listen and
-// checks the introspection surface from inside the run: the static
-// endpoints answer before the first replay, and the SSE stream carries
-// both progress frames and the per-replay snapshots the replays push.
-func TestListenServesLiveEndpoints(t *testing.T) {
-	frames := make(chan string, 1024)
-	cfg := rc("2", "C", "")
-	cfg.workers = 1
-	cfg.listen = "127.0.0.1:0"
-	cfg.onListen = func(addr net.Addr) {
-		base := "http://" + addr.String()
-		for _, path := range []string{"/healthz", "/metrics", "/trace", "/debug/pprof/"} {
-			resp, err := http.Get(base + path)
-			if err != nil {
-				t.Fatalf("GET %s: %v", path, err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("GET %s = %d", path, resp.StatusCode)
-			}
-		}
-		resp, err := http.Get(base + "/buildinfo")
-		if err != nil {
-			t.Fatalf("GET /buildinfo: %v", err)
-		}
-		info, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(info), `"cmd": "websim"`) {
-			t.Errorf("buildinfo does not name websim: %s", info)
-		}
-
-		// Subscribe before the replays start; the reader drains until
-		// the run's stop() closes the server and with it the stream.
-		sse, err := http.Get(base + "/events")
-		if err != nil {
-			t.Fatalf("GET /events: %v", err)
-		}
-		go func() {
-			defer sse.Body.Close()
-			defer close(frames)
-			sc := bufio.NewScanner(sse.Body)
-			for sc.Scan() {
-				if line, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-					frames <- line
-				}
-			}
-		}()
-	}
-	if err := run(io.Discard, cfg); err != nil {
-		t.Fatal(err)
-	}
-	var replayFrames, progressFrames int
-	for f := range frames {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(f), &rec); err != nil {
-			t.Fatalf("SSE frame is not JSON: %v\n%s", err, f)
-		}
-		switch {
-		case rec["record"] == "replay":
-			replayFrames++
-			if rec["policy"] == "" || rec["requests"].(float64) <= 0 {
-				t.Errorf("implausible replay frame: %v", rec)
-			}
-		case rec["replays_done"] != nil:
-			progressFrames++
-		}
-	}
-	if replayFrames == 0 {
-		t.Error("no replay snapshots streamed over SSE")
-	}
-	if progressFrames == 0 {
-		t.Error("no progress frames streamed over SSE")
 	}
 }

@@ -1,15 +1,18 @@
-// Package obs is the simulator's observability layer: atomic metric
-// primitives with a registry and text/JSONL exposition, per-replay
-// metric snapshots, pprof label spans, a live progress surface, and
-// build identification for metric attribution.
+// Package obs is the observability layer: atomic metric primitives
+// with a registry and text/JSONL exposition, per-replay metric
+// snapshots, pprof label spans, a progress surface, build
+// identification for metric attribution, and the live proxy's admin
+// surface (event ring, request tracer, introspection server).
 //
-// The contract is zero overhead when disabled. Nothing in this package
-// is consulted on the per-request hot path; the cache event hooks it
-// feeds (core.CacheHooks) are nil-checked function slots that cost one
-// predictable branch each when unset, and the replay spans and
+// The simulator's contract is zero overhead when disabled and no
+// per-request work when enabled: it sets no cache event hooks
+// (core.CacheHooks, nil-checked function slots that cost one
+// predictable branch each when unset), and the replay spans and
 // snapshots are per-replay (tens of thousands of requests), not
 // per-request. internal/sim's BenchmarkReplayObserved measures the
-// enabled-path cost against BenchmarkReplay, family by family.
+// enabled-path cost against BenchmarkReplay, family by family. Only
+// the live proxy's store sets event hooks (RingHooks, through
+// proxy.StoreHooks).
 package obs
 
 import (
@@ -25,9 +28,9 @@ const SchemaVersion = "webcache-metrics/1"
 
 // ReplaySnapshot is the per-replay metric record: one finite- or
 // infinite-cache replay's outcome counters and timing, emitted as a
-// JSONL line and published to the event stream. Every counter is
-// copied out of core.Stats after the replay finishes, so emitting a
-// snapshot can never perturb the simulation it describes.
+// JSONL line. Every counter is copied out of core.Stats after the
+// replay finishes, so emitting a snapshot can never perturb the
+// simulation it describes.
 type ReplaySnapshot struct {
 	Record     string `json:"record"` // always "replay"
 	Experiment string `json:"experiment,omitempty"`
@@ -80,8 +83,6 @@ type RunSummary struct {
 type Observer struct {
 	reg      *Registry
 	progress *Progress
-	ring     *EventRing
-	events   *Broadcaster
 
 	mu         sync.Mutex
 	enc        *json.Encoder // JSONL metric stream; nil = none
@@ -103,14 +104,6 @@ type Options struct {
 	// replay snapshot; pair it with AddReplays from the experiment
 	// entry points.
 	Progress *Progress
-	// Ring, when non-nil, receives event-level cache traces
-	// (hit/miss/evict/add) from the cache hooks — the source for the
-	// Chrome trace export and the eviction-age histograms.
-	Ring *EventRing
-	// Events, when non-nil, has every emitted replay snapshot published
-	// to it — the push source behind an introspection Server's /events
-	// SSE stream.
-	Events *Broadcaster
 }
 
 // New returns an observer. When opts.Metrics is set, the JSONL header
@@ -119,8 +112,6 @@ func New(opts Options) *Observer {
 	o := &Observer{
 		reg:      NewRegistry(),
 		progress: opts.Progress,
-		ring:     opts.Ring,
-		events:   opts.Events,
 	}
 	if opts.Metrics != nil {
 		o.enc = json.NewEncoder(opts.Metrics)
@@ -138,12 +129,9 @@ func New(opts Options) *Observer {
 	return o
 }
 
-// Registry returns the observer's metric registry, shared by the cache
-// event hooks.
+// Registry returns the observer's metric registry, which sums the
+// replays' outcome counters.
 func (o *Observer) Registry() *Registry { return o.reg }
-
-// Ring returns the event trace ring, nil when event tracing is off.
-func (o *Observer) Ring() *EventRing { return o.ring }
 
 // SetExperiment records the experiment name stamped on subsequent
 // snapshots and pprof spans.
@@ -168,8 +156,7 @@ func (o *Observer) AddReplays(n int) {
 }
 
 // EmitReplay records one replay's snapshot: it is counted, streamed as
-// a JSONL line when a sink is attached, advances progress and is
-// published to the event stream.
+// a JSONL line when a sink is attached, and advances progress.
 func (o *Observer) EmitReplay(s ReplaySnapshot) {
 	s.Record = "replay"
 	if s.Experiment == "" {
@@ -183,9 +170,6 @@ func (o *Observer) EmitReplay(s ReplaySnapshot) {
 	o.mu.Unlock()
 	if o.progress != nil {
 		o.progress.Done(1)
-	}
-	if o.events != nil {
-		o.events.Publish(s)
 	}
 }
 

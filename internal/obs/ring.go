@@ -51,9 +51,8 @@ type Event struct {
 // Ring is a bounded buffer that overwrites its oldest value when full,
 // so readers always see the most recent window. Adding is a short
 // uncontended mutex section (one slot store and one counter bump, no
-// allocation), cheap enough to hang off core.CacheHooks on the replay
-// hot path; internal/sim's BenchmarkReplayObserved prices exactly this
-// path for the event ring.
+// allocation), cheap enough to hang off core.CacheHooks on the live
+// store's request path.
 type Ring[T any] struct {
 	mu    sync.Mutex
 	buf   []T
@@ -121,9 +120,9 @@ func NewEventRing(capacity int) *EventRing { return NewRing[Event](capacity) }
 
 // RingHooks builds core event hooks that record every cache event into
 // ring, the event-level trace; a nil ring gets no hooks, so the cache
-// runs unhooked. The per-event work is one ring slot store, the cost
-// internal/sim's BenchmarkReplayObserved prices. A string-indexed
-// cache's entries carry ID -1, and so do its events.
+// runs unhooked. The per-event work is one ring slot store. The live
+// proxy's store (proxy.StoreHooks) is the one caller; its
+// string-indexed entries carry ID -1, and so do its events.
 func RingHooks(ring *EventRing) core.CacheHooks {
 	if ring == nil {
 		return core.CacheHooks{}

@@ -13,58 +13,6 @@ import (
 	"time"
 )
 
-// Broadcaster fans values out to event-stream subscribers. Publishing
-// never blocks: a subscriber whose buffer is full misses that value
-// (SSE consumers are monitors, not databases — the JSONL metric stream
-// is the lossless record).
-type Broadcaster struct {
-	mu   sync.Mutex
-	subs map[int]chan any
-	next int
-}
-
-// NewBroadcaster returns an empty broadcaster.
-func NewBroadcaster() *Broadcaster {
-	return &Broadcaster{subs: make(map[int]chan any)}
-}
-
-// Publish delivers v to every subscriber with buffer room.
-func (b *Broadcaster) Publish(v any) {
-	b.mu.Lock()
-	for _, ch := range b.subs {
-		select {
-		case ch <- v:
-		default:
-		}
-	}
-	b.mu.Unlock()
-}
-
-// Subscribe registers a subscriber with the given buffer size (min 1)
-// and returns its channel plus a cancel function. Cancel is idempotent
-// and must be called when the subscriber goes away, or the broadcaster
-// retains the channel forever.
-func (b *Broadcaster) Subscribe(buffer int) (<-chan any, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan any, buffer)
-	b.mu.Lock()
-	id := b.next
-	b.next++
-	b.subs[id] = ch
-	b.mu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			b.mu.Lock()
-			delete(b.subs, id)
-			b.mu.Unlock()
-		})
-	}
-	return ch, cancel
-}
-
 // ServerOptions configures an introspection Server. Every field is
 // optional; endpoints whose backing source is absent answer 404.
 type ServerOptions struct {
@@ -76,14 +24,9 @@ type ServerOptions struct {
 	// joins /trace: with both sources the export is the combined view —
 	// the ring's residency spans on pid 1, request span trees on pid 2.
 	Tracer *Tracer
-	// Events, when non-nil, is the push source for /events: every
-	// published value becomes one SSE data frame (websim publishes
-	// ReplaySnapshots as replays finish).
-	Events *Broadcaster
-	// Snapshot, when non-nil, is the poll source for /events: it is
-	// called every SnapshotInterval and the result streamed as an SSE
-	// frame (the proxy serves periodic serving-stats snapshots). Push
-	// and poll sources compose; either alone enables /events.
+	// Snapshot, when non-nil, backs /events: it is called every
+	// SnapshotInterval and the result streamed as an SSE frame (the
+	// proxy serves periodic serving-stats snapshots).
 	Snapshot func() any
 	// SnapshotInterval is the poll period for Snapshot (default 1s).
 	SnapshotInterval time.Duration
@@ -257,12 +200,11 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams live state as server-sent events: one
-// `data: <json>` frame per published value (push source) and/or per
-// SnapshotInterval (poll source). The handler exits — releasing its
-// goroutine — when the client disconnects or the server closes,
-// whichever comes first; the leak test pins this.
+// `data: <json>` frame of Snapshot per SnapshotInterval. The handler
+// exits — releasing its goroutine — when the client disconnects or the
+// server closes, whichever comes first; the leak test pins this.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Events == nil && s.opts.Snapshot == nil {
+	if s.opts.Snapshot == nil {
 		http.Error(w, "no event source attached", http.StatusNotFound)
 		return
 	}
@@ -271,57 +213,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
 		return
 	}
-	// Subscribe before the headers go out: the client takes the flushed
-	// headers as "subscribed", so nothing published after it has them
-	// may be missed.
-	var sub <-chan any // nil channel: select case blocks forever
-	if s.opts.Events != nil {
-		ch, cancel := s.opts.Events.Subscribe(64)
-		defer cancel()
-		sub = ch
-	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
-	var tick <-chan time.Time
-	if s.opts.Snapshot != nil {
-		interval := s.opts.SnapshotInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tick = t.C
-		// An immediate first frame, so one-shot consumers (curl -m 1,
-		// the smoke tests) see data without waiting a full interval.
-		if !writeSSE(w, fl, s.opts.Snapshot()) {
-			return
-		}
+	interval := s.opts.SnapshotInterval
+	if interval <= 0 {
+		interval = time.Second
+	}
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	// An immediate first frame, so one-shot consumers (curl -m 1, the
+	// smoke tests) see data without waiting a full interval.
+	if !writeSSE(w, fl, s.opts.Snapshot()) {
+		return
 	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case <-s.done:
-			// Deliver what was published before the shutdown.
-			for {
-				select {
-				case v := <-sub:
-					if !writeSSE(w, fl, v) {
-						return
-					}
-				default:
-					return
-				}
-			}
-		case v := <-sub:
-			if !writeSSE(w, fl, v) {
-				return
-			}
-		case <-tick:
+			return
+		case <-t.C:
 			if !writeSSE(w, fl, s.opts.Snapshot()) {
 				return
 			}

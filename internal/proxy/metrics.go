@@ -1,7 +1,7 @@
 package proxy
 
-// The live serving path's observability glue: the same obs.Registry /
-// obs.EventRing primitives the simulator feeds. Every count lives in
+// The live serving path's observability glue, on the obs.Registry and
+// obs.EventRing primitives. Every count lives in
 // the component that owns the fact (the server's own counters, the
 // store's core.Stats) and the registry reads it at scrape time, so a
 // number has one source and nothing mirrors it.
@@ -65,9 +65,9 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 // hit rate, which it returns and publishes on reg as store.window_hits,
 // store.window_gets and store.window_hr_bp (basis points), each read at
 // scrape time; when ring is non-nil the hooks also feed the event-level
-// trace through obs.RingHooks, the simulator's hooks too, so a store's
-// eviction stream carries the same age/NREF detail as a replay's. Live
-// entries are string-indexed, so trace events carry ID -1. The store's
+// trace through obs.RingHooks, so the store's eviction stream carries
+// each victim's age and NREF. Live entries are string-indexed, so trace
+// events carry ID -1. The store's
 // lifetime counts are its core.Stats (Store.RegisterMetrics).
 func StoreHooks(reg *obs.Registry, ring *obs.EventRing) (core.CacheHooks, *obs.WindowedRate) {
 	window := obs.NewWindowedRate()

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"webcache/internal/core"
-	"webcache/internal/obs"
 	"webcache/internal/policy"
 	"webcache/internal/stats"
 	"webcache/internal/trace"
@@ -142,10 +141,6 @@ func Experiment6R(r *Runner, tr *trace.Trace, base *Exp1Result, specs []string, 
 			Seed:      seed + uint64(i)*101,
 			LatencyOf: model.RefetchLatency,
 		}
-		o := Observer
-		if o != nil {
-			cfg.Hooks = obs.RingHooks(o.Ring())
-		}
 		cache := core.New(cfg)
 		run := &LatencyRun{Policy: spec}
 		replay := func() {
@@ -160,7 +155,7 @@ func Experiment6R(r *Runner, tr *trace.Trace, base *Exp1Result, specs []string, 
 				}
 			}
 		}
-		if o != nil {
+		if o := Observer; o != nil {
 			observeReplay(o, spec, tr.Name, capacity, replay, cache.Stats)
 		} else {
 			replay()

@@ -11,11 +11,11 @@ import (
 // RunPolicy/Experiment1/Experiment6 replay runs under pprof labels
 // (policy=, workload=, experiment=) and emits an obs.ReplaySnapshot
 // with its outcome counters and timing, which also sum into the
-// observer's cache.* counters; when the observer carries an event ring,
-// every cache is built with event hooks feeding it.
+// observer's cache.* counters. The caches run unhooked either way, so
+// an observed replay does no per-request work the plain one does not.
 //
 // It is nil by default — the disabled path costs one nil check per
-// replay and nothing per request (see core.CacheHooks) — and is set
+// replay and nothing per request — and is set
 // before an experiment starts (websim wires it from -metrics-out /
 // -progress), never mid-run: replays fan out across goroutines and
 // consult it once at start.

@@ -11,13 +11,13 @@ import (
 // Full-replay microbenchmarks per policy family. Each reports
 // ns/request alongside ns/op, and each family runs twice: as production
 // runs it, and with the observability layer attached (Observer with its
-// cache hooks, event ring and JSONL snapshots), so
+// pprof label span and JSONL snapshot per replay, what websim's
+// -metrics-out and -progress run), so
 //
 //	go test ./internal/sim -run '^$' -bench 'Replay$|ReplayObserved' -benchmem
 //
-// prices the enabled observability path per family. The last 36-policy
-// ablation, which priced each engine layer against its predecessor,
-// is the final entry of the frozen BENCH_replay.json.
+// prices the enabled observability path per family. DESIGN.md's
+// "Overhead contract" table holds the interleaved measurement.
 
 // replayFamilies samples one representative policy per structural
 // family — a single-key and a two-key SIZE order (size buckets), LRU
@@ -43,7 +43,7 @@ var replayFamilies = []struct {
 func benchmarkReplayPolicy(b *testing.B, spec string, observed bool) {
 	tr, base := benchExp2Workload(b)
 	if observed {
-		o := obs.New(obs.Options{Metrics: io.Discard, Ring: obs.NewEventRing(1 << 16)})
+		o := obs.New(obs.Options{Metrics: io.Discard})
 		o.SetExperiment("2")
 		Observer = o
 		defer func() {

@@ -7,7 +7,6 @@ package sim
 
 import (
 	"webcache/internal/core"
-	"webcache/internal/obs"
 	"webcache/internal/policy"
 	"webcache/internal/stats"
 	"webcache/internal/trace"
@@ -122,7 +121,6 @@ func Experiment1(tr *trace.Trace, seed uint64) *Exp1Result {
 	o := Observer
 	if o != nil {
 		o.AddReplays(1)
-		cfg.Hooks = obs.RingHooks(o.Ring())
 	}
 	var cache *core.Cache
 	var rates DailyRates
@@ -192,10 +190,6 @@ func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity in
 		LatencyOf: opts.LatencyOf,
 		SizeHint:  sizeHint(base, capacity),
 	}
-	o := Observer
-	if o != nil {
-		cfg.Hooks = obs.RingHooks(o.Ring())
-	}
 	var cache *core.Cache
 	var rates DailyRates
 	replay := func() {
@@ -207,7 +201,7 @@ func RunPolicy(tr *trace.Trace, base *Exp1Result, pol policy.Policy, capacity in
 		}
 		rates = ReplayColumnar(col, cache, onDay)
 	}
-	if o != nil {
+	if o := Observer; o != nil {
 		label := opts.Label
 		if label == "" {
 			label = pol.Name()
