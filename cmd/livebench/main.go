@@ -154,7 +154,7 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		// the store's eviction clock is driven by simulated time.
 		tracer = obs.NewTracer(obs.TracerOptions{SampleEvery: traceSample})
 	}
-	liveHits, liveBytesHit, liveBytes, fleet, err := replayLive(tr, polSpec, capacity, seed+2, shadowSpecs, tracer, out, reg, ring)
+	liveHits, liveBytesHit, liveBytes, store, fleet, err := replayLive(tr, polSpec, capacity, seed+2, shadowSpecs, tracer, out, reg, ring)
 	if err != nil {
 		return err
 	}
@@ -165,7 +165,7 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		100*(liveHR-simStats.HitRate()), 100*(liveWHR-simStats.WeightedHitRate()))
 
 	if fleet != nil {
-		if err := crossCheckShadows(tr, capacity, seed+2, fleet, out); err != nil {
+		if err := crossCheckShadows(tr, capacity, seed+2, fleet, simPol.Name(), store, out); err != nil {
 			return err
 		}
 	}
@@ -217,16 +217,17 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 // ghost-cache fleet fed off the proxy's request stream — queue sized
 // to the trace so the replay is drop-free, clock and seed shared with
 // the simulated side so the fleet's caches replay deterministically;
-// the returned fleet is already closed (fully drained). tracer, when
-// non-nil, records sampled requests' phase timelines.
-func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint64, shadowSpecs []string, tracer *obs.Tracer, out io.Writer, reg *obs.Registry, ring *obs.EventRing) (hits, bytesHit, bytesTotal int64, fleet *proxy.ShadowFleet, err error) {
+// the returned fleet is already closed (fully drained), and storeStats
+// are the live store's counters at the same point. tracer, when non-nil,
+// records sampled requests' phase timelines.
+func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint64, shadowSpecs []string, tracer *obs.Tracer, out io.Writer, reg *obs.Registry, ring *obs.EventRing) (hits, bytesHit, bytesTotal int64, storeStats proxy.StoreStats, fleet *proxy.ShadowFleet, err error) {
 	org := origin.FromTrace(tr)
 	originTS := httptest.NewServer(org)
 	defer originTS.Close()
 
 	livePol, err := policy.Parse(polSpec, tr.Start)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, 0, storeStats, nil, err
 	}
 	store := proxy.NewStore(capacity, livePol)
 	// The simulated cache's seed, so the per-entry random tiebreak
@@ -249,7 +250,7 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 			Clock:      func() int64 { return simNow },
 		})
 		if err != nil {
-			return 0, 0, 0, nil, err
+			return 0, 0, 0, storeStats, nil, err
 		}
 		defer fleet.Close()
 		srv.Shadow = fleet
@@ -272,7 +273,7 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	handled := make(chan struct{}, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, 0, storeStats, nil, err
 	}
 	traffic := proxy.NewConnServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() { handled <- struct{}{} }()
@@ -292,7 +293,7 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 		simNow = req.Time
 		resp, err := client.Get(req.URL)
 		if err != nil {
-			return 0, 0, 0, nil, fmt.Errorf("request %d (%s): %w", i, req.URL, err)
+			return 0, 0, 0, storeStats, nil, fmt.Errorf("request %d (%s): %w", i, req.URL, err)
 		}
 		n, _ := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -309,20 +310,30 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	if fleet != nil {
 		fleet.Close() // stop the worker and drain every queued event
 	}
-	return hits, bytesHit, bytesTotal, fleet, nil
+	return hits, bytesHit, bytesTotal, store.Stats(), fleet, nil
 }
 
 // crossCheckShadows replays the trace through a fresh simulator for
 // each shadow policy and demands exact agreement with the ghost
-// cache's end-of-run numbers — the invariant tying live observability
-// back to the paper's simulator. Any mismatch (or a dropped event,
-// which would invalidate the comparison) is an error.
-func crossCheckShadows(tr *trace.Trace, capacity int64, cacheSeed uint64, fleet *proxy.ShadowFleet, out io.Writer) error {
+// cache's end-of-run hits — the invariant tying live observability
+// back to the paper's simulator. A shadow sees only the requests that
+// reached the store, so its requests are the trace's less the dynamic
+// ones, which the simulator counts as misses and never caches. When
+// the deployed policy is among the shadows, its row must also equal
+// the store's own counters. Any mismatch (or a dropped event, which
+// would invalidate the comparison) is an error.
+func crossCheckShadows(tr *trace.Trace, capacity int64, cacheSeed uint64, fleet *proxy.ShadowFleet, deployed string, store proxy.StoreStats, out io.Writer) error {
 	rep := fleet.Report()
 	fmt.Fprintf(out, "--- shadow fleet cross-check (%d policies, %d events, %d dropped) ---\n",
 		len(rep.Shadows), rep.Processed, rep.Dropped)
 	if rep.Dropped != 0 {
 		return fmt.Errorf("shadow queue dropped %d events; cross-check needs a drop-free run", rep.Dropped)
+	}
+	var dynamic int64
+	for i := range tr.Requests {
+		if trace.IsDynamic(tr.Requests[i].URL) {
+			dynamic++
+		}
 	}
 	var mismatches int
 	for i, spec := range fleet.Policies() {
@@ -342,15 +353,24 @@ func crossCheckShadows(tr *trace.Trace, capacity int64, cacheSeed uint64, fleet 
 		st := sim.Stats()
 		sh := rep.Shadows[i]
 		verdict := "exact match"
-		if sh.Requests != st.Requests || sh.Hits != st.Hits {
-			verdict = fmt.Sprintf("MISMATCH (sim %d/%d)", st.Hits, st.Requests)
+		if sh.Requests != st.Requests-dynamic || sh.Hits != st.Hits {
+			verdict = fmt.Sprintf("MISMATCH (sim %d/%d, %d dynamic)", st.Hits, st.Requests, dynamic)
 			mismatches++
 		}
 		fmt.Fprintf(out, "shadow %-12s HR %6.2f%%  WHR %6.2f%%  (%d hits / %d requests)  %s\n",
 			sh.Policy, 100*sh.HR, 100*sh.WHR, sh.Hits, sh.Requests, verdict)
+		if sh.Policy == deployed {
+			verdict := "=="
+			if sh.Requests != store.Gets || sh.Hits != store.Hits || sh.Evictions != store.Evictions {
+				verdict = "MISMATCH: !="
+				mismatches++
+			}
+			fmt.Fprintf(out, "deployed %s row %s store: %d/%d requests, %d/%d hits, %d/%d evictions\n",
+				sh.Policy, verdict, sh.Requests, store.Gets, sh.Hits, store.Hits, sh.Evictions, store.Evictions)
+		}
 	}
 	if mismatches > 0 {
-		return fmt.Errorf("%d shadow(s) disagree with the simulator", mismatches)
+		return fmt.Errorf("%d shadow check(s) failed", mismatches)
 	}
 	return nil
 }

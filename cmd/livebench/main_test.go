@@ -83,17 +83,21 @@ func TestRegistryCrossCheck(t *testing.T) {
 	}
 }
 
-// TestShadowCrossCheck is the tentpole acceptance criterion: with a
-// ghost-cache fleet riding the live replay (queue sized to the trace,
-// so drop-free), every shadow policy's end-of-run HR must equal a
-// fresh simulator replay of that policy exactly. run itself errors on
-// any mismatch or drop; the test additionally pins the report shape.
+// TestShadowCrossCheck is the shadow fleet's acceptance criterion:
+// with a ghost-cache fleet riding the live replay (queue sized to the
+// trace, so drop-free), every shadow policy's end-of-run hits must
+// equal a fresh simulator replay of that policy exactly, and the
+// deployed policy's row must equal the live store's counters. BL at
+// this scale has 23 CGI requests, which reach neither the store nor
+// the shadows, so the shadows' requests are the simulator's less
+// those. run itself errors on any mismatch or drop; the test
+// additionally pins the report shape.
 func TestShadowCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live HTTP replay in -short mode")
 	}
 	var out bytes.Buffer
-	if err := run("C", 0.005, "SIZE", 0.10, 7, "LRU,SIZE,LFU,SIZE/NREF", 0, "", &out, nil); err != nil {
+	if err := run("BL", 0.05, "SIZE", 0.10, 42, "LRU,SIZE,LFU,SIZE/NREF", 0, "", &out, nil); err != nil {
 		t.Fatalf("shadowed run: %v\n%s", err, out.String())
 	}
 	text := out.String()
@@ -109,13 +113,12 @@ func TestShadowCrossCheck(t *testing.T) {
 	if strings.Contains(text, "MISMATCH") {
 		t.Errorf("shadow/simulator mismatch:\n%s", text)
 	}
-	// The deployed policy (SIZE) runs both live and as a shadow: its
-	// shadow row must agree with the live store's own hit count, closing
-	// the loop between the two observability paths.
-	mLive := regexp.MustCompile(`live: +HR +([0-9.]+)%`).FindStringSubmatch(text)
-	mShadow := regexp.MustCompile(`shadow SIZE +HR +([0-9.]+)%`).FindStringSubmatch(text)
-	if mLive == nil || mShadow == nil || mLive[1] != mShadow[1] {
-		t.Errorf("deployed-policy shadow HR disagrees with live HR (%v vs %v):\n%s", mLive, mShadow, text)
+	// The deployed policy (SIZE) runs both live and as a shadow: its row
+	// must equal the live store's gets, hits and evictions. (Live HR's
+	// denominator counts the CGI requests too, so HRs would not agree.)
+	m := regexp.MustCompile(`deployed SIZE row == store: (\d+)/(\d+) requests, (\d+)/(\d+) hits, (\d+)/(\d+) evictions`).FindStringSubmatch(text)
+	if m == nil || m[1] != m[2] || m[3] != m[4] || m[5] != m[6] {
+		t.Errorf("deployed-policy shadow row disagrees with the store (%v):\n%s", m, text)
 	}
 }
 

@@ -801,9 +801,10 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Closed fleet still reports (for late scrapes) but accepts nothing.
+	// Closed fleet still reports (for late scrapes) but accepts nothing,
+	// not even the event of a request the proxy still serves.
 	enq := a.fleet.Report().Enqueued
-	a.fleet.Observe("http://late.test/x", 1, false)
+	a.srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, origin.URL+"/late.html", nil))
 	if got := a.fleet.Report().Enqueued; got != enq {
 		t.Fatalf("fleet accepted an event after Close: %d != %d", got, enq)
 	}

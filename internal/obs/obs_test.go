@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -97,13 +98,9 @@ func TestObserverConcurrentEmit(t *testing.T) {
 }
 
 func TestProgressCountsAndLine(t *testing.T) {
-	p := NewProgress(nil, "websim", time.Hour)
+	p := NewProgress(io.Discard, "websim", time.Hour)
 	p.AddTotal(36)
 	p.Done(9)
-	done, total := p.Counts()
-	if done != 9 || total != 36 {
-		t.Fatalf("counts = %d/%d, want 9/36", done, total)
-	}
 	line := p.Line()
 	for _, want := range []string{"websim:", "9/36", "25%", "eta"} {
 		if !strings.Contains(line, want) {
@@ -111,7 +108,7 @@ func TestProgressCountsAndLine(t *testing.T) {
 		}
 	}
 	// No total yet: the line degrades to a plain completion count.
-	q := NewProgress(nil, "bench", time.Hour)
+	q := NewProgress(io.Discard, "bench", time.Hour)
 	q.Done(3)
 	if line := q.Line(); !strings.Contains(line, "3 replays done") {
 		t.Fatalf("totalless line = %q", line)

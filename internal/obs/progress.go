@@ -26,9 +26,10 @@ type Progress struct {
 	stopped bool
 }
 
-// NewProgress returns a progress surface writing to w every interval
-// (0 = a 1-second default). Call Start to launch the ticker; AddTotal
-// and Done are usable (and concurrency-safe) either way.
+// NewProgress returns a progress surface writing to w, which must not
+// be nil, every interval (0 = a 1-second default). Call Start to launch
+// the ticker; AddTotal and Done are usable (and concurrency-safe)
+// either way.
 func NewProgress(w io.Writer, label string, interval time.Duration) *Progress {
 	if interval <= 0 {
 		interval = time.Second
@@ -48,15 +49,10 @@ func (p *Progress) AddTotal(n int) { p.total.Add(int64(n)) }
 // Done marks n replays completed.
 func (p *Progress) Done(n int) { p.done.Add(int64(n)) }
 
-// Counts returns (done, total).
-func (p *Progress) Counts() (done, total int64) {
-	return p.done.Load(), p.total.Load()
-}
-
 // Line renders the current progress line: completed/total, percentage,
 // elapsed wall time, and a throughput-based ETA once anything finished.
 func (p *Progress) Line() string {
-	done, total := p.Counts()
+	done, total := p.done.Load(), p.total.Load()
 	elapsed := time.Since(p.start).Round(100 * time.Millisecond)
 	if total <= 0 {
 		return fmt.Sprintf("%s: %d replays done, elapsed %s", p.label, done, elapsed)
@@ -118,7 +114,5 @@ func (p *Progress) Stop() {
 func (p *Progress) render() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.w != nil {
-		fmt.Fprintln(p.w, p.Line())
-	}
+	fmt.Fprintln(p.w, p.Line())
 }

@@ -58,9 +58,12 @@ type Server struct {
 	Siblings []Sibling
 	// ICP issues the sibling queries.
 	ICP ICPClient
-	// Shadow, when non-nil, receives every successful GET outcome (URL,
-	// body size, deployed hit-or-miss) for the ghost-cache fleet. The
-	// per-request cost is one non-blocking enqueue; nil costs one branch.
+	// Shadow, when non-nil, receives what the store did for every
+	// cacheable request (whether the lookup ran and hit, whether the
+	// object was put, the size served), on every exit, a failed fetch
+	// and an aborted transfer included. An uncacheable request never
+	// reaches the store, nor the shadows. The per-request cost is one
+	// non-blocking enqueue; nil costs one branch.
 	Shadow *ShadowFleet
 	// Tracer, when non-nil, samples requests into per-phase span
 	// timelines (parse, store get, origin dial/TTFB/body,
@@ -242,25 +245,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	noCache := strings.EqualFold(r.Header.Get("Pragma"), "no-cache")
 	rt.SetURL(key)
 	rt.EndSpan(parse)
 
 	// A client's reload skips the lookup: it is no store request, so it
 	// neither counts nor re-ranks the resident copy it replaces.
-	if noCache {
-		s.fetchAndServe(w, r, key, rt)
+	ev := shadowEvent{url: key, looked: !strings.EqualFold(r.Header.Get("Pragma"), "no-cache")}
+	if f := s.Shadow; f != nil {
+		defer f.observe(&ev)
+	}
+	if !ev.looked {
+		s.fetchAndServe(w, r, key, rt, &ev)
 		return
 	}
 	if obj, ok := s.storeGet(key, rt); ok {
+		ev.hit, ev.size = true, int64(len(obj.Body))
 		age := time.Since(obj.StoredAt)
 		if age <= s.FreshFor {
 			s.serveObject(w, obj, xCacheHit, rt)
 			s.stats.hits.Add(1)
-			s.stats.bytesFromHit.Add(int64(len(obj.Body)))
-			if f := s.Shadow; f != nil {
-				f.Observe(key, int64(len(obj.Body)), true)
-			}
+			s.stats.bytesFromHit.Add(ev.size)
 			return
 		}
 		reval := rt.BeginSpan(obs.PhaseRevalidate)
@@ -269,17 +273,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			s.serveObject(w, obj, xCacheRevalidated, rt)
 			s.stats.revalidated.Add(1)
-			s.stats.bytesFromHit.Add(int64(len(obj.Body)))
-			if f := s.Shadow; f != nil {
-				f.Observe(key, int64(len(obj.Body)), true)
-			}
+			s.stats.bytesFromHit.Add(ev.size)
 			return
 		}
 		// Revalidation says the document changed (or failed); fall
 		// through to a fresh fetch, replacing the stale copy.
 	}
 
-	s.fetchAndServe(w, r, key, rt)
+	s.fetchAndServe(w, r, key, rt, &ev)
 }
 
 // revalidate sends a conditional GET; true means the cached copy is
@@ -310,8 +311,10 @@ func (s *Server) revalidate(ctx context.Context, key string, obj *Object) bool {
 
 // fetchAndServe fetches key from the origin (or parent proxy),
 // streams it to the client as it arrives, and caches it when eligible
-// (DESIGN.md §11).
-func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key string, rt *obs.ReqTrace) {
+// (DESIGN.md §11). A complete 200 response sets ev's size to the
+// bytes served and, when the object goes to Put, marks ev stored; on
+// any other exit ev keeps the size the lookup found (0 on a miss).
+func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key string, rt *obs.ReqTrace, ev *shadowEvent) {
 	s.stats.misses.Add(1)
 	// The fetch lives on the client's context: a client that goes away
 	// cancels it, and its connection to the origin is closed.
@@ -399,20 +402,19 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 		panic(http.ErrAbortHandler)
 	}
 	rt.SetOutcome("MISS", http.StatusOK, sent)
+	ev.size = sent
 	if body != nil {
 		admit := rt.BeginSpan(obs.PhaseAdmit)
 		// A body of declared length is served with the same headers on
 		// every hit; Put formats those of a body whose length the origin
 		// did not declare.
 		obj := &Object{Body: body, ContentType: contentType, LastModified: lastMod, StoredAt: time.Now(), header: hdr}
+		ev.stored = true
 		arg := int64(0)
 		if s.storePut(key, obj, rt) {
 			arg = 1
 		}
 		rt.EndSpanArg(admit, arg)
-	}
-	if f := s.Shadow; f != nil {
-		f.Observe(key, sent, false)
 	}
 }
 
@@ -588,12 +590,6 @@ func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target stri
 	defer resp.Body.Close()
 	n := s.relay(w, resp)
 	rt.SetOutcome("UNCACHEABLE", resp.StatusCode, n)
-	// Successful GETs the cache declined (CGI, query strings, client
-	// opt-out) still reach the shadows: the simulator counts dynamic
-	// requests as misses, so the fleet must see them too.
-	if f := s.Shadow; f != nil && r.Method == http.MethodGet && resp.StatusCode == http.StatusOK {
-		f.Observe(target, n, false)
-	}
 }
 
 // copyEndToEnd copies the end-to-end headers of a request or response

@@ -1,32 +1,29 @@
 package proxy
 
 // The shadow fleet turns the live proxy into its own policy
-// experiment. The paper's question — which removal policy maximizes
-// HR/WHR — is answered offline by replaying traces through the
-// simulator; a deployed proxy can only report the hit rate of the one
-// policy it runs, so the operator never learns what SIZE vs LRU vs LFU
-// *would have done* on today's traffic. A ShadowFleet maintains K
-// metadata-only ghost caches (URL + size entries, no bodies — each a
-// core.Cache at the deployed capacity running a candidate policy) and
-// feeds them asynchronously off the live request stream: the serving
-// path pays exactly one non-blocking send per request into a bounded
-// channel (a full channel drops the event, counted, never blocks), and
-// a single worker goroutine replays the stream into every shadow.
+// experiment. A deployed proxy can only report the hit rate of the one
+// policy it runs; the paper's question — which removal policy
+// maximizes HR/WHR — asks what SIZE vs LRU vs LFU *would have done* on
+// the same traffic. A ShadowFleet keeps K metadata-only ghost caches
+// (each a core.Cache at the deployed capacity running a candidate
+// policy, no bodies) and feeds them asynchronously with what the store
+// did: the serving path pays one non-blocking send per cacheable
+// request into a bounded channel (a full channel drops the event,
+// counted), and one worker goroutine replays each event on every
+// shadow. A shadow repeats the store's Lookup, if it ran, then
+// its Insert, if it ran, unless the shadow's Lookup disagreed: then a
+// shadow that missed inserts at the size the store served, and one
+// that hit inserts nothing. So the deployed policy's shadow is the
+// store, request for request, and no shadow sees a request the store
+// did not.
 //
-// Each shadow reports lifetime and sliding-window HR/WHR plus
-// *regret*: the deployed policy's window hit rate minus the shadow's.
-// Negative regret means the shadow policy would have served more hits
-// over the recent window — the signal to consider switching. The
-// deployed side of that comparison is computed from the same event
-// stream the shadows consume (each event carries the deployed
-// hit/miss outcome), so queue drops degrade both sides of the regret
-// equally and the windows stay like-for-like.
-//
-// Because a shadow is a real core.Cache, a drop-free run over a fixed
-// trace reproduces the simulator's numbers exactly — livebench
-// cross-checks a shadow's end-of-run HR against a fresh simulation of
-// the same trace with the same policy, tying live observability
-// byte-for-byte back to the paper's machinery.
+// Each shadow reports lifetime and window HR/WHR plus *regret*: the
+// deployed policy's window hit rate minus the shadow's; negative
+// regret means the candidate would have out-hit the deployed policy
+// recently. The deployed side comes from the same event stream (each
+// event carries the store's lookup outcome), so queue drops degrade
+// both sides equally. A drop-free run over a fixed trace reproduces
+// the simulator's hits exactly, which livebench -shadow cross-checks.
 
 import (
 	"encoding/json"
@@ -41,7 +38,6 @@ import (
 	"webcache/internal/core"
 	"webcache/internal/obs"
 	"webcache/internal/policy"
-	"webcache/internal/trace"
 )
 
 // DefaultShadowQueueSlots sizes the fleet's event channel when the
@@ -49,22 +45,40 @@ import (
 // drops, small enough to bound memory at well under a megabyte.
 const DefaultShadowQueueSlots = 1 << 14
 
-// shadowEvent is one observed request outcome: what was asked for and
-// whether the deployed store had it.
+// shadowEvent is what the store did for one request: whether its
+// Lookup ran (a client reload skips it) and hit, whether its Insert
+// ran, and the size it served.
 type shadowEvent struct {
-	url  string
-	size int64
-	at   int64
-	hit  bool
+	url    string
+	size   int64
+	at     int64
+	looked bool
+	hit    bool
+	stored bool
 }
 
-// shadow is one ghost cache: a candidate policy simulated at deployed
-// capacity over the live URL/size stream.
+// rates are one side's hit rates over the events that ran a Lookup:
+// unit-weighted (HR) and byte-weighted (WHR), windowed and lifetime.
+type rates struct{ hr, whr *obs.WindowedRate }
+
+func newRates() rates { return rates{obs.NewWindowedRate(), obs.NewWindowedRate()} }
+
+// observe counts one lookup of size bytes.
+func (r rates) observe(hit bool, size int64) {
+	r.hr.Observe(hit)
+	if hit {
+		r.whr.Record(size, size)
+	} else {
+		r.whr.Record(0, size)
+	}
+}
+
+// shadow is one ghost cache: a candidate policy at the deployed
+// capacity, replaying the store's calls.
 type shadow struct {
 	name  string
 	cache *core.Cache
-	hr    *obs.WindowedRate // unit-weighted window hit rate
-	whr   *obs.WindowedRate // byte-weighted window hit rate
+	rates
 }
 
 // ShadowOptions configures a ShadowFleet.
@@ -90,20 +104,20 @@ type ShadowOptions struct {
 	Clock func() int64
 }
 
-// ShadowFleet runs the ghost caches. Observe is safe for concurrent
-// use and never blocks; everything else happens on the fleet's worker
-// goroutine or under its mutex.
+// ShadowFleet runs the ghost caches. Its feed, observe, is safe for
+// concurrent use and never blocks; everything else happens on the
+// fleet's worker goroutine or under its mutex.
 type ShadowFleet struct {
 	capacity int64
 	clock    func() int64
 	// stampOnDrain moves the clock read off the hot path: with no
-	// injected Clock, Observe leaves events unstamped and the drain
+	// injected Clock, observe leaves events unstamped and the drain
 	// stamps each batch with one wall-clock read. An injected Clock
 	// (livebench's simulated time) stamps at enqueue, where the caller's
 	// notion of "now" is exact.
 	stampOnDrain bool
 
-	// events is the lossy queue: Observe sends without blocking and
+	// events is the lossy queue: observe sends without blocking and
 	// counts a drop when it is full; only drainLocked receives, under
 	// mu, so events apply in send order.
 	events chan shadowEvent
@@ -116,12 +130,10 @@ type ShadowFleet struct {
 	processed atomic.Int64
 
 	// mu serializes the drain (worker or Flush) with report snapshots;
-	// the ghost caches and deployed window rates are only touched under
-	// it.
+	// the ghost caches and deployed rates are only touched under it.
 	mu      sync.Mutex
 	shadows []*shadow
-	depHR   *obs.WindowedRate
-	depWHR  *obs.WindowedRate
+	dep     rates
 }
 
 // NewShadowFleet builds the ghost caches and starts the drain worker.
@@ -151,8 +163,7 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 		notify:       make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
-		depHR:        obs.NewWindowedRate(),
-		depWHR:       obs.NewWindowedRate(),
+		dep:          newRates(),
 	}
 	seen := make(map[string]bool, len(opts.Policies))
 	for _, spec := range opts.Policies {
@@ -167,14 +178,10 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 		seen[name] = true
 		f.shadows = append(f.shadows, &shadow{
 			name: name,
-			cache: core.New(core.Config{
-				Capacity:       opts.Capacity,
-				Policy:         pol,
-				Seed:           opts.Seed,
-				ExcludeDynamic: true,
-			}),
-			hr:  obs.NewWindowedRate(),
-			whr: obs.NewWindowedRate(),
+			// Configured as the store's cache is, so the deployed policy's
+			// shadow is the store.
+			cache: core.New(core.Config{Capacity: opts.Capacity, Policy: pol, Seed: opts.Seed}),
+			rates: newRates(),
 		})
 	}
 	go f.worker()
@@ -191,22 +198,20 @@ func (f *ShadowFleet) Policies() []string {
 	return names
 }
 
-// Observe records one request outcome: the URL and response size, and
-// whether the deployed store served it as a hit. This is the hot-path
-// entry point — one non-blocking channel send and one nudge; a full
-// channel drops the event (counted) rather than block the request. In
-// wall-clock mode the timestamp is deferred to the drain, so the
-// serving path never reads the clock.
-func (f *ShadowFleet) Observe(url string, size int64, deployedHit bool) {
+// observe records what the store did for one request. This is the
+// hot-path entry point — one non-blocking channel send and one nudge;
+// a full channel drops the event (counted) rather than block the
+// request. In wall-clock mode the timestamp is deferred to the drain,
+// so the serving path never reads the clock.
+func (f *ShadowFleet) observe(ev *shadowEvent) {
 	if f.closed.Load() {
 		return
 	}
-	var at int64
 	if !f.stampOnDrain {
-		at = f.clock()
+		ev.at = f.clock()
 	}
 	select {
-	case f.events <- shadowEvent{url: url, size: size, at: at, hit: deployedHit}:
+	case f.events <- *ev:
 	default:
 		f.dropped.Add(1)
 		return
@@ -271,36 +276,33 @@ func (f *ShadowFleet) drainLocked() int {
 	return n
 }
 
-// applyLocked feeds one event to the deployed window rates and every
-// ghost cache.
+// applyLocked feeds one event to the deployed rates and replays it on
+// every ghost cache: the store's Lookup, if it ran, then its Insert,
+// if it ran and the shadow's Lookup agreed with the store's. Where they
+// disagree, a shadow that missed inserts at the served size and one
+// that hit inserts nothing.
 func (f *ShadowFleet) applyLocked(ev shadowEvent) {
-	f.depHR.Observe(ev.hit)
-	if ev.hit {
-		f.depWHR.Record(ev.size, ev.size)
-	} else {
-		f.depWHR.Record(0, ev.size)
-	}
-	req := trace.Request{
-		Time:   ev.at,
-		URL:    ev.url,
-		Status: http.StatusOK,
-		Size:   ev.size,
-		Type:   trace.ClassifyURL(ev.url),
+	if ev.looked {
+		f.dep.observe(ev.hit, ev.size)
 	}
 	for _, sh := range f.shadows {
-		hit := sh.cache.Access(&req)
-		sh.hr.Observe(hit)
-		if hit {
-			sh.whr.Record(ev.size, ev.size)
-		} else {
-			sh.whr.Record(0, ev.size)
+		hit := ev.looked && sh.cache.Lookup(ev.url, ev.at)
+		insert := ev.stored
+		if ev.looked {
+			sh.observe(hit, ev.size)
+			if hit != ev.hit {
+				insert = !hit
+			}
+		}
+		if insert {
+			sh.cache.Insert(ev.url, ev.size, ev.at)
 		}
 	}
 }
 
 // Close stops the worker and drains whatever is still queued, so
-// end-of-run reports are complete. Idempotent; Observe after Close is
-// a no-op.
+// end-of-run reports are complete. Idempotent; an event sent after
+// Close is discarded.
 func (f *ShadowFleet) Close() {
 	if f.closed.Swap(true) {
 		return
@@ -310,12 +312,14 @@ func (f *ShadowFleet) Close() {
 	f.Flush()
 }
 
-// ShadowSnapshot is one ghost cache's report row.
+// ShadowSnapshot is one ghost cache's report row. Requests counts its
+// Lookups, so the deployed policy's row reads the store's Gets.
 type ShadowSnapshot struct {
 	Policy   string `json:"policy"`
 	Requests int64  `json:"requests"`
 	Hits     int64  `json:"hits"`
-	// Lifetime rates, in [0, 1].
+	// Lifetime rates, in [0, 1]: a Lookup miss requests no bytes in
+	// core.Stats, so WHR comes from the served sizes the events carry.
 	HR  float64 `json:"hr"`
 	WHR float64 `json:"whr"`
 	// Window rates over the last obs.DefaultWindow.
@@ -365,10 +369,10 @@ func (f *ShadowFleet) Report() ShadowReport {
 		Dropped:   f.dropped.Load(),
 		Pending:   int64(len(f.events)),
 		Deployed: ShadowDeployed{
-			WindowHR:  f.depHR.Rate(),
-			WindowWHR: f.depWHR.Rate(),
-			HR:        f.depHR.LifetimeRate(),
-			WHR:       f.depWHR.LifetimeRate(),
+			WindowHR:  f.dep.hr.Rate(),
+			WindowWHR: f.dep.whr.Rate(),
+			HR:        f.dep.hr.LifetimeRate(),
+			WHR:       f.dep.whr.LifetimeRate(),
 		},
 	}
 	for _, sh := range f.shadows {
@@ -377,8 +381,8 @@ func (f *ShadowFleet) Report() ShadowReport {
 			Policy:    sh.name,
 			Requests:  st.Requests,
 			Hits:      st.Hits,
-			HR:        st.HitRate(),
-			WHR:       st.WeightedHitRate(),
+			HR:        sh.hr.LifetimeRate(),
+			WHR:       sh.whr.LifetimeRate(),
 			WindowHR:  sh.hr.Rate(),
 			WindowWHR: sh.whr.Rate(),
 			RegretHR:  rep.Deployed.WindowHR - sh.hr.Rate(),
@@ -409,57 +413,27 @@ func bp(rate float64) int64 { return int64(rate*10000 + 0.5) }
 // functions while holding its own mutex, and the fleet never calls
 // into the registry, so the lock order is always registry → fleet.
 func (f *ShadowFleet) RegisterMetrics(reg *obs.Registry) {
+	locked := func(read func() int64) func() int64 {
+		return func() int64 {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return read()
+		}
+	}
 	reg.GaugeFunc("store.shadow.drops", f.dropped.Load)
 	reg.GaugeFunc("store.shadow.pending", func() int64 { return int64(len(f.events)) })
-	reg.GaugeFunc("store.shadow.enqueued", func() int64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.enqueuedLocked()
-	})
-	reg.GaugeFunc("store.shadow.processed", func() int64 { return f.processed.Load() })
+	reg.GaugeFunc("store.shadow.enqueued", locked(f.enqueuedLocked))
+	reg.GaugeFunc("store.shadow.processed", f.processed.Load)
 	for _, sh := range f.shadows {
-		sh := sh
 		prefix := "store.shadow." + sanitizeMetricName(sh.name)
-		reg.GaugeFunc(prefix+".window_hr_bp", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return bp(sh.hr.Rate())
-		})
-		reg.GaugeFunc(prefix+".window_whr_bp", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return bp(sh.whr.Rate())
-		})
-		reg.GaugeFunc(prefix+".regret_bp", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return bp(f.depHR.Rate()) - bp(sh.hr.Rate())
-		})
-		reg.GaugeFunc(prefix+".requests", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return sh.cache.Stats().Requests
-		})
-		reg.GaugeFunc(prefix+".hits", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return sh.cache.Stats().Hits
-		})
-		reg.GaugeFunc(prefix+".evictions", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return sh.cache.Stats().Evictions
-		})
-		reg.GaugeFunc(prefix+".used_bytes", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return sh.cache.Used()
-		})
-		reg.GaugeFunc(prefix+".docs", func() int64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return sh.cache.Stats().Docs
-		})
+		reg.GaugeFunc(prefix+".window_hr_bp", locked(func() int64 { return bp(sh.hr.Rate()) }))
+		reg.GaugeFunc(prefix+".window_whr_bp", locked(func() int64 { return bp(sh.whr.Rate()) }))
+		reg.GaugeFunc(prefix+".regret_bp", locked(func() int64 { return bp(f.dep.hr.Rate()) - bp(sh.hr.Rate()) }))
+		reg.GaugeFunc(prefix+".requests", locked(func() int64 { return sh.cache.Stats().Requests }))
+		reg.GaugeFunc(prefix+".hits", locked(func() int64 { return sh.cache.Stats().Hits }))
+		reg.GaugeFunc(prefix+".evictions", locked(func() int64 { return sh.cache.Stats().Evictions }))
+		reg.GaugeFunc(prefix+".used_bytes", locked(sh.cache.Used))
+		reg.GaugeFunc(prefix+".docs", locked(func() int64 { return sh.cache.Stats().Docs }))
 	}
 }
 
