@@ -27,11 +27,14 @@ import (
 
 // The idle pool's bounds: net/http's MaxIdleConns and IdleConnTimeout
 // defaults, and the per-address cap the proxy's upstream transport had.
+// A connection reads through readBufSize, so one read(2) takes the head
+// and the body of a typical document; it writes only request heads.
 const (
 	maxIdlePerAddr = 64
 	maxIdle        = 100
 	idleExpiry     = 90 * time.Second
-	connBufSize    = 4 << 10
+	readBufSize    = 32 << 10
+	writeBufSize   = 4 << 10
 )
 
 // Client is a synchronous HTTP/1.1 client. RoundTrip takes a pooled
@@ -147,7 +150,7 @@ func (c *Client) exchange(req, out *http.Request, addr string, fresh bool) (resp
 	// Cancelling the request poisons the connection's deadline, which
 	// ends whatever read or write is blocked on it; a connection that
 	// saw this is never pooled.
-	stop := context.AfterFunc(ctx, func() { cc.nc.SetDeadline(time.Unix(1, 0)) })
+	stop := afterFunc(ctx, func() { cc.nc.SetDeadline(time.Unix(1, 0)) })
 	fail := func(err error, beforeResponse bool) (*http.Response, bool, error) {
 		stop()
 		cc.nc.Close()
@@ -199,6 +202,16 @@ func (c *Client) exchange(req, out *http.Request, addr string, fresh bool) (resp
 	return resp, false, nil
 }
 
+// afterFunc is context.AfterFunc through ctx's own AfterFunc method
+// when it has one, as the proxy's request context does: that one needs
+// no context or goroutine of its own to watch for the client leaving.
+func afterFunc(ctx context.Context, f func()) (stop func() bool) {
+	if a, ok := ctx.(interface{ AfterFunc(func()) func() bool }); ok {
+		return a.AfterFunc(f)
+	}
+	return context.AfterFunc(ctx, f)
+}
+
 // dial opens a fresh connection to addr, reporting it to trace.
 func dial(ctx context.Context, addr string, trace *httptrace.ClientTrace) (*conn, error) {
 	if trace != nil && trace.ConnectStart != nil {
@@ -215,8 +228,8 @@ func dial(ctx context.Context, addr string, trace *httptrace.ClientTrace) (*conn
 	return &conn{
 		nc:   nc,
 		addr: addr,
-		br:   bufio.NewReaderSize(nc, connBufSize),
-		bw:   bufio.NewWriterSize(nc, connBufSize),
+		br:   bufio.NewReaderSize(nc, readBufSize),
+		bw:   bufio.NewWriterSize(nc, writeBufSize),
 	}, nil
 }
 

@@ -9,8 +9,8 @@ package proxy
 // with http.ReadRequest, calls the handler with its own ResponseWriter,
 // and sends a response head and a declared-length body in one writev.
 // The client watcher starts only for a handler that asks for the
-// request context's Done channel, which a miss does through
-// origin.Client.
+// request context's Done channel or AfterFunc, as a miss does through
+// origin.Client, and is still running watchDelay later.
 
 import (
 	"bufio"
@@ -53,6 +53,11 @@ const (
 	// before the client has read the reply (net/http's
 	// rstAvoidanceDelay).
 	lingerTime = 500 * time.Millisecond
+	// watchDelay is how long a request that asks to hear of its client
+	// hanging up runs before the watcher starts: a miss that ends sooner
+	// costs no goroutine and no read, and a hang-up is noticed at most
+	// this much later (DESIGN.md §11).
+	watchDelay = 10 * time.Millisecond
 )
 
 // The connection states Shutdown sees.
@@ -229,11 +234,12 @@ type conn struct {
 	canContinue                  atomic.Bool // a 100 Continue may still be sent
 	contMu                       sync.Mutex
 
-	wmu      sync.Mutex // guards the watcher fields below and reqContext's
-	bodyDone bool       // the request body has been read to its end
-	watching bool
-	aborted  bool
-	watchWG  sync.WaitGroup
+	wmu        sync.Mutex // guards the watcher fields below and reqContext's
+	bodyDone   bool       // the request body has been read to its end
+	watchTimer *time.Timer
+	watching   bool
+	aborted    bool
+	watchWG    sync.WaitGroup
 }
 
 // connReader is what a connection's bufio.Reader reads: a byte the
@@ -461,7 +467,9 @@ func (b *reqBody) Read(p []byte) (int, error) {
 	}
 	n, err := b.rc.Read(p)
 	if err == io.EOF && !b.eof.Swap(true) {
-		c.bodyEOF()
+		c.wmu.Lock()
+		c.bodyDone = true
+		c.wmu.Unlock()
 	}
 	return n, err
 }
@@ -476,15 +484,18 @@ func (b *reqBody) Close() error {
 
 // reqContext is a request's context. Nothing watches the connection
 // for a client that hangs up until someone asks, by calling Done or
-// registering a context.AfterFunc; then a one-byte read starts, as
-// net/http starts one for every request, once the request body has
-// been read to its end. The context is cancelled when the handler
-// returns. Its fields are guarded by the connection's wmu.
+// AfterFunc, and watchDelay has passed since; a request that ends
+// sooner costs a timer reset. Then a one-byte read starts, as net/http
+// starts one for every request, once the request body has been read to
+// its end. The context is cancelled when the client hangs up or the
+// handler returns. Its fields are guarded by the connection's wmu.
 type reqContext struct {
-	c      *conn
-	inner  context.Context // nil until watched
-	cancel context.CancelFunc
-	ended  bool
+	c           *conn
+	inner       context.Context // nil until Done is called
+	cancelInner context.CancelFunc
+	after       func() // the first AfterFunc's f, until it runs or is stopped
+	armed       bool   // Done or AfterFunc has been called
+	canceled    bool
 }
 
 func (x *reqContext) Deadline() (time.Time, bool) { return time.Time{}, false }
@@ -494,44 +505,80 @@ func (x *reqContext) Done() <-chan struct{}       { return x.watched().Done() }
 func (x *reqContext) Err() error {
 	x.c.wmu.Lock()
 	defer x.c.wmu.Unlock()
-	switch {
-	case x.inner != nil:
-		return x.inner.Err()
-	case x.ended:
+	if x.canceled {
 		return context.Canceled
 	}
 	return nil
 }
 
-// AfterFunc lets context.AfterFunc register f on the watched context
-// without a goroutine of its own.
-func (x *reqContext) AfterFunc(f func()) func() bool {
-	return context.AfterFunc(x.watched(), f)
+// AfterFunc registers f as context.AfterFunc does; origin.Client calls
+// it in context.AfterFunc's place. The first f, when it comes before
+// Done, is kept here, so a request that stops it in time needs neither
+// a context nor a goroutine; later ones go on the watched context. f
+// runs on a goroutine of its own, as context.AfterFunc runs it.
+func (x *reqContext) AfterFunc(f func()) (stop func() bool) {
+	c := x.c
+	c.wmu.Lock()
+	if x.armed || x.canceled {
+		c.wmu.Unlock()
+		return context.AfterFunc(x.watched(), f)
+	}
+	x.after = f
+	x.armLocked()
+	c.wmu.Unlock()
+	return func() bool {
+		c.wmu.Lock()
+		defer c.wmu.Unlock()
+		stopped := x.after != nil
+		x.after = nil
+		return stopped
+	}
 }
 
+// watched returns the context behind Done, made and the watch armed on
+// the first call.
 func (x *reqContext) watched() context.Context {
 	c := x.c
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if x.inner == nil {
-		x.inner, x.cancel = context.WithCancel(context.Background())
-		if x.ended {
-			x.cancel()
-		} else if c.bodyDone {
-			c.startWatchLocked(x.cancel)
+		x.inner, x.cancelInner = context.WithCancel(context.Background())
+		if x.canceled {
+			x.cancelInner()
 		}
+		x.armLocked()
 	}
 	return x.inner
 }
 
-// bodyEOF starts the watcher a handler asked for before its request
-// body ended.
-func (c *conn) bodyEOF() {
+// armLocked sets the connection's timer to start the watcher watchDelay
+// after the request first asks for it.
+func (x *reqContext) armLocked() {
+	c := x.c
+	if x.armed || x.canceled {
+		return
+	}
+	x.armed = true
+	if c.watchTimer == nil {
+		c.watchTimer = time.AfterFunc(watchDelay, c.watchDue)
+	} else {
+		c.watchTimer.Reset(watchDelay)
+	}
+}
+
+// watchDue starts the watcher for the running request that armed the
+// timer, once its body has been read to its end, looking again every
+// watchDelay until then. A timer that fired as one request ended may
+// start it early for the next one, if that one armed it too: harmless.
+func (c *conn) watchDue() {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.bodyDone = true
-	if x := c.ctx; x != nil && x.inner != nil && !x.ended && !c.watching {
-		c.startWatchLocked(x.cancel)
+	switch x := c.ctx; {
+	case x == nil || !x.armed || x.canceled || c.watching:
+	case c.bodyDone:
+		c.startWatchLocked(x)
+	default:
+		c.watchTimer.Reset(watchDelay)
 	}
 }
 
@@ -539,7 +586,7 @@ func (c *conn) bodyEOF() {
 // its own. A byte is the start of a pipelined request, kept for the
 // loop; an error other than end's deadline is the client gone, which
 // cancels the request.
-func (c *conn) startWatchLocked(cancel context.CancelFunc) {
+func (c *conn) startWatchLocked(x *reqContext) {
 	c.watching = true
 	c.nc.SetReadDeadline(time.Time{})
 	c.watchWG.Add(1)
@@ -547,23 +594,41 @@ func (c *conn) startWatchLocked(cancel context.CancelFunc) {
 		defer c.watchWG.Done()
 		n, err := c.nc.Read(c.r.b[:])
 		c.wmu.Lock()
-		aborted := c.aborted
-		c.wmu.Unlock()
+		defer c.wmu.Unlock()
 		if n == 1 {
 			c.r.saved = true
-		} else if err != nil && !aborted {
-			cancel()
+		} else if err != nil && !c.aborted {
+			x.cancelLocked()
 		}
 	}()
 }
 
-// end stops the watcher, if one runs, waits for it and cancels the
-// context.
+// cancelLocked cancels the context once: Done's channel closes and the
+// f AfterFunc kept runs, unless it was stopped.
+func (x *reqContext) cancelLocked() {
+	if x.canceled {
+		return
+	}
+	x.canceled = true
+	if x.cancelInner != nil {
+		x.cancelInner()
+	}
+	if x.after != nil {
+		go x.after()
+		x.after = nil
+	}
+}
+
+// end stops the timer and the watcher, if one runs, waits for it and
+// cancels the context.
 func (x *reqContext) end() {
 	c := x.c
 	c.wmu.Lock()
-	x.ended, c.ctx = true, nil
-	cancel, watching := x.cancel, c.watching
+	c.ctx = nil
+	if x.armed {
+		c.watchTimer.Stop()
+	}
+	watching := c.watching
 	c.aborted = true
 	c.wmu.Unlock()
 	if watching {
@@ -572,10 +637,8 @@ func (x *reqContext) end() {
 	}
 	c.wmu.Lock()
 	c.watching, c.aborted = false, false
+	x.cancelLocked()
 	c.wmu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 }
 
 // response is a ConnServer's http.ResponseWriter. WriteHeader formats

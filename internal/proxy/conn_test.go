@@ -656,32 +656,32 @@ func TestConnHitAllocs(t *testing.T) {
 // request and one writev of head and body (net/http takes two writes
 // for a body past its 4 KiB buffer).
 func TestConnHitIsOneWrite(t *testing.T) {
-	if _, err := os.ReadFile("/proc/self/io"); err != nil {
-		t.Skip("no /proc/self/io:", err)
-	}
 	hit := hitClient(t, newConnTestServer, nil)
-	syscw := func() int64 {
-		b, err := os.ReadFile("/proc/self/io")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(b), "\n") {
-			if v, ok := strings.CutPrefix(line, "syscw: "); ok {
-				n, _ := strconv.ParseInt(v, 10, 64)
-				return n
-			}
-		}
-		t.Fatal("no syscw in /proc/self/io")
-		return 0
-	}
 	const hits = 200
-	before := syscw()
+	before := syscw(t)
 	for range hits {
 		hit()
 	}
-	if per := float64(syscw()-before) / hits; per > 2.05 {
+	if per := float64(syscw(t)-before) / hits; per > 2.05 {
 		t.Errorf("%.2f write calls per hit, want 2: the request and one response writev", per)
 	}
+}
+
+// syscw reads the process's count of write system calls.
+func syscw(t *testing.T) int64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skip("no /proc/self/io:", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, _ := strconv.ParseInt(v, 10, 64)
+			return n
+		}
+	}
+	t.Fatal("no syscw in /proc/self/io")
+	return 0
 }
 
 // BenchmarkConnHit serves hits of a 10 KB document over loopback, one
