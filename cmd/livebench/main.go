@@ -19,9 +19,8 @@
 //
 // With -metrics, both replays report through one obs.Registry — the
 // simulated cache's core.Stats under sim.*, the live proxy and store
-// under proxy.* / store.* — and the run ends with the registry exposition
-// plus an event-level profile (eviction ages, occupancy) of the live
-// store, so the counter cross-check mirrors the hit-rate delta.
+// under proxy.* / store.* — and the run ends with the registry
+// exposition, so the counter cross-check mirrors the hit-rate delta.
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"webcache/internal/analysis"
 	"webcache/internal/core"
 	"webcache/internal/obs"
 	"webcache/internal/origin"
@@ -47,10 +45,6 @@ import (
 	"webcache/internal/trace"
 	"webcache/internal/workload"
 )
-
-// eventRingSize bounds the live store's event trace under -metrics;
-// livebench replays are small, so this usually holds the whole run.
-const eventRingSize = 1 << 16
 
 func main() {
 	var (
@@ -62,7 +56,7 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "report both replays through a shared metric registry and print it")
 		shadow   = flag.String("shadow", "", "comma-separated candidate policies to run as ghost caches beside the live store; each is cross-checked exactly against a fresh simulator replay")
 		traceN   = flag.Int("trace-sample", 0, "trace every nth live request's phase timeline (0 = off)")
-		traceOut = flag.String("trace-out", "", "write the kept request span trees (plus the event ring under -metrics) as Chrome trace-event JSON to this file; implies -trace-sample 1 when unset")
+		traceOut = flag.String("trace-out", "", "write the kept request span trees as Chrome trace-event JSON to this file; implies -trace-sample 1 when unset")
 	)
 	flag.Parse()
 	var reg *obs.Registry
@@ -81,17 +75,16 @@ func main() {
 
 // run replays the workload through both systems. When
 // reg is non-nil both replays report into it and the run ends with the
-// registry exposition and the live store's event profile. shadow, when
+// registry exposition. shadow, when
 // non-empty, names candidate policies (comma-separated) to run as a
 // ghost-cache fleet beside the live store; each shadow's end-of-run
 // numbers are cross-checked exactly against a fresh simulator replay
 // of the same trace — live observability must agree with the paper's
 // simulator to the request. traceSample > 0 attaches an obs.Tracer to
 // the live proxy (every nth request records its phase timeline); when
-// traceOut is non-empty the kept span trees — merged with the event
-// ring under -metrics — are written there as Chrome trace-event JSON,
-// so a sampled miss renders parse → store.get → origin TTFB →
-// admission → eviction spans in Perfetto next to residency spans.
+// traceOut is non-empty the kept span trees are written there as
+// Chrome trace-event JSON, so a sampled miss renders parse → store.get
+// → origin TTFB → admission → eviction spans in Perfetto.
 func run(wl string, scale float64, polSpec string, fraction float64, seed uint64, shadow string, traceSample int, traceOut string, out io.Writer, reg *obs.Registry) error {
 	cfg, err := workload.ByName(wl, seed)
 	if err != nil {
@@ -136,10 +129,6 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		100*simStats.HitRate(), 100*simStats.WeightedHitRate(), simStats.Evictions)
 
 	// --- Live run, with the same tiebreak stream as the simulated cache.
-	var ring *obs.EventRing
-	if reg != nil {
-		ring = obs.NewEventRing(eventRingSize)
-	}
 	var shadowSpecs []string
 	if shadow != "" {
 		for _, s := range strings.Split(shadow, ",") {
@@ -154,7 +143,7 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		// the store's eviction clock is driven by simulated time.
 		tracer = obs.NewTracer(obs.TracerOptions{SampleEvery: traceSample})
 	}
-	liveHits, liveBytesHit, liveBytes, store, fleet, err := replayLive(tr, polSpec, capacity, seed+2, shadowSpecs, tracer, out, reg, ring)
+	liveHits, liveBytesHit, liveBytes, store, fleet, err := replayLive(tr, polSpec, capacity, seed+2, shadowSpecs, tracer, out, reg)
 	if err != nil {
 		return err
 	}
@@ -179,7 +168,7 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 			if err != nil {
 				return err
 			}
-			if err := obs.WriteCombinedChromeTrace(f, ring, tracer); err != nil {
+			if err := tracer.WriteChromeTrace(f); err != nil {
 				f.Close()
 				return err
 			}
@@ -201,10 +190,6 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 		if err := reg.WriteText(out); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "--- live store event profile ---")
-		if err := analysis.AnalyzeEvents(ring).WriteReport(out); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -212,15 +197,15 @@ func run(wl string, scale float64, polSpec string, fraction float64, seed uint64
 // replayLive drives every trace request through a real proxy + origin.
 // cacheSeed matches the simulated cache's seed so per-entry tiebreak
 // values coincide and tie-heavy policies (LRU, LFU) evict identically.
-// When reg is non-nil, the proxy and its store report into it (and the
-// store's events into ring). shadowSpecs, when non-empty, attaches a
+// When reg is non-nil, the proxy and its store report into it.
+// shadowSpecs, when non-empty, attaches a
 // ghost-cache fleet fed off the proxy's request stream — queue sized
 // to the trace so the replay is drop-free, clock and seed shared with
 // the simulated side so the fleet's caches replay deterministically;
 // the returned fleet is already closed (fully drained), and storeStats
 // are the live store's counters at the same point. tracer, when non-nil,
 // records sampled requests' phase timelines.
-func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint64, shadowSpecs []string, tracer *obs.Tracer, out io.Writer, reg *obs.Registry, ring *obs.EventRing) (hits, bytesHit, bytesTotal int64, storeStats proxy.StoreStats, fleet *proxy.ShadowFleet, err error) {
+func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint64, shadowSpecs []string, tracer *obs.Tracer, out io.Writer, reg *obs.Registry) (hits, bytesHit, bytesTotal int64, storeStats proxy.StoreStats, fleet *proxy.ShadowFleet, err error) {
 	org := origin.FromTrace(tr)
 	originTS := httptest.NewServer(org)
 	defer originTS.Close()
@@ -259,8 +244,6 @@ func replayLive(tr *trace.Trace, polSpec string, capacity int64, cacheSeed uint6
 	if reg != nil {
 		srv.RegisterMetrics(reg)
 		store.RegisterMetrics(reg)
-		hooks, _ := proxy.StoreHooks(reg, ring)
-		store.SetHooks(hooks)
 	}
 	srv.FreshFor = 100 * 365 * 24 * time.Hour // never revalidate
 	srv.MaxObjectBytes = 64 << 20

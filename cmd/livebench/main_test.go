@@ -43,7 +43,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 // TestRegistryCrossCheck runs with the shared registry on: the
 // simulated cache's sim.* counts and the live store's store.* counts
 // must agree exactly, mirroring the hit-rate delta, and the
-// report must end with the registry exposition and the event profile.
+// report must end with the registry exposition.
 func TestRegistryCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live HTTP replay in -short mode")
@@ -76,7 +76,7 @@ func TestRegistryCrossCheck(t *testing.T) {
 		t.Error("proxy latency histogram empty")
 	}
 	text := out.String()
-	for _, want := range []string{"registry:  sim hits", "--- registry ---", "proxy.latency_ns.p50", "--- live store event profile ---", "events profiled:"} {
+	for _, want := range []string{"registry:  sim hits", "--- registry ---", "proxy.latency_ns.p50"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
 		}

@@ -49,11 +49,6 @@ import (
 	"webcache/internal/proxy"
 )
 
-// eventRingSize is the admin trace window: the most recent cache
-// events kept for /trace. 64Ki events ≈ a few MB, hours of typical
-// 1995-scale traffic.
-const eventRingSize = 1 << 16
-
 // options carries the parsed flag set; a struct so tests can exercise
 // the full wiring without a process.
 type options struct {
@@ -74,12 +69,11 @@ type options struct {
 
 	// traceSample enables request-lifecycle tracing: every nth request
 	// is recorded as a per-phase span timeline and the tail reservoir
-	// keeps the traceSlowest slowest per window plus every errored /
-	// missed / evicting request (/requests on the admin address). 0 —
-	// the default — builds no tracer; the serving path keeps its one
-	// nil check.
-	traceSample  int
-	traceSlowest int
+	// keeps the 16 slowest per window plus every errored / missed /
+	// evicting request (/requests on the admin address). 0 — the
+	// default — builds no tracer; the serving path keeps its one nil
+	// check.
+	traceSample int
 }
 
 // app is a fully wired proxy: traffic mux, optional admin surface, and
@@ -91,7 +85,6 @@ type app struct {
 	mux    http.Handler        // traffic listener handler
 
 	reg    *obs.Registry      // nil unless admin
-	ring   *obs.EventRing     // nil unless admin
 	window *obs.WindowedRate  // the store's recent-window hit rate; nil unless admin
 	tracer *obs.Tracer        // nil unless -trace-sample > 0
 	admin  *obs.Server        // nil unless admin; caller Starts/Closes
@@ -197,27 +190,19 @@ func buildApp(o options) (*app, error) {
 	}
 
 	// Request-lifecycle tracing: sampled per-phase span timelines with a
-	// tail reservoir (K slowest per window + every errored/missed/
+	// tail reservoir (the slowest per window + every errored/missed/
 	// evicting request). Off by default; the proxy's untraced cost is
 	// one nil check per request.
 	if o.traceSample > 0 {
-		a.tracer = obs.NewTracer(obs.TracerOptions{
-			SampleEvery: o.traceSample,
-			SlowestK:    o.traceSlowest,
-		})
+		a.tracer = obs.NewTracer(obs.TracerOptions{SampleEvery: o.traceSample})
 		a.srv.Tracer = a.tracer
-		log.Printf("tracing 1 in %d requests (keeping %d slowest per window)",
-			o.traceSample, o.traceSlowest)
+		log.Printf("tracing 1 in %d requests", o.traceSample)
 	}
 
 	if o.admin {
 		a.reg = obs.NewRegistry()
-		a.ring = obs.NewEventRing(eventRingSize)
 		a.srv.RegisterMetrics(a.reg)
-		a.store.RegisterMetrics(a.reg)
-		hooks, window := proxy.StoreHooks(a.reg, a.ring)
-		a.store.SetHooks(hooks)
-		a.window = window
+		a.window = a.store.RegisterMetrics(a.reg)
 		registerMemoryGauges(a.reg)
 		extra := map[string]http.Handler{
 			"/accesslog": a.logger.Handler(),
@@ -230,11 +215,9 @@ func buildApp(o options) (*app, error) {
 			a.tracer.RegisterMetrics(a.reg, "proxy")
 		}
 		a.admin = obs.NewServer(obs.ServerOptions{
-			Registry:         a.reg,
-			Ring:             a.ring,
-			Tracer:           a.tracer,
-			Snapshot:         a.snapshot,
-			SnapshotInterval: time.Second,
+			Registry: a.reg,
+			Tracer:   a.tracer,
+			Snapshot: a.snapshot,
 			BuildMeta: map[string]any{
 				"cmd":    "proxy",
 				"policy": pol.Name(),
@@ -333,8 +316,7 @@ func main() {
 
 		shadowSpec = flag.String("shadow", "", "comma-separated candidate policies to run as ghost caches (e.g. \"LRU,SIZE,LFU\"); /shadow on the admin address reports their window HR/WHR and regret")
 
-		traceSample  = flag.Int("trace-sample", 0, "trace every nth request's phase timeline (0 = off); /requests on the admin address shows the kept tail")
-		traceSlowest = flag.Int("trace-slowest", 16, "keep this many slowest traced requests per window (plus every errored/missed/evicting one)")
+		traceSample = flag.Int("trace-sample", 0, "trace every nth request's phase timeline (0 = off); /requests and /trace on the admin address show the kept tail")
 	)
 	flag.Parse()
 
@@ -361,8 +343,7 @@ func main() {
 
 		shadow: *shadowSpec,
 
-		traceSample:  *traceSample,
-		traceSlowest: *traceSlowest,
+		traceSample: *traceSample,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proxy:", err)
@@ -376,7 +357,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "proxy:", err)
 			os.Exit(2)
 		}
-		log.Printf("introspection endpoints on http://%s/ (metrics, healthz, events, trace, pprof)", addr)
+		log.Printf("introspection endpoints on http://%s/ (metrics, healthz, events, pprof; trace and requests with -trace-sample)", addr)
 	}
 
 	log.Printf("caching proxy on %s: capacity=%s policy=%s", *listen, *capFlag, *polSpec)

@@ -147,25 +147,10 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Errorf("accesslog = %d with %d lines, want %d", status, strings.Count(body, "\n"), st.Requests)
 	}
 
-	// /trace is loadable Chrome trace-event JSON covering the cache
-	// events the traffic generated (3 misses, 3 adds, 2 hits).
-	body, status = adminGet(t, adminURL+"/trace")
-	if status != http.StatusOK {
-		t.Fatalf("trace status = %d", status)
-	}
-	var records []map[string]any
-	if err := json.Unmarshal([]byte(body), &records); err != nil {
-		t.Fatalf("trace unparsable: %v", err)
-	}
-	if len(records) != 8 {
-		t.Errorf("trace has %d records, want 8", len(records))
-	}
-	for i, rec := range records {
-		for _, key := range []string{"ph", "ts", "pid", "name"} {
-			if _, ok := rec[key]; !ok {
-				t.Errorf("trace record %d missing %q", i, key)
-			}
-		}
+	// Without -trace-sample there is no request tracer, so /trace has
+	// nothing to serve.
+	if _, status := adminGet(t, adminURL+"/trace"); status != http.StatusNotFound {
+		t.Errorf("trace without -trace-sample = %d, want 404", status)
 	}
 
 	// /events streams serving-stats snapshots; the first frame arrives
@@ -230,7 +215,7 @@ func TestAdminEndToEnd(t *testing.T) {
 }
 
 // TestBuildAppWithoutAdmin pins the default path: no registry, no
-// ring, no admin server, no access logger — the pre-observability
+// window, no admin server, no access logger — the pre-observability
 // wiring byte for byte.
 func TestBuildAppWithoutAdmin(t *testing.T) {
 	a, err := buildApp(options{capacity: 1 << 20, polSpec: "LRU", freshFor: time.Minute})
@@ -238,7 +223,7 @@ func TestBuildAppWithoutAdmin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.admin != nil || a.reg != nil || a.ring != nil || a.logger != nil {
+	if a.admin != nil || a.reg != nil || a.window != nil || a.logger != nil {
 		t.Fatal("admin machinery built without -admin")
 	}
 }
@@ -583,12 +568,11 @@ func TestTracedApp(t *testing.T) {
 	defer origin.Close()
 
 	a, err := buildApp(options{
-		capacity:     1 << 20,
-		polSpec:      "SIZE",
-		freshFor:     time.Hour,
-		admin:        true,
-		traceSample:  1,
-		traceSlowest: 8,
+		capacity:    1 << 20,
+		polSpec:     "SIZE",
+		freshFor:    time.Hour,
+		admin:       true,
+		traceSample: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -700,21 +684,29 @@ func TestTracedApp(t *testing.T) {
 		}
 	}
 
-	// /trace merges the event ring (pid 1) with request spans (pid 2).
+	// /trace serves the two kept requests as span trees on pid 2.
 	body, status = adminGet(t, adminURL+"/trace")
 	if status != http.StatusOK {
 		t.Fatalf("trace status = %d", status)
 	}
-	var events []struct{ Pid int }
+	var events []struct {
+		Name string
+		Pid  int
+	}
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatalf("trace unparsable: %v", err)
 	}
-	pids := map[int]int{}
+	requests := 0
 	for _, ev := range events {
-		pids[ev.Pid]++
+		if ev.Pid != 2 {
+			t.Errorf("trace event %+v, want pid 2", ev)
+		}
+		if ev.Name == "request" {
+			requests++
+		}
 	}
-	if pids[1] == 0 || pids[2] == 0 {
-		t.Fatalf("combined trace missing a source: pid counts %v", pids)
+	if requests != 2 {
+		t.Fatalf("trace has %d request trees, want 2:\n%s", requests, body)
 	}
 }
 

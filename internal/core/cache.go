@@ -88,41 +88,16 @@ type Config struct {
 	// 0 = never) to a document inserted at time now; it feeds the
 	// ExpiredFirst policy wrapper (§5 open problem 4).
 	ExpiresOf func(url string, size, now int64) int64
-	// Hooks observes per-request cache events: hits, misses, evictions
-	// and additions (the observability layer, the live store's body
-	// map). Hooks must not retain entries past the call, since every
-	// cache recycles them, and unset slots cost exactly one nil check
-	// each, preserving the hot path's zero-overhead contract when
-	// observability is off.
-	Hooks CacheHooks
+	// OnEvict, when non-nil, is called with every policy-chosen victim
+	// after it has left the cache and before its entry is recycled (the
+	// live store drops the victim's body here). It must not retain the
+	// entry. Unset, it costs one nil check per eviction.
+	OnEvict func(e *policy.Entry)
 	// SizeHint estimates how many documents will be resident at once.
 	// The cache pre-sizes its URL index and the policy's heap (via
 	// policy.Reserver) from it. Purely a performance hint: simulation
 	// results are identical for any value, including zero.
 	SizeHint int
-}
-
-// CacheHooks is the observability layer's view of a cache: one
-// nil-checked function slot per event, fired on both the string-indexed
-// (Access) and interned (AccessIndex) request paths at exactly the same
-// points. The zero value disables every event. Hooks run synchronously
-// on the replay goroutine and must be cheap (an atomic add) and must
-// not retain the *policy.Entry: entries are recycled into later inserts
-// once the hook returns.
-type CacheHooks struct {
-	// OnHit fires on every §1.1 hit, after the entry's metadata and the
-	// policy order have been refreshed.
-	OnHit func(e *policy.Entry)
-	// OnMiss fires on every miss — including size-change invalidations —
-	// with the requested document size and the request time, before any
-	// insertion work.
-	OnMiss func(size, now int64)
-	// OnEvict fires for every policy-chosen victim, after removal, with
-	// the eviction time — now-e.ETime is the victim's exact age in
-	// cache, the quantity the eviction-age histograms bin.
-	OnEvict func(e *policy.Entry, now int64)
-	// OnAdd fires after a document is stored and handed to the policy.
-	OnAdd func(e *policy.Entry)
 }
 
 // Cache is a simulated proxy cache. It indexes resident documents
@@ -135,7 +110,6 @@ type Cache struct {
 	entries map[string]*policy.Entry
 	rnd     *rng.Rand
 	stats   Stats
-	now     int64
 
 	// col and byID implement the interned mode: byID is the ID-indexed
 	// entry table (nil slot = not cached), sized to col.NumIDs() at
@@ -227,16 +201,13 @@ func (c *Cache) Access(req *trace.Request) bool {
 // Lookup is the live proxy's hit test, on a string-keyed cache (New)
 // only, as Insert and Remove are. It hits on the URL alone, through
 // Access's hit step. The proxy learns the size from the origin after a
-// miss, so a miss counts a request of size 0, fires OnMiss and stores
-// nothing: Insert does that once the response is in.
+// miss, so a miss counts a request of size 0 and stores nothing:
+// Insert does that once the response is in.
 func (c *Cache) Lookup(url string, now int64) bool {
 	e := c.entries[url]
 	if e == nil {
 		c.setNow(now)
 		c.request(0, trace.ClassifyURL(url))
-		if c.cfg.Hooks.OnMiss != nil {
-			c.cfg.Hooks.OnMiss(0, now)
-		}
 		return false
 	}
 	return c.access(e, url, -1, e.Size, e.Type, now)
@@ -293,9 +264,6 @@ func (c *Cache) access(e *policy.Entry, url string, id int32, size int64, typ tr
 			c.stats.BytesHit += size
 			ts.Hits++
 			ts.BytesHit += size
-			if c.cfg.Hooks.OnHit != nil {
-				c.cfg.Hooks.OnHit(e)
-			}
 			return true
 		}
 		// The document changed on the origin server: the cached copy is
@@ -305,9 +273,6 @@ func (c *Cache) access(e *policy.Entry, url string, id int32, size int64, typ tr
 		c.pool.Put(e)
 	}
 
-	if c.cfg.Hooks.OnMiss != nil {
-		c.cfg.Hooks.OnMiss(size, now)
-	}
 	c.insert(url, id, size, typ, now)
 	return false
 }
@@ -323,7 +288,6 @@ func (c *Cache) request(size int64, typ trace.DocType) *TypeStats {
 }
 
 func (c *Cache) setNow(now int64) {
-	c.now = now
 	if c.nowPol != nil {
 		c.nowPol.SetNow(now)
 	}
@@ -383,21 +347,18 @@ func (c *Cache) insert(url string, id int32, size int64, typ trace.DocType, now 
 	if c.cfg.Policy != nil {
 		c.cfg.Policy.Add(e)
 	}
-	if c.cfg.Hooks.OnAdd != nil {
-		c.cfg.Hooks.OnAdd(e)
-	}
 	return true
 }
 
-// evict removes a policy-chosen victim, notifies the OnEvict hook and
+// evict removes a policy-chosen victim, passes it to OnEvict and
 // recycles the entry into the pool, so the eviction→insert cycle of a
 // full cache allocates nothing.
 func (c *Cache) evict(e *policy.Entry) {
 	c.remove(e)
 	c.stats.Evictions++
 	c.stats.EvictedBytes += e.Size
-	if c.cfg.Hooks.OnEvict != nil {
-		c.cfg.Hooks.OnEvict(e, c.now)
+	if c.cfg.OnEvict != nil {
+		c.cfg.OnEvict(e)
 	}
 	c.pool.Put(e)
 }

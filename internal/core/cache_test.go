@@ -147,9 +147,7 @@ func TestOnEvictObserver(t *testing.T) {
 		Capacity: 100,
 		Policy:   policy.NewLRU(),
 		Seed:     8,
-		Hooks: CacheHooks{
-			OnEvict: func(e *policy.Entry, _ int64) { evicted = append(evicted, e.URL) },
-		},
+		OnEvict:  func(e *policy.Entry) { evicted = append(evicted, e.URL) },
 	})
 	c.Access(req("http://a/1.dat", 60, 1))
 	c.Access(req("http://a/2.dat", 60, 2))
@@ -277,22 +275,13 @@ func (p *refusingPolicy) Victim(int64) *policy.Entry { return nil }
 func (p *refusingPolicy) Len() int                   { return p.n }
 
 // TestLiveLookupMiss pins the first way the live API differs from
-// Access: a Lookup miss counts a request of size 0 and fires OnMiss,
-// but stores nothing and draws no tiebreak value, so the next Insert
-// gets the value it would have got without the Lookup.
+// Access: a Lookup miss counts a request of size 0, but stores nothing
+// and draws no tiebreak value, so the next Insert gets the value it
+// would have got without the Lookup.
 func TestLiveLookupMiss(t *testing.T) {
-	var misses []int64
-	var rands []uint64
-	hooks := CacheHooks{
-		OnMiss: func(size, now int64) { misses = append(misses, size, now) },
-		OnAdd:  func(e *policy.Entry) { rands = append(rands, e.Rand) },
-	}
-	c := New(Config{Capacity: 1000, Policy: sizePolicy(), Seed: 7, Hooks: hooks})
+	c := New(Config{Capacity: 1000, Policy: sizePolicy(), Seed: 7})
 	if c.Lookup("http://a/x.html", 5) {
 		t.Fatal("Lookup on an empty cache hit")
-	}
-	if len(misses) != 2 || misses[0] != 0 || misses[1] != 5 {
-		t.Fatalf("OnMiss calls (size, now) = %v, want [0 5]", misses)
 	}
 	st := c.Stats()
 	if st.Requests != 1 || st.BytesRequested != 0 || st.Docs != 0 || st.Inserted != 0 || c.Contains("http://a/x.html", 0) {
@@ -300,10 +289,10 @@ func TestLiveLookupMiss(t *testing.T) {
 	}
 	c.Insert("http://a/x.html", 100, 6)
 
-	fresh := New(Config{Capacity: 1000, Policy: sizePolicy(), Seed: 7, Hooks: hooks})
+	fresh := New(Config{Capacity: 1000, Policy: sizePolicy(), Seed: 7})
 	fresh.Insert("http://a/x.html", 100, 6)
-	if len(rands) != 2 || rands[0] != rands[1] {
-		t.Fatalf("tiebreak values %v: the Lookup miss drew from the stream", rands)
+	if got, want := c.entries["http://a/x.html"].Rand, fresh.entries["http://a/x.html"].Rand; got != want {
+		t.Fatalf("tiebreak value %d, want %d: the Lookup miss drew from the stream", got, want)
 	}
 	if !c.Lookup("http://a/x.html", 7) {
 		t.Fatal("Lookup after Insert missed")

@@ -8,29 +8,22 @@ import (
 	"webcache/internal/trace"
 )
 
-// hookCounts tallies every cache event for the hook tests.
+// hookCounts tallies the evictions OnEvict sees, the one cache
+// callback.
 type hookCounts struct {
-	hits, misses, evicts, adds int64
-	missBytes, evictBytes      int64
+	evicts, evictBytes int64
 }
 
-func (h *hookCounts) hooks() CacheHooks {
-	return CacheHooks{
-		OnHit:  func(e *policy.Entry) { h.hits++ },
-		OnMiss: func(size, now int64) { h.misses++; h.missBytes += size },
-		OnEvict: func(e *policy.Entry, now int64) {
-			h.evicts++
-			h.evictBytes += e.Size
-		},
-		OnAdd: func(e *policy.Entry) { h.adds++ },
-	}
+func (h *hookCounts) onEvict(e *policy.Entry) {
+	h.evicts++
+	h.evictBytes += e.Size
 }
 
 // hookTrace cycles nDocs documents rounds times with a small hot
 // document interleaved between every pair, so hits (the hot document
 // stays resident), misses, evictions (the cycle overflows capacity) and
 // a §1.1 size-change invalidation (the hot document grows in the final
-// round) all occur.
+// round) all occur; only the evictions reach OnEvict.
 func hookTrace(nDocs, rounds int, size int64) *trace.Trace {
 	tr := &trace.Trace{Name: "hooks", Start: 0}
 	now := int64(0)
@@ -53,13 +46,14 @@ func hookTrace(nDocs, rounds int, size int64) *trace.Trace {
 	return tr
 }
 
-// replayHooked runs tr through a hooked cache on the requested path and
-// returns the observed event counts plus the final stats.
+// replayHooked runs tr through a cache with OnEvict set on the
+// requested path and returns the observed evictions plus the final
+// stats.
 func replayHooked(t *testing.T, tr *trace.Trace, capacity int64, interned bool) (hookCounts, Stats) {
 	t.Helper()
 	var h hookCounts
 	pol := policy.NewSorted([]policy.Key{policy.KeyATime}, 0)
-	cfg := Config{Capacity: capacity, Policy: pol, Seed: 9, Hooks: h.hooks()}
+	cfg := Config{Capacity: capacity, Policy: pol, Seed: 9, OnEvict: h.onEvict}
 	if interned {
 		col := tr.Columnar()
 		c := NewColumnar(cfg, col)
@@ -75,29 +69,20 @@ func replayHooked(t *testing.T, tr *trace.Trace, capacity int64, interned bool) 
 	return h, c.Stats()
 }
 
-// TestHooksMatchStats checks, on both request paths, that every hook
-// fires exactly as often as the corresponding Stats counter: hits,
-// misses (requests-hits), evictions and inserts.
+// TestHooksMatchStats checks, on both request paths, that OnEvict
+// fires exactly once per counted eviction, with the counted bytes, and
+// never for a size-change invalidation.
 func TestHooksMatchStats(t *testing.T) {
 	tr := hookTrace(8, 5, 600)
 	for _, interned := range []bool{false, true} {
 		// Capacity 2000 holds three 600-byte documents: every round
 		// evicts, and the size change invalidates.
 		h, st := replayHooked(t, tr, 2000, interned)
-		if h.hits != st.Hits {
-			t.Errorf("interned=%v: OnHit fired %d times, stats say %d", interned, h.hits, st.Hits)
-		}
-		if want := st.Requests - st.Hits; h.misses != want {
-			t.Errorf("interned=%v: OnMiss fired %d times, want %d", interned, h.misses, want)
-		}
 		if h.evicts != st.Evictions {
 			t.Errorf("interned=%v: OnEvict fired %d times, stats say %d", interned, h.evicts, st.Evictions)
 		}
 		if h.evictBytes != st.EvictedBytes {
 			t.Errorf("interned=%v: OnEvict saw %d bytes, stats say %d", interned, h.evictBytes, st.EvictedBytes)
-		}
-		if h.adds != st.Inserted {
-			t.Errorf("interned=%v: OnAdd fired %d times, stats say %d inserts", interned, h.adds, st.Inserted)
 		}
 		if st.Evictions == 0 || st.Hits == 0 || st.SizeChanges == 0 {
 			t.Errorf("interned=%v: trace did not exercise all events: %+v", interned, st)
@@ -105,18 +90,18 @@ func TestHooksMatchStats(t *testing.T) {
 	}
 }
 
-// TestHooksIdenticalAcrossPaths checks the two request paths fire the
-// same event sequence counts for the same trace.
+// TestHooksIdenticalAcrossPaths checks the two request paths evict the
+// same victims' count and bytes for the same trace.
 func TestHooksIdenticalAcrossPaths(t *testing.T) {
 	tr := hookTrace(8, 5, 600)
 	hs, _ := replayHooked(t, tr, 2000, false)
 	hi, _ := replayHooked(t, tr, 2000, true)
 	if hs != hi {
-		t.Fatalf("hook counts differ between paths:\n string: %+v\ninterned: %+v", hs, hi)
+		t.Fatalf("evictions differ between paths:\n string: %+v\ninterned: %+v", hs, hi)
 	}
 }
 
-// TestHooksDoNotPerturbSimulation checks that installing hooks changes
+// TestHooksDoNotPerturbSimulation checks that setting OnEvict changes
 // no statistic: same trace, same seed, hooked and bare caches must end
 // byte-identical.
 func TestHooksDoNotPerturbSimulation(t *testing.T) {
@@ -167,13 +152,13 @@ func TestMaxDocsTracksHeapPeak(t *testing.T) {
 	}
 }
 
-// TestHookedAccessAllocs extends the zero-alloc pins to the enabled
-// path: hooks that only touch captured counters must keep the hit and
-// evict/insert cycles allocation-free on both engines.
+// TestHookedAccessAllocs extends the zero-alloc pins to a cache with
+// OnEvict set: a callback that only touches captured counters must keep
+// the evict/insert cycle allocation-free on both engines.
 func TestHookedAccessAllocs(t *testing.T) {
 	var h hookCounts
 	pol := policy.NewSorted([]policy.Key{policy.KeyATime}, 0)
-	c := New(Config{Capacity: 1000, Policy: pol, Seed: 2, SizeHint: 4, Hooks: (&h).hooks()})
+	c := New(Config{Capacity: 1000, Policy: pol, Seed: 2, SizeHint: 4, OnEvict: h.onEvict})
 	reqs := make([]trace.Request, 8)
 	for i := range reqs {
 		reqs[i] = trace.Request{
@@ -195,7 +180,7 @@ func TestHookedAccessAllocs(t *testing.T) {
 
 	col := internedAllocTrace(8, 60, 600)
 	ci := NewColumnar(Config{Capacity: 1000, Policy: policy.NewSorted([]policy.Key{policy.KeyATime}, 0),
-		Seed: 2, SizeHint: 4, Hooks: (&h).hooks()}, col)
+		Seed: 2, SizeHint: 4, OnEvict: h.onEvict}, col)
 	warm := 8 * 30
 	for j := 0; j < warm; j++ {
 		ci.AccessIndex(j)

@@ -2,17 +2,13 @@
 // with a registry and text/JSONL exposition, per-replay metric
 // snapshots, pprof label spans, a progress surface, build
 // identification for metric attribution, and the live proxy's admin
-// surface (event ring, request tracer, introspection server).
+// surface (request tracer, windowed rates, introspection server).
 //
 // The simulator's contract is zero overhead when disabled and no
-// per-request work when enabled: it sets no cache event hooks
-// (core.CacheHooks, nil-checked function slots that cost one
-// predictable branch each when unset), and the replay spans and
-// snapshots are per-replay (tens of thousands of requests), not
-// per-request. internal/sim's BenchmarkReplayObserved measures the
-// enabled-path cost against BenchmarkReplay, family by family. Only
-// the live proxy's store sets event hooks (RingHooks, through
-// proxy.StoreHooks).
+// per-request work when enabled: the replay spans and snapshots are
+// per-replay (tens of thousands of requests), not per-request.
+// internal/sim's BenchmarkReplayObserved measures the enabled-path
+// cost against BenchmarkReplay, family by family.
 package obs
 
 import (

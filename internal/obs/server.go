@@ -18,18 +18,14 @@ import (
 type ServerOptions struct {
 	// Registry backs /metrics.
 	Registry *Registry
-	// Ring backs /trace (Chrome trace-event JSON of recent cache events).
-	Ring *EventRing
 	// Tracer backs /requests (the tail-sampled request reservoir) and
-	// joins /trace: with both sources the export is the combined view —
-	// the ring's residency spans on pid 1, request span trees on pid 2.
+	// /trace (the kept requests' span trees as Chrome trace-event
+	// JSON).
 	Tracer *Tracer
-	// Snapshot, when non-nil, backs /events: it is called every
-	// SnapshotInterval and the result streamed as an SSE frame (the
-	// proxy serves periodic serving-stats snapshots).
+	// Snapshot, when non-nil, backs /events: it is called once a second
+	// and the result streamed as an SSE frame (the proxy serves
+	// periodic serving-stats snapshots).
 	Snapshot func() any
-	// SnapshotInterval is the poll period for Snapshot (default 1s).
-	SnapshotInterval time.Duration
 	// BuildMeta is merged into the /buildinfo document (e.g. the
 	// command name and flags), alongside the binary's build stamp.
 	BuildMeta map[string]any
@@ -42,12 +38,14 @@ type ServerOptions struct {
 // /healthz, /buildinfo, /events (SSE), /trace and /debug/pprof/*. It
 // is served on a dedicated admin address (never the traffic listener),
 // so exposing pprof here leaks nothing to cache clients. The serving
-// path is untouched when no Server is constructed — the whole surface
-// reads the same lock-free primitives the hooks write, so scraping
-// /metrics never perturbs the cache it describes.
+// path is untouched when no Server is constructed, and /metrics reads
+// each count at scrape time from the component that owns it.
 type Server struct {
 	opts ServerOptions
 	mux  *http.ServeMux
+	// snapshotInterval is the /events poll period: snapshotPeriod,
+	// shortened by tests.
+	snapshotInterval time.Duration
 
 	http      *http.Server
 	closeOnce sync.Once
@@ -58,7 +56,7 @@ type Server struct {
 // NewServer builds the introspection surface. Use Handler to embed it
 // in an existing mux, or Start/Close to serve it on its own listener.
 func NewServer(opts ServerOptions) *Server {
-	s := &Server{opts: opts, mux: http.NewServeMux(), done: make(chan struct{})}
+	s := &Server{opts: opts, mux: http.NewServeMux(), snapshotInterval: snapshotPeriod, done: make(chan struct{})}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -177,16 +175,16 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(doc)
 }
 
-// handleTrace exports the event ring as Chrome trace-event JSON — save
-// it and load the file in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
+// handleTrace exports the tracer's kept request span trees as Chrome
+// trace-event JSON — save it and load the file in Perfetto
+// (ui.perfetto.dev) or chrome://tracing.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Ring == nil && s.opts.Tracer == nil {
-		http.Error(w, "no event ring attached", http.StatusNotFound)
+	if s.opts.Tracer == nil {
+		http.Error(w, "no request tracer attached", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	WriteCombinedChromeTrace(w, s.opts.Ring, s.opts.Tracer)
+	s.opts.Tracer.WriteChromeTrace(w)
 }
 
 // handleRequests serves the request tracer's tail-sampled reservoir:
@@ -199,8 +197,11 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	s.opts.Tracer.Handler().ServeHTTP(w, r)
 }
 
+// snapshotPeriod is how often /events sends a Snapshot frame.
+const snapshotPeriod = time.Second
+
 // handleEvents streams live state as server-sent events: one
-// `data: <json>` frame of Snapshot per SnapshotInterval. The handler
+// `data: <json>` frame of Snapshot per snapshotPeriod. The handler
 // exits — releasing its goroutine — when the client disconnects or the
 // server closes, whichever comes first; the leak test pins this.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -218,11 +219,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	interval := s.opts.SnapshotInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(s.snapshotInterval)
 	defer t.Stop()
 	// An immediate first frame, so one-shot consumers (curl -m 1, the
 	// smoke tests) see data without waiting a full interval.

@@ -5,18 +5,17 @@ package obs
 // sampled request is recorded as a timeline of phases — parse, store
 // get (policy touch included), origin dial / TTFB / body streaming,
 // admission, the eviction chain a Put triggers — and a tail-based
-// reservoir keeps exactly the requests worth looking at:
-// the K slowest per window plus every one that errored, missed, or
-// evicted something. The kept set is an admin endpoint (/requests) and
-// exports through the same Chrome trace-event path as the event ring,
-// so a slow request renders as a span tree in Perfetto next to the
-// store's residency spans.
+// reservoir keeps exactly the requests worth looking at: the slowest
+// per window plus every one that errored, missed, or evicted
+// something. The kept set is an admin endpoint (/requests) and exports
+// as Chrome trace-event JSON (/trace), so a slow request renders as a
+// span tree in Perfetto.
 //
-// The cost contract mirrors core.CacheHooks: a nil *Tracer (or an
-// unsampled request's nil *ReqTrace) costs one branch per site, and
-// the sampled path allocates nothing in steady state — span buffers
-// are fixed-size arrays inside pooled ReqTrace objects, recycled when
-// the reservoir discards or displaces a trace.
+// The cost contract: a nil *Tracer (or an unsampled request's nil
+// *ReqTrace) costs one branch per site, and the sampled path allocates
+// nothing in steady state — span buffers are fixed-size arrays inside
+// pooled ReqTrace objects, recycled when the reservoir discards or
+// displaces a trace.
 
 import (
 	"encoding/json"
@@ -220,26 +219,21 @@ func (rt *ReqTrace) reset(t *Tracer) {
 }
 
 // TracerOptions configures a Tracer; the zero value samples every
-// request with the default reservoir shape.
+// request.
 type TracerOptions struct {
 	// SampleEvery traces every nth request (head sampling); <= 1 means
 	// every request. The decision is deterministic over arrival order,
 	// like AccessLogger.SetSample.
 	SampleEvery int
-	// SlowestK is how many of the slowest requests per DefaultWindow
-	// the reservoir keeps regardless of outcome (default 16).
-	SlowestK int
-	// Clock overrides the time source (tests). The default is
-	// time.Now, whose monotonic reading makes span durations immune to
-	// wall-clock steps.
-	Clock func() time.Time
 }
 
-// flaggedCap bounds the always-keep ring of errored / missed /
-// evicting requests, and recentCap the previous windows' slowest
-// traces that stay visible after rotation; each ring recycles its
-// oldest trace first.
+// slowestK is how many of the slowest requests per DefaultWindow the
+// reservoir keeps regardless of outcome. flaggedCap bounds the
+// always-keep ring of errored / missed / evicting requests, and
+// recentCap the previous windows' slowest traces that stay visible
+// after rotation; each ring recycles its oldest trace first.
 const (
+	slowestK   = 16
 	flaggedCap = 64
 	recentCap  = 64
 )
@@ -251,7 +245,9 @@ const (
 type Tracer struct {
 	sampleEvery uint64
 	slowestK    int
-	clock       func() time.Time // nil = real time (monotonic durations)
+	// clock is nil on real time, whose monotonic reading makes span
+	// durations immune to wall-clock steps; tests set a fake one.
+	clock func() time.Time
 
 	seq  atomic.Uint64 // requests observed (sampling decision)
 	ids  atomic.Uint64 // trace ID source
@@ -271,18 +267,16 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer with the given options.
-func NewTracer(o TracerOptions) *Tracer {
-	if o.SampleEvery < 1 {
-		o.SampleEvery = 1
-	}
-	if o.SlowestK <= 0 {
-		o.SlowestK = 16
-	}
+func NewTracer(o TracerOptions) *Tracer { return newTracer(o, slowestK, nil) }
+
+// newTracer is NewTracer with the reservoir size and the time source
+// (nil = real time) given, so tests can shrink one and fake the other.
+func newTracer(o TracerOptions, k int, clock func() time.Time) *Tracer {
 	t := &Tracer{
-		sampleEvery: uint64(o.SampleEvery),
-		slowestK:    o.SlowestK,
-		clock:       o.Clock,
-		slow:        make([]*ReqTrace, 0, o.SlowestK),
+		sampleEvery: uint64(max(o.SampleEvery, 1)),
+		slowestK:    k,
+		clock:       clock,
+		slow:        make([]*ReqTrace, 0, k),
 		flaggedRing: NewRing[*ReqTrace](flaggedCap),
 		recent:      NewRing[*ReqTrace](recentCap),
 	}
@@ -309,7 +303,7 @@ func (t *Tracer) since(t0 time.Time) time.Duration {
 
 // Begin starts a trace for the next request, or returns nil when the
 // request falls outside the 1-in-N sample (or the tracer itself is
-// nil — the disabled path is one nil check, like core.CacheHooks).
+// nil — the disabled path is one nil check).
 func (t *Tracer) Begin() *ReqTrace {
 	if t == nil {
 		return nil
@@ -598,11 +592,22 @@ func (t *Tracer) Handler() http.Handler {
 	})
 }
 
+// traceEvent is one Chrome trace-event record (the "JSON Array Format"
+// of the Trace Event specification, loadable in Perfetto and
+// chrome://tracing). ph, ts, pid and name are the required keys.
+type traceEvent struct {
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	Ts    int64          `json:"ts"` // microseconds
+	Dur   int64          `json:"dur,omitempty"`
+	Pid   int            `json:"pid"`
+	Tid   int            `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
 // traceEvents renders the kept requests as Chrome trace-event records:
 // one complete ("X") parent span per request and one nested child span
-// per phase, all on the request's own tid under pid 2 — pid 1 is the
-// event ring's residency view, so a combined export shows both side by
-// side in Perfetto.
+// per phase, all on the request's own tid under pid 2.
 func (t *Tracer) traceEvents() []traceEvent {
 	recs := t.Snapshot()
 	// Oldest first so tid assignment is stable across exports.
@@ -654,17 +659,9 @@ func (t *Tracer) traceEvents() []traceEvent {
 	return out
 }
 
-// WriteCombinedChromeTrace merges the event ring's residency spans
-// (pid 1) and the tracer's request span trees (pid 2) into one Chrome
-// trace-event JSON array — the /trace admin endpoint's export when
-// both sources exist. Either source may be nil.
-func WriteCombinedChromeTrace(w io.Writer, ring *EventRing, tracer *Tracer) error {
-	out := make([]traceEvent, 0)
-	if ring != nil {
-		out = append(out, ringTraceEvents(ring)...)
-	}
-	if tracer != nil {
-		out = append(out, tracer.traceEvents()...)
-	}
-	return json.NewEncoder(w).Encode(out)
+// WriteChromeTrace writes the kept requests' span trees as one Chrome
+// trace-event JSON array: the /trace admin endpoint's export and
+// livebench's -trace-out file.
+func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+	return json.NewEncoder(w).Encode(t.traceEvents())
 }

@@ -86,7 +86,7 @@ func finish(tr *Tracer, c *tracerClock, d time.Duration, verdict string) *ReqTra
 // displaces the current minimum.
 func TestReservoirKeepsSlowest(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 2, Clock: c.now})
+	tr := newTracer(TracerOptions{}, 2, c.now)
 
 	finish(tr, c, 10*time.Millisecond, "HIT") // ID 1
 	finish(tr, c, 30*time.Millisecond, "HIT") // ID 2
@@ -132,7 +132,7 @@ func Snapshot2IDs(tr *Tracer) []uint64 {
 // the flagged ring recycles oldest-first at its cap.
 func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 1, Clock: c.now})
+	tr := newTracer(TracerOptions{}, 1, c.now)
 
 	// Fill the slow heap with one genuinely slow request.
 	finish(tr, c, time.Second, "HIT") // ID 1
@@ -177,7 +177,7 @@ func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 // in the snapshot — and starts a fresh slowness competition.
 func TestReservoirWindowRotation(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 1, Clock: c.now})
+	tr := newTracer(TracerOptions{}, 1, c.now)
 
 	finish(tr, c, 50*time.Millisecond, "HIT") // ID 1: window 1's slowest
 	c.advance(2 * DefaultWindow)
@@ -194,7 +194,7 @@ func TestReservoirWindowRotation(t *testing.T) {
 // maxSpans are counted, never grown into.
 func TestSpanBufferOverflow(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{Clock: c.now})
+	tr := newTracer(TracerOptions{}, slowestK, c.now)
 	rt := tr.Begin()
 	for i := 0; i < maxSpans+3; i++ {
 		sp := rt.BeginSpan(PhaseEvict)
@@ -221,12 +221,11 @@ func TestSpanBufferOverflow(t *testing.T) {
 }
 
 // TestTracerChromeTraceGolden pins the request-tree export format
-// byte-for-byte, the same discipline as the event ring's golden test:
-// Perfetto compatibility must not drift silently. One sampled miss that
+// byte-for-byte: Perfetto compatibility must not drift silently. One sampled miss that
 // evicted renders as a parent "request" span with nested phase spans.
 func TestTracerChromeTraceGolden(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{Clock: c.now})
+	tr := newTracer(TracerOptions{}, slowestK, c.now)
 
 	rt := tr.Begin()
 	rt.SetURL("http://e.com/a")
@@ -248,7 +247,7 @@ func TestTracerChromeTraceGolden(t *testing.T) {
 	tr.End(rt)
 
 	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, nil, tr); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := `[{"name":"request","ph":"X","ts":1700000000000000,"dur":6000,"pid":2,"tid":1,"args":{"bytes":2048,"evictions":1,"flag":"evict","status":200,"trace":"00000001","url":"http://e.com/a","verdict":"MISS"}},{"name":"parse","ph":"X","ts":1700000000000000,"dur":1000,"pid":2,"tid":1},{"name":"store.get","ph":"X","ts":1700000000001000,"dur":2000,"pid":2,"tid":1},{"name":"admit","ph":"X","ts":1700000000003000,"dur":2000,"pid":2,"tid":1,"args":{"arg":1}},{"name":"evict","ph":"X","ts":1700000000003000,"dur":1000,"pid":2,"tid":1,"args":{"arg":512}}]` + "\n"
@@ -257,47 +256,15 @@ func TestTracerChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestWriteCombinedChromeTrace pins the merged export: ring residency
-// spans on pid 1 and request trees on pid 2 in one array, and an empty
-// valid array when both sources are absent.
-func TestWriteCombinedChromeTrace(t *testing.T) {
+// TestChromeTraceEmpty pins that a tracer with nothing kept exports an
+// empty JSON array, not null.
+func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, nil, nil); err != nil {
-		t.Fatal(err)
+	if err := NewTracer(TracerOptions{}).WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("WriteChromeTrace on an empty tracer: %v", err)
 	}
 	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Fatalf("empty combined trace = %q, want []", got)
-	}
-
-	c := newTracerClock()
-	ring := NewEventRing(16)
-	ring.Add(Event{Kind: EventAdd, Time: c.t.Unix(), ID: -1, Size: 100})
-	ring.Add(Event{Kind: EventHit, Time: c.t.Unix() + 1, ID: -1, Size: 100})
-
-	tr := NewTracer(TracerOptions{Clock: c.now})
-	rt := tr.Begin()
-	rt.SetURL("http://e.com/a")
-	rt.SetOutcome("HIT", 200, 100)
-	c.advance(time.Millisecond)
-	tr.End(rt)
-
-	buf.Reset()
-	if err := WriteCombinedChromeTrace(&buf, ring, tr); err != nil {
-		t.Fatal(err)
-	}
-	var events []struct {
-		Name string `json:"name"`
-		Pid  int    `json:"pid"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("combined trace is not valid JSON: %v", err)
-	}
-	pids := map[int]int{}
-	for _, e := range events {
-		pids[e.Pid]++
-	}
-	if pids[1] == 0 || pids[2] == 0 {
-		t.Fatalf("combined trace missing a source: pid counts %v", pids)
+		t.Fatalf("empty export = %q, want []", got)
 	}
 }
 
@@ -305,7 +272,7 @@ func TestWriteCombinedChromeTrace(t *testing.T) {
 // formats.
 func TestTracerHandler(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{Clock: c.now})
+	tr := newTracer(TracerOptions{}, slowestK, c.now)
 	rt := tr.Begin()
 	rt.SetURL("http://e.com/slow")
 	sp := rt.BeginSpan(PhaseStoreGet)
@@ -385,7 +352,7 @@ func TestPhaseString(t *testing.T) {
 // and End recycles it back.
 func TestTracerSteadyStateAllocs(t *testing.T) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 1, Clock: c.now})
+	tr := newTracer(TracerOptions{}, 1, c.now)
 	finish(tr, c, time.Hour, "HIT") // fill the heap with an unbeatable keeper
 
 	allocs := testing.AllocsPerRun(200, func() {
@@ -415,7 +382,7 @@ func BenchmarkTracerDisabled(b *testing.B) {
 // discarded (steady-state) request.
 func BenchmarkTracerSampled(b *testing.B) {
 	c := newTracerClock()
-	tr := NewTracer(TracerOptions{SlowestK: 1, Clock: c.now})
+	tr := newTracer(TracerOptions{}, 1, c.now)
 	finish(tr, c, time.Hour, "HIT")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

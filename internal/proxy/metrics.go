@@ -1,17 +1,16 @@
 package proxy
 
-// The live serving path's observability glue, on the obs.Registry and
-// obs.EventRing primitives. Every count lives in
-// the component that owns the fact (the server's own counters, the
-// store's core.Stats) and the registry reads it at scrape time, so a
-// number has one source and nothing mirrors it.
+// The live serving path's observability glue, on the obs.Registry
+// primitives. Every count lives in the component that owns the fact
+// (the server's own counters, the store's core.Stats and recent
+// window) and the registry reads it at scrape time, so a number has one
+// source and nothing mirrors it.
 
 import (
 	"sync/atomic"
 
 	"webcache/internal/core"
 	"webcache/internal/obs"
-	"webcache/internal/policy"
 )
 
 // RegisterMetrics publishes the server's counters on reg under proxy.*,
@@ -52,42 +51,23 @@ func RegisterCacheStats(reg *obs.Registry, prefix string, stats func() core.Stat
 }
 
 // RegisterMetrics publishes the store's counters on reg under store.*,
-// read from its cache's core.Stats under the shared lock.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
+// read from its cache's core.Stats under the shared lock, and starts
+// the store's recent-window hit rate, which it returns: from here on
+// every Get counts into it, and reg reads it as store.window_hits,
+// store.window_gets and store.window_hr_bp (basis points). Call it
+// before serving.
+func (s *Store) RegisterMetrics(reg *obs.Registry) *obs.WindowedRate {
 	RegisterCacheStats(reg, "store", func() core.Stats {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		return s.c.Stats()
 	})
-}
-
-// StoreHooks builds cache event hooks feeding the store's recent-window
-// hit rate, which it returns and publishes on reg as store.window_hits,
-// store.window_gets and store.window_hr_bp (basis points), each read at
-// scrape time; when ring is non-nil the hooks also feed the event-level
-// trace through obs.RingHooks, so the store's eviction stream carries
-// each victim's age and NREF. Live entries are string-indexed, so trace
-// events carry ID -1. The store's
-// lifetime counts are its core.Stats (Store.RegisterMetrics).
-func StoreHooks(reg *obs.Registry, ring *obs.EventRing) (core.CacheHooks, *obs.WindowedRate) {
 	window := obs.NewWindowedRate()
 	reg.GaugeFunc("store.window_hits", func() int64 { hits, _ := window.WindowCounts(); return hits })
 	reg.GaugeFunc("store.window_gets", func() int64 { _, gets := window.WindowCounts(); return gets })
 	reg.GaugeFunc("store.window_hr_bp", func() int64 { return bp(window.Rate()) })
-	// The ring's hooks (none without a ring) plus the window.
-	h := obs.RingHooks(ring)
-	recordHit, recordMiss := h.OnHit, h.OnMiss
-	h.OnHit = func(e *policy.Entry) {
-		window.Observe(true)
-		if recordHit != nil {
-			recordHit(e)
-		}
-	}
-	h.OnMiss = func(size, now int64) {
-		window.Observe(false)
-		if recordMiss != nil {
-			recordMiss(size, now)
-		}
-	}
-	return h, window
+	s.mu.Lock()
+	s.window = window
+	s.mu.Unlock()
+	return window
 }

@@ -8,17 +8,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"webcache/internal/obs"
 )
 
+// TestStoreHooksFireOnStore pins the store's registry view: the
+// store.* counters come from its core.Stats, and the store.window_*
+// gauges from the recent window RegisterMetrics returns, which counts
+// every Get.
 func TestStoreHooksFireOnStore(t *testing.T) {
 	reg := obs.NewRegistry()
-	ring := obs.NewEventRing(64)
 	st := NewStore(250, nil)
-	hooks, window := StoreHooks(reg, ring)
-	st.SetHooks(hooks)
-	st.RegisterMetrics(reg)
+	window := st.RegisterMetrics(reg)
 
 	obj := func(n int) *Object { return &Object{Body: bytes.Repeat([]byte("x"), n)} }
 
@@ -52,20 +54,50 @@ func TestStoreHooksFireOnStore(t *testing.T) {
 	if hits, gets := window.WindowCounts(); hits != 1 || gets != 2 {
 		t.Errorf("returned window counts (hits %d, gets %d), want (1, 2)", hits, gets)
 	}
+}
 
-	// The ring has not wrapped, so it holds every event the hooks saw.
-	var kinds [4]int64
-	for _, ev := range ring.Snapshot() {
-		kinds[ev.Kind]++
+// TestStoreWindowCountsLookups pins what the recent window counts:
+// store lookups and nothing else. Through the server, a miss and a hit
+// look up; a client reload (Pragma: no-cache) and an uncacheable GET do
+// not, nor does an ICP query, which only peeks. The window must agree
+// with the store's own Gets and Hits.
+func TestStoreWindowCountsLookups(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "<html>doc</html>")
+	}))
+	defer origin.Close()
+
+	reg := obs.NewRegistry()
+	store := NewStore(1<<20, nil)
+	store.RegisterMetrics(reg)
+	pts := httptest.NewServer(New(store))
+	defer pts.Close()
+
+	proxyGet(t, pts.URL, origin.URL+"/a.html", nil) // miss
+	proxyGet(t, pts.URL, origin.URL+"/a.html", nil) // hit
+	proxyGet(t, pts.URL, origin.URL+"/a.html", http.Header{"Pragma": {"no-cache"}})
+	proxyGet(t, pts.URL, origin.URL+"/q?x=1", nil) // uncacheable
+
+	icp, err := NewICPResponder(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if kinds != [4]int64{1, 1, 1, 3} {
-		t.Errorf("ring events (hit, miss, evict, add) = %v, want [1 1 1 3]", kinds)
+	defer icp.Close()
+	c := &ICPClient{Timeout: 500 * time.Millisecond}
+	if c.QuerySiblings([]Sibling{{ICPAddr: icp.Addr(), Proxy: "http://unused"}}, origin.URL+"/a.html") == nil {
+		t.Fatal("ICP query missed a cached URL")
 	}
-	// The hook stream must agree with the store's own counters.
-	ss := st.Stats()
-	if kinds[obs.EventHit] != ss.Hits || kinds[obs.EventEvict] != ss.Evictions {
-		t.Errorf("ring (hits %d, evicts %d) disagrees with StoreStats (%d, %d)",
-			kinds[obs.EventHit], kinds[obs.EventEvict], ss.Hits, ss.Evictions)
+
+	st := store.Stats()
+	if st.Gets != 2 || st.Hits != 1 {
+		t.Fatalf("store stats %+v, want 2 gets / 1 hit", st)
+	}
+	snap := reg.Snapshot()
+	if got := snap["store.window_gets"]; got != st.Gets {
+		t.Errorf("store.window_gets = %v, store counted %d gets", got, st.Gets)
+	}
+	if got := snap["store.window_hits"]; got != st.Hits {
+		t.Errorf("store.window_hits = %v, store counted %d hits", got, st.Hits)
 	}
 }
 

@@ -3,8 +3,8 @@ package proxy
 // ObjectStore is the contract the serving path programs against: the
 // policy-driven object cache behind proxy.Server, the ICP responder
 // and livebench's replay. Store is its one implementation; its
-// set-up methods (Reserve, SetClock, SetSeed, SetHooks) are not part
-// of the contract. A store's byte capacity is fixed when it is built.
+// set-up methods (Reserve, SetClock, SetSeed, RegisterMetrics) are
+// not part of the contract. A store's byte capacity is fixed when it is built.
 //
 // A caller may wrap a store by embedding the interface and overriding
 // Get and Put, as a benchmark does to time them; any method added here

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"webcache/internal/core"
 	"webcache/internal/policy"
 )
 
@@ -20,22 +19,13 @@ func TestStorePutGet(t *testing.T) {
 	s := NewStore(1000, nil)
 	now := time.Unix(1_000_000, 0)
 	s.SetClock(func() time.Time { return now })
-	var aTime, nRef, eTime int64
-	s.SetHooks(core.CacheHooks{OnHit: func(e *policy.Entry) { aTime, nRef, eTime = e.ATime, e.NRef, e.ETime }})
 	obj := &Object{Body: []byte("hello"), ContentType: "text/plain", StoredAt: now}
 	if !s.Put("http://a/x", obj) {
 		t.Fatal("Put failed")
 	}
-	stored := now.Unix()
-	now = now.Add(7 * time.Second)
 	got, ok := s.Get("http://a/x")
 	if !ok || string(got.Body) != "hello" {
 		t.Fatalf("Get = %v, %v", got, ok)
-	}
-	// The hit updates the entry before Get returns: ATime is the hit's
-	// time, NRef counts the hit, ETime still says when it entered.
-	if aTime != now.Unix() || nRef != 2 || eTime != stored {
-		t.Fatalf("entry after hit: ATime %d NRef %d ETime %d, want %d 2 %d", aTime, nRef, eTime, now.Unix(), stored)
 	}
 	if _, ok := s.Get("http://a/missing"); ok {
 		t.Fatal("Get on missing key succeeded")
@@ -43,6 +33,44 @@ func TestStorePutGet(t *testing.T) {
 	want := StoreStats{Gets: 2, Hits: 1, Puts: 1, Used: 5, MaxUsed: 5, Docs: 1, Capacity: 1000}
 	if st := s.Stats(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+
+	// The hit updates the entry before Get returns: ATime becomes the
+	// hit's time on the store clock, NRef counts the hit, and ETime still
+	// says when it entered. Each shows as the victim a policy ranking on
+	// those fields picks: a and b enter at 1 and 2, the hits follow one a
+	// second, and c then needs one of their places. In the last case
+	// both are hit, so NRef ties and the older ETime (a) must go.
+	for _, tc := range []struct {
+		name   string
+		keys   []policy.Key
+		hits   []string
+		victim string
+	}{
+		{"LRU", []policy.Key{policy.KeyATime}, []string{"a"}, "b"},
+		{"LFU", []policy.Key{policy.KeyNRef, policy.KeyETime}, []string{"a"}, "b"},
+		{"LFU/FIFO", []policy.Key{policy.KeyNRef, policy.KeyETime}, []string{"b", "a"}, "a"},
+	} {
+		s := NewStore(200, policy.NewSorted(tc.keys, 0))
+		sec := int64(1)
+		s.SetClock(func() time.Time { return time.Unix(sec, 0) })
+		s.Put("http://a/a", &Object{Body: make([]byte, 100)})
+		sec++
+		s.Put("http://a/b", &Object{Body: make([]byte, 100)})
+		for _, doc := range tc.hits {
+			sec++
+			if _, ok := s.Get("http://a/" + doc); !ok {
+				t.Fatalf("%s: hit on %s missed", tc.name, doc)
+			}
+		}
+		sec++
+		s.Put("http://a/c", &Object{Body: make([]byte, 100)})
+		if _, ok := s.Peek("http://a/" + tc.victim); ok {
+			t.Errorf("%s: %s survived; the hits did not stamp the entries as the simulator does", tc.name, tc.victim)
+		}
+		if st := s.Stats(); st.Evictions != 1 || st.Docs != 2 {
+			t.Errorf("%s: stats %+v, want one eviction and two documents", tc.name, st)
+		}
 	}
 }
 

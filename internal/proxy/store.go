@@ -50,13 +50,10 @@ type StoreStats struct {
 // hit stamps the entry's ATime and NRef and re-ranks it in the policy
 // on the spot, as the simulator does; Peek, Len and Stats take it
 // shared, so ICP queries can be answered beside traffic. Its counts are
-// the cache's core.Stats, which Stats and RegisterMetrics read; hooks
-// add events, not counts.
+// the cache's core.Stats, which Stats and RegisterMetrics read.
 //
 // Every core.Cache recycles its evicted entries, so no *policy.Entry
-// escapes Store: Get and Peek return only the *Object, and the
-// CacheHooks given to SetHooks must not retain their entries
-// (StoreHooks copies fields).
+// escapes Store: Get and Peek return only the *Object.
 type Store struct {
 	mu       sync.RWMutex
 	capacity int64 // fixed by NewStore, so read without mu
@@ -65,10 +62,8 @@ type Store struct {
 	objects  map[string]*Object
 	now      func() time.Time
 
-	// onEvict is the OnEvict hook SetHooks was given, which the cache's
-	// own, s.evicted, calls.
-	onEvict func(e *policy.Entry, now int64)
-	rt      *obs.ReqTrace // the trace of the PutTraced in progress
+	rt     *obs.ReqTrace     // the trace of the PutTraced in progress
+	window *obs.WindowedRate // Get's recent-window hit rate; nil until RegisterMetrics
 }
 
 // NewStore returns a store with the given capacity in bytes and policy.
@@ -83,7 +78,7 @@ func NewStore(capacity int64, pol policy.Policy) *Store {
 		objects:  make(map[string]*Object),
 		now:      time.Now,
 	}
-	s.cfg = core.Config{Capacity: capacity, Policy: pol, Hooks: core.CacheHooks{OnEvict: s.evicted}}
+	s.cfg = core.Config{Capacity: capacity, Policy: pol, OnEvict: s.evicted}
 	s.c = core.New(s.cfg)
 	return s
 }
@@ -134,27 +129,18 @@ func (s *Store) SetSeed(seed uint64) {
 	s.rebuild()
 }
 
-// SetHooks attaches the same nil-checked cache event hooks the
-// simulated core.Cache fires, so the live store feeds the identical
-// observability surface (hit/miss/evict/add events with the evicted
-// entry's age and NREF). Call before the first Put; unset hooks cost
-// one branch per event, same contract as core.
-func (s *Store) SetHooks(h core.CacheHooks) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onEvict = h.OnEvict
-	h.OnEvict = s.evicted
-	s.cfg.Hooks = h
-	s.rebuild()
-}
-
 // Get returns the cached object for url. A hit stamps the entry's ATime
 // with the store's clock, increments its NRef and re-ranks it in the
-// policy before the OnHit hook fires, all under the write lock.
+// policy, all under the write lock, which also covers counting the
+// lookup into the recent window once RegisterMetrics has made one.
 func (s *Store) Get(url string) (*Object, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.c.Lookup(url, s.now().Unix()) {
+	hit := s.c.Lookup(url, s.now().Unix())
+	if s.window != nil {
+		s.window.Observe(hit)
+	}
+	if !hit {
 		return nil, false
 	}
 	return s.objects[url], true
@@ -199,15 +185,11 @@ func (s *Store) PutTraced(url string, obj *Object, rt *obs.ReqTrace) bool {
 	return ok
 }
 
-// evicted is the cache's OnEvict hook: it drops the victim's body and
-// calls the caller's own hook. Inside a PutTraced, both are one evict
-// span.
-func (s *Store) evicted(e *policy.Entry, now int64) {
+// evicted is the cache's OnEvict callback: it drops the victim's body,
+// which inside a PutTraced is one evict span.
+func (s *Store) evicted(e *policy.Entry) {
 	sp := s.rt.BeginSpan(obs.PhaseEvict)
 	delete(s.objects, e.URL)
-	if s.onEvict != nil {
-		s.onEvict(e, now)
-	}
 	s.rt.EndSpanArg(sp, e.Size)
 	s.rt.CountEviction()
 }
