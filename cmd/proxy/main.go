@@ -19,11 +19,10 @@
 // GET /._webcache/stats on the listen address reports statistics,
 // including a memory section read from runtime/metrics. With
 // -admin, a separate introspection listener serves /metrics, /healthz,
-// /buildinfo, /events (SSE serving-stats snapshots), /trace (Chrome
-// trace-event JSON of recent cache events — and, with -trace-sample,
-// sampled request span trees), /requests (the tail-sampled slowest and
-// flagged request timelines), /accesslog (recent sampled lines) and
-// /debug/pprof/.
+// /buildinfo, /events (SSE serving-stats snapshots), /accesslog (recent
+// sampled lines) and /debug/pprof/; with -trace-sample also /requests
+// (the tail-sampled slowest and flagged request timelines) and /trace
+// (their span trees as Chrome trace-event JSON).
 package main
 
 import (
@@ -81,7 +80,7 @@ type options struct {
 type app struct {
 	store  *proxy.Store
 	srv    *proxy.Server
-	logger *proxy.AccessLogger // nil unless -accesslog or -admin
+	logger *proxy.AccessLogger // the server's AccessLog; nil unless -accesslog or -admin
 	mux    http.Handler        // traffic listener handler
 
 	reg    *obs.Registry      // nil unless admin
@@ -154,15 +153,14 @@ func buildApp(o options) (*app, error) {
 		a.logFile = logW
 		log.Printf("writing access log to %s", o.logPath)
 	}
-	var root http.Handler = a.srv
-	if logW != nil || o.admin {
-		if logW != nil {
-			a.logger = proxy.NewAccessLogger(a.srv, logW)
-		} else {
-			a.logger = proxy.NewAccessLogger(a.srv, nil)
-		}
+	if logW != nil {
+		a.logger = proxy.NewAccessLogger(logW)
+	} else if o.admin {
+		a.logger = proxy.NewAccessLogger(nil)
+	}
+	if a.logger != nil {
 		a.logger.SetSample(o.logSample)
-		root = a.logger
+		a.srv.AccessLog = a.logger
 	}
 
 	// The shadow fleet rides beside the store: one ghost cache per
@@ -232,7 +230,7 @@ func buildApp(o options) (*app, error) {
 	// asked an origin for.
 	a.mux = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet || r.RequestURI != statsPath {
-			root.ServeHTTP(w, r)
+			a.srv.ServeHTTP(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

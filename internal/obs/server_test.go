@@ -170,13 +170,11 @@ func TestServerTraceWithoutTracer(t *testing.T) {
 func TestServerRequests(t *testing.T) {
 	c := newTracerClock()
 	tr := newTracer(TracerOptions{}, slowestK, c.now)
-	rt := tr.Begin()
-	rt.SetURL("http://e.com/slow")
+	rt := tr.Begin(1)
 	sp := rt.BeginSpan(PhaseStoreGet)
 	c.advance(3 * time.Millisecond)
 	rt.EndSpan(sp)
-	rt.SetOutcome("MISS", 200, 64)
-	tr.End(rt)
+	tr.End(rt, Outcome{URL: "http://e.com/slow", Verdict: "MISS", Status: 200, Bytes: 64})
 
 	s := NewServer(ServerOptions{Tracer: tr})
 	defer s.Close()

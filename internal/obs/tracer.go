@@ -81,19 +81,26 @@ type SpanRec struct {
 	Arg   int64 // phase-specific annotation (victim bytes, admit verdict)
 }
 
+// Outcome is how a request ended: its cache key, verdict, response
+// status, the body bytes the client was sent, and whether it failed.
+// The proxy records it as it serves and hands it to Tracer.End.
+type Outcome struct {
+	URL     string
+	Verdict string // HIT, REVALIDATED, MISS, UNCACHEABLE, ERROR
+	Status  int
+	Bytes   int64
+	Err     bool
+}
+
 // ReqTrace is one sampled request's timeline. It is pooled: obtain one
-// from Tracer.Begin, record spans, set the outcome fields, and hand it
-// back with Tracer.End — after End the caller must not touch it (the
-// reservoir owns it, and may recycle it into another request). All
+// from Tracer.Begin, record spans, and hand it back with its Outcome
+// to Tracer.End — after End the caller must not touch it (the
+// reservoir owns it, and may recycle it into another request). The span
 // methods are nil-receiver-safe so instrumentation sites need no
 // sampling checks of their own.
 type ReqTrace struct {
-	ID        uint64
-	URL       string
-	Verdict   string // HIT, REVALIDATED, MISS, UNCACHEABLE, ERROR
-	Status    int
-	Bytes     int64
-	Err       bool
+	ID uint64
+	Outcome
 	Evictions int32
 	Wall      time.Time // wall-clock start; also the monotonic base
 	Total     int64     // ns, set by Tracer.End
@@ -149,31 +156,6 @@ func (rt *ReqTrace) EndSpanArg(id SpanID, arg int64) {
 	rt.spans[id].Arg = arg
 }
 
-// SetURL records the cache key. Nil-safe.
-func (rt *ReqTrace) SetURL(url string) {
-	if rt != nil {
-		rt.URL = url
-	}
-}
-
-// SetOutcome records the request's verdict, response status and body
-// bytes. Nil-safe.
-func (rt *ReqTrace) SetOutcome(verdict string, status int, bytes int64) {
-	if rt != nil {
-		rt.Verdict = verdict
-		rt.Status = status
-		rt.Bytes = bytes
-	}
-}
-
-// MarkError flags the trace as errored; errored traces are always kept
-// by the reservoir. Nil-safe.
-func (rt *ReqTrace) MarkError() {
-	if rt != nil {
-		rt.Err = true
-	}
-}
-
 // CountEviction bumps the eviction counter; any eviction makes the
 // trace reservoir-kept. Nil-safe.
 func (rt *ReqTrace) CountEviction() {
@@ -206,11 +188,7 @@ func (rt *ReqTrace) DroppedSpans() int {
 
 func (rt *ReqTrace) reset(t *Tracer) {
 	rt.ID = 0
-	rt.URL = ""
-	rt.Verdict = ""
-	rt.Status = 0
-	rt.Bytes = 0
-	rt.Err = false
+	rt.Outcome = Outcome{}
 	rt.Evictions = 0
 	rt.Total = 0
 	rt.tracer = t
@@ -222,8 +200,8 @@ func (rt *ReqTrace) reset(t *Tracer) {
 // request.
 type TracerOptions struct {
 	// SampleEvery traces every nth request (head sampling); <= 1 means
-	// every request. The decision is deterministic over arrival order,
-	// like AccessLogger.SetSample.
+	// every request. The decision is a function of the arrival number
+	// Begin is given, as the access log's sampling is.
 	SampleEvery int
 }
 
@@ -249,7 +227,6 @@ type Tracer struct {
 	// durations immune to wall-clock steps; tests set a fake one.
 	clock func() time.Time
 
-	seq  atomic.Uint64 // requests observed (sampling decision)
 	ids  atomic.Uint64 // trace ID source
 	pool sync.Pool
 
@@ -301,14 +278,14 @@ func (t *Tracer) since(t0 time.Time) time.Duration {
 	return t.clock().Sub(t0)
 }
 
-// Begin starts a trace for the next request, or returns nil when the
-// request falls outside the 1-in-N sample (or the tracer itself is
-// nil — the disabled path is one nil check).
-func (t *Tracer) Begin() *ReqTrace {
+// Begin starts a trace for the request that arrived seq-th (counting
+// from 1), or returns nil when it falls outside the 1-in-N sample —
+// requests 1, N+1, 2N+1, … are traced — or the tracer itself is nil
+// (the disabled path is one nil check).
+func (t *Tracer) Begin(seq uint64) *ReqTrace {
 	if t == nil {
 		return nil
 	}
-	seq := t.seq.Add(1)
 	if t.sampleEvery > 1 && (seq-1)%t.sampleEvery != 0 {
 		return nil
 	}
@@ -320,14 +297,16 @@ func (t *Tracer) Begin() *ReqTrace {
 	return rt
 }
 
-// End completes a trace and runs the tail-sampling decision: flagged
-// traces (error, miss, ≥1 eviction) always enter the bounded flagged
-// ring; the rest compete for the window's K-slowest reservoir. Traces
-// that lose are recycled into the pool. Nil-safe on both receivers.
-func (t *Tracer) End(rt *ReqTrace) {
+// End completes a trace with the request's outcome and runs the
+// tail-sampling decision: flagged traces (error, miss, ≥1 eviction)
+// always enter the bounded flagged ring; the rest compete for the
+// window's K-slowest reservoir. Traces that lose are recycled into the
+// pool. Nil-safe on both receivers.
+func (t *Tracer) End(rt *ReqTrace, o Outcome) {
 	if t == nil || rt == nil {
 		return
 	}
+	rt.Outcome = o
 	rt.Total = int64(t.since(rt.Wall))
 	if d := rt.DroppedSpans(); d > 0 {
 		t.droppedSpans.Add(int64(d))

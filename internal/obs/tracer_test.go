@@ -22,10 +22,10 @@ func (c *tracerClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
-	if rt := tr.Begin(); rt != nil {
+	if rt := tr.Begin(1); rt != nil {
 		t.Fatalf("nil tracer sampled a request: %+v", rt)
 	}
-	tr.End(nil)
+	tr.End(nil, Outcome{})
 
 	// A nil ReqTrace (the unsampled request) must accept every
 	// instrumentation call as a no-op — sites carry no sampling branches.
@@ -36,9 +36,6 @@ func TestTracerNilSafety(t *testing.T) {
 	}
 	rt.EndSpan(sp)
 	rt.EndSpanArg(sp, 7)
-	rt.SetURL("http://e.com/")
-	rt.SetOutcome("HIT", 200, 1)
-	rt.MarkError()
 	rt.CountEviction()
 	if rt.Spans() != nil || rt.DroppedSpans() != 0 {
 		t.Fatal("nil trace reported spans")
@@ -46,8 +43,8 @@ func TestTracerNilSafety(t *testing.T) {
 
 	// End(nil) on a live tracer: the unsampled request's completion.
 	live := NewTracer(TracerOptions{SampleEvery: 2})
-	live.Begin()
-	live.End(nil)
+	live.Begin(1)
+	live.End(nil, Outcome{})
 }
 
 // TestTracerSamplingDeterministic pins the head-sampling rule: with
@@ -57,10 +54,10 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 	tr := NewTracer(TracerOptions{SampleEvery: 3})
 	var sampled []int
 	for i := 1; i <= 10; i++ {
-		rt := tr.Begin()
+		rt := tr.Begin(uint64(i))
 		if rt != nil {
 			sampled = append(sampled, i)
-			tr.End(rt)
+			tr.End(rt, Outcome{})
 		}
 	}
 	want := []int{1, 4, 7, 10}
@@ -74,10 +71,9 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 
 // finish drives one Begin/End pair with the given duration and verdict.
 func finish(tr *Tracer, c *tracerClock, d time.Duration, verdict string) *ReqTrace {
-	rt := tr.Begin()
+	rt := tr.Begin(1)
 	c.advance(d)
-	rt.SetOutcome(verdict, 200, 1)
-	tr.End(rt)
+	tr.End(rt, Outcome{Verdict: verdict, Status: 200, Bytes: 1})
 	return rt
 }
 
@@ -139,14 +135,11 @@ func TestReservoirFlaggedAlwaysKept(t *testing.T) {
 
 	// Zero-duration flagged requests: each would lose the slowness race.
 	finish(tr, c, 0, "MISS") // ID 2
-	rt := tr.Begin()         // ID 3: errored
-	rt.MarkError()
-	rt.SetOutcome("ERROR", 502, 0)
-	tr.End(rt)
-	rt = tr.Begin() // ID 4: evicting
+	rt := tr.Begin(1)        // ID 3: errored
+	tr.End(rt, Outcome{Verdict: "ERROR", Status: 502, Err: true})
+	rt = tr.Begin(1) // ID 4: evicting
 	rt.CountEviction()
-	rt.SetOutcome("HIT", 200, 1)
-	tr.End(rt)
+	tr.End(rt, Outcome{Verdict: "HIT", Status: 200, Bytes: 1})
 	// Fill the ring one past its cap: IDs 5 .. flaggedCap+2.
 	for i := 3; i <= flaggedCap; i++ {
 		finish(tr, c, 0, "MISS")
@@ -195,7 +188,7 @@ func TestReservoirWindowRotation(t *testing.T) {
 func TestSpanBufferOverflow(t *testing.T) {
 	c := newTracerClock()
 	tr := newTracer(TracerOptions{}, slowestK, c.now)
-	rt := tr.Begin()
+	rt := tr.Begin(1)
 	for i := 0; i < maxSpans+3; i++ {
 		sp := rt.BeginSpan(PhaseEvict)
 		if i < maxSpans && sp == NoSpan {
@@ -209,8 +202,7 @@ func TestSpanBufferOverflow(t *testing.T) {
 	if got := rt.DroppedSpans(); got != 3 {
 		t.Fatalf("DroppedSpans = %d, want 3", got)
 	}
-	rt.SetOutcome("HIT", 200, 1)
-	tr.End(rt)
+	tr.End(rt, Outcome{Verdict: "HIT", Status: 200, Bytes: 1})
 	if st := tr.Stats(); st.DroppedSpans != 3 {
 		t.Fatalf("stats DroppedSpans = %d, want 3", st.DroppedSpans)
 	}
@@ -227,8 +219,7 @@ func TestTracerChromeTraceGolden(t *testing.T) {
 	c := newTracerClock()
 	tr := newTracer(TracerOptions{}, slowestK, c.now)
 
-	rt := tr.Begin()
-	rt.SetURL("http://e.com/a")
+	rt := tr.Begin(1)
 	parse := rt.BeginSpan(PhaseParse)
 	c.advance(time.Millisecond)
 	rt.EndSpan(parse)
@@ -242,9 +233,8 @@ func TestTracerChromeTraceGolden(t *testing.T) {
 	rt.CountEviction()
 	c.advance(time.Millisecond)
 	rt.EndSpanArg(admit, 1)
-	rt.SetOutcome("MISS", 200, 2048)
 	c.advance(time.Millisecond)
-	tr.End(rt)
+	tr.End(rt, Outcome{URL: "http://e.com/a", Verdict: "MISS", Status: 200, Bytes: 2048})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -273,13 +263,11 @@ func TestChromeTraceEmpty(t *testing.T) {
 func TestTracerHandler(t *testing.T) {
 	c := newTracerClock()
 	tr := newTracer(TracerOptions{}, slowestK, c.now)
-	rt := tr.Begin()
-	rt.SetURL("http://e.com/slow")
+	rt := tr.Begin(1)
 	sp := rt.BeginSpan(PhaseStoreGet)
 	c.advance(4 * time.Millisecond)
 	rt.EndSpan(sp)
-	rt.SetOutcome("MISS", 200, 321)
-	tr.End(rt)
+	tr.End(rt, Outcome{URL: "http://e.com/slow", Verdict: "MISS", Status: 200, Bytes: 321})
 
 	rec := httptest.NewRecorder()
 	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/requests", nil))
@@ -317,7 +305,7 @@ func TestTracerRegisterMetrics(t *testing.T) {
 	tr := NewTracer(TracerOptions{})
 	reg := NewRegistry()
 	tr.RegisterMetrics(reg, "proxy")
-	tr.End(tr.Begin())
+	tr.End(tr.Begin(1), Outcome{})
 
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
@@ -356,11 +344,10 @@ func TestTracerSteadyStateAllocs(t *testing.T) {
 	finish(tr, c, time.Hour, "HIT") // fill the heap with an unbeatable keeper
 
 	allocs := testing.AllocsPerRun(200, func() {
-		rt := tr.Begin()
+		rt := tr.Begin(1)
 		sp := rt.BeginSpan(PhaseStoreGet)
 		rt.EndSpan(sp)
-		rt.SetOutcome("HIT", 200, 1)
-		tr.End(rt) // zero-duration: discarded and recycled
+		tr.End(rt, Outcome{Verdict: "HIT", Status: 200, Bytes: 1}) // zero-duration: discarded and recycled
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state sampled request allocates %.1f times, want 0", allocs)
@@ -372,9 +359,7 @@ func TestTracerSteadyStateAllocs(t *testing.T) {
 func BenchmarkTracerDisabled(b *testing.B) {
 	var tr *Tracer
 	for i := 0; i < b.N; i++ {
-		rt := tr.Begin()
-		rt.SetOutcome("HIT", 200, 1)
-		tr.End(rt)
+		tr.End(tr.Begin(uint64(i+1)), Outcome{Verdict: "HIT", Status: 200, Bytes: 1})
 	}
 }
 
@@ -386,10 +371,9 @@ func BenchmarkTracerSampled(b *testing.B) {
 	finish(tr, c, time.Hour, "HIT")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rt := tr.Begin()
+		rt := tr.Begin(uint64(i + 1))
 		sp := rt.BeginSpan(PhaseStoreGet)
 		rt.EndSpan(sp)
-		rt.SetOutcome("HIT", 200, 1)
-		tr.End(rt)
+		tr.End(rt, Outcome{Verdict: "HIT", Status: 200, Bytes: 1})
 	}
 }

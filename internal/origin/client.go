@@ -102,6 +102,7 @@ type conn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	idleAt time.Time
+	peek   peeker
 }
 
 // RoundTrip implements http.RoundTripper. A GET or HEAD without a body
@@ -225,12 +226,14 @@ func dial(ctx context.Context, addr string, trace *httptrace.ClientTrace) (*conn
 	if err != nil {
 		return nil, err
 	}
-	return &conn{
+	cc := &conn{
 		nc:   nc,
 		addr: addr,
 		br:   bufio.NewReaderSize(nc, readBufSize),
 		bw:   bufio.NewWriterSize(nc, writeBufSize),
-	}, nil
+	}
+	cc.peek.init(nc)
+	return cc, nil
 }
 
 // takeIdle returns the most recently pooled connection to addr that is
@@ -255,9 +258,8 @@ func (c *Client) takeIdle(addr string) *conn {
 			c.nidle--
 		}
 		c.nidle -= len(expired)
-		if len(list) == 0 {
-			delete(c.idle, addr)
-		} else {
+		// An emptied list stays in the map, so the next put reuses it.
+		if c.idle != nil {
 			c.idle[addr] = list
 		}
 		c.mu.Unlock()
@@ -267,7 +269,7 @@ func (c *Client) takeIdle(addr string) *conn {
 		if cc == nil {
 			return nil
 		}
-		if unread, closed := probe(cc.nc); !unread && !closed {
+		if unread, closed := cc.peek.probe(); !unread && !closed {
 			return cc
 		}
 		cc.nc.Close()
@@ -370,7 +372,7 @@ func (b *body) WriteTo(w io.Writer) (int64, error) {
 	// Both sides of a splice report through one error, so ask the
 	// upstream connection which side failed: one the origin closed or
 	// reset reads as closed, and a cancelled request is upstream too.
-	if _, closed := probe(cc.nc); err == nil || closed || b.ctx.Err() != nil {
+	if _, closed := cc.peek.probe(); err == nil || closed || b.ctx.Err() != nil {
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}

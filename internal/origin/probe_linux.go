@@ -5,31 +5,42 @@ import (
 	"syscall"
 )
 
-// probe peeks at an upstream connection without blocking: unread means
-// bytes wait that no request asked for, closed that the origin closed
-// or reset it. A connection in neither state is idle.
-func probe(nc net.Conn) (unread, closed bool) {
-	sc, ok := nc.(syscall.Conn)
-	if !ok {
+// peeker peeks at one upstream connection without blocking. Its
+// RawConn and the callback that RawConn.Read runs are made once, when
+// the connection is dialled, so a probe allocates nothing. Only the
+// goroutine that holds the connection probes it.
+type peeker struct {
+	raw  syscall.RawConn // nil when the connection has no descriptor to peek at
+	peek func(fd uintptr) bool
+	n    int
+	err  error
+	b    [1]byte
+}
+
+func (p *peeker) init(nc net.Conn) {
+	if sc, ok := nc.(syscall.Conn); ok {
+		p.raw, _ = sc.SyscallConn()
+	}
+	p.peek = func(fd uintptr) bool {
+		p.n, _, p.err = syscall.Recvfrom(int(fd), p.b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		return true
+	}
+}
+
+// probe peeks at the connection: unread means bytes wait that no
+// request asked for, closed that the origin closed or reset it. A
+// connection in neither state is idle.
+func (p *peeker) probe() (unread, closed bool) {
+	if p.raw == nil {
 		return false, false
 	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return false, true
-	}
-	var n int
-	var perr error
-	var b [1]byte
-	if err := raw.Read(func(fd uintptr) bool {
-		n, _, perr = syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		return true
-	}); err != nil {
+	if err := p.raw.Read(p.peek); err != nil {
 		return false, true
 	}
 	switch {
-	case perr == syscall.EAGAIN:
+	case p.err == syscall.EAGAIN:
 		return false, false
-	case perr == nil && n > 0:
+	case p.err == nil && p.n > 0:
 		return true, false
 	default:
 		return false, true

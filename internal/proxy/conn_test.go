@@ -651,6 +651,46 @@ func TestConnHitAllocs(t *testing.T) {
 	}
 }
 
+// TestHandlerHitAllocs pins what a hit served through ConnServer
+// allocates, the client's own http.ReadResponse included: plain, and
+// with an access log attached in the retain-only mode -admin runs. The
+// log line adds at most two: its one formatted string, kept by the
+// recent-lines ring.
+func TestHandlerHitAllocs(t *testing.T) {
+	hits := func(l *AccessLogger) float64 {
+		store := NewStore(1<<20, nil)
+		const url = "http://origin.example/doc.html"
+		store.Put(url, &Object{Body: pattern(10 << 10), ContentType: "text/html", StoredAt: time.Now().Add(time.Hour)})
+		srv := New(store)
+		srv.AccessLog = l
+		ts := newConnTestServer(t, srv)
+		c, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		req := []byte("GET " + url + " HTTP/1.1\r\nHost: origin.example\r\n\r\n")
+		return testing.AllocsPerRun(200, func() {
+			c.Write(req)
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		})
+	}
+	plain, logged := hits(nil), hits(NewAccessLogger(nil))
+	t.Logf("a hit allocates %.0f times plain, %.0f with an access log", plain, logged)
+	if plain > 21 {
+		t.Errorf("a hit allocates %.0f times, want at most 21", plain)
+	}
+	if logged > plain+2 {
+		t.Errorf("a logged hit allocates %.0f times, %.0f above a plain one; want at most 2 above", logged, logged-plain)
+	}
+}
+
 // TestConnHitIsOneWrite counts the write system calls of the process
 // while hits of a 10 KB document are served over loopback: the client's
 // request and one writev of head and body (net/http takes two writes

@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -190,13 +191,12 @@ func TestOriginBytesCountRelayedResponses(t *testing.T) {
 // through a sampling logger and checks the emitted line count is
 // exactly seen/every, with no torn lines.
 func TestAccessLoggerSamplingConcurrent(t *testing.T) {
-	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	})
+	srv := stubServer("ok")
 	var buf syncBuffer
-	l := NewAccessLogger(backend, &buf)
+	l := NewAccessLogger(&buf)
 	l.SetSample(4)
-	pts := httptest.NewServer(l)
+	srv.AccessLog = l
+	pts := httptest.NewServer(srv)
 	defer pts.Close()
 
 	const writers, per = 8, 25 // 200 requests, every=4 → 50 lines
@@ -246,11 +246,10 @@ func TestAccessLoggerSamplingConcurrent(t *testing.T) {
 }
 
 func TestAccessLoggerNilWriter(t *testing.T) {
-	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	})
-	l := NewAccessLogger(backend, nil)
-	pts := httptest.NewServer(l)
+	srv := stubServer("ok")
+	l := NewAccessLogger(nil)
+	srv.AccessLog = l
+	pts := httptest.NewServer(srv)
 	defer pts.Close()
 
 	req, _ := http.NewRequest(http.MethodGet, pts.URL+"/x.html", nil)
@@ -272,9 +271,10 @@ func TestAccessLoggerNilWriter(t *testing.T) {
 }
 
 func TestAccessLoggerRecentWraps(t *testing.T) {
-	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
-	l := NewAccessLogger(backend, nil)
-	pts := httptest.NewServer(l)
+	srv := stubServer("")
+	l := NewAccessLogger(nil)
+	srv.AccessLog = l
+	pts := httptest.NewServer(srv)
 	defer pts.Close()
 	for i := 0; i < recentLines+10; i++ {
 		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/d%d", pts.URL, i), nil)
@@ -292,6 +292,26 @@ func TestAccessLoggerRecentWraps(t *testing.T) {
 	if !strings.Contains(recent[len(recent)-1], fmt.Sprintf("/d%d ", recentLines+9)) {
 		t.Errorf("newest line missing: %q", recent[len(recent)-1])
 	}
+}
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// stubServer returns a proxy whose every upstream fetch, whatever its
+// host, is answered at once with a 200 and body.
+func stubServer(body string) *Server {
+	srv := New(NewStore(1<<20, nil))
+	srv.Transport = roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode:    http.StatusOK,
+			Header:        http.Header{},
+			ContentLength: int64(len(body)),
+			Body:          io.NopCloser(strings.NewReader(body)),
+		}, nil
+	})
+	return srv
 }
 
 // syncBuffer is a goroutine-safe bytes.Buffer for log capture.

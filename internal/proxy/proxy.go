@@ -69,8 +69,12 @@ type Server struct {
 	// timelines (parse, store get, origin dial/TTFB/body,
 	// admission, eviction chain) and keeps the tail worth inspecting —
 	// the /requests admin endpoint. Nil — the default — costs one
-	// branch per request; unsampled requests cost one atomic add.
+	// branch per request.
 	Tracer *obs.Tracer
+	// AccessLog, when non-nil, gets a common log format line for every
+	// request (DESIGN.md §9). Nil — the default — costs one branch per
+	// request.
+	AccessLog *AccessLogger
 
 	// traced is the store when it is a *Store, asserted once in New, so
 	// a sampled admission can record its eviction chain (PutTraced).
@@ -179,42 +183,57 @@ func Cacheable(r *http.Request) bool {
 	return true
 }
 
+// record is one request as the proxy served it, filled on ServeHTTP's
+// stack as the request goes and read once, by exit, when it ends. Its
+// Outcome (URL is the cache key) is what the trace and the access log
+// report; its shadowEvent is what the store did, and has a url only when
+// the request reached the store.
+type record struct {
+	obs.Outcome
+	shadowEvent
+	seq   uint64        // arrival number, from 1: the tracer's and the log's sampling
+	start time.Time     // set only when the latency histogram is on
+	rt    *obs.ReqTrace // nil when untraced or unsampled; its span methods are nil-safe
+	cut   bool          // the transfer was aborted after its head
+}
+
 // storeGet is the store lookup, inside a store.get span when this
 // request is sampled.
-func (s *Server) storeGet(key string, rt *obs.ReqTrace) (*Object, bool) {
-	if rt == nil {
+func (s *Server) storeGet(key string, rec *record) (*Object, bool) {
+	if rec.rt == nil {
 		return s.store.Get(key)
 	}
-	sp := rt.BeginSpan(obs.PhaseStoreGet)
+	sp := rec.rt.BeginSpan(obs.PhaseStoreGet)
 	obj, ok := s.store.Get(key)
-	rt.EndSpan(sp)
+	rec.rt.EndSpan(sp)
 	return obj, ok
 }
 
 // storePut is the store admission; when this request is sampled and the
 // store is a *Store, it records the eviction chain. The admit span
 // (opened by the caller) wraps it, so the eviction spans nest inside.
-func (s *Server) storePut(key string, obj *Object, rt *obs.ReqTrace) bool {
-	if rt == nil || s.traced == nil {
+func (s *Server) storePut(key string, obj *Object, rec *record) bool {
+	if rec.rt == nil || s.traced == nil {
 		return s.store.Put(key, obj)
 	}
-	return s.traced.PutTraced(key, obj, rt)
+	return s.traced.PutTraced(key, obj, rec.rt)
 }
 
-// ServeHTTP implements the proxy.
+// ServeHTTP implements the proxy. It fills one record as it serves,
+// which exit hands to every attached consumer (DESIGN.md §9).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.stats.requests.Add(1)
-	if h := s.latency; h != nil {
-		start := time.Now()
-		defer func() { h.Observe(time.Since(start).Nanoseconds()) }()
+	seq := uint64(s.stats.requests.Add(1))
+	rec := record{seq: seq, rt: s.Tracer.Begin(seq)}
+	rt := rec.rt
+	if s.latency != nil {
+		rec.start = time.Now()
 	}
-	rt := s.Tracer.Begin() // nil when untraced or unsampled; every rt method is nil-safe
 	if rt != nil {
 		// The ID goes out on the response (and into the access log), so
 		// a slow request a client reports can be found in /requests.
 		w.Header().Set("X-Trace-Id", obs.FormatTraceID(rt.ID))
-		defer s.Tracer.End(rt)
 	}
+	defer s.exit(r, &rec)
 
 	parse := rt.BeginSpan(obs.PhaseParse)
 	target := r.URL
@@ -223,9 +242,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// reconstructing the absolute URL from the Host header.
 		if r.Host == "" {
 			rt.EndSpan(parse)
-			s.noteError(rt)
-			rt.SetOutcome("ERROR", http.StatusBadRequest, 0)
-			http.Error(w, "proxy: request URL is not absolute", http.StatusBadRequest)
+			rec.URL = r.URL.String()
+			s.fail(w, &rec, http.StatusBadRequest, "proxy: request URL is not absolute")
 			return
 		}
 		abs := *r.URL
@@ -234,53 +252,70 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		target = &abs
 	}
 	// The absolute URL, formatted once: the cache key, the upstream
-	// request's target and the name the trace and the shadows see.
+	// request's target and the name the trace, the shadows and the log
+	// see.
 	key := target.String()
+	rec.URL = key
+	rt.EndSpan(parse)
 
 	if !Cacheable(r) {
 		s.stats.uncacheable.Add(1)
-		rt.SetURL(key)
-		rt.EndSpan(parse)
-		s.passThrough(w, r, key, rt)
+		s.passThrough(w, r, key, &rec)
 		return
 	}
-
-	rt.SetURL(key)
-	rt.EndSpan(parse)
 
 	// A client's reload skips the lookup: it is no store request, so it
 	// neither counts nor re-ranks the resident copy it replaces.
-	ev := shadowEvent{url: key, looked: !strings.EqualFold(r.Header.Get("Pragma"), "no-cache")}
-	if f := s.Shadow; f != nil {
-		defer f.observe(&ev)
-	}
-	if !ev.looked {
-		s.fetchAndServe(w, r, key, rt, &ev)
+	rec.url = key
+	rec.looked = !strings.EqualFold(r.Header.Get("Pragma"), "no-cache")
+	if !rec.looked {
+		s.fetchAndServe(w, r, key, &rec)
 		return
 	}
-	if obj, ok := s.storeGet(key, rt); ok {
-		ev.hit, ev.size = true, int64(len(obj.Body))
+	if obj, ok := s.storeGet(key, &rec); ok {
+		rec.hit, rec.size = true, int64(len(obj.Body))
 		age := time.Since(obj.StoredAt)
 		if age <= s.FreshFor {
-			s.serveObject(w, obj, xCacheHit, rt)
+			s.serveObject(w, obj, xCacheHit, &rec)
 			s.stats.hits.Add(1)
-			s.stats.bytesFromHit.Add(ev.size)
+			s.stats.bytesFromHit.Add(rec.size)
 			return
 		}
 		reval := rt.BeginSpan(obs.PhaseRevalidate)
 		ok := s.revalidate(r.Context(), key, obj)
 		rt.EndSpan(reval)
 		if ok {
-			s.serveObject(w, obj, xCacheRevalidated, rt)
+			s.serveObject(w, obj, xCacheRevalidated, &rec)
 			s.stats.revalidated.Add(1)
-			s.stats.bytesFromHit.Add(ev.size)
+			s.stats.bytesFromHit.Add(rec.size)
 			return
 		}
 		// Revalidation says the document changed (or failed); fall
 		// through to a fresh fetch, replacing the stale copy.
 	}
 
-	s.fetchAndServe(w, r, key, rt, &ev)
+	s.fetchAndServe(w, r, key, &rec)
+}
+
+// exit hands a finished request's record to each consumer that is
+// attached: the latency histogram, the shadow fleet, the access log and
+// the tracer. It runs when a cut transfer's panic unwinds too; such a
+// transfer writes no log line.
+func (s *Server) exit(r *http.Request, rec *record) {
+	if h := s.latency; h != nil {
+		h.Observe(time.Since(rec.start).Nanoseconds())
+	}
+	if f := s.Shadow; f != nil && rec.url != "" {
+		f.observe(&rec.shadowEvent)
+	}
+	if l := s.AccessLog; l != nil && !rec.cut {
+		l.log(r, rec)
+	}
+	// Last: after End the trace belongs to the reservoir, which may
+	// recycle it into another request.
+	if rec.rt != nil {
+		s.Tracer.End(rec.rt, rec.Outcome)
+	}
 }
 
 // revalidate sends a conditional GET; true means the cached copy is
@@ -311,16 +346,17 @@ func (s *Server) revalidate(ctx context.Context, key string, obj *Object) bool {
 
 // fetchAndServe fetches key from the origin (or parent proxy),
 // streams it to the client as it arrives, and caches it when eligible
-// (DESIGN.md §11). A complete 200 response sets ev's size to the
-// bytes served and, when the object goes to Put, marks ev stored; on
-// any other exit ev keeps the size the lookup found (0 on a miss).
-func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key string, rt *obs.ReqTrace, ev *shadowEvent) {
+// (DESIGN.md §11). A complete 200 response sets rec's size to the
+// bytes served and, when the object goes to Put, marks rec stored; on
+// any other exit rec keeps the size the lookup found (0 on a miss).
+func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key string, rec *record) {
 	s.stats.misses.Add(1)
+	rt := rec.rt
 	// The fetch lives on the client's context: a client that goes away
 	// cancels it, and its connection to the origin is closed.
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, key, nil)
 	if err != nil {
-		s.countError(w, rt, fmt.Sprintf("proxy: building origin request: %v", err))
+		s.fail(w, rec, http.StatusBadGateway, fmt.Sprintf("proxy: building origin request: %v", err))
 		return
 	}
 	copyEndToEnd(req.Header, r.Header)
@@ -345,10 +381,11 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 	resp, err := tr.RoundTrip(req)
 	if err != nil {
 		if r.Context().Err() != nil {
-			rt.SetOutcome("ERROR", http.StatusBadGateway, 0) // the client left: no one to answer
+			// The client left: no one to answer, and no fault to count.
+			rec.Verdict, rec.Status = "ERROR", http.StatusBadGateway
 			return
 		}
-		s.countError(w, rt, fmt.Sprintf("proxy: origin fetch failed: %v", err))
+		s.fail(w, rec, http.StatusBadGateway, fmt.Sprintf("proxy: origin fetch failed: %v", err))
 		return
 	}
 	defer resp.Body.Close()
@@ -357,9 +394,8 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
 		// Serve non-200 responses uncached, and so an encoded body: the
 		// cache keeps identity bodies only.
-		n := s.relay(w, resp)
-		s.stats.originBytes.Add(n)
-		rt.SetOutcome("MISS", resp.StatusCode, n)
+		s.relay(w, resp, "MISS", rec)
+		s.stats.originBytes.Add(rec.Bytes)
 		return
 	}
 	contentType, lastMod := headerSubset(resp.Header)
@@ -396,22 +432,22 @@ func (s *Server) fetchAndServe(w http.ResponseWriter, r *http.Request, key strin
 		// client that left cancelled the fetch, which is not the origin's
 		// failure.
 		if rerr != nil && r.Context().Err() == nil {
-			s.noteError(rt)
+			s.noteError(rec)
 		}
-		rt.SetOutcome("ERROR", http.StatusOK, sent)
+		rec.Verdict, rec.Status, rec.Bytes, rec.cut = "ERROR", http.StatusOK, sent, true
 		panic(http.ErrAbortHandler)
 	}
-	rt.SetOutcome("MISS", http.StatusOK, sent)
-	ev.size = sent
+	rec.Verdict, rec.Status, rec.Bytes = "MISS", http.StatusOK, sent
+	rec.size = sent
 	if body != nil {
 		admit := rt.BeginSpan(obs.PhaseAdmit)
 		// A body of declared length is served with the same headers on
 		// every hit; Put formats those of a body whose length the origin
 		// did not declare.
 		obj := &Object{Body: body, ContentType: contentType, LastModified: lastMod, StoredAt: time.Now(), header: hdr}
-		ev.stored = true
+		rec.stored = true
 		arg := int64(0)
-		if s.storePut(key, obj, rt) {
+		if s.storePut(key, obj, rec) {
 			arg = 1
 		}
 		rt.EndSpanArg(admit, arg)
@@ -496,17 +532,18 @@ func relayBody(w io.Writer, src io.Reader, keepMax int64) (body []byte, sent int
 	}
 }
 
-// noteError counts one failed request and flags its trace.
-func (s *Server) noteError(rt *obs.ReqTrace) {
+// noteError counts one failed request and flags its record.
+func (s *Server) noteError(rec *record) {
 	s.stats.errors.Add(1)
-	rt.MarkError()
+	rec.Err = true
 }
 
-// countError records an error outcome and answers 502.
-func (s *Server) countError(w http.ResponseWriter, rt *obs.ReqTrace, msg string) {
-	s.noteError(rt)
-	rt.SetOutcome("ERROR", http.StatusBadGateway, 0)
-	http.Error(w, msg, http.StatusBadGateway)
+// fail counts an error and answers it with code and msg.
+func (s *Server) fail(w http.ResponseWriter, rec *record, code int, msg string) {
+	s.noteError(rec)
+	http.Error(w, msg, code)
+	// http.Error's body is msg and a newline.
+	rec.Verdict, rec.Status, rec.Bytes = "ERROR", code, int64(len(msg))+1
 }
 
 // entityHeader holds the formatted values of the entity headers a
@@ -551,45 +588,44 @@ func (e *entityHeader) set(h http.Header, xCache []string) {
 
 // serveObject writes a cached object to the client, with the header
 // values formatted when it was stored.
-func (s *Server) serveObject(w http.ResponseWriter, obj *Object, xCache []string, rt *obs.ReqTrace) {
+func (s *Server) serveObject(w http.ResponseWriter, obj *Object, xCache []string, rec *record) {
 	obj.header.set(w.Header(), xCache)
-	serve := rt.BeginSpan(obs.PhaseServe)
+	serve := rec.rt.BeginSpan(obs.PhaseServe)
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(obj.Body)
-	rt.EndSpan(serve)
-	rt.SetOutcome(xCache[0], http.StatusOK, int64(n))
+	rec.rt.EndSpan(serve)
+	rec.Verdict, rec.Status, rec.Bytes = xCache[0], http.StatusOK, int64(n)
 	s.stats.bytesServed.Add(int64(n))
 }
 
 // relay streams an origin response to the client without caching and
-// returns the body bytes written.
-func (s *Server) relay(w http.ResponseWriter, resp *http.Response) int64 {
+// records it under verdict.
+func (s *Server) relay(w http.ResponseWriter, resp *http.Response, verdict string, rec *record) {
 	h := w.Header()
 	copyEndToEnd(h, resp.Header)
 	h.Set("X-Cache", "MISS")
 	w.WriteHeader(resp.StatusCode)
 	n, _ := io.Copy(w, resp.Body)
 	s.stats.bytesServed.Add(n)
-	return n
+	rec.Verdict, rec.Status, rec.Bytes = verdict, resp.StatusCode, n
 }
 
 // passThrough forwards an uncacheable request to target verbatim.
-func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target string, rt *obs.ReqTrace) {
+func (s *Server) passThrough(w http.ResponseWriter, r *http.Request, target string, rec *record) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target, r.Body)
 	if err != nil {
-		s.countError(w, rt, fmt.Sprintf("proxy: building pass-through request: %v", err))
+		s.fail(w, rec, http.StatusBadGateway, fmt.Sprintf("proxy: building pass-through request: %v", err))
 		return
 	}
 	copyEndToEnd(req.Header, r.Header)
-	req = origin.TraceRequest(req, rt)
+	req = origin.TraceRequest(req, rec.rt)
 	resp, err := s.transport().RoundTrip(req)
 	if err != nil {
-		s.countError(w, rt, fmt.Sprintf("proxy: pass-through fetch failed: %v", err))
+		s.fail(w, rec, http.StatusBadGateway, fmt.Sprintf("proxy: pass-through fetch failed: %v", err))
 		return
 	}
 	defer resp.Body.Close()
-	n := s.relay(w, resp)
-	rt.SetOutcome("UNCACHEABLE", resp.StatusCode, n)
+	s.relay(w, resp, "UNCACHEABLE", rec)
 }
 
 // copyEndToEnd copies the end-to-end headers of a request or response

@@ -47,7 +47,7 @@ func TestServeObjectHeaders(t *testing.T) {
 			obj, _ := s.store.Get("http://h/doc")
 			for _, xc := range [][]string{xCacheHit, xCacheRevalidated} {
 				got := &headerWriter{h: http.Header{}}
-				s.serveObject(got, obj, xc, nil)
+				s.serveObject(got, obj, xc, &record{})
 				want := tc.want.Clone()
 				want.Set("X-Cache", xc[0])
 				if !reflect.DeepEqual(got.h, want) {
@@ -120,7 +120,7 @@ func TestServeObjectAllocs(t *testing.T) {
 	s.store.Put("http://h/doc", &Object{Body: make([]byte, 15000), ContentType: "text/html", LastModified: time.Unix(8e8, 0)})
 	obj, _ := s.store.Get("http://h/doc")
 	w := &headerWriter{h: http.Header{}}
-	if allocs := testing.AllocsPerRun(100, func() { s.serveObject(w, obj, xCacheHit, nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.serveObject(w, obj, xCacheHit, &record{}) }); allocs != 0 {
 		t.Errorf("serveObject allocates %.0f times per hit, want 0", allocs)
 	}
 }

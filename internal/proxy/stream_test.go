@@ -132,8 +132,9 @@ func TestMissStreamsByteExact(t *testing.T) {
 					srv.MaxObjectBytes = tc.maxObject
 				}
 				var logged bytes.Buffer
-				logger := NewAccessLogger(srv, &logged)
-				pts := serve(t, logger)
+				logger := NewAccessLogger(&logged)
+				srv.AccessLog = logger
+				pts := serve(t, srv)
 				defer pts.Close()
 				client := proxyClient(t, pts.URL)
 				target := fmt.Sprintf("%s/%s/%d", origin.URL, tc.path, tc.size)

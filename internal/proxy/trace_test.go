@@ -29,7 +29,7 @@ func TestStorePutTracedEvictionSpans(t *testing.T) {
 	s.Put("http://a/big", &Object{Body: make([]byte, 60)})
 	s.Put("http://a/small", &Object{Body: make([]byte, 30)})
 
-	rt := tr.Begin()
+	rt := tr.Begin(1)
 	if !s.PutTraced("http://a/new", &Object{Body: make([]byte, 50)}, rt) {
 		t.Fatal("traced Put rejected")
 	}
@@ -45,7 +45,7 @@ func TestStorePutTracedEvictionSpans(t *testing.T) {
 	if got := rt.Evictions; got != 1 {
 		t.Fatalf("Evictions = %d, want 1", got)
 	}
-	tr.End(rt)
+	tr.End(rt, obs.Outcome{})
 	if recs := tr.Snapshot(); len(recs) != 1 || recs[0].Flag != "evict" {
 		t.Fatalf("evicting put not reservoir-kept: %+v", recs)
 	}
@@ -176,8 +176,9 @@ func TestAccessLogTraceCrossReference(t *testing.T) {
 	srv := New(NewStore(1<<20, nil))
 	srv.FreshFor = time.Minute
 	srv.Tracer = obs.NewTracer(obs.TracerOptions{})
-	logger := NewAccessLogger(srv, nil)
-	pts := httptest.NewServer(logger)
+	logger := NewAccessLogger(nil)
+	srv.AccessLog = logger
+	pts := httptest.NewServer(srv)
 	defer pts.Close()
 
 	target := ots.URL + "/page.html"
