@@ -214,16 +214,16 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBuildAppWithoutAdmin pins the default path: no registry, no
-// window, no admin server, no access logger — the pre-observability
-// wiring byte for byte.
+// TestBuildAppWithoutAdmin pins the default path: no registry (so no
+// store window), no admin server, no access logger — the
+// pre-observability wiring byte for byte.
 func TestBuildAppWithoutAdmin(t *testing.T) {
 	a, err := buildApp(options{capacity: 1 << 20, polSpec: "LRU", freshFor: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.admin != nil || a.reg != nil || a.window != nil || a.logger != nil {
+	if a.admin != nil || a.reg != nil || a.logger != nil {
 		t.Fatal("admin machinery built without -admin")
 	}
 }
@@ -304,9 +304,6 @@ func TestAdminMetricNames(t *testing.T) {
 		"store.shadow.SIZE.used_bytes",
 		"store.shadow.SIZE.window_hr_bp",
 		"store.shadow.SIZE.window_whr_bp",
-		"store.shadow.drops",
-		"store.shadow.enqueued",
-		"store.shadow.pending",
 		"store.shadow.processed",
 		"store.window_gets",
 		"store.window_hits",
@@ -476,12 +473,11 @@ func TestShadowApp(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	a.fleet.Flush()
 
 	// Every request reached every ghost cache.
 	rep := a.fleet.Report()
-	if rep.Enqueued != 5 || rep.Dropped != 0 {
-		t.Fatalf("fleet enqueued %d dropped %d, want 5 / 0", rep.Enqueued, rep.Dropped)
+	if rep.Processed != 5 {
+		t.Fatalf("fleet applied %d events, want 5", rep.Processed)
 	}
 	if len(rep.Shadows) != 3 {
 		t.Fatalf("fleet has %d shadows, want 3", len(rep.Shadows))
@@ -502,13 +498,13 @@ func TestShadowApp(t *testing.T) {
 		t.Fatalf("/shadow?format=json = %d", status)
 	}
 	var jsonRep struct {
-		Enqueued int64
-		Shadows  []struct{ Policy string }
+		Processed int64
+		Shadows   []struct{ Policy string }
 	}
 	if err := json.Unmarshal([]byte(body), &jsonRep); err != nil {
 		t.Fatalf("/shadow json unparsable: %v\n%s", err, body)
 	}
-	if jsonRep.Enqueued != 5 || len(jsonRep.Shadows) != 3 {
+	if jsonRep.Processed != 5 || len(jsonRep.Shadows) != 3 {
 		t.Fatalf("/shadow json = %+v", jsonRep)
 	}
 
@@ -518,8 +514,7 @@ func TestShadowApp(t *testing.T) {
 		t.Fatalf("metrics status = %d", status)
 	}
 	for _, want := range []string{
-		"store.shadow.drops 0",
-		"store.shadow.enqueued 5",
+		"store.shadow.processed 5",
 		"store.shadow.LRU.window_hr_bp ",
 		"store.shadow.LFU.regret_bp ",
 		"store.window_gets 5",
@@ -537,7 +532,7 @@ func TestShadowApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap struct {
-		Shadow      struct{ Enqueued int64 }
+		Shadow      struct{ Processed int64 }
 		StoreWindow struct {
 			Gets, Hits int64
 			HR         float64
@@ -546,8 +541,8 @@ func TestShadowApp(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Shadow.Enqueued != 5 {
-		t.Errorf("snapshot shadow.enqueued = %d, want 5", snap.Shadow.Enqueued)
+	if snap.Shadow.Processed != 5 {
+		t.Errorf("snapshot shadow.processed = %d, want 5", snap.Shadow.Processed)
 	}
 	if snap.StoreWindow.Gets != 5 || snap.StoreWindow.Hits != 2 || snap.StoreWindow.HR != 0.4 {
 		t.Errorf("snapshot store_window = %+v, want 5 gets / 2 hits / 0.4", snap.StoreWindow)
@@ -776,8 +771,8 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	a.Close() // idempotent
 	sse.Body.Close()
 
-	// The fleet worker, admin accept loop, SSE streamer and snapshot
-	// ticker must all be gone. Poll briefly: handler goroutines
+	// The admin accept loop, SSE streamer and snapshot ticker must all
+	// be gone. Poll briefly: handler goroutines
 	// unwind asynchronously after Close returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -791,14 +786,6 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Closed fleet still reports (for late scrapes) but accepts nothing,
-	// not even the event of a request the proxy still serves.
-	enq := a.fleet.Report().Enqueued
-	a.srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, origin.URL+"/late.html", nil))
-	if got := a.fleet.Report().Enqueued; got != enq {
-		t.Fatalf("fleet accepted an event after Close: %d != %d", got, enq)
 	}
 }
 

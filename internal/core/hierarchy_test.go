@@ -15,6 +15,28 @@ func newTestTwoLevel(l1Cap int64) *TwoLevel {
 	)
 }
 
+// L2WeightedHitRate returns the second level cache's byte hit rate over
+// all client-requested bytes.
+func (t *TwoLevel) L2WeightedHitRate() float64 {
+	if t.bytes == 0 {
+		return 0
+	}
+	return float64(t.L2.Stats().BytesHit) / float64(t.bytes)
+}
+
+// Parts returns the number of partitions.
+func (p *Partitioned) Parts() int { return len(p.parts) }
+
+// PartitionWHROverAll returns partition i's bytes hit divided by the
+// bytes requested across *all* partitions — the paper's Figs. 19-20
+// measure ("the WHRs reported are over all requests").
+func (p *Partitioned) PartitionWHROverAll(i int) float64 {
+	if p.bytes == 0 {
+		return 0
+	}
+	return float64(p.parts[i].Stats().BytesHit) / float64(p.bytes)
+}
+
 func TestTwoLevelHitLevels(t *testing.T) {
 	tl := newTestTwoLevel(1000)
 	r1 := req("http://a/x.dat", 400, 1)

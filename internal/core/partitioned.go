@@ -49,21 +49,8 @@ func (p *Partitioned) Access(req *trace.Request) bool {
 // Partition returns partition i's cache for inspection.
 func (p *Partitioned) Partition(i int) *Cache { return p.parts[i] }
 
-// Parts returns the number of partitions.
-func (p *Partitioned) Parts() int { return len(p.parts) }
-
 // Requests returns the total requests processed.
 func (p *Partitioned) Requests() int64 { return p.requests }
 
 // BytesRequested returns the total bytes requested.
 func (p *Partitioned) BytesRequested() int64 { return p.bytes }
-
-// PartitionWHROverAll returns partition i's bytes hit divided by the
-// bytes requested across *all* partitions — the paper's Figs. 19-20
-// measure ("the WHRs reported are over all requests").
-func (p *Partitioned) PartitionWHROverAll(i int) float64 {
-	if p.bytes == 0 {
-		return 0
-	}
-	return float64(p.parts[i].Stats().BytesHit) / float64(p.bytes)
-}

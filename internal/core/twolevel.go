@@ -48,15 +48,6 @@ func (t *TwoLevel) L2HitRate() float64 {
 	return float64(t.L2.Stats().Hits) / float64(t.requests)
 }
 
-// L2WeightedHitRate returns the second level cache's byte hit rate over
-// all client-requested bytes.
-func (t *TwoLevel) L2WeightedHitRate() float64 {
-	if t.bytes == 0 {
-		return 0
-	}
-	return float64(t.L2.Stats().BytesHit) / float64(t.bytes)
-}
-
 // Requests returns the number of requests processed by the hierarchy.
 func (t *TwoLevel) Requests() int64 { return t.requests }
 

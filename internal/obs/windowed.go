@@ -11,7 +11,9 @@ package obs
 // is bucket-granular (a window of B buckets is off by at most one
 // bucket's worth of time at the trailing edge), which is exactly the
 // resolution an operations dashboard needs and costs no per-event
-// allocation or lock.
+// allocation or lock. Every write and read takes the caller's time in
+// nanoseconds, so a caller that updates several rates for one event
+// reads its clock once.
 
 import (
 	"sync/atomic"
@@ -36,22 +38,17 @@ const bucketNs = int64(DefaultWindow) / DefaultWindowBuckets
 // reuse (the ring coming back around to a stale epoch) may lose the
 // few counts that land during the reset — bounded by one bucket
 // rotation, an accepted imprecision for an observability rate. With a
-// single writer (or a test's fake clock) the counts are exact.
+// single writer (or one fixed time) the counts are exact.
 type windowedCounter struct {
 	epochs [DefaultWindowBuckets]atomic.Int64 // bucket-epoch stamp per slot
 	counts [DefaultWindowBuckets]atomic.Int64
 	total  atomic.Int64
-	nowNs  func() int64
 }
 
-func newWindowedCounter() *windowedCounter {
-	return &windowedCounter{nowNs: func() int64 { return time.Now().UnixNano() }}
-}
-
-// Add counts n into the current time bucket and the lifetime total.
-func (w *windowedCounter) Add(n int64) {
+// Add counts n into the bucket covering nowNs and the lifetime total.
+func (w *windowedCounter) Add(n, nowNs int64) {
 	w.total.Add(n)
-	ep := w.nowNs() / bucketNs
+	ep := nowNs / bucketNs
 	i := int(ep % DefaultWindowBuckets)
 	if w.epochs[i].Load() != ep {
 		// The slot still holds a previous rotation; claim it for this
@@ -68,10 +65,10 @@ func (w *windowedCounter) Add(n int64) {
 // Total returns the lifetime total.
 func (w *windowedCounter) Total() int64 { return w.total.Load() }
 
-// WindowTotal returns the total counted over the most recent window:
-// the sum of every bucket whose epoch is still inside it.
-func (w *windowedCounter) WindowTotal() int64 {
-	ep := w.nowNs() / bucketNs
+// WindowTotal returns the total counted over the window ending at
+// nowNs: the sum of every bucket whose epoch is still inside it.
+func (w *windowedCounter) WindowTotal(nowNs int64) int64 {
+	ep := nowNs / bucketNs
 	lo := ep - DefaultWindowBuckets + 1
 	var sum int64
 	for i := range w.counts {
@@ -88,45 +85,40 @@ func (w *windowedCounter) WindowTotal() int64 {
 // cover the same buckets, so the ratio compares like-for-like time
 // spans.
 type WindowedRate struct {
-	part, whole *windowedCounter
+	part, whole windowedCounter
 }
 
 // NewWindowedRate returns a rate over the last DefaultWindow.
-func NewWindowedRate() *WindowedRate {
-	return &WindowedRate{part: newWindowedCounter(), whole: newWindowedCounter()}
-}
+func NewWindowedRate() *WindowedRate { return &WindowedRate{} }
 
-// SetClock overrides both components' time source (tests). Call
-// before the first Record.
-func (r *WindowedRate) SetClock(nowNs func() int64) {
-	r.part.nowNs, r.whole.nowNs = nowNs, nowNs
-}
-
-// Record counts one observation: part of whole (e.g. Record(size, size)
-// for a byte hit, Record(0, size) for a byte miss).
-func (r *WindowedRate) Record(part, whole int64) {
+// Record counts one observation at nowNs: part of whole (e.g.
+// Record(size, size, now) for a byte hit, Record(0, size, now) for a
+// byte miss).
+func (r *WindowedRate) Record(part, whole, nowNs int64) {
 	if part != 0 {
-		r.part.Add(part)
+		r.part.Add(part, nowNs)
 	}
-	r.whole.Add(whole)
+	r.whole.Add(whole, nowNs)
 }
 
-// Observe counts one boolean outcome into a unit-weighted rate.
-func (r *WindowedRate) Observe(hit bool) {
+// Observe counts one boolean outcome at nowNs into a unit-weighted
+// rate.
+func (r *WindowedRate) Observe(hit bool, nowNs int64) {
 	if hit {
-		r.Record(1, 1)
+		r.Record(1, 1, nowNs)
 	} else {
-		r.Record(0, 1)
+		r.Record(0, 1, nowNs)
 	}
 }
 
-// Rate returns part/whole over the window, 0 when the window is empty.
-func (r *WindowedRate) Rate() float64 {
-	whole := r.whole.WindowTotal()
+// Rate returns part/whole over the window ending at nowNs, 0 when the
+// window is empty.
+func (r *WindowedRate) Rate(nowNs int64) float64 {
+	whole := r.whole.WindowTotal(nowNs)
 	if whole == 0 {
 		return 0
 	}
-	return float64(r.part.WindowTotal()) / float64(whole)
+	return float64(r.part.WindowTotal(nowNs)) / float64(whole)
 }
 
 // LifetimeRate returns part/whole since creation, 0 when empty.
@@ -138,7 +130,8 @@ func (r *WindowedRate) LifetimeRate() float64 {
 	return float64(r.part.Total()) / float64(whole)
 }
 
-// WindowCounts returns the windowed (part, whole) totals.
-func (r *WindowedRate) WindowCounts() (part, whole int64) {
-	return r.part.WindowTotal(), r.whole.WindowTotal()
+// WindowCounts returns the (part, whole) totals over the window ending
+// at nowNs.
+func (r *WindowedRate) WindowCounts(nowNs int64) (part, whole int64) {
+	return r.part.WindowTotal(nowNs), r.whole.WindowTotal(nowNs)
 }

@@ -4,33 +4,16 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fakeNs is a settable nanosecond clock for deterministic window tests.
-type fakeNs struct{ v atomic.Int64 }
-
-func (f *fakeNs) now() int64      { return f.v.Load() }
-func (f *fakeNs) set(ns int64)    { f.v.Store(ns) }
-func (f *fakeNs) advance(d int64) { f.v.Add(d) }
-
-// newTestCounter returns a windowed counter on the fake clock.
-func newTestCounter(clk *fakeNs) *windowedCounter {
-	w := newWindowedCounter()
-	w.nowNs = clk.now
-	return w
-}
-
 func TestWindowedCounterSlidesOut(t *testing.T) {
-	clk := &fakeNs{}
-	w := newTestCounter(clk)
-
-	w.Add(3) // bucket epoch 0
-	clk.set(5*bucketNs + 1)
-	w.Add(4) // bucket epoch 5
-	if got := w.WindowTotal(); got != 7 {
+	var w windowedCounter
+	w.Add(3, 0) // bucket epoch 0
+	t5 := 5*bucketNs + 1
+	w.Add(4, t5) // bucket epoch 5
+	if got := w.WindowTotal(t5); got != 7 {
 		t.Fatalf("WindowTotal with both buckets live = %d, want 7", got)
 	}
 	if got := w.Total(); got != 7 {
@@ -39,14 +22,13 @@ func TestWindowedCounterSlidesOut(t *testing.T) {
 
 	// Advance so epoch 0 falls outside the window but epoch 5 is still
 	// inside.
-	clk.set(DefaultWindowBuckets*bucketNs + 1) // the window covers epochs 1..12
-	if got := w.WindowTotal(); got != 4 {
+	// The window ending in epoch 12 covers epochs 1..12.
+	if got := w.WindowTotal(DefaultWindowBuckets*bucketNs + 1); got != 4 {
 		t.Fatalf("WindowTotal after first bucket expired = %d, want 4", got)
 	}
 
 	// Advance past everything: window empty, lifetime intact.
-	clk.set(100 * bucketNs)
-	if got := w.WindowTotal(); got != 0 {
+	if got := w.WindowTotal(100 * bucketNs); got != 0 {
 		t.Fatalf("WindowTotal after window passed = %d, want 0", got)
 	}
 	if got := w.Total(); got != 7 {
@@ -55,15 +37,13 @@ func TestWindowedCounterSlidesOut(t *testing.T) {
 }
 
 func TestWindowedCounterBucketReuse(t *testing.T) {
-	clk := &fakeNs{}
-	w := newTestCounter(clk)
-
-	w.Add(5) // epoch 0, slot 0
+	var w windowedCounter
+	w.Add(5, 0) // epoch 0, slot 0
 	// Come all the way around the ring to epoch 12, which reuses slot 0:
 	// the old count must be discarded, not added to.
-	clk.set(DefaultWindowBuckets * bucketNs)
-	w.Add(2)
-	if got := w.WindowTotal(); got != 2 {
+	t12 := DefaultWindowBuckets * bucketNs
+	w.Add(2, t12)
+	if got := w.WindowTotal(t12); got != 2 {
 		t.Fatalf("WindowTotal after slot reuse = %d, want 2 (stale count leaked)", got)
 	}
 	if got := w.Total(); got != 7 {
@@ -78,18 +58,15 @@ func TestWindowedCounterDefaults(t *testing.T) {
 	if got := time.Duration(bucketNs * DefaultWindowBuckets); got != DefaultWindow {
 		t.Fatalf("%d buckets of %v cover %v, want %v", DefaultWindowBuckets, time.Duration(bucketNs), got, DefaultWindow)
 	}
-	clk := &fakeNs{}
-	w := newTestCounter(clk)
-	w.Add(1)
-	if got := w.WindowTotal(); got != 1 {
+	var w windowedCounter
+	w.Add(1, 0)
+	if got := w.WindowTotal(0); got != 1 {
 		t.Fatalf("WindowTotal immediately after Add = %d, want 1", got)
 	}
-	clk.set(int64(DefaultWindow) - 1)
-	if got := w.WindowTotal(); got != 1 {
+	if got := w.WindowTotal(int64(DefaultWindow) - 1); got != 1 {
 		t.Fatalf("WindowTotal just inside the window = %d, want 1", got)
 	}
-	clk.set(int64(DefaultWindow))
-	if got := w.WindowTotal(); got != 0 {
+	if got := w.WindowTotal(int64(DefaultWindow)); got != 0 {
 		t.Fatalf("WindowTotal one window later = %d, want 0", got)
 	}
 	if got := w.Total(); got != 1 {
@@ -98,10 +75,9 @@ func TestWindowedCounterDefaults(t *testing.T) {
 }
 
 func TestWindowedCounterConcurrentAdds(t *testing.T) {
-	// Under a fixed clock there is no bucket rotation, so concurrent
+	// At one fixed time there is no bucket rotation, so concurrent
 	// adds must be exact in both totals.
-	clk := &fakeNs{}
-	w := newTestCounter(clk)
+	var w windowedCounter
 
 	const writers = 8
 	const perWriter = 5000
@@ -111,7 +87,7 @@ func TestWindowedCounterConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWriter; j++ {
-				w.Add(1)
+				w.Add(1, 0)
 			}
 		}()
 	}
@@ -119,22 +95,20 @@ func TestWindowedCounterConcurrentAdds(t *testing.T) {
 	if got, want := w.Total(), int64(writers*perWriter); got != want {
 		t.Fatalf("Total = %d, want %d", got, want)
 	}
-	if got, want := w.WindowTotal(), int64(writers*perWriter); got != want {
+	if got, want := w.WindowTotal(0), int64(writers*perWriter); got != want {
 		t.Fatalf("WindowTotal = %d, want %d", got, want)
 	}
 }
 
 func TestWindowedRate(t *testing.T) {
-	clk := &fakeNs{}
 	r := NewWindowedRate()
-	r.SetClock(clk.now)
 
 	// Three hits out of four requests in the first bucket.
-	r.Observe(true)
-	r.Observe(true)
-	r.Observe(true)
-	r.Observe(false)
-	if got := r.Rate(); math.Abs(got-0.75) > 1e-12 {
+	r.Observe(true, 0)
+	r.Observe(true, 0)
+	r.Observe(true, 0)
+	r.Observe(false, 0)
+	if got := r.Rate(0); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("Rate = %v, want 0.75", got)
 	}
 	if got := r.LifetimeRate(); math.Abs(got-0.75) > 1e-12 {
@@ -143,18 +117,17 @@ func TestWindowedRate(t *testing.T) {
 
 	// A later bucket of all misses drags the window down; lifetime
 	// follows a different trajectory.
-	clk.set(5*bucketNs + 1)
-	r.Observe(false)
-	r.Observe(false)
-	part, whole := r.WindowCounts()
+	t5 := 5*bucketNs + 1
+	r.Observe(false, t5)
+	r.Observe(false, t5)
+	part, whole := r.WindowCounts(t5)
 	if part != 3 || whole != 6 {
 		t.Fatalf("WindowCounts = (%d, %d), want (3, 6)", part, whole)
 	}
 
 	// Slide the hit-heavy bucket out: the window is all misses now even
 	// though lifetime still remembers the hits.
-	clk.set(DefaultWindowBuckets*bucketNs + 1)
-	if got := r.Rate(); got != 0 {
+	if got := r.Rate(DefaultWindowBuckets*bucketNs + 1); got != 0 {
 		t.Fatalf("Rate after hit bucket expired = %v, want 0", got)
 	}
 	if got := r.LifetimeRate(); math.Abs(got-0.5) > 1e-12 {
@@ -163,7 +136,7 @@ func TestWindowedRate(t *testing.T) {
 
 	// Empty window and empty lifetime both report 0, not NaN.
 	empty := NewWindowedRate()
-	if got := empty.Rate(); got != 0 {
+	if got := empty.Rate(0); got != 0 {
 		t.Fatalf("empty Rate = %v, want 0", got)
 	}
 	if got := empty.LifetimeRate(); got != 0 {
@@ -172,12 +145,10 @@ func TestWindowedRate(t *testing.T) {
 }
 
 func TestWindowedRateWeighted(t *testing.T) {
-	clk := &fakeNs{}
 	r := NewWindowedRate()
-	r.SetClock(clk.now)
-	r.Record(1000, 1000) // byte hit
-	r.Record(0, 3000)    // byte miss
-	if got := r.Rate(); math.Abs(got-0.25) > 1e-12 {
+	r.Record(1000, 1000, 0) // byte hit
+	r.Record(0, 3000, 0)    // byte miss
+	if got := r.Rate(0); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("weighted Rate = %v, want 0.25", got)
 	}
 }
@@ -188,12 +159,11 @@ func TestWindowedRateWeighted(t *testing.T) {
 // scrape time.
 func TestRegistryWindowedAndGaugeFunc(t *testing.T) {
 	reg := NewRegistry()
-	clk := &fakeNs{}
+	var now int64 // the scrape time the gauge reads the window at
 	r := NewWindowedRate()
-	r.SetClock(clk.now)
-	reg.GaugeFunc("store.window_gets", func() int64 { _, whole := r.WindowCounts(); return whole })
+	reg.GaugeFunc("store.window_gets", func() int64 { _, whole := r.WindowCounts(now); return whole })
 	for i := 0; i < 6; i++ {
-		r.Observe(false)
+		r.Observe(false, now)
 	}
 
 	reg.GaugeFunc("store.window_hr_bp", func() int64 { return 1234 })
@@ -207,7 +177,7 @@ func TestRegistryWindowedAndGaugeFunc(t *testing.T) {
 	}
 
 	// The window slides out of the snapshot too.
-	clk.set(100 * bucketNs)
+	now = 100 * bucketNs
 	if got := reg.Snapshot()["store.window_gets"]; got != int64(0) {
 		t.Fatalf("snapshot windowed value after expiry = %v, want 0", got)
 	}

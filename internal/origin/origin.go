@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -134,13 +133,4 @@ func contentTypeFor(t trace.DocType) string {
 	default:
 		return "application/octet-stream"
 	}
-}
-
-// HostOf is exported for tests: the host part of an absolute URL.
-func HostOf(url string) string {
-	s := strings.TrimPrefix(url, "http://")
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

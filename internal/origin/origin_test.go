@@ -112,12 +112,3 @@ func TestPatternReader(t *testing.T) {
 		t.Fatalf("pattern %q", got[:32])
 	}
 }
-
-func TestHostOf(t *testing.T) {
-	if got := HostOf("http://a.b.c/x"); got != "a.b.c" {
-		t.Fatalf("HostOf = %q", got)
-	}
-	if got := HostOf("http://justhost"); got != "justhost" {
-		t.Fatalf("HostOf = %q", got)
-	}
-}

@@ -137,3 +137,12 @@ func Parse(spec string, dayStart int64) (Policy, error) {
 	}
 	return NewSorted(keys, dayStart), nil
 }
+
+// OrderName returns the name of the removal order a policy called name
+// applies: a key list's trailing "/RANDOM" is dropped, because the
+// universal tiebreak compares the random word next anyway (packedKeys),
+// so "SIZE/RANDOM" and "SIZE" order alike. Name keeps the suffix, as
+// the paper's tables print it; compare policies by OrderName.
+func OrderName(name string) string {
+	return strings.TrimSuffix(name, "/"+KeyRandom.String())
+}

@@ -52,22 +52,37 @@ func RegisterCacheStats(reg *obs.Registry, prefix string, stats func() core.Stat
 
 // RegisterMetrics publishes the store's counters on reg under store.*,
 // read from its cache's core.Stats under the shared lock, and starts
-// the store's recent-window hit rate, which it returns: from here on
-// every Get counts into it, and reg reads it as store.window_hits,
+// the store's recent-window hit rate: from here on every Get counts
+// into it, and reg reads it through WindowCounts as store.window_hits,
 // store.window_gets and store.window_hr_bp (basis points). Call it
 // before serving.
-func (s *Store) RegisterMetrics(reg *obs.Registry) *obs.WindowedRate {
+func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	RegisterCacheStats(reg, "store", func() core.Stats {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		return s.c.Stats()
 	})
-	window := obs.NewWindowedRate()
-	reg.GaugeFunc("store.window_hits", func() int64 { hits, _ := window.WindowCounts(); return hits })
-	reg.GaugeFunc("store.window_gets", func() int64 { _, gets := window.WindowCounts(); return gets })
-	reg.GaugeFunc("store.window_hr_bp", func() int64 { return bp(window.Rate()) })
+	reg.GaugeFunc("store.window_hits", func() int64 { hits, _ := s.WindowCounts(); return hits })
+	reg.GaugeFunc("store.window_gets", func() int64 { _, gets := s.WindowCounts(); return gets })
+	reg.GaugeFunc("store.window_hr_bp", func() int64 {
+		hits, gets := s.WindowCounts()
+		if gets == 0 {
+			return 0
+		}
+		return bp(float64(hits) / float64(gets))
+	})
 	s.mu.Lock()
-	s.window = window
+	s.window = obs.NewWindowedRate()
 	s.mu.Unlock()
-	return window
+}
+
+// WindowCounts returns the recent window's hits and gets as of the
+// store's clock, both zero before RegisterMetrics.
+func (s *Store) WindowCounts() (hits, gets int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.window == nil {
+		return 0, 0
+	}
+	return s.window.WindowCounts(s.now().UnixNano())
 }

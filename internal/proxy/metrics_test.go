@@ -16,12 +16,12 @@ import (
 
 // TestStoreHooksFireOnStore pins the store's registry view: the
 // store.* counters come from its core.Stats, and the store.window_*
-// gauges from the recent window RegisterMetrics returns, which counts
+// gauges from the recent window RegisterMetrics starts, which counts
 // every Get.
 func TestStoreHooksFireOnStore(t *testing.T) {
 	reg := obs.NewRegistry()
 	st := NewStore(250, nil)
-	window := st.RegisterMetrics(reg)
+	st.RegisterMetrics(reg)
 
 	obj := func(n int) *Object { return &Object{Body: bytes.Repeat([]byte("x"), n)} }
 
@@ -52,8 +52,8 @@ func TestStoreHooksFireOnStore(t *testing.T) {
 		}
 	}
 
-	if hits, gets := window.WindowCounts(); hits != 1 || gets != 2 {
-		t.Errorf("returned window counts (hits %d, gets %d), want (1, 2)", hits, gets)
+	if hits, gets := st.WindowCounts(); hits != 1 || gets != 2 {
+		t.Errorf("window counts (hits %d, gets %d), want (1, 2)", hits, gets)
 	}
 }
 

@@ -62,8 +62,9 @@ type Server struct {
 	// cacheable request (whether the lookup ran and hit, whether the
 	// object was put, the size served), on every exit, a failed fetch
 	// and an aborted transfer included. An uncacheable request never
-	// reaches the store, nor the shadows. The per-request cost is one
-	// non-blocking enqueue; nil costs one branch.
+	// reaches the store, nor the shadows. The event is applied to every
+	// ghost cache on the request's goroutine, under the fleet's mutex;
+	// nil costs one branch.
 	Shadow *ShadowFleet
 	// Tracer, when non-nil, samples requests into per-phase span
 	// timelines (parse, store get, origin dial/TTFB/body,

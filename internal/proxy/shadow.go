@@ -6,24 +6,24 @@ package proxy
 // maximizes HR/WHR — asks what SIZE vs LRU vs LFU *would have done* on
 // the same traffic. A ShadowFleet keeps K metadata-only ghost caches
 // (each a core.Cache at the deployed capacity running a candidate
-// policy, no bodies) and feeds them asynchronously with what the store
-// did: the serving path pays one non-blocking send per cacheable
-// request into a bounded channel (a full channel drops the event,
-// counted), and one worker goroutine replays each event on every
-// shadow. A shadow repeats the store's Lookup, if it ran, then
-// its Insert, if it ran, unless the shadow's Lookup disagreed: then a
-// shadow that missed inserts at the size the store served, and one
-// that hit inserts nothing. So the deployed policy's shadow is the
-// store, request for request, and no shadow sees a request the store
-// did not.
+// policy, no bodies) and feeds them what the store did: each cacheable
+// request's exit applies its event to every shadow, under the fleet's
+// mutex, on the request's own goroutine. Nothing is queued, so nothing
+// is lost, and the fleet costs no goroutine; the price is K ghost
+// Lookups and Inserts on the serving path (DESIGN.md §13). A shadow
+// repeats the store's Lookup, if it ran, then its Insert, if it ran,
+// unless the shadow's Lookup disagreed: then a shadow that missed
+// inserts at the size the store served, and one that hit inserts
+// nothing. So the deployed policy's shadow is the store, request for
+// request, and no shadow sees a request the store did not.
 //
 // Each shadow reports lifetime and window HR/WHR plus *regret*: the
 // deployed policy's window hit rate minus the shadow's; negative
 // regret means the candidate would have out-hit the deployed policy
-// recently. The deployed side comes from the same event stream (each
-// event carries the store's lookup outcome), so queue drops degrade
-// both sides equally. A drop-free run over a fixed trace reproduces
-// the simulator's hits exactly, which livebench -shadow cross-checks.
+// recently. The deployed side comes from the same events (each carries
+// the store's lookup outcome). Over a fixed trace served one request
+// at a time the shadows reproduce the simulator's hits exactly, which
+// livebench -shadow cross-checks.
 
 import (
 	"encoding/json"
@@ -32,7 +32,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"webcache/internal/core"
@@ -40,18 +39,12 @@ import (
 	"webcache/internal/policy"
 )
 
-// DefaultShadowQueueSlots sizes the fleet's event channel when the
-// options leave it zero: large enough that a worker keeping pace never
-// drops, small enough to bound memory at well under a megabyte.
-const DefaultShadowQueueSlots = 1 << 14
-
 // shadowEvent is what the store did for one request: whether its
 // Lookup ran (a client reload skips it) and hit, whether its Insert
 // ran, and the size it served.
 type shadowEvent struct {
 	url    string
 	size   int64
-	at     int64
 	looked bool
 	hit    bool
 	stored bool
@@ -63,13 +56,13 @@ type rates struct{ hr, whr *obs.WindowedRate }
 
 func newRates() rates { return rates{obs.NewWindowedRate(), obs.NewWindowedRate()} }
 
-// observe counts one lookup of size bytes.
-func (r rates) observe(hit bool, size int64) {
-	r.hr.Observe(hit)
+// observe counts one lookup of size bytes at nowNs.
+func (r rates) observe(hit bool, size, nowNs int64) {
+	r.hr.Observe(hit, nowNs)
 	if hit {
-		r.whr.Record(size, size)
+		r.whr.Record(size, size, nowNs)
 	} else {
-		r.whr.Record(0, size)
+		r.whr.Record(0, size, nowNs)
 	}
 }
 
@@ -89,56 +82,36 @@ type ShadowOptions struct {
 	// Capacity is each ghost cache's byte capacity; normally the
 	// deployed store's capacity so the comparison is like-for-like.
 	Capacity int64
-	// QueueSlots sizes the lossy event channel (0 =
-	// DefaultShadowQueueSlots).
-	// For a drop-free deterministic run, size it to the trace.
-	QueueSlots int
 	// DayStart anchors day-based policy keys (DAY(ATIME), Pitkow/Recker).
 	DayStart int64
 	// Seed derives each ghost cache's random tiebreak stream. Every
 	// shadow gets the same seed, so policies draw identical random
 	// sequences per insert — the simulator's arrangement.
 	Seed uint64
-	// Clock supplies event timestamps in Unix seconds; livebench injects
-	// the simulated trace clock. Nil = wall clock.
+	// Clock stamps the ghost caches' entries in Unix seconds; livebench
+	// injects the simulated trace clock. Nil = wall clock. The window
+	// rates always run on the wall clock.
 	Clock func() int64
 }
 
 // ShadowFleet runs the ghost caches. Its feed, observe, is safe for
-// concurrent use and never blocks; everything else happens on the
-// fleet's worker goroutine or under its mutex.
+// concurrent use: it and every reader serialize on the fleet's mutex.
 type ShadowFleet struct {
 	capacity int64
-	clock    func() int64
-	// stampOnDrain moves the clock read off the hot path: with no
-	// injected Clock, observe leaves events unstamped and the drain
-	// stamps each batch with one wall-clock read. An injected Clock
-	// (livebench's simulated time) stamps at enqueue, where the caller's
-	// notion of "now" is exact.
-	stampOnDrain bool
+	clock    func() int64 // nil: the wall clock
 
-	// events is the lossy queue: observe sends without blocking and
-	// counts a drop when it is full; only drainLocked receives, under
-	// mu, so events apply in send order.
-	events chan shadowEvent
-	notify chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
-	closed atomic.Bool
-
-	dropped   atomic.Int64 // events lost to a full channel
-	processed atomic.Int64
-
-	// mu serializes the drain (worker or Flush) with report snapshots;
-	// the ghost caches and deployed rates are only touched under it.
-	mu      sync.Mutex
-	shadows []*shadow
-	dep     rates
+	// mu serializes applying events with report snapshots; the ghost
+	// caches, the rates and processed are only touched under it.
+	mu        sync.Mutex
+	processed int64 // events applied
+	shadows   []*shadow
+	dep       rates
 }
 
-// NewShadowFleet builds the ghost caches and starts the drain worker.
-// Duplicate policies (after canonicalization) are rejected: each
-// shadow must answer for a distinct candidate.
+// NewShadowFleet builds the ghost caches. Policies that apply one
+// removal order (policy.OrderName: "lru" and "LRU", "SIZE" and
+// "SIZE/RANDOM") are rejected as duplicates: each shadow must answer
+// for a distinct candidate.
 func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 	if len(opts.Policies) == 0 {
 		return nil, fmt.Errorf("proxy: shadow fleet needs at least one policy")
@@ -146,36 +119,23 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 	if opts.Capacity <= 0 {
 		return nil, fmt.Errorf("proxy: shadow fleet needs a positive capacity")
 	}
-	slots := opts.QueueSlots
-	if slots <= 0 {
-		slots = DefaultShadowQueueSlots
-	}
-	clock := opts.Clock
-	stampOnDrain := clock == nil
-	if clock == nil {
-		clock = func() int64 { return time.Now().Unix() }
-	}
 	f := &ShadowFleet{
-		capacity:     opts.Capacity,
-		clock:        clock,
-		stampOnDrain: stampOnDrain,
-		events:       make(chan shadowEvent, slots),
-		notify:       make(chan struct{}, 1),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-		dep:          newRates(),
+		capacity: opts.Capacity,
+		clock:    opts.Clock,
+		dep:      newRates(),
 	}
-	seen := make(map[string]bool, len(opts.Policies))
+	seen := make(map[string]string, len(opts.Policies))
 	for _, spec := range opts.Policies {
 		pol, err := policy.Parse(spec, opts.DayStart)
 		if err != nil {
 			return nil, fmt.Errorf("proxy: shadow policy %q: %w", spec, err)
 		}
 		name := pol.Name()
-		if seen[name] {
-			return nil, fmt.Errorf("proxy: duplicate shadow policy %q", name)
+		order := policy.OrderName(name)
+		if first, ok := seen[order]; ok {
+			return nil, fmt.Errorf("proxy: shadow policy %q duplicates %q", name, first)
 		}
-		seen[name] = true
+		seen[order] = name
 		f.shadows = append(f.shadows, &shadow{
 			name: name,
 			// Configured as the store's cache is, so the deployed policy's
@@ -184,7 +144,6 @@ func NewShadowFleet(opts ShadowOptions) (*ShadowFleet, error) {
 			rates: newRates(),
 		})
 	}
-	go f.worker()
 	return f, nil
 }
 
@@ -198,118 +157,46 @@ func (f *ShadowFleet) Policies() []string {
 	return names
 }
 
-// observe records what the store did for one request. This is the
-// hot-path entry point — one non-blocking channel send and one nudge;
-// a full channel drops the event (counted) rather than block the
-// request. In wall-clock mode the timestamp is deferred to the drain,
-// so the serving path never reads the clock.
+// observe applies what the store did for one request, on the caller's
+// goroutine: one wall-clock read stamps every window rate, and the
+// ghost caches' entries take the same read's second unless a Clock was
+// injected. The clock is read under f.mu, so events apply in the order
+// of their stamps.
 func (f *ShadowFleet) observe(ev *shadowEvent) {
-	if f.closed.Load() {
-		return
-	}
-	if !f.stampOnDrain {
-		ev.at = f.clock()
-	}
-	select {
-	case f.events <- *ev:
-	default:
-		f.dropped.Add(1)
-		return
-	}
-	select {
-	case f.notify <- struct{}{}:
-	default: // worker already has a wakeup pending
-	}
-}
-
-// enqueuedLocked counts the events that entered the channel: every one
-// is either applied or still pending, and only the drain, under f.mu,
-// moves one from pending to applied. Caller holds f.mu.
-func (f *ShadowFleet) enqueuedLocked() int64 {
-	return f.processed.Load() + int64(len(f.events))
-}
-
-// worker drains the channel whenever nudged, until Close.
-func (f *ShadowFleet) worker() {
-	defer close(f.done)
-	for {
-		select {
-		case <-f.notify:
-			f.Flush()
-		case <-f.stop:
-			return
-		}
-	}
-}
-
-// Flush drains every pending event into the shadows now and returns
-// the number applied. Livebench calls it before reading end-of-run
-// numbers; the worker calls it on every wakeup.
-func (f *ShadowFleet) Flush() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.drainLocked()
-}
-
-// drainLocked replays the events pending when it starts, in send
-// order. Caller holds f.mu.
-func (f *ShadowFleet) drainLocked() int {
-	n := len(f.events)
-	if n == 0 {
-		return 0
+	now := time.Now()
+	at := now.Unix()
+	if f.clock != nil {
+		at = f.clock()
 	}
-	var batchAt int64
-	if f.stampOnDrain {
-		batchAt = f.clock()
-	}
-	for i := 0; i < n; i++ {
-		ev := <-f.events
-		if f.stampOnDrain {
-			// One clock read per batch: events drained together share a
-			// timestamp, which at the trace's one-second resolution is the
-			// same coarsening a logged trace would apply.
-			ev.at = batchAt
-		}
-		f.applyLocked(ev)
-	}
-	f.processed.Add(int64(n))
-	return n
+	f.applyLocked(ev, at, now.UnixNano())
+	f.processed++
 }
 
 // applyLocked feeds one event to the deployed rates and replays it on
 // every ghost cache: the store's Lookup, if it ran, then its Insert,
 // if it ran and the shadow's Lookup agreed with the store's. Where they
 // disagree, a shadow that missed inserts at the served size and one
-// that hit inserts nothing.
-func (f *ShadowFleet) applyLocked(ev shadowEvent) {
+// that hit inserts nothing. The ghost caches run at at (Unix seconds),
+// the rates at nowNs. Caller holds f.mu.
+func (f *ShadowFleet) applyLocked(ev *shadowEvent, at, nowNs int64) {
 	if ev.looked {
-		f.dep.observe(ev.hit, ev.size)
+		f.dep.observe(ev.hit, ev.size, nowNs)
 	}
 	for _, sh := range f.shadows {
-		hit := ev.looked && sh.cache.Lookup(ev.url, ev.at)
+		hit := ev.looked && sh.cache.Lookup(ev.url, at)
 		insert := ev.stored
 		if ev.looked {
-			sh.observe(hit, ev.size)
+			sh.observe(hit, ev.size, nowNs)
 			if hit != ev.hit {
 				insert = !hit
 			}
 		}
 		if insert {
-			sh.cache.Insert(ev.url, ev.size, ev.at)
+			sh.cache.Insert(ev.url, ev.size, at)
 		}
 	}
-}
-
-// Close stops the worker and drains whatever is still queued, so
-// end-of-run reports are complete. Idempotent; an event sent after
-// Close is discarded.
-func (f *ShadowFleet) Close() {
-	if f.closed.Swap(true) {
-		return
-	}
-	close(f.stop)
-	<-f.done
-	f.Flush()
 }
 
 // ShadowSnapshot is one ghost cache's report row. Requests counts its
@@ -336,7 +223,7 @@ type ShadowSnapshot struct {
 }
 
 // ShadowDeployed is the deployed store's side of the regret
-// comparison, computed from the same event stream the shadows consume.
+// comparison, computed from the same events the shadows consume.
 type ShadowDeployed struct {
 	WindowHR  float64 `json:"window_hr"`
 	WindowWHR float64 `json:"window_whr"`
@@ -344,49 +231,46 @@ type ShadowDeployed struct {
 	WHR       float64 `json:"whr"`
 }
 
-// ShadowReport is the fleet's full snapshot.
+// ShadowReport is the fleet's full snapshot. Processed counts the
+// events applied: every cacheable request that has finished.
 type ShadowReport struct {
 	Capacity  int64            `json:"capacity"`
 	WindowSec float64          `json:"window_sec"`
-	Enqueued  int64            `json:"enqueued"`
 	Processed int64            `json:"processed"`
-	Dropped   int64            `json:"dropped"`
-	Pending   int64            `json:"pending"`
 	Deployed  ShadowDeployed   `json:"deployed"`
 	Shadows   []ShadowSnapshot `json:"shadows"`
 }
 
-// Report drains pending events and snapshots every shadow.
+// Report snapshots every shadow, with the window rates read at one
+// wall-clock time.
 func (f *ShadowFleet) Report() ShadowReport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.drainLocked()
+	now := time.Now().UnixNano()
 	rep := ShadowReport{
 		Capacity:  f.capacity,
 		WindowSec: obs.DefaultWindow.Seconds(),
-		Enqueued:  f.enqueuedLocked(),
-		Processed: f.processed.Load(),
-		Dropped:   f.dropped.Load(),
-		Pending:   int64(len(f.events)),
+		Processed: f.processed,
 		Deployed: ShadowDeployed{
-			WindowHR:  f.dep.hr.Rate(),
-			WindowWHR: f.dep.whr.Rate(),
+			WindowHR:  f.dep.hr.Rate(now),
+			WindowWHR: f.dep.whr.Rate(now),
 			HR:        f.dep.hr.LifetimeRate(),
 			WHR:       f.dep.whr.LifetimeRate(),
 		},
 	}
 	for _, sh := range f.shadows {
 		st := sh.cache.Stats()
+		windowHR, windowWHR := sh.hr.Rate(now), sh.whr.Rate(now)
 		rep.Shadows = append(rep.Shadows, ShadowSnapshot{
 			Policy:    sh.name,
 			Requests:  st.Requests,
 			Hits:      st.Hits,
 			HR:        sh.hr.LifetimeRate(),
 			WHR:       sh.whr.LifetimeRate(),
-			WindowHR:  sh.hr.Rate(),
-			WindowWHR: sh.whr.Rate(),
-			RegretHR:  rep.Deployed.WindowHR - sh.hr.Rate(),
-			RegretWHR: rep.Deployed.WindowWHR - sh.whr.Rate(),
+			WindowHR:  windowHR,
+			WindowWHR: windowWHR,
+			RegretHR:  rep.Deployed.WindowHR - windowHR,
+			RegretWHR: rep.Deployed.WindowWHR - windowWHR,
 			Evictions: st.Evictions,
 			UsedBytes: st.Used,
 			Docs:      st.Docs,
@@ -405,11 +289,10 @@ func sanitizeMetricName(name string) string {
 // int64 currency for rates (5037 = 50.37%).
 func bp(rate float64) int64 { return int64(rate*10000 + 0.5) }
 
-// RegisterMetrics exposes the fleet on reg under store.shadow.*:
-// queue health as computed gauges (drops, pending, enqueued,
-// processed) and, per shadow, window HR/WHR/regret in basis points
-// plus occupancy — all evaluated at scrape time, no refresh ticker.
-// Rates read the windowed state under f.mu; the registry evaluates
+// RegisterMetrics exposes the fleet on reg under store.shadow.*: the
+// events applied (processed) and, per shadow, window HR/WHR/regret in
+// basis points plus occupancy — all evaluated at scrape time, no
+// refresh ticker. Every gauge reads under f.mu; the registry evaluates
 // functions while holding its own mutex, and the fleet never calls
 // into the registry, so the lock order is always registry → fleet.
 func (f *ShadowFleet) RegisterMetrics(reg *obs.Registry) {
@@ -420,15 +303,13 @@ func (f *ShadowFleet) RegisterMetrics(reg *obs.Registry) {
 			return read()
 		}
 	}
-	reg.GaugeFunc("store.shadow.drops", f.dropped.Load)
-	reg.GaugeFunc("store.shadow.pending", func() int64 { return int64(len(f.events)) })
-	reg.GaugeFunc("store.shadow.enqueued", locked(f.enqueuedLocked))
-	reg.GaugeFunc("store.shadow.processed", f.processed.Load)
+	rate := func(r *obs.WindowedRate) int64 { return bp(r.Rate(time.Now().UnixNano())) }
+	reg.GaugeFunc("store.shadow.processed", locked(func() int64 { return f.processed }))
 	for _, sh := range f.shadows {
 		prefix := "store.shadow." + sanitizeMetricName(sh.name)
-		reg.GaugeFunc(prefix+".window_hr_bp", locked(func() int64 { return bp(sh.hr.Rate()) }))
-		reg.GaugeFunc(prefix+".window_whr_bp", locked(func() int64 { return bp(sh.whr.Rate()) }))
-		reg.GaugeFunc(prefix+".regret_bp", locked(func() int64 { return bp(f.dep.hr.Rate()) - bp(sh.hr.Rate()) }))
+		reg.GaugeFunc(prefix+".window_hr_bp", locked(func() int64 { return rate(sh.hr) }))
+		reg.GaugeFunc(prefix+".window_whr_bp", locked(func() int64 { return rate(sh.whr) }))
+		reg.GaugeFunc(prefix+".regret_bp", locked(func() int64 { return rate(f.dep.hr) - rate(sh.hr) }))
 		reg.GaugeFunc(prefix+".requests", locked(func() int64 { return sh.cache.Stats().Requests }))
 		reg.GaugeFunc(prefix+".hits", locked(func() int64 { return sh.cache.Stats().Hits }))
 		reg.GaugeFunc(prefix+".evictions", locked(func() int64 { return sh.cache.Stats().Evictions }))
@@ -450,10 +331,8 @@ func (f *ShadowFleet) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "shadow fleet: %d policies at capacity %d, window %s\n",
-			len(rep.Shadows), rep.Capacity, obs.DefaultWindow)
-		fmt.Fprintf(w, "queue: enqueued %d  processed %d  dropped %d  pending %d\n",
-			rep.Enqueued, rep.Processed, rep.Dropped, rep.Pending)
+		fmt.Fprintf(w, "shadow fleet: %d policies at capacity %d, window %s, %d events\n",
+			len(rep.Shadows), rep.Capacity, obs.DefaultWindow, rep.Processed)
 		fmt.Fprintf(w, "deployed: window HR %.2f%%  window WHR %.2f%%  lifetime HR %.2f%%  WHR %.2f%%\n\n",
 			rep.Deployed.WindowHR*100, rep.Deployed.WindowWHR*100,
 			rep.Deployed.HR*100, rep.Deployed.WHR*100)

@@ -48,16 +48,14 @@ func TestShadowFleetMatchesSimulator(t *testing.T) {
 	specs := []string{"LRU", "SIZE", "LFU"}
 	var now int64
 	fleet, err := NewShadowFleet(ShadowOptions{
-		Policies:   specs,
-		Capacity:   capacity,
-		QueueSlots: len(reqs) + 64, // drop-free
-		Seed:       seed,
-		Clock:      func() int64 { return now },
+		Policies: specs,
+		Capacity: capacity,
+		Seed:     seed,
+		Clock:    func() int64 { return now },
 	})
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
-	defer fleet.Close()
 
 	for i := range reqs {
 		now = reqs[i].Time
@@ -67,14 +65,10 @@ func TestShadowFleetMatchesSimulator(t *testing.T) {
 		// exercise both deployed paths.
 		fleet.observe(lookup(reqs[i].URL, reqs[i].Size, i%3 == 0))
 	}
-	fleet.Flush()
 	rep := fleet.Report()
 
-	if rep.Dropped != 0 {
-		t.Fatalf("drop-free run dropped %d events", rep.Dropped)
-	}
-	if rep.Enqueued != int64(len(reqs)) || rep.Processed < rep.Enqueued {
-		t.Fatalf("enqueued %d processed %d, want %d both", rep.Enqueued, rep.Processed, len(reqs))
+	if rep.Processed != int64(len(reqs)) {
+		t.Fatalf("processed %d, want %d", rep.Processed, len(reqs))
 	}
 
 	// Each shadow must agree exactly with a fresh simulator run of the
@@ -131,51 +125,28 @@ func TestShadowFleetRejectsBadOptions(t *testing.T) {
 	if _, err := NewShadowFleet(ShadowOptions{Policies: []string{"lru", "LRU"}, Capacity: 100}); err == nil {
 		t.Error("duplicate policy after canonicalization: want error")
 	}
-}
-
-func TestShadowFleetLossyQueue(t *testing.T) {
-	// A 4-slot ring with the worker wedged behind mu must drop the
-	// overflow and count it, without blocking Observe.
-	fleet, err := NewShadowFleet(ShadowOptions{
-		Policies:   []string{"LRU"},
-		Capacity:   1 << 20,
-		QueueSlots: 4,
-		Clock:      func() int64 { return 0 },
-	})
-	if err != nil {
-		t.Fatalf("NewShadowFleet: %v", err)
-	}
-	defer fleet.Close()
-
-	fleet.mu.Lock() // wedge the drain
-	for i := 0; i < 64; i++ {
-		fleet.observe(lookup(fmt.Sprintf("http://x.test/%d", i), 100, false))
-	}
-	dropped := fleet.dropped.Load()
-	fleet.mu.Unlock()
-
-	if dropped < 60 {
-		t.Fatalf("dropped = %d, want >= 60 with a wedged 4-slot ring", dropped)
-	}
-	fleet.Flush()
-	rep := fleet.Report()
-	if rep.Enqueued+rep.Dropped != 64 {
-		t.Fatalf("enqueued %d + dropped %d != 64", rep.Enqueued, rep.Dropped)
+	// A trailing RANDOM is the universal tiebreak: "SIZE/RANDOM" removes
+	// in the order "SIZE" does, though its name keeps the suffix.
+	if _, err := NewShadowFleet(ShadowOptions{Policies: []string{"SIZE", "SIZE/RANDOM"}, Capacity: 100}); err == nil {
+		t.Error("SIZE and SIZE/RANDOM: want a duplicate error")
 	}
 }
 
+// TestShadowFleetConcurrentObserve sends events from eight goroutines
+// and reads the fleet as soon as they return: each event is applied
+// before its observe returns, so nothing is pending.
 func TestShadowFleetConcurrentObserve(t *testing.T) {
+	const goroutines = 8
 	reqs := shadowTrace(50)
 	fleet, err := NewShadowFleet(ShadowOptions{
-		Policies:   []string{"LRU", "SIZE"},
-		Capacity:   1 << 20,
-		QueueSlots: 1 << 12,
+		Policies: []string{"LRU", "SIZE"},
+		Capacity: 1 << 20,
 	})
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -185,33 +156,26 @@ func TestShadowFleetConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	fleet.Close() // final drain
 	rep := fleet.Report()
-	if rep.Processed != rep.Enqueued {
-		t.Fatalf("processed %d != enqueued %d after Close", rep.Processed, rep.Enqueued)
+	want := int64(goroutines * len(reqs))
+	if rep.Processed != want {
+		t.Fatalf("processed %d, want %d", rep.Processed, want)
 	}
 	for _, sh := range rep.Shadows {
-		if sh.Requests != rep.Processed {
-			t.Fatalf("%s saw %d requests, want %d", sh.Policy, sh.Requests, rep.Processed)
+		if sh.Requests != want {
+			t.Fatalf("%s saw %d requests, want %d", sh.Policy, sh.Requests, want)
 		}
 	}
-	// An event after Close is dropped silently, not a panic or a queue
-	// write.
-	fleet.observe(lookup("http://late.test/x", 10, true))
-	if got := fleet.Report().Enqueued; got != rep.Enqueued {
-		t.Fatalf("an event after Close was enqueued: %d != %d", got, rep.Enqueued)
-	}
-	fleet.Close() // idempotent
 }
 
-// TestShadowFleetFlushDuringObserve pins the send-order property: one
-// producer sends a trace's events while another goroutine Flushes in a loop,
-// racing the worker for every batch. After Close, each shadow must
-// equal a sequential core.Cache replay of the same stream. The stream
-// asks for each document twice in a row, and a cache holds one, so
-// the sequential replay hits every second request and any drain that
-// applies an event ahead of an earlier one loses a hit.
-func TestShadowFleetFlushDuringObserve(t *testing.T) {
+// TestShadowFleetReportDuringObserve pins the order property: one
+// producer sends a trace's events while another goroutine takes
+// Reports in a loop, contending for the fleet's mutex on every event.
+// Each shadow must equal a sequential core.Cache replay of the same
+// stream. The stream asks for each document twice in a row, and a
+// cache holds one, so the sequential replay hits every second request
+// and any event applied ahead of an earlier one loses a hit.
+func TestShadowFleetReportDuringObserve(t *testing.T) {
 	const capacity, seed = 1500, 7
 	reqs := make([]trace.Request, 20000)
 	for i := range reqs {
@@ -225,25 +189,24 @@ func TestShadowFleetFlushDuringObserve(t *testing.T) {
 	specs := []string{"LRU", "SIZE", "LFU"}
 	var now int64
 	fleet, err := NewShadowFleet(ShadowOptions{
-		Policies:   specs,
-		Capacity:   capacity,
-		QueueSlots: len(reqs), // drop-free
-		Seed:       seed,
-		Clock:      func() int64 { return now }, // read by the producer only
+		Policies: specs,
+		Capacity: capacity,
+		Seed:     seed,
+		Clock:    func() int64 { return now }, // read by the producer only
 	})
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
 	stop := make(chan struct{})
-	flushed := make(chan struct{})
+	reported := make(chan struct{})
 	go func() {
-		defer close(flushed)
+		defer close(reported)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				fleet.Flush()
+				fleet.Report()
 			}
 		}
 	}()
@@ -252,11 +215,10 @@ func TestShadowFleetFlushDuringObserve(t *testing.T) {
 		fleet.observe(lookup(reqs[i].URL, reqs[i].Size, false))
 	}
 	close(stop)
-	<-flushed
-	fleet.Close()
+	<-reported
 	rep := fleet.Report()
-	if rep.Dropped != 0 || rep.Processed != int64(len(reqs)) {
-		t.Fatalf("dropped %d, processed %d; want 0 and %d", rep.Dropped, rep.Processed, len(reqs))
+	if rep.Processed != int64(len(reqs)) {
+		t.Fatalf("processed %d, want %d", rep.Processed, len(reqs))
 	}
 	for i, spec := range specs {
 		pol, err := policy.Parse(spec, 0)
@@ -281,27 +243,24 @@ func TestShadowFleetHandler(t *testing.T) {
 	reqs := shadowTrace(100)
 	var now int64
 	fleet, err := NewShadowFleet(ShadowOptions{
-		Policies:   []string{"LRU", "SIZE/NREF"},
-		Capacity:   4000,
-		QueueSlots: len(reqs) + 8,
-		Clock:      func() int64 { return now },
+		Policies: []string{"LRU", "SIZE/NREF"},
+		Capacity: 4000,
+		Clock:    func() int64 { return now },
 	})
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
-	defer fleet.Close()
 	for i := range reqs {
 		now = reqs[i].Time
 		fleet.observe(lookup(reqs[i].URL, reqs[i].Size, i%2 == 0))
 	}
-	fleet.Flush()
 
 	h := fleet.Handler()
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/shadow", nil))
 	text := rec.Body.String()
-	for _, want := range []string{"POLICY", "LRU", "SIZE/NREF", "deployed:", "queue:"} {
+	for _, want := range []string{"POLICY", "LRU", "SIZE/NREF", "deployed:", fmt.Sprintf("%d events", len(reqs))} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text response missing %q:\n%s", want, text)
 		}
@@ -316,7 +275,7 @@ func TestShadowFleetHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("json decode: %v\n%s", err, rec.Body.String())
 	}
-	if len(rep.Shadows) != 2 || rep.Enqueued != int64(len(reqs)) {
+	if len(rep.Shadows) != 2 || rep.Processed != int64(len(reqs)) {
 		t.Fatalf("json report = %+v", rep)
 	}
 }
@@ -325,28 +284,22 @@ func TestShadowFleetRegisterMetrics(t *testing.T) {
 	reqs := shadowTrace(60)
 	var now int64
 	fleet, err := NewShadowFleet(ShadowOptions{
-		Policies:   []string{"LRU", "SIZE/NREF"},
-		Capacity:   4000,
-		QueueSlots: len(reqs) + 8,
-		Clock:      func() int64 { return now },
+		Policies: []string{"LRU", "SIZE/NREF"},
+		Capacity: 4000,
+		Clock:    func() int64 { return now },
 	})
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
-	defer fleet.Close()
 	reg := obs.NewRegistry()
 	fleet.RegisterMetrics(reg)
 	for i := range reqs {
 		now = reqs[i].Time
 		fleet.observe(lookup(reqs[i].URL, reqs[i].Size, i%2 == 0))
 	}
-	fleet.Flush()
 
 	snap := reg.Snapshot()
 	for _, name := range []string{
-		"store.shadow.drops",
-		"store.shadow.pending",
-		"store.shadow.enqueued",
 		"store.shadow.processed",
 		"store.shadow.LRU.window_hr_bp",
 		"store.shadow.LRU.regret_bp",
@@ -357,8 +310,8 @@ func TestShadowFleetRegisterMetrics(t *testing.T) {
 			t.Errorf("snapshot missing %q", name)
 		}
 	}
-	if got := snap["store.shadow.enqueued"]; got != int64(len(reqs)) {
-		t.Errorf("store.shadow.enqueued = %v, want %d", got, len(reqs))
+	if got := snap["store.shadow.processed"]; got != int64(len(reqs)) {
+		t.Errorf("store.shadow.processed = %v, want %d", got, len(reqs))
 	}
 	if got := snap["store.shadow.LRU.requests"]; got != int64(len(reqs)) {
 		t.Errorf("store.shadow.LRU.requests = %v, want %d", got, len(reqs))
@@ -370,7 +323,6 @@ func TestShadowFleetWindowDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
-	defer fleet.Close()
 	if got := fleet.Report().WindowSec; got != obs.DefaultWindow.Seconds() {
 		t.Fatalf("report window = %vs, want %v", got, obs.DefaultWindow)
 	}
@@ -404,17 +356,14 @@ func TestShadowReplayRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer fleet.Close()
 			if tc.resident {
 				fleet.observe(&shadowEvent{url: url, size: 100, stored: true})
 			}
-			fleet.Flush()
 			c := fleet.shadows[0].cache
 			before := c.Stats()
 			ev := tc.ev
 			ev.url = url
 			fleet.observe(&ev)
-			fleet.Flush()
 			after := c.Stats()
 			if hit := after.Hits > before.Hits; hit != tc.hit {
 				t.Errorf("shadow hit = %v, want %v", hit, tc.hit)
@@ -461,7 +410,6 @@ func TestShadowDeployedRowVersusStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShadowFleet: %v", err)
 	}
-	defer fleet.Close()
 	srv.Shadow = fleet
 
 	for _, step := range []struct {
@@ -502,7 +450,6 @@ func TestShadowDeployedRowVersusStore(t *testing.T) {
 			t.Fatalf("GET %s: %d X-Cache %q, want %d %q",
 				step.path, rec.Code, rec.Header().Get("X-Cache"), step.code, step.cache)
 		}
-		fleet.Flush()
 		st := srv.Store().Stats()
 		row := fleet.Report().Shadows[0]
 		if row.Requests != st.Gets || row.Hits != st.Hits || row.Evictions != st.Evictions {
@@ -512,5 +459,79 @@ func TestShadowDeployedRowVersusStore(t *testing.T) {
 	}
 	if st := srv.Store().Stats(); st.Gets != 7 || st.Hits != 3 || st.Evictions != 1 {
 		t.Fatalf("store gets/hits/evictions %d/%d/%d; want 7/3/1", st.Gets, st.Hits, st.Evictions)
+	}
+}
+
+// TestShadowFleetConcurrentServe serves 32 goroutines of requests
+// through a Server with a fleet attached. A cacheable request's event
+// is applied before its ServeHTTP returns, so each goroutine finds at
+// least its own events applied after each of its requests, and the
+// moment the last ServeHTTP returns the fleet's processed count is the
+// server's requests less its uncacheable ones, and the deployed
+// policy's row has looked up exactly as often as the store. These are
+// counts, the same in any interleaving; hits depend on the order in
+// which exits reach the fleet, so they are not compared.
+func TestShadowFleetConcurrentServe(t *testing.T) {
+	const goroutines, perGoroutine = 32, 40
+	ots := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(make([]byte, 100+len(r.URL.Path)*37%900))
+	}))
+	defer ots.Close()
+
+	reg := obs.NewRegistry()
+	srv := New(NewStore(8000, nil)) // SIZE, small enough to evict
+	defer srv.CloseIdleConnections()
+	srv.RegisterMetrics(reg)
+	fleet, err := NewShadowFleet(ShadowOptions{Policies: []string{"LRU", "SIZE", "LFU"}, Capacity: 8000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.RegisterMetrics(reg)
+	srv.Shadow = fleet
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var own int64 // this goroutine's cacheable requests served
+			for i := 0; i < perGoroutine; i++ {
+				target := fmt.Sprintf("%s/doc/%d", ots.URL, (g*7+i*13)%60)
+				if i%10 == 9 {
+					target += "?q=1" // uncacheable: reaches neither store nor fleet
+				}
+				req := httptest.NewRequest(http.MethodGet, target, nil)
+				if i%10 == 4 {
+					req.Header.Set("Pragma", "no-cache") // a reload: an Insert without a Lookup
+				}
+				srv.ServeHTTP(httptest.NewRecorder(), req)
+				if i%10 == 9 {
+					continue
+				}
+				own++
+				if got := fleet.Report().Processed; got < own {
+					t.Errorf("after %d cacheable requests returned, the fleet has applied %d events", own, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	snap := reg.Snapshot()
+	requests, uncacheable := snap["proxy.requests"].(int64), snap["proxy.uncacheable"].(int64)
+	if requests != goroutines*perGoroutine || uncacheable != requests/10 {
+		t.Fatalf("server counted %d requests, %d uncacheable; want %d, %d",
+			requests, uncacheable, goroutines*perGoroutine, goroutines*perGoroutine/10)
+	}
+	if got := snap["store.shadow.processed"]; got != requests-uncacheable {
+		t.Errorf("store.shadow.processed = %v, want requests - uncacheable = %d", got, requests-uncacheable)
+	}
+	st := srv.Store().Stats()
+	rep := fleet.Report()
+	for _, row := range rep.Shadows {
+		if row.Requests != st.Gets {
+			t.Errorf("%s row looked up %d times, the store %d", row.Policy, row.Requests, st.Gets)
+		}
 	}
 }

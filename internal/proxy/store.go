@@ -132,13 +132,15 @@ func (s *Store) SetSeed(seed uint64) {
 // Get returns the cached object for url. A hit stamps the entry's ATime
 // with the store's clock, increments its NRef and re-ranks it in the
 // policy, all under the write lock, which also covers counting the
-// lookup into the recent window once RegisterMetrics has made one.
+// lookup into the recent window, at the same clock read, once
+// RegisterMetrics has made one.
 func (s *Store) Get(url string) (*Object, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hit := s.c.Lookup(url, s.now().Unix())
+	now := s.now()
+	hit := s.c.Lookup(url, now.Unix())
 	if s.window != nil {
-		s.window.Observe(hit)
+		s.window.Observe(hit, now.UnixNano())
 	}
 	if !hit {
 		return nil, false

@@ -73,13 +73,8 @@ var primaryRank = map[policy.Key]int{
 	policy.KeyATime: 2, policy.KeyETime: 2,
 }
 
-// ExperimentClassics runs the literature policies of Table 3 (plus the
-// extension policies) at fraction×MaxNeeded.
-func ExperimentClassics(tr *trace.Trace, base *Exp1Result, fraction float64, seed uint64) *Exp2Result {
-	return ExperimentClassicsR(DefaultRunner(), tr, base, fraction, seed)
-}
-
-// ExperimentClassicsR is ExperimentClassics on an explicit runner.
+// ExperimentClassicsR runs the literature policies of Table 3 (plus
+// the extension policies) at fraction×MaxNeeded on r.
 func ExperimentClassicsR(r *Runner, tr *trace.Trace, base *Exp1Result, fraction float64, seed uint64) *Exp2Result {
 	capacity := capacityFor(base, fraction)
 	// Constructors, not policies: each worker builds its own policy so
